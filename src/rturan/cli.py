@@ -13,7 +13,6 @@ import time
 
 from .graphcore import ParseError, SizeError, parse_pattern, parse_family, Graph, PatternFamily
 from .collection import (
-    Collection,
     FormatError,
     RangeError,
     RainbowWitness,
@@ -40,10 +39,6 @@ def _fmt_matching(m) -> str:
     return " ".join(f"({u},{v})#{c}" for (u, v), c in zip(m.edges, m.colors))
 
 
-def _read_collection(path: str) -> Collection:
-    return codec_read(path)
-
-
 def _parse_params(spec: str) -> dict:
     # split only on commas that start a new k= item, so pattern values
     # with their own commas (K2,2) survive
@@ -65,7 +60,7 @@ def _parse_params(spec: str) -> dict:
 
 
 def _cmd_detect(args) -> int:
-    col = _read_collection(args.collection)
+    col = codec_read(args.collection)
     pattern = parse_pattern(args.pattern)
     w = find_rainbow_copy(col, pattern)
     if w is None:
@@ -76,7 +71,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    col = _read_collection(args.collection)
+    col = codec_read(args.collection)
     if args.check == "strong":
         if args.sufficient:
             ev = lemmas.strong_color_sufficient(col, args.color, args.s)
@@ -120,7 +115,7 @@ def _cmd_lemma(args) -> int:
 def _cmd_construct(args) -> int:
     params = _parse_params(args.params)
     if args.inner:
-        params["inner"] = _read_collection(args.inner)
+        params["inner"] = codec_read(args.inner)
     col = cons.build(args.id, params)
     codec_write(col, args.out)
     print(f"wrote {args.out} (n={col.n}, t={col.t}, edges={list(col.edge_counts())})")
@@ -355,19 +350,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", required=True, help='forbidden family, e.g. "{K3,M2}"')
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out", help="write the witness collection here")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_compute)
 
     p = sub.add_parser("verify", help="run one verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("report", help="run all suites and emit TSV")
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_report)
     return ap
 
@@ -375,8 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        ap.error("--workers must be at least 1")
     try:
         return args.fn(args)
     except (ParseError, SizeError, ValueError) as exc:

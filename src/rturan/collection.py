@@ -16,7 +16,9 @@ Colors are 1-based everywhere in the public interface, matching the
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphcore import Graph, PatternFamily
 
@@ -183,6 +185,10 @@ def codec_write(col: Collection, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# plain ASCII digits only: str.isdigit() and int() also accept "²", "+0", "1_1"
+_NUMERAL = re.compile("[0-9]+")
+
+
 def codec_read(path: str) -> Collection:
     with open(path, "r", newline="") as fh:
         raw = fh.read()
@@ -198,13 +204,13 @@ def codec_read(path: str) -> Collection:
     if len(lines) < 3:
         fail("truncated header", len(lines))
     mn = lines[1].split()
-    if len(mn) != 2 or mn[0] != "n" or not mn[1].isdigit():
+    if len(mn) != 2 or mn[0] != "n" or not _NUMERAL.fullmatch(mn[1]):
         fail("expected 'n <count>'", 2)
     n = int(mn[1])
     if not 1 <= n <= 30:
         fail(f"vertex count {n} outside 1..30", 2)
     mt = lines[2].split()
-    if len(mt) != 2 or mt[0] != "t" or not mt[1].isdigit():
+    if len(mt) != 2 or mt[0] != "t" or not _NUMERAL.fullmatch(mt[1]):
         fail("expected 't <count>'", 3)
     t = int(mt[1])
     if t < 1:
@@ -222,7 +228,7 @@ def codec_read(path: str) -> Collection:
             continue
         parts = line.split()
         if len(parts) == 2 and parts[0] == "color":
-            if not parts[1].isdigit():
+            if not _NUMERAL.fullmatch(parts[1]):
                 fail("malformed color index", no)
             idx = int(parts[1])
             if idx > t:
@@ -236,15 +242,14 @@ def codec_read(path: str) -> Collection:
         if len(parts) == 2:
             if current is None:
                 fail("edge before first color header", no)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
+            if not (_NUMERAL.fullmatch(parts[0]) and _NUMERAL.fullmatch(parts[1])):
                 fail(f"malformed edge line {line!r}", no)
+            u, v = int(parts[0]), int(parts[1])
             if u == v:
                 fail(f"loop edge '{u} {v}'", no)
             if u > v:
                 fail(f"edge '{u} {v}' not in increasing order", no)
-            if u < 0 or v >= n:
+            if v >= n:
                 raise RangeError(f"vertex in '{u} {v}' outside 0..{n - 1}", no)
             if (u, v) in seen:
                 fail(f"duplicate edge '{u} {v}'", no)
@@ -263,34 +268,48 @@ def codec_read(path: str) -> Collection:
 # color assignment as a system of distinct representatives
 
 
-def assign_distinct_colors(masks: list[int]) -> list[int] | None:
-    """Match each item to its own bit of its mask (0-based bit indices).
+def _max_distinct_colors(masks: list[int]) -> list[int]:
+    """Maximum assignment of items to distinct bits of their masks.
 
-    Returns one chosen bit per item, or None when Hall's condition fails.
-    Classic augmenting-path matching; items are edges, bits are colors.
+    Classic augmenting-path matching (0-based bit indices; items are edges,
+    bits are colors).  Items are taken in index order and a matched item
+    stays matched, so any prefix of items that admits a full assignment
+    ends up fully assigned.  Returns one chosen bit per item, -1 where an
+    item stays unmatched.
     """
-    owner: dict[int, int] = {}
+    owner: dict[int, int] = {}  # color bit -> item holding it
     chosen = [-1] * len(masks)
+    seen = 0  # color bits already tried by the current augmenting search
 
-    def augment(i: int, banned: set[int]) -> bool:
-        m = masks[i]
+    def augment(i: int) -> bool:
+        nonlocal seen
+        m = masks[i] & ~seen
         while m:
             low = m & -m
-            c = low.bit_length() - 1
             m ^= low
-            if c in banned:
+            if seen & low:
                 continue
-            banned.add(c)
-            if c not in owner or augment(owner[c], banned):
-                owner[c] = i
-                chosen[i] = c
+            seen |= low
+            holder = owner.get(low)
+            if holder is None or augment(holder):
+                owner[low] = i
+                chosen[i] = low.bit_length() - 1
                 return True
         return False
 
     for i in range(len(masks)):
-        if not augment(i, set()):
-            return None
+        seen = 0
+        augment(i)
     return chosen
+
+
+def assign_distinct_colors(masks: list[int]) -> list[int] | None:
+    """Match each item to its own bit of its mask (0-based bit indices).
+
+    Returns one chosen bit per item, or None when Hall's condition fails.
+    """
+    chosen = _max_distinct_colors(masks)
+    return None if -1 in chosen else chosen
 
 
 def lexmin_distinct_colors(masks: list[int]) -> list[int] | None:
@@ -314,10 +333,6 @@ def lexmin_distinct_colors(masks: list[int]) -> list[int] | None:
     return out
 
 
-# ---------------------------------------------------------------------
-# rainbow-copy detection
-
-
 def _pair_color_mask(rows_by_color, u: int, v: int) -> int:
     """Bit i set iff color i+1 contains the pair uv (rows are adjacency masks)."""
     mask = 0
@@ -327,69 +342,40 @@ def _pair_color_mask(rows_by_color, u: int, v: int) -> int:
     return mask
 
 
-def _is_pure_matching(pattern: Graph) -> bool:
-    return all(pattern.adj[v].bit_count() == 1 for v in range(pattern.n))
+# ---------------------------------------------------------------------
+# compiled pattern plans
 
 
-def _is_degree_le_one(pattern: Graph) -> bool:
-    return all(pattern.adj[v].bit_count() <= 1 for v in range(pattern.n))
+@dataclass(frozen=True)
+class _Plan:
+    """Embedding orders of one pattern, compiled once per pattern.
 
-
-def _matching_exists_with(
-    n: int, rows_by_color, size: int, init_masks: list[int], banned_vmask: int
-) -> bool:
-    """Rainbow matching of the given size avoiding banned vertices, with
-    colors jointly assignable alongside the already fixed ``init_masks``.
-
-    Matchings are searched as pair subsets rather than labeled embeddings;
-    a matching on 2k vertices has k! 2^k labelings, so this is the only
-    sane route for matching patterns on larger hosts.
+    An order is a tuple of steps (pattern vertex, its degree, its neighbors
+    placed at earlier steps or seeded before the first one).  Apart from
+    ``index``, orders cover the edge-touching vertices, most constrained
+    first: most placed neighbors, then highest degree, then lowest index.
     """
-    if size < 0:
-        return False
-    pairs: list[tuple[int, int]] = []
-    masks: list[int] = []
-    for u in range(n):
-        if banned_vmask >> u & 1:
-            continue
-        for v in range(u + 1, n):
-            if banned_vmask >> v & 1:
-                continue
-            cm = _pair_color_mask(rows_by_color, u, v)
-            if cm:
-                pairs.append((u, v))
-                masks.append(cm)
-    chosen = list(init_masks)
-    free0 = n - banned_vmask.bit_count()
 
-    def dfs(idx: int, used: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if (free0 - used.bit_count()) // 2 < need or len(pairs) - idx < need:
-            return False
-        for j in range(idx, len(pairs)):
-            u, v = pairs[j]
-            m = (1 << u) | (1 << v)
-            if m & used:
-                continue
-            chosen.append(masks[j])
-            if assign_distinct_colors(chosen) is not None:
-                if dfs(j + 1, used | m, need - 1):
-                    chosen.pop()
-                    return True
-            chosen.pop()
-        return False
-
-    if assign_distinct_colors(chosen) is None:
-        return False
-    return dfs(0, 0, size)
+    edges: tuple[tuple[int, int], ...]
+    core: tuple  # all edge-touching vertices, nothing seeded
+    anchored: tuple  # (a, b, order after seeding a and b) per pattern edge ab
+    seeded: tuple  # (v, order after seeding v) per vertex; () if some vertex is isolated
+    index: tuple  # every vertex in index order, for lexicographically smallest witnesses
+    matching: bool  # no vertex of degree above 1: searched as sets of disjoint pairs
+    labelled_matching: bool  # Graph.matching(k) itself, edge i = (2i, 2i+1)
 
 
-def _core_order(pattern: Graph) -> list[int]:
-    """Edge-touching pattern vertices, most constrained first."""
-    core = [v for v in range(pattern.n) if pattern.adj[v]]
-    order: list[int] = []
-    left = set(core)
+def _steps(pattern: Graph, order: list[int], start: int) -> tuple:
+    return tuple(
+        (v, pattern.degree(v), tuple(u for u in order[:i] if pattern.has_edge(u, v)))
+        for i, v in enumerate(order)
+        if i >= start
+    )
+
+
+def _greedy_order(pattern: Graph, seeds: tuple[int, ...]) -> tuple:
+    order = list(seeds)
+    left = [v for v in range(pattern.n) if pattern.adj[v] and v not in seeds]
     while left:
         nxt = max(
             left,
@@ -401,7 +387,144 @@ def _core_order(pattern: Graph) -> list[int]:
         )
         order.append(nxt)
         left.remove(nxt)
-    return order
+    return _steps(pattern, order, len(seeds))
+
+
+@lru_cache(maxsize=1024)
+def _plan(pattern: Graph) -> _Plan:
+    edges = tuple(pattern.edges())
+    degrees = [pattern.degree(v) for v in range(pattern.n)]
+    return _Plan(
+        edges=edges,
+        core=_greedy_order(pattern, ()),
+        anchored=tuple((a, b, _greedy_order(pattern, (a, b))) for a, b in edges),
+        seeded=tuple((v, _greedy_order(pattern, (v,))) for v in range(pattern.n)) if all(degrees) else (),
+        index=_steps(pattern, list(range(pattern.n)), 0),
+        matching=max(degrees) <= 1,
+        labelled_matching=bool(edges) and pattern == Graph.matching(len(edges)),
+    )
+
+
+# ---------------------------------------------------------------------
+# the embedding backtracker and the pair-subset search
+
+
+def _embed(steps, vmap: list[int], used: int, masks: list[int], rows_by_color, union_rows) -> bool:
+    """Complete a pre-seeded embedding along ``steps``.
+
+    ``vmap`` maps pattern vertices to host vertices (-1 where unplaced),
+    ``used`` is the host vertex mask of the seeds and ``masks`` the color
+    masks of the pattern edges among them, which must admit distinct
+    colors.  Host candidates are tried in ascending order and every
+    partial embedding must keep a system of distinct representatives, so
+    the first completion is the lexicographically smallest in step order.
+    On success ``vmap`` holds it.
+    """
+    full = (1 << len(union_rows)) - 1
+    last = len(steps)
+
+    def extend(idx: int, used: int, fewest: int) -> bool:
+        if idx == last:
+            return True
+        pv, degree, back = steps[idx]
+        cand = full & ~used
+        for u in back:
+            cand &= union_rows[vmap[u]]
+        k = len(masks)
+        while cand:
+            low = cand & -cand
+            hv = low.bit_length() - 1
+            cand ^= low
+            if union_rows[hv].bit_count() < degree:
+                continue  # too few neighbors in the union for this pattern vertex
+            low_bits = fewest
+            for u in back:
+                cm = _pair_color_mask(rows_by_color, vmap[u], hv)
+                masks.append(cm)
+                if cm.bit_count() < low_bits:
+                    low_bits = cm.bit_count()
+            # with at least as many colors on every edge as there are edges,
+            # distinct colors can be handed out greedily
+            if len(masks) <= low_bits or assign_distinct_colors(masks) is not None:
+                vmap[pv] = hv
+                if extend(idx + 1, used | low, low_bits):
+                    return True
+            del masks[k:]
+        return False
+
+    return extend(0, used, min((m.bit_count() for m in masks), default=len(rows_by_color)))
+
+
+def _colored_pairs(n: int, rows_by_color, skip: int = 0, keep: int = -1) -> list[tuple[int, int, int]]:
+    """(u, v, color mask & keep) of every pair u < v outside the vertex mask
+    ``skip`` whose masked color set is nonempty, in lexicographic order."""
+    pairs = []
+    for u in range(n):
+        if skip >> u & 1:
+            continue
+        for v in range(u + 1, n):
+            if skip >> v & 1:
+                continue
+            cm = _pair_color_mask(rows_by_color, u, v) & keep
+            if cm:
+                pairs.append((u, v, cm))
+    return pairs
+
+
+def _rainbow_matchings(n: int, pairs, init_masks: list[int], used: int, limit: int, floor: list[int]):
+    """Yield the rainbow matchings drawn from ``pairs`` with at least
+    ``floor[0]`` pairs, as (picked, used).
+
+    A rainbow matching here is a set of at most ``limit`` pairs, disjoint
+    from each other and from the vertex mask ``used``, whose color masks
+    admit distinct colors alongside ``init_masks``.  ``picked`` lists the
+    pair indices (one list, mutated as the search goes on) and ``used``
+    the vertices, the initial ones included.  Sets come in lexicographic
+    order of their index lists, each before its extensions.  The floor is
+    read at every set, so the consumer may raise it as it goes (branch and
+    bound); sets that cannot grow to the floor are not extended.
+
+    Matchings are searched as pair subsets rather than labeled embeddings;
+    a matching on 2k vertices has k! 2^k labelings.
+    """
+    chosen = list(init_masks)
+    picked: list[int] = []
+
+    def dfs(idx: int, used: int):
+        if len(picked) >= floor[0]:
+            yield picked, used
+        room = min(limit - len(picked), (n - used.bit_count()) // 2, len(pairs) - idx)
+        if room <= 0 or len(picked) + room < floor[0]:
+            return
+        for j in range(idx, len(pairs)):
+            u, v, cm = pairs[j]
+            m = (1 << u) | (1 << v)
+            if m & used:
+                continue
+            chosen.append(cm)
+            if assign_distinct_colors(chosen) is not None:
+                picked.append(j)
+                yield from dfs(j + 1, used | m)
+                picked.pop()
+            chosen.pop()
+
+    return dfs(0, used)
+
+
+def _matching_exists_with(
+    n: int, rows_by_color, size: int, init_masks: list[int], banned_vmask: int
+) -> bool:
+    """Rainbow matching of the given size avoiding banned vertices, with
+    colors jointly assignable alongside the already fixed ``init_masks``."""
+    if size < 0 or assign_distinct_colors(init_masks) is None:
+        return False
+    pairs = _colored_pairs(n, rows_by_color, banned_vmask)
+    found = _rainbow_matchings(n, pairs, init_masks, banned_vmask, size, [size])
+    return next(found, None) is not None
+
+
+# ---------------------------------------------------------------------
+# rainbow-copy detection
 
 
 def rainbow_copy_exists(col: Collection, pattern: Graph) -> bool:
@@ -412,48 +535,15 @@ def rainbow_copy_exists(col: Collection, pattern: Graph) -> bool:
 def _exists(n: int, rows_by_color, union_rows, pattern: Graph) -> bool:
     if pattern.n > n:
         return False
-    m = pattern.edge_count()
+    plan = _plan(pattern)
+    m = len(plan.edges)
     if m == 0:
         return True
     if m > len(rows_by_color):
         return False
-    if _is_degree_le_one(pattern):
+    if plan.matching:
         return _matching_exists_with(n, rows_by_color, m, [], 0)
-    order = _core_order(pattern)
-    full = (1 << n) - 1
-    vmap: dict[int, int] = {}
-    edge_masks: list[int] = []
-
-    def extend(idx: int, used: int) -> bool:
-        if idx == len(order):
-            return assign_distinct_colors(edge_masks) is not None
-        pv = order[idx]
-        cand = full & ~used
-        back = [u for u in order[:idx] if pattern.has_edge(u, pv)]
-        for u in back:
-            cand &= union_rows[vmap[u]]
-        while cand:
-            low = cand & -cand
-            hv = low.bit_length() - 1
-            cand ^= low
-            vmap[pv] = hv
-            added = 0
-            ok = True
-            for u in back:
-                cm = _pair_color_mask(rows_by_color, vmap[u], hv)
-                if cm == 0:
-                    ok = False
-                    break
-                edge_masks.append(cm)
-                added += 1
-            if ok and assign_distinct_colors(edge_masks) is not None:
-                if extend(idx + 1, used | low):
-                    return True
-            del vmap[pv]
-            del edge_masks[len(edge_masks) - added :]
-        return False
-
-    return extend(0, 0)
+    return _embed(plan.core, [-1] * pattern.n, 0, [], rows_by_color, union_rows)
 
 
 def _exists_using_pair(
@@ -466,66 +556,47 @@ def _exists_using_pair(
     searches: after adding one edge to one color, any new rainbow copy must
     route through that (pair, color).
     """
-    if pattern.edge_count() == 0 or pattern.edge_count() > len(rows_by_color) or pattern.n > n:
+    plan = _plan(pattern)
+    m = len(plan.edges)
+    if m == 0 or m > len(rows_by_color) or pattern.n > n:
         return False
-    full = (1 << n) - 1
     pu, pv = pair
-    if _is_degree_le_one(pattern):
-        anchor = _pair_color_mask(rows_by_color, min(pu, pv), max(pu, pv))
-        if forced_color is not None:
-            anchor &= 1 << (forced_color - 1)
-        if anchor == 0:
-            return False
-        return _matching_exists_with(
-            n,
-            rows_by_color,
-            pattern.edge_count() - 1,
-            [anchor],
-            (1 << pu) | (1 << pv),
-        )
-    pedges = pattern.edges()
-    for a, b in pedges:
+    anchor = _pair_color_mask(rows_by_color, pu, pv)
+    if forced_color is not None:
+        anchor &= 1 << (forced_color - 1)
+    if anchor == 0:
+        return False
+    seeds = (1 << pu) | (1 << pv)
+    if plan.matching:
+        return _matching_exists_with(n, rows_by_color, m - 1, [anchor], seeds)
+    for a, b, steps in plan.anchored:
         for ha, hb in ((pu, pv), (pv, pu)):
-            order = [a, b] + [x for x in _core_order(pattern) if x not in (a, b)]
-            vmap = {a: ha, b: hb}
-            anchor_mask = _pair_color_mask(rows_by_color, min(ha, hb), max(ha, hb))
-            if forced_color is not None:
-                anchor_mask &= 1 << (forced_color - 1)
-            if anchor_mask == 0:
-                continue
-            edge_masks = [anchor_mask]
-
-            def extend(idx: int, used: int) -> bool:
-                if idx == len(order):
-                    return assign_distinct_colors(edge_masks) is not None
-                pw = order[idx]
-                cand = full & ~used
-                back = [u for u in order[:idx] if pattern.has_edge(u, pw)]
-                for u in back:
-                    cand &= union_rows[vmap[u]]
-                while cand:
-                    low = cand & -cand
-                    hv = low.bit_length() - 1
-                    cand ^= low
-                    vmap[pw] = hv
-                    added = 0
-                    ok = True
-                    for u in back:
-                        cm = _pair_color_mask(rows_by_color, vmap[u], hv)
-                        if cm == 0:
-                            ok = False
-                            break
-                        edge_masks.append(cm)
-                        added += 1
-                    if ok and assign_distinct_colors(edge_masks) is not None:
-                        if extend(idx + 1, used | low):
-                            return True
-                    del vmap[pw]
-                    del edge_masks[len(edge_masks) - added :]
-                return False
-
-            if extend(2, (1 << ha) | (1 << hb)):
+            vmap = [-1] * pattern.n
+            vmap[a], vmap[b] = ha, hb
+            if _embed(steps, vmap, seeds, [anchor], rows_by_color, union_rows):
                 return True
+    return False
+
+
+def _exists_through_vertex(n: int, rows_by_color, union_rows, pattern: Graph, anchor: int) -> bool:
+    """Existence of a rainbow copy whose embedding uses the host vertex anchor.
+
+    A pattern with an isolated vertex can always put that vertex on the
+    anchor, so for such patterns this is plain existence.
+    """
+    plan = _plan(pattern)
+    if not plan.seeded:
+        return _exists(n, rows_by_color, union_rows, pattern)
+    if pattern.n > n or len(plan.edges) > len(rows_by_color):
+        return False
+    degree = union_rows[anchor].bit_count()
+    for seed, steps in plan.seeded:
+        if degree < pattern.degree(seed):
+            continue
+        vmap = [-1] * pattern.n
+        vmap[seed] = anchor
+        if _embed(steps, vmap, 1 << anchor, [], rows_by_color, union_rows):
+            return True
     return False
 
 
@@ -534,107 +605,34 @@ def find_rainbow_copy(col: Collection, pattern: Graph) -> RainbowWitness | None:
 
     Pattern vertices are embedded in index order with host candidates
     ascending, so the first completable embedding has the smallest vmap;
-    its color assignment is then minimized edge by edge.  Edgeless
-    patterns on k vertices have a (vacuous) copy exactly when n >= k.
+    its color assignment is then minimized edge by edge.  For M<k> itself
+    pair subsets in lexicographic order give vmaps in lexicographic order,
+    so the first rainbow k-matching is taken instead.  Edgeless patterns
+    on k vertices have a (vacuous) copy exactly when n >= k.
     """
     n, t = col.n, col.t
     if pattern.n > n:
         return None
-    pedges = pattern.edges()
-    if not pedges:
+    plan = _plan(pattern)
+    m = len(plan.edges)
+    if m == 0:
         return RainbowWitness(pattern, tuple(range(pattern.n)), ())
-    if len(pedges) > t:
+    if m > t:
         return None
     rows_by_color = col.adj_rows()
-    if _is_pure_matching(pattern):
-        return _find_matching_witness(col, pattern, rows_by_color)
-    union_rows = col.union_rows()
-    full = (1 << n) - 1
-    vmap = [-1] * pattern.n
-
-    def masks_for(k: int) -> list[int] | None:
-        out = []
-        for a, b in pedges:
-            if a < k and b < k:
-                cm = _pair_color_mask(rows_by_color, vmap[a], vmap[b])
-                if cm == 0:
-                    return None
-                out.append(cm)
-        return out
-
-    def extend(k: int, used: int) -> RainbowWitness | None:
-        if k == pattern.n:
-            masks = masks_for(k)
-            assert masks is not None and len(masks) == len(pedges)
-            chosen = lexmin_distinct_colors(masks)
-            assert chosen is not None
-            return RainbowWitness(pattern, tuple(vmap), tuple(c + 1 for c in chosen))
-        cand = full & ~used
-        for a, b in pedges:
-            other = b if a == k else (a if b == k else None)
-            if other is not None and other < k:
-                cand &= union_rows[vmap[other]]
-        while cand:
-            low = cand & -cand
-            hv = low.bit_length() - 1
-            cand ^= low
-            vmap[k] = hv
-            masks = masks_for(k + 1)
-            if masks is not None and assign_distinct_colors(masks) is not None:
-                got = extend(k + 1, used | low)
-                if got is not None:
-                    return got
-            vmap[k] = -1
-        return None
-
-    return extend(0, 0)
-
-
-def _find_matching_witness(col: Collection, pattern: Graph, rows_by_color) -> RainbowWitness | None:
-    """Lex-min witness for a pure matching pattern via pair-subset search.
-
-    Pair subsets visited in lexicographic order correspond exactly to
-    vmap tuples in lexicographic order (matching edges are (2i, 2i+1)
-    with sorted host pairs), so the first feasible subset is minimal.
-    """
-    n = col.n
-    size = pattern.edge_count()
-    pairs: list[tuple[int, int]] = []
-    masks: list[int] = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            cm = _pair_color_mask(rows_by_color, u, v)
-            if cm:
-                pairs.append((u, v))
-                masks.append(cm)
-    chosen_masks: list[int] = []
-    picked: list[int] = []
-
-    def dfs(idx: int, used: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if (n - used.bit_count()) // 2 < need or len(pairs) - idx < need:
-            return False
-        for j in range(idx, len(pairs)):
-            u, v = pairs[j]
-            m = (1 << u) | (1 << v)
-            if m & used:
-                continue
-            chosen_masks.append(masks[j])
-            if assign_distinct_colors(chosen_masks) is not None:
-                picked.append(j)
-                if dfs(j + 1, used | m, need - 1):
-                    return True
-                picked.pop()
-            chosen_masks.pop()
-        return False
-
-    if not dfs(0, 0, size):
-        return None
-    chosen = lexmin_distinct_colors([masks[j] for j in picked])
-    assert chosen is not None
-    vmap = tuple(x for j in picked for x in pairs[j])
-    return RainbowWitness(pattern, vmap, tuple(c + 1 for c in chosen))
+    if plan.labelled_matching:
+        pairs = _colored_pairs(n, rows_by_color)
+        found = next(_rainbow_matchings(n, pairs, [], 0, m, [m]), None)
+        if found is None:
+            return None
+        vmap = [x for j in found[0] for x in pairs[j][:2]]
+    else:
+        vmap = [-1] * pattern.n
+        if not _embed(plan.index, vmap, 0, [], rows_by_color, col.union_rows()):
+            return None
+    masks = [_pair_color_mask(rows_by_color, vmap[a], vmap[b]) for a, b in plan.edges]
+    chosen = lexmin_distinct_colors(masks)
+    return RainbowWitness(pattern, tuple(vmap), tuple(c + 1 for c in chosen))
 
 
 def is_rainbow_free(col: Collection, family: PatternFamily) -> bool:
@@ -649,52 +647,20 @@ def is_rainbow_free(col: Collection, family: PatternFamily) -> bool:
 
 
 def max_rainbow_matching(col: Collection) -> tuple[int, RainbowMatching]:
-    """Exact maximum rainbow matching via lexicographic backtracking.
+    """Exact maximum rainbow matching via lexicographic branch and bound.
 
-    Edges are scanned in increasing pair order; color feasibility of the
-    chosen edge set is maintained as a bipartite matching.  The first
-    maximum found in this order is the lexicographically smallest one.
+    The first maximum in lexicographic pair order is returned, with its
+    lexicographically smallest color assignment.
     """
-    n, t = col.n, col.t
-    pairs: list[tuple[int, int]] = []
-    masks: list[int] = []
-    rows = col.adj_rows()
-    for u in range(n):
-        for v in range(u + 1, n):
-            cm = _pair_color_mask(rows, u, v)
-            if cm:
-                pairs.append((u, v))
-                masks.append(cm)
-    best_set: list[int] = []
-    chosen: list[int] = []
-    chosen_masks: list[int] = []
-
-    def dfs(idx: int, used: int):
-        nonlocal best_set
-        if len(chosen) > len(best_set):
-            best_set = list(chosen)
-        free_cap = (n - used.bit_count()) // 2
-        room = min(t - len(chosen), free_cap, len(pairs) - idx)
-        if len(chosen) + room <= len(best_set):
-            return
-        for j in range(idx, len(pairs)):
-            u, v = pairs[j]
-            m = (1 << u) | (1 << v)
-            if m & used:
-                continue
-            chosen_masks.append(masks[j])
-            if assign_distinct_colors(chosen_masks) is not None:
-                chosen.append(j)
-                dfs(j + 1, used | m)
-                chosen.pop()
-            chosen_masks.pop()
-
-    dfs(0, 0)
-    colors = lexmin_distinct_colors([masks[j] for j in best_set]) or []
-    witness = RainbowMatching(
-        tuple(pairs[j] for j in best_set), tuple(c + 1 for c in colors)
-    )
-    return len(best_set), witness
+    pairs = _colored_pairs(col.n, col.adj_rows())
+    best: list[int] = []
+    floor = [1]
+    for picked, _ in _rainbow_matchings(col.n, pairs, [], 0, col.t, floor):
+        best = list(picked)
+        floor[0] = len(best) + 1
+    colors = lexmin_distinct_colors([pairs[j][2] for j in best]) or []
+    witness = RainbowMatching(tuple(pairs[j][:2] for j in best), tuple(c + 1 for c in colors))
+    return len(best), witness
 
 
 # ---------------------------------------------------------------------

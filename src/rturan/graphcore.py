@@ -518,77 +518,20 @@ def _odd_cycle(parent: list[int], v: int, w: int) -> list[int]:
 
 
 def contains_subgraph(host: Graph, pattern: Graph) -> bool:
-    """Whether host contains pattern as a (not necessarily induced) subgraph."""
-    if pattern.n > host.n:
-        return False
-    if pattern.edge_count() == 0:
-        return True
-    core = [v for v in range(pattern.n) if pattern.adj[v]]
-    order: list[int] = []
-    while len(order) < len(core):
-        order.append(
-            max(
-                (v for v in core if v not in order),
-                key=lambda v: (
-                    sum(1 for u in order if pattern.has_edge(u, v)),
-                    pattern.degree(v),
-                ),
-            )
-        )
-    full = (1 << host.n) - 1
+    """Whether host contains pattern as a (not necessarily induced) subgraph.
 
-    def extend(idx: int, used: int, image: dict[int, int]) -> bool:
-        if idx == len(order):
-            return True
-        pv = order[idx]
-        cand = full & ~used
-        for u in order[:idx]:
-            if pattern.has_edge(u, pv):
-                cand &= host.adj[image[u]]
-        deg = pattern.degree(pv)
-        while cand:
-            low = cand & -cand
-            hv = low.bit_length() - 1
-            cand ^= low
-            if host.degree(hv) < deg:
-                continue
-            image[pv] = hv
-            if extend(idx + 1, used | low, image):
-                return True
-            del image[pv]
-        return False
+    Plain containment is rainbow containment in e(pattern) identical
+    copies of the host, so the rainbow detector decides it.
+    """
+    from .collection import _exists  # collection builds on this module
 
-    return extend(0, 0, {})
+    return _exists(host.n, [host.adj] * pattern.edge_count(), host.adj, pattern)
 
 
 def matching_number_at_least(g: Graph, k: int) -> bool:
     """Whether g contains k pairwise disjoint edges."""
     if k <= 0:
         return True
-    edges = g.edges()
-    if len(edges) < k:
-        return False
-    # greedy first: usually settles it immediately
-    used = 0
-    got = 0
-    for u, v in edges:
-        m = (1 << u) | (1 << v)
-        if not used & m:
-            used |= m
-            got += 1
-            if got >= k:
-                return True
-    masks = [(1 << u) | (1 << v) for u, v in edges]
+    from .collection import _matching_exists_with  # collection builds on this module
 
-    def dfs(i: int, used: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if (g.n - used.bit_count()) // 2 < need:
-            return False
-        for j in range(i, len(masks) - need + 1):
-            if not masks[j] & used:
-                if dfs(j + 1, used | masks[j], need - 1):
-                    return True
-        return False
-
-    return dfs(0, 0, k)
+    return _matching_exists_with(g.n, [g.adj] * k, k, [], 0)

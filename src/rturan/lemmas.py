@@ -31,7 +31,10 @@ from .collection import (
     assign_distinct_colors,
     lexmin_distinct_colors,
     find_rainbow_copy,
+    _colored_pairs,
+    _max_distinct_colors,
     _pair_color_mask,
+    _rainbow_matchings,
 )
 
 
@@ -147,35 +150,6 @@ class StrongColorEvidence:
     verdict: StrongVerdict
 
 
-def _matchings_avoiding(col: Collection, banned_color: int, max_size: int):
-    """Yield the used-vertex mask of every rainbow matching of size <= max_size
-    that avoids the banned color (the empty matching included)."""
-    pairs: list[tuple[int, int, int]] = []
-    drop = ~(1 << (banned_color - 1))
-    for u in range(col.n):
-        for v in range(u + 1, col.n):
-            cm = _pair_color_mask(col.adj_rows(), u, v) & drop
-            if cm:
-                pairs.append((u, v, cm))
-    chosen_masks: list[int] = []
-
-    def dfs(idx: int, used: int, size: int):
-        yield used
-        if size == max_size:
-            return
-        for j in range(idx, len(pairs)):
-            u, v, cm = pairs[j]
-            m = (1 << u) | (1 << v)
-            if m & used:
-                continue
-            chosen_masks.append(cm)
-            if assign_distinct_colors(chosen_masks) is not None:
-                yield from dfs(j + 1, used | m, size + 1)
-            chosen_masks.pop()
-
-    yield from dfs(0, 0, 0)
-
-
 def strong_color_exact(col: Collection, i: int, s: int) -> bool:
     """Exact strong-color predicate, by exhausting small rainbow matchings.
 
@@ -188,7 +162,8 @@ def strong_color_exact(col: Collection, i: int, s: int) -> bool:
     gi_masks = [(1 << u) | (1 << v) for u, v in col.graph(i).edges()]
     if not gi_masks:
         return False
-    for used in _matchings_avoiding(col, i, s):
+    pairs = _colored_pairs(col.n, col.adj_rows(), keep=~(1 << (i - 1)))
+    for _, used in _rainbow_matchings(col.n, pairs, [], 0, s, [0]):
         if not any(not m & used for m in gi_masks):
             return False
     return True
@@ -251,47 +226,11 @@ def very_strong_color(col: Collection, i: int, r: int, m: int) -> bool:
     gi_masks = [(1 << u) | (1 << v) for u, v in col.graph(i).edges()]
     if not gi_masks:
         return False
-    drop = ~(1 << (i - 1))
     n = col.n
-    pairs: list[tuple[int, int, int]] = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            cm = _pair_color_mask(col.adj_rows(), u, v) & drop
-            if cm:
-                pairs.append((u, v, cm))
-
-    def avoided(used: int) -> bool:
-        return any(not gm & used for gm in gi_masks)
-
-    extra_masks: list[int] = []
-
-    def extras(idx: int, used: int, budget: int, config: list[int]) -> bool:
-        # True while every configuration reachable from here is avoided
-        if not avoided(used):
-            return False
-        if budget == 0:
-            return True
-        for j in range(idx, len(pairs)):
-            u, v, cm = pairs[j]
-            pm = (1 << u) | (1 << v)
-            if pm & used:
-                continue
-            extra_masks.append(cm)
-            if assign_distinct_colors(config + extra_masks) is not None:
-                if not extras(j + 1, used | pm, budget - 1, config):
-                    extra_masks.pop()
-                    return False
-            extra_masks.pop()
-        return True
-
+    pairs = _colored_pairs(n, col.adj_rows(), keep=~(1 << (i - 1)))
     for center in range(n):
-        nbrs = []
-        for leaf in range(n):
-            if leaf == center:
-                continue
-            cm = _pair_color_mask(col.adj_rows(), min(center, leaf), max(center, leaf)) & drop
-            if cm:
-                nbrs.append((leaf, cm))
+        # leaves ascending: pairs (leaf, center) come before pairs (center, leaf)
+        nbrs = [(v if u == center else u, cm) for u, v, cm in pairs if center in (u, v)]
         if len(nbrs) < r:
             continue
         for combo in combinations(nbrs, r):
@@ -301,8 +240,10 @@ def very_strong_color(col: Collection, i: int, r: int, m: int) -> bool:
             used = 1 << center
             for leaf, _ in combo:
                 used |= 1 << leaf
-            if not extras(0, used, m - 1, star_masks):
-                return False
+            # every padding by up to m-1 further edges must leave an i-edge free
+            for _, padded in _rainbow_matchings(n, pairs, star_masks, used, m - 1, [0]):
+                if all(gm & padded for gm in gi_masks):
+                    return False
     return True
 
 
@@ -361,26 +302,6 @@ class StarCover:
     exempt: tuple[int, ...] = ()
 
 
-def _max_matching_size(masks: list[int]) -> int:
-    owner: dict[int, int] = {}
-
-    def augment(idx: int, banned: set[int]) -> bool:
-        m = masks[idx]
-        while m:
-            low = m & -m
-            c = low.bit_length() - 1
-            m ^= low
-            if c in banned:
-                continue
-            banned.add(c)
-            if c not in owner or augment(owner[c], banned):
-                owner[c] = idx
-                return True
-        return False
-
-    return sum(1 for idx in range(len(masks)) if augment(idx, set()))
-
-
 def star_cover(col: Collection, v: int, p: int) -> StarCover:
     """Rainbow S_p centered at v, or the Hall-deletion cover certificate.
 
@@ -397,13 +318,14 @@ def star_cover(col: Collection, v: int, p: int) -> StarCover:
     others = sorted(set(range(col.n)) - {v})
     incident: list[int] = []  # leaf endpoints, ascending
     masks: list[int] = []
+    rows = col.adj_rows()
     for u in others:
-        cm = _pair_color_mask(col.adj_rows(), min(u, v), max(u, v))
+        cm = _pair_color_mask(rows, u, v)
         if cm:
             incident.append(u)
             masks.append(cm)
 
-    if _max_matching_size(masks) >= p:
+    if sum(c >= 0 for c in _max_distinct_colors(masks)) >= p:
         leaves = _lexmin_star_leaves(masks, p)
         leaf_masks = [masks[j] for j in leaves]
         chosen = lexmin_distinct_colors(leaf_masks)
@@ -433,7 +355,17 @@ def star_cover(col: Collection, v: int, p: int) -> StarCover:
         if violator is None:
             break
         _, sub, nb = violator
-        matched_cover.extend(_match_covering_colors(sub, masks, nb))
+        # edges of the deleted block matched to its colors, one per color;
+        # a minimal Hall violator always has such a matching
+        by_color = []
+        bits = nb
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            by_color.append(sum(1 << j for j in sub if masks[j] & low))
+        covering = assign_distinct_colors(by_color)
+        assert covering is not None
+        matched_cover.extend(covering)
         exempt_bits |= nb
         live_colors &= ~nb
         alive = [j for j in alive if j not in sub]
@@ -457,57 +389,9 @@ def _lexmin_star_leaves(masks: list[int], p: int) -> list[int]:
         if len(chosen) == p:
             break
         trial = chosen + [j]
-        pool = trial + list(range(j + 1, len(masks)))
-        if _max_matching_with_forced([masks[x] for x in trial], [masks[x] for x in range(j + 1, len(masks))]) >= p:
+        # trial goes first, so it is fully matched whenever it can be
+        got = _max_distinct_colors([masks[x] for x in trial] + masks[j + 1 :])
+        if -1 not in got[: len(trial)] and sum(c >= 0 for c in got) >= p:
             chosen = trial
     assert len(chosen) == p
     return chosen
-
-
-def _max_matching_with_forced(forced: list[int], optional: list[int]) -> int:
-    masks = forced + optional
-    owner: dict[int, int] = {}
-
-    def augment(idx: int, banned: set[int]) -> bool:
-        m = masks[idx]
-        while m:
-            low = m & -m
-            c = low.bit_length() - 1
-            m ^= low
-            if c in banned:
-                continue
-            banned.add(c)
-            if c not in owner or augment(owner[c], banned):
-                owner[c] = idx
-                return True
-        return False
-
-    for idx in range(len(forced)):
-        if not augment(idx, set()):
-            return -1
-    extra = sum(1 for idx in range(len(forced), len(masks)) if augment(idx, set()))
-    return len(forced) + extra
-
-
-def _match_covering_colors(sub: tuple[int, ...], masks: list[int], color_bits: int) -> list[int]:
-    """Edges of the deleted block matched to its colors, one per color."""
-    owner: dict[int, int] = {}  # edge index -> color
-
-    def augment(c: int, banned: set[int]) -> bool:
-        for j in sub:
-            if not masks[j] >> c & 1 or j in banned:
-                continue
-            banned.add(j)
-            if j not in owner or augment(owner[j], banned):
-                owner[j] = c
-                return True
-        return False
-
-    bits = color_bits
-    while bits:
-        low = bits & -bits
-        c = low.bit_length() - 1
-        bits ^= low
-        ok = augment(c, set())
-        assert ok, "minimal Hall violator always has a matching onto its colors"
-    return sorted(owner)

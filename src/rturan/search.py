@@ -34,14 +34,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import comb
 
-from .graphcore import (
-    Graph,
-    PatternFamily,
-    _canonical,
-    contains_subgraph,
-    matching_number_at_least,
-)
-from .collection import Collection, is_rainbow_free, _exists_using_pair
+from .graphcore import Graph, PatternFamily, _canonical, matching_number_at_least
+from .collection import Collection, is_rainbow_free, _exists_through_vertex, _exists_using_pair
 
 __all__ = [
     "BudgetExceeded",
@@ -445,10 +439,7 @@ def _turan_family(n: int, members, budget: int | None) -> tuple[int, Graph]:
     active = [f for f in members if f.edge_count() >= 1 and f.n <= n]
     if not active:
         return comb(n, 2), Graph.complete(n)
-    matchers = [
-        (f, f.edge_count() if all(f.degree(v) <= 1 for v in range(f.n)) else 0)
-        for f in active
-    ]
+    matchers = [(f, f.edge_count(), all(f.degree(v) <= 1 for v in range(f.n))) for f in active]
 
     level: dict[bytes, tuple[int, ...]] = {_canonical(1, (0,)): (0,)}
     try:
@@ -483,70 +474,16 @@ def _hits_pattern(rows: tuple[int, ...], k: int, matchers) -> bool:
 
     The parent graph was member-free, so only copies through the newest
     vertex can exist.  Matching patterns skip the anchored embedding and
-    use the dedicated disjoint-edge test.
+    use the dedicated disjoint-edge test.  Plain containment is rainbow
+    containment in e(f) identical copies of the graph.
     """
-    g = Graph(k, rows)
-    for f, match_sz in matchers:
+    for f, m, is_matching in matchers:
         if f.n > k:
             continue
-        if match_sz:
-            if matching_number_at_least(g, match_sz):
+        if is_matching:
+            if matching_number_at_least(Graph(k, rows), m):
                 return True
             continue
-        if _embeds_using_vertex(g, f, k - 1):
-            return True
-    return False
-
-
-def _embeds_using_vertex(host: Graph, pattern: Graph, anchor: int) -> bool:
-    full = (1 << host.n) - 1
-    core = [v for v in range(pattern.n) if pattern.adj[v]]
-    if len(core) < pattern.n:
-        # isolated pattern vertices: the anchor need not be in the core,
-        # so fall back to plain containment
-        return contains_subgraph(host, pattern)
-
-    def order_from(seed: int) -> list[int]:
-        order = [seed]
-        left = [v for v in core if v != seed]
-        while left:
-            nxt = max(
-                left,
-                key=lambda v: (
-                    sum(1 for u in order if pattern.has_edge(u, v)),
-                    pattern.degree(v),
-                    -v,
-                ),
-            )
-            order.append(nxt)
-            left.remove(nxt)
-        return order
-
-    for seed in core:
-        order = order_from(seed)
-        vmap = {seed: anchor}
-
-        def extend(i: int, used: int) -> bool:
-            if i == len(order):
-                return True
-            pv = order[i]
-            cand = full & ~used
-            for u in order[:i]:
-                if pattern.has_edge(u, pv):
-                    cand &= host.adj[vmap[u]]
-            deg = pattern.degree(pv)
-            while cand:
-                low = cand & -cand
-                hv = low.bit_length() - 1
-                cand ^= low
-                if host.degree(hv) < deg:
-                    continue
-                vmap[pv] = hv
-                if extend(i + 1, used | low):
-                    return True
-                del vmap[pv]
-            return False
-
-        if host.degree(anchor) >= pattern.degree(seed) and extend(1, 1 << anchor):
+        if _exists_through_vertex(k, [rows] * m, rows, f, k - 1):
             return True
     return False

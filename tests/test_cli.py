@@ -139,10 +139,16 @@ def test_io_and_usage_errors(tmp_path, capsys):
     bad.write_text("rcol 1\nn 3\nt 1\ncolor 1\n4 4\nend\n")
     code, _, err = run(capsys, "detect", "--collection", str(bad), "--pattern", "K3")
     assert code == 4
+    bad.write_text("rcol 1\nn \u00b2\nt 1\ncolor 1\nend\n")  # int() would accept the numeral
+    code, _, err = run(capsys, "detect", "--collection", str(bad), "--pattern", "K3")
+    assert code == 4
     path = str(tmp_path / "ok.rcol")
     codec_write(meshulam_collection(4, 1, 2), path)
     code, _, err = run(capsys, "detect", "--collection", path, "--pattern", "Q7")
     assert code == 2
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--mode", "nope", "--n", "4", "--t", "2", "--forbid", "{M2}"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "meshulam", "--workers", "2"])  # the flag is gone
     assert exc.value.code == 2

@@ -8,6 +8,7 @@ import pytest
 from rturan import (
     Collection,
     FormatError,
+    Graph,
     PatternFamily,
     RainbowMatching,
     RangeError,
@@ -25,6 +26,8 @@ from rturan import (
 from helpers import explicit_rainbow_oracle, pattern_pool, random_collection
 
 FAM = lambda *names: PatternFamily.from_graphs([parse_pattern(s) for s in names])
+# perfect matchings not labelled as M2 (edge i = (2i, 2i+1))
+RELABELLED_M2 = [Graph.from_edges(4, [(0, 3), (1, 2)]), Graph.from_edges(4, [(0, 2), (1, 3)])]
 
 
 # -- codec ---------------------------------------------------------------
@@ -85,6 +88,9 @@ def test_codec_color_above_t(tmp_path):
         "rcol 1\nn 3\nt 1\ncolor 1\n",  # missing end
         "rcol 1\nn 3\nt 1\ncolor 1\nend\nx\n",  # content after end
         "rcol 1\nn 3\nt 1\n0 1\ncolor 1\nend\n",  # edge before header
+        "rcol 1\nn \u00b2\nt 1\ncolor 1\nend\n",  # non-ASCII digit in n
+        "rcol 1\nn 3\nt \u00b9\ncolor 1\nend\n",  # non-ASCII digit in t
+        "rcol 1\nn 12\nt 1\ncolor 1\n+0 1_1\nend\n",  # int() would read (0, 11)
     ],
 )
 def test_codec_rejects_malformed(tmp_path, body):
@@ -124,7 +130,7 @@ def test_detect_edgeless_pattern_by_vertex_count():
 
 def test_witness_is_lexicographically_smallest():
     rng = random.Random(99)
-    pats = pattern_pool(["K2", "P3", "M2", "K3", "S3"])
+    pats = pattern_pool(["K2", "P3", "M2", "K3", "S3"]) + RELABELLED_M2
     checked = 0
     while checked < 120:
         col = random_collection(rng, rng.randint(2, 5), rng.randint(1, 3))
@@ -161,7 +167,7 @@ def test_meshulam_collection_detection():
 
 def test_detector_matches_oracle_quick():
     rng = random.Random(2024)
-    pats = pattern_pool(["K2", "P3", "P4", "S3", "M2", "K3", "E2"])
+    pats = pattern_pool(["K2", "P3", "P4", "S3", "M2", "K3", "E2"]) + RELABELLED_M2
     for _ in range(200):
         col = random_collection(rng, rng.randint(2, 6), rng.randint(1, 4))
         pat = rng.choice(pats)
