@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .graphcore import Graph, PatternFamily
 
@@ -312,25 +312,33 @@ def assign_distinct_colors(masks: list[int]) -> list[int] | None:
     return None if -1 in chosen else chosen
 
 
+def _has_distinct_colors(masks: list[int]) -> bool:
+    """Whether the items can take pairwise distinct bits of their masks.
+
+    When every mask has at least as many bits as there are items, Hall's
+    condition holds trivially and no matching is run; this keeps plain
+    containment, where every mask is full, free of SDR calls.
+    """
+    k = len(masks)
+    for m in masks:
+        if m.bit_count() < k:
+            return assign_distinct_colors(masks) is not None
+    return True
+
+
 def lexmin_distinct_colors(masks: list[int]) -> list[int] | None:
     """Lexicographically smallest color assignment, item by item."""
-    if assign_distinct_colors(masks) is None:
-        return None
-    out: list[int] = []
     fixed = list(masks)
-    for i in range(len(masks)):
-        m = masks[i]
+    for i, m in enumerate(masks):
         while m:
             low = m & -m
-            c = low.bit_length() - 1
             m ^= low
             fixed[i] = low
             if assign_distinct_colors(fixed) is not None:
-                out.append(c)
                 break
         else:
             return None
-    return out
+    return [low.bit_length() - 1 for low in fixed]
 
 
 def _pair_color_mask(rows_by_color, u: int, v: int) -> int:
@@ -346,7 +354,6 @@ def _pair_color_mask(rows_by_color, u: int, v: int) -> int:
 # compiled pattern plans
 
 
-@dataclass(frozen=True)
 class _Plan:
     """Embedding orders of one pattern, compiled once per pattern.
 
@@ -354,15 +361,34 @@ class _Plan:
     placed at earlier steps or seeded before the first one).  Apart from
     ``index``, orders cover the edge-touching vertices, most constrained
     first: most placed neighbors, then highest degree, then lowest index.
+    The anchored and seeded orders are built on first use, since plain
+    detection of a large pattern never needs them.
     """
 
-    edges: tuple[tuple[int, int], ...]
-    core: tuple  # all edge-touching vertices, nothing seeded
-    anchored: tuple  # (a, b, order after seeding a and b) per pattern edge ab
-    seeded: tuple  # (v, order after seeding v) per vertex; () if some vertex is isolated
-    index: tuple  # every vertex in index order, for lexicographically smallest witnesses
-    matching: bool  # no vertex of degree above 1: searched as sets of disjoint pairs
-    labelled_matching: bool  # Graph.matching(k) itself, edge i = (2i, 2i+1)
+    def __init__(self, pattern: Graph):
+        edges = tuple(pattern.edges())
+        degrees = [pattern.degree(v) for v in range(pattern.n)]
+        self.pattern = pattern
+        self.edges = edges
+        self.core = _greedy_order(pattern, ())  # all edge-touching vertices, nothing seeded
+        self.index = _steps(pattern, list(range(pattern.n)), 0)  # for lexicographically smallest witnesses
+        self.isolated = not all(degrees)
+        # no vertex of degree above 1: searched as sets of disjoint pairs
+        self.matching = max(degrees) <= 1
+        # Graph.matching(k) itself, edge i = (2i, 2i+1)
+        self.labelled_matching = pattern.n == 2 * len(edges) and edges == tuple(
+            (2 * i, 2 * i + 1) for i in range(len(edges))
+        )
+
+    @cached_property
+    def anchored(self) -> tuple:
+        """(a, b, order after seeding a and b) per pattern edge ab."""
+        return tuple((a, b, _greedy_order(self.pattern, (a, b))) for a, b in self.edges)
+
+    @cached_property
+    def seeded(self) -> tuple:
+        """(v, order after seeding v) per vertex."""
+        return tuple((v, _greedy_order(self.pattern, (v,))) for v in range(self.pattern.n))
 
 
 def _steps(pattern: Graph, order: list[int], start: int) -> tuple:
@@ -392,17 +418,7 @@ def _greedy_order(pattern: Graph, seeds: tuple[int, ...]) -> tuple:
 
 @lru_cache(maxsize=1024)
 def _plan(pattern: Graph) -> _Plan:
-    edges = tuple(pattern.edges())
-    degrees = [pattern.degree(v) for v in range(pattern.n)]
-    return _Plan(
-        edges=edges,
-        core=_greedy_order(pattern, ()),
-        anchored=tuple((a, b, _greedy_order(pattern, (a, b))) for a, b in edges),
-        seeded=tuple((v, _greedy_order(pattern, (v,))) for v in range(pattern.n)) if all(degrees) else (),
-        index=_steps(pattern, list(range(pattern.n)), 0),
-        matching=max(degrees) <= 1,
-        labelled_matching=bool(edges) and pattern == Graph.matching(len(edges)),
-    )
+    return _Plan(pattern)
 
 
 # ---------------------------------------------------------------------
@@ -423,7 +439,7 @@ def _embed(steps, vmap: list[int], used: int, masks: list[int], rows_by_color, u
     full = (1 << len(union_rows)) - 1
     last = len(steps)
 
-    def extend(idx: int, used: int, fewest: int) -> bool:
+    def extend(idx: int, used: int) -> bool:
         if idx == last:
             return True
         pv, degree, back = steps[idx]
@@ -437,22 +453,16 @@ def _embed(steps, vmap: list[int], used: int, masks: list[int], rows_by_color, u
             cand ^= low
             if union_rows[hv].bit_count() < degree:
                 continue  # too few neighbors in the union for this pattern vertex
-            low_bits = fewest
             for u in back:
-                cm = _pair_color_mask(rows_by_color, vmap[u], hv)
-                masks.append(cm)
-                if cm.bit_count() < low_bits:
-                    low_bits = cm.bit_count()
-            # with at least as many colors on every edge as there are edges,
-            # distinct colors can be handed out greedily
-            if len(masks) <= low_bits or assign_distinct_colors(masks) is not None:
+                masks.append(_pair_color_mask(rows_by_color, vmap[u], hv))
+            if _has_distinct_colors(masks):
                 vmap[pv] = hv
-                if extend(idx + 1, used | low, low_bits):
+                if extend(idx + 1, used | low):
                     return True
             del masks[k:]
         return False
 
-    return extend(0, used, min((m.bit_count() for m in masks), default=len(rows_by_color)))
+    return extend(0, used)
 
 
 def _colored_pairs(n: int, rows_by_color, skip: int = 0, keep: int = -1) -> list[tuple[int, int, int]]:
@@ -489,20 +499,22 @@ def _rainbow_matchings(n: int, pairs, init_masks: list[int], used: int, limit: i
     """
     chosen = list(init_masks)
     picked: list[int] = []
+    vertices = [(1 << u) | (1 << v) for u, v, _ in pairs]
 
     def dfs(idx: int, used: int):
-        if len(picked) >= floor[0]:
+        size = len(picked)
+        need = floor[0] - size  # pairs still to add before the floor is met
+        if need <= 0:
             yield picked, used
-        room = min(limit - len(picked), (n - used.bit_count()) // 2, len(pairs) - idx)
-        if room <= 0 or len(picked) + room < floor[0]:
+            need = max(floor[0] - size, 1)  # the consumer may have raised the floor
+        if size + need > limit or (n - used.bit_count()) // 2 < need:
             return
-        for j in range(idx, len(pairs)):
-            u, v, cm = pairs[j]
-            m = (1 << u) | (1 << v)
+        for j in range(idx, len(pairs) - need + 1):
+            m = vertices[j]
             if m & used:
                 continue
-            chosen.append(cm)
-            if assign_distinct_colors(chosen) is not None:
+            chosen.append(pairs[j][2])
+            if _has_distinct_colors(chosen):
                 picked.append(j)
                 yield from dfs(j + 1, used | m)
                 picked.pop()
@@ -516,7 +528,7 @@ def _matching_exists_with(
 ) -> bool:
     """Rainbow matching of the given size avoiding banned vertices, with
     colors jointly assignable alongside the already fixed ``init_masks``."""
-    if size < 0 or assign_distinct_colors(init_masks) is None:
+    if size < 0 or not _has_distinct_colors(init_masks):
         return False
     pairs = _colored_pairs(n, rows_by_color, banned_vmask)
     found = _rainbow_matchings(n, pairs, init_masks, banned_vmask, size, [size])
@@ -556,9 +568,11 @@ def _exists_using_pair(
     searches: after adding one edge to one color, any new rainbow copy must
     route through that (pair, color).
     """
+    if pattern.n > n:
+        return False
     plan = _plan(pattern)
     m = len(plan.edges)
-    if m == 0 or m > len(rows_by_color) or pattern.n > n:
+    if m == 0 or m > len(rows_by_color):
         return False
     pu, pv = pair
     anchor = _pair_color_mask(rows_by_color, pu, pv)
@@ -584,10 +598,12 @@ def _exists_through_vertex(n: int, rows_by_color, union_rows, pattern: Graph, an
     A pattern with an isolated vertex can always put that vertex on the
     anchor, so for such patterns this is plain existence.
     """
+    if pattern.n > n:
+        return False
     plan = _plan(pattern)
-    if not plan.seeded:
+    if plan.isolated:
         return _exists(n, rows_by_color, union_rows, pattern)
-    if pattern.n > n or len(plan.edges) > len(rows_by_color):
+    if len(plan.edges) > len(rows_by_color):
         return False
     degree = union_rows[anchor].bit_count()
     for seed, steps in plan.seeded:

@@ -532,6 +532,19 @@ def matching_number_at_least(g: Graph, k: int) -> bool:
     """Whether g contains k pairwise disjoint edges."""
     if k <= 0:
         return True
-    from .collection import _matching_exists_with  # collection builds on this module
+    edges = g.edges()
+    if 2 * k > g.n or len(edges) < k:
+        return False
+    used = got = 0  # greedy first: usually settles it
+    for u, v in edges:
+        if not (used >> u | used >> v) & 1:
+            used |= (1 << u) | (1 << v)
+            got += 1
+            if got == k:
+                return True
+    from .collection import _rainbow_matchings  # collection builds on this module
 
-    return _matching_exists_with(g.n, [g.adj] * k, k, [], 0)
+    # k identical colors: every pair carries all k of them, so no SDR is run
+    full = (1 << k) - 1
+    pairs = [(u, v, full) for u, v in edges]
+    return next(_rainbow_matchings(g.n, pairs, [], 0, k, [k]), None) is not None

@@ -19,6 +19,8 @@ def test_detect_found_and_not_found(tmp_path, capsys):
     assert code == 0 and out.startswith("vmap")
     code, out, _ = run(capsys, "detect", "--collection", path, "--pattern", "M3")
     assert code == 1 and out.strip() == "none"
+    code, out, _ = run(capsys, "detect", "--collection", path, "--pattern", "K7")
+    assert code == 1 and out.strip() == "none"
 
 
 def test_compute_prints_value(capsys, tmp_path):

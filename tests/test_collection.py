@@ -109,6 +109,15 @@ def test_detect_needs_distinct_colors():
     w = find_rainbow_copy(three, parse_pattern("K3"))
     assert w is not None
     w.validate(three)
+    # 21 edges: a matching that large would exceed the 30-vertex cap
+    single = Collection([Graph.complete(7)])
+    assert find_rainbow_copy(single, Graph.complete(7)) is None
+    assert not rainbow_copy_exists(single, Graph.complete(7))
+    assert is_rainbow_free(single, FAM("K7"))
+    full = Collection([Graph.complete(7)] * 21)
+    w = find_rainbow_copy(full, Graph.complete(7))
+    assert w.vmap == tuple(range(7)) and w.cmap == tuple(range(1, 22))
+    w.validate(full)
 
 
 def test_detect_single_color_triangle_never_rainbow():

@@ -13,7 +13,7 @@ from itertools import permutations
 from hypothesis import given, settings, strategies as st
 
 from rturan import Collection, Graph, contains_subgraph, matching_number_at_least, parse_pattern
-from rturan.collection import _exists_using_pair
+from rturan.collection import _exists_through_vertex, _exists_using_pair
 
 from helpers import explicit_rainbow_oracle
 
@@ -89,11 +89,12 @@ def test_anchored_detector_matches_oracle(seed):
     assert anchored(col, u, v, None) == has_copy
 
 
-def _brute_contains(n: int, edges, pattern: Graph) -> bool:
+def _brute_contains(n: int, edges, pattern: Graph, through: int | None = None) -> bool:
+    """A copy of the pattern among the edges, using vertex ``through`` if set."""
     edge_set = set(edges)
     pedges = pattern.edges()
     return any(
-        all((min(m[a], m[b]), max(m[a], m[b])) in edge_set for a, b in pedges)
+        (through is None or through in m) and all((min(m[a], m[b]), max(m[a], m[b])) in edge_set for a, b in pedges)
         for m in permutations(range(n), pattern.n)
     )
 
@@ -107,5 +108,8 @@ def test_plain_containment_matches_brute_force(seed):
     pattern = rng.choice(PATTERNS + [parse_pattern("E3")])
     host = Graph.from_edges(n, edges)
     assert contains_subgraph(host, pattern) == _brute_contains(n, edges, pattern)
+    anchor = rng.randrange(n)
+    through = _exists_through_vertex(n, [host.adj] * pattern.edge_count(), host.adj, pattern, anchor)
+    assert through == _brute_contains(n, edges, pattern, anchor)
     for k in range(1, 4):
         assert matching_number_at_least(host, k) == _brute_contains(n, edges, Graph.matching(k))

@@ -291,6 +291,11 @@ def test_contains_subgraph_basics():
     assert contains_subgraph(Graph.complete_bipartite(2, 2), parse_pattern("P4"))
     assert contains_subgraph(Graph.complete(4), parse_pattern("E3"))
     assert not contains_subgraph(Graph.complete(2), parse_pattern("E3"))
+    # 16 or more edges: a matching that large would exceed the 30-vertex cap
+    assert contains_subgraph(Graph.complete(7), Graph.complete(7))
+    assert contains_subgraph(Graph.complete_bipartite(5, 5), Graph.complete_bipartite(4, 4))
+    assert contains_subgraph(Graph.star(20), Graph.star(16))
+    assert contains_subgraph(Graph.path(20), Graph.path(17))
 
 
 def test_matching_number():
@@ -298,3 +303,5 @@ def test_matching_number():
     assert not matching_number_at_least(Graph.complete(5), 3)
     assert not matching_number_at_least(Graph.star(7), 2)
     assert matching_number_at_least(parse_pattern("P5"), 2)
+    assert not matching_number_at_least(Graph.complete(7), 10**9)
+
