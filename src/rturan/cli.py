@@ -21,7 +21,14 @@ from .collection import (
     find_rainbow_copy,
 )
 from . import lemmas
-from .search import ExtremalQuery, ExtremalResult, extremal_min, extremal_sum, extremal_prod
+from .search import (
+    BudgetExceeded,
+    ExtremalQuery,
+    ExtremalResult,
+    extremal_min,
+    extremal_sum,
+    extremal_prod,
+)
 from . import constructions as cons
 
 SUITES = ("meshulam", "min-theorem", "sum-k3", "prod-matching", "sum-bipartite", "constructions")
@@ -378,6 +385,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except BudgetExceeded as exc:
+        print(f"budget exhausted: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

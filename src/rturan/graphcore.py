@@ -230,104 +230,194 @@ def parse_pattern(text: str) -> Graph:
 
 
 def parse_family(text: str) -> "PatternFamily":
-    """Parse a braced family such as "{K3,M2}"."""
+    """Parse a braced family such as "{K3,M2}" or "{K2,2,P4}".
+
+    A comma followed by a digit belongs to a ``K<a>,<b>`` member; every
+    other comma starts the next member.
+    """
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError(f"family must be wrapped in braces: {text!r}")
     body = text[1:-1]
     if not body:
         raise ParseError("empty family")
-    return PatternFamily.from_graphs([parse_pattern(p) for p in body.split(",")])
+    return PatternFamily.from_graphs([parse_pattern(p) for p in re.split(r",(?!\d)", body)])
 
 
 # ---------------------------------------------------------------------
 # canonical labeling
 
 
-def _wl_colors(n: int, adj: tuple[int, ...]) -> list[int]:
-    """Stable 1-WL refinement colors, used to order branching for n > 10."""
-    colors = [adj[v].bit_count() for v in range(n)]
-    for _ in range(n):
-        sigs = []
-        for v in range(n):
-            row, nb = adj[v], []
-            while row:
-                low = row & -row
-                nb.append(colors[low.bit_length() - 1])
-                row ^= low
-            sigs.append((colors[v], tuple(sorted(nb))))
-        table = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [table[s] for s in sigs]
-        if new == colors:
-            break
-        colors = new
-    return colors
+def _twin_classes(n: int, adj: tuple[int, ...]) -> list[list[int]]:
+    """Twin classes of the graph, each ascending, ordered by first vertex.
+
+    u and w are twins when N(u) - w = N(w) - u: they share their open
+    neighbourhood (non-adjacent twins) or their closed one (adjacent
+    twins).  The relation is an equivalence, a vertex cannot have twins of
+    both kinds, and every permutation of one class that fixes all other
+    vertices is an automorphism.
+    """
+    open_nbhd: dict[int, list[int]] = {}
+    closed_nbhd: dict[int, list[int]] = {}
+    for v in range(n):
+        open_nbhd.setdefault(adj[v], []).append(v)
+        closed_nbhd.setdefault(adj[v] | 1 << v, []).append(v)
+    classes = []
+    seen = 0
+    for v in range(n):
+        if not seen >> v & 1:
+            cls = open_nbhd[adj[v]]
+            if len(cls) == 1:
+                cls = closed_nbhd[adj[v] | 1 << v]
+            classes.append(cls)
+            for w in cls:
+                seen |= 1 << w
+    return classes
+
+
+def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """Refine an ordered partition (cells as bit masks) until it is equitable.
+
+    Each splitter w splits every cell by how many neighbours its vertices
+    have in w; the pieces take the cell's place in increasing order of that
+    count and become splitters themselves.  Only counts and cell positions
+    decide the result, so relabelling the graph relabels the result.
+    """
+    n = len(adj)
+    while splitters and len(cells) < n:
+        w = splitters.pop()
+        out = []
+        for x in cells:
+            if x & (x - 1):
+                by_count: dict[int, int] = {}
+                y = x
+                while y:
+                    low = y & -y
+                    c = (adj[low.bit_length() - 1] & w).bit_count()
+                    by_count[c] = by_count.get(c, 0) | low
+                    y ^= low
+                if len(by_count) > 1:
+                    pieces = [by_count[c] for c in sorted(by_count)]
+                    out += pieces
+                    splitters += pieces
+                    continue
+            out.append(x)
+        cells = out
+    return cells
+
+
+def _leaf_rows(adj: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
+    """Adjacency rows of the graph relabelled so that order[i] becomes i."""
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    rows = []
+    for v in order:
+        row, bits = adj[v], 0
+        while row:
+            low = row & -row
+            bits |= 1 << pos[low.bit_length() - 1]
+            row ^= low
+        rows.append(bits)
+    return tuple(rows)
+
+
+def _in_orbit(v: int, explored: list[int], generators: list[list[int]]) -> bool:
+    """Is v in the orbit of an explored vertex under the generated group?"""
+    root = list(range(len(generators[0])))
+
+    def find(u: int) -> int:
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        return u
+
+    for g in generators:
+        for a, b in enumerate(g):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                root[ra] = rb
+    target = find(v)
+    return any(find(u) == target for u in explored)
 
 
 @lru_cache(maxsize=1 << 16)
 def _canonical(n: int, adj: tuple[int, ...]) -> bytes:
-    """Lexicographically minimal back-adjacency encoding over all relabelings.
+    """Canonical labeling by individualization-refinement (McKay & Piperno).
 
-    Positions are filled one at a time; the encoding records, for each
-    position k, the bit pattern of the chosen vertex's adjacency to the
-    already placed vertices.  Only vertices attaining the minimal pattern
-    can start the minimal completion, so branching is restricted to them;
-    mutually interchangeable candidates (same outside adjacency, clique or
-    independent among themselves) collapse to a single branch.  For n > 10
-    candidates are additionally ordered by refinement colors so a good
-    incumbent is found early.
+    The search tree starts from the coarsest equitable ordered partition.
+    Each node branches on its first smallest non-singleton cell: one child
+    per vertex of the cell, which is split off as a singleton in front of
+    the rest and refined again.  Every leaf is a discrete partition, i.e. a
+    relabeling, and the form is n followed by the lexicographically least
+    relabelled adjacency row tuple over all leaves.  Three prunings skip
+    only subtrees that are images of explored ones under an automorphism
+    fixing the individualized vertices above them, so the least leaf
+    survives:
+
+    * twins: one child per twin class (see ``_twin_classes``);
+    * orbits: a child in the orbit of an explored sibling under the
+      automorphisms found so far that fix those vertices pointwise;
+    * leaves: two leaves with equal rows give an automorphism mapping the
+      earlier leaf's branch at their first divergence to the later one's,
+      so the search returns straight to that divergence.
     """
-    order_hint = _wl_colors(n, adj) if n > 10 else None
-    best: list[int] | None = None
+    twin = [0] * n
+    for i, cls in enumerate(_twin_classes(n, adj)):
+        for v in cls:
+            twin[v] = i
+    first_leaf: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+    automorphisms: list[list[int]] = []
 
-    def place(prefix: list[int], placed: list[int], unplaced: list[int]):
-        nonlocal best
-        k = len(placed)
-        if not unplaced:
-            if best is None or prefix < best:
-                best = list(prefix)
-            return
-        bits = {}
-        for u in unplaced:
-            b = 0
-            for i, p in enumerate(placed):
-                b |= (adj[p] >> u & 1) << i
-            bits[u] = b
-        lo = min(bits.values())
-        cands = [u for u in unplaced if bits[u] == lo]
-        if best is not None:
-            prefix.append(lo)
-            worse = prefix > best[: k + 1]
-            prefix.pop()
-            if worse:
-                return
-        prefix.append(lo)
-        # interchangeability: identical adjacency outside the candidate set
-        # plus clique/independent inside means any one candidate suffices
-        cmask = 0
-        for u in cands:
-            cmask |= 1 << u
-        rest = [u for u in unplaced if not (cmask >> u & 1)]
-        inside = [adj[u] & cmask for u in cands]
-        outsides = {adj[u] & ~cmask for u in cands}
-        uniform = len(outsides) == 1 and (
-            all(x == 0 for x in inside)
-            or all(x == (cmask ^ (1 << u)) for x, u in zip(inside, cands))
+    def explore(cells: list[int], seq: list[int]) -> int:
+        """Search below one node; return the depth at which to resume."""
+        depth = len(seq)
+        if len(cells) == n:
+            order = [c.bit_length() - 1 for c in cells]
+            rows = _leaf_rows(adj, order)
+            earlier = first_leaf.get(rows)
+            if earlier is None:
+                first_leaf[rows] = (seq, order)
+                return depth
+            earlier_seq, earlier_order = earlier
+            gamma = [0] * n
+            for a, b in zip(earlier_order, order):
+                gamma[a] = b
+            automorphisms.append(gamma)
+            d = 0
+            while earlier_seq[d] == seq[d]:
+                d += 1
+            return d
+        i = min(
+            (k for k, c in enumerate(cells) if c & (c - 1)),
+            key=lambda k: cells[k].bit_count(),
         )
-        if uniform:
-            cands = [cands[0]]
-        elif order_hint is not None:
-            cands.sort(key=lambda u: (order_hint[u], u))
-        for u in cands:
-            placed.append(u)
-            place(prefix, placed, [w for w in unplaced if w != u])
-            placed.pop()
-        prefix.pop()
+        cell = cells[i]
+        explored: list[int] = []
+        twins_done = set()
+        rest = cell
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if twin[v] in twins_done:
+                continue
+            twins_done.add(twin[v])
+            if explored:
+                fixing = [g for g in automorphisms if all(g[u] == u for u in seq)]
+                if fixing and _in_orbit(v, explored, fixing):
+                    continue
+            explored.append(v)
+            child = _refine(adj, cells[:i] + [low, cell ^ low] + cells[i + 1 :], [low])
+            back = explore(child, seq + [v])
+            if back < depth:
+                return back
+        return depth
 
-    place([], [], list(range(n)))
-    assert best is not None
+    full = (1 << n) - 1
+    explore(_refine(adj, [full], [full]), [])
     out = bytearray([n])
-    for b in best:
-        out += b.to_bytes(4, "little")
+    for row in min(first_leaf):
+        out += row.to_bytes(4, "little")
     return bytes(out)
 
 

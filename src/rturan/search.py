@@ -25,6 +25,8 @@ results are bit-reproducible.
 ex(n, F) for a single plain graph is computed by orderly generation:
 F-free graphs are grown one vertex at a time and deduplicated by
 canonical form, so each isomorphism class is extended exactly once.
+Twin vertices of a parent are interchangeable, so only new-vertex
+neighbourhoods packed toward the lowest twins are tried.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import comb
 
-from .graphcore import Graph, PatternFamily, _canonical, matching_number_at_least
+from .graphcore import Graph, PatternFamily, _canonical, _twin_classes, matching_number_at_least
 from .collection import Collection, is_rainbow_free, _exists_through_vertex, _exists_using_pair
 
 __all__ = [
@@ -430,6 +432,15 @@ def turan_extremal(n: int, f: Graph, budget: int | None = None) -> tuple[int, Gr
 def _turan_family(n: int, members, budget: int | None) -> tuple[int, Graph]:
     """Shared orderly-generation core; members is any iterable of patterns.
 
+    Each level maps canonical forms to the first graph found in the class.
+    A child is the parent plus a new vertex adjacent to the parent vertices
+    in ``mask``, tried in ascending order.  A mask holding a twin but missing
+    a lower twin of the same class (``_twin_classes`` of the parent) is
+    skipped: swapping the two gives a smaller mask and an isomorphic child,
+    which was tried first.  So every level keeps the same graphs in the same
+    order as a search over all masks; the budget counts only the masks
+    tried.
+
     Returns (-1, edgeless) when an edgeless member fits the host (then no
     host graph avoids it).  Unreachable members are dropped.
     """
@@ -446,7 +457,15 @@ def _turan_family(n: int, members, budget: int | None) -> tuple[int, Graph]:
         for k in range(2, n + 1):
             nxt: dict[bytes, tuple[int, ...]] = {}
             for rows in level.values():
+                # consecutive twins lo < hi of the parent: hi needs lo in the mask
+                steps = [
+                    (1 << lo, 1 << hi)
+                    for cls in _twin_classes(k - 1, rows)
+                    for lo, hi in zip(cls, cls[1:])
+                ]
                 for mask in range(1 << (k - 1)):
+                    if any(mask & hi and not mask & lo for lo, hi in steps):
+                        continue
                     limit.step()
                     new_rows = _extend_rows(rows, mask, k)
                     if _hits_pattern(new_rows, k, matchers):

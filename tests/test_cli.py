@@ -3,7 +3,7 @@
 import pytest
 
 from rturan.cli import main
-from rturan import Collection, codec_read, codec_write, meshulam_collection
+from rturan import Collection, certification_grid, codec_read, codec_write, meshulam_collection
 
 
 def run(capsys, *argv):
@@ -47,6 +47,48 @@ def test_compute_budget_exit_code(capsys):
     )
     assert code == 3
     assert int(out.strip()) <= 20
+
+
+def test_budget_exhausted_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RTURAN_BUDGET", "100")
+    out_path = tmp_path / "x.rcol"
+    code, _, err = run(
+        capsys, "construct", "--id", "sum.monochrome-extremal", "--params", "n=8,t=2,f=K3",
+        "--out", str(out_path),
+    )
+    assert code == 3 and "budget" in err
+    assert not out_path.exists()
+    code, _, err = run(capsys, "verify", "--suite", "constructions")
+    assert code == 3 and "budget" in err
+
+
+PINNED_MONOCHROME_RCOL = {
+    "n=7,t=3,f=K3": b"rcol 1\nn 7\nt 3\n" + b"".join(
+        b"color %d\n" % c
+        + b"".join(b"%d %d\n" % (u, v) for u in range(4) for v in range(4, 7))
+        for c in (1, 2, 3)
+    ) + b"end\n",
+    "n=6,t=2,f=M2": b"rcol 1\nn 6\nt 2\n" + b"".join(
+        b"color %d\n0 5\n1 5\n2 5\n3 5\n4 5\n" % c for c in (1, 2)
+    ) + b"end\n",
+    "n=6,t=3,f=S2": b"rcol 1\nn 6\nt 3\n" + b"".join(
+        b"color %d\n0 3\n1 4\n2 5\n" % c for c in (1, 2, 3)
+    ) + b"end\n",
+}
+
+
+def test_monochrome_extremal_rcol_bytes_are_pinned(tmp_path, capsys):
+    grid = [p for cid, p in certification_grid() if cid == "sum.monochrome-extremal"]
+    assert len(grid) == len(PINNED_MONOCHROME_RCOL)
+    for params in grid:
+        spec = ",".join(f"{k}={v}" for k, v in params.items())
+        out_path = tmp_path / "m.rcol"
+        code, _, _ = run(
+            capsys, "construct", "--id", "sum.monochrome-extremal", "--params", spec,
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert out_path.read_bytes() == PINNED_MONOCHROME_RCOL[spec], spec
 
 
 def test_construct_then_detect_pipeline(tmp_path, capsys):

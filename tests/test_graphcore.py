@@ -71,6 +71,10 @@ def test_parse_rejects_oversized():
 def test_parse_family():
     fam = parse_family("{K3,M2}")
     assert len(fam) == 2
+    fam = parse_family("{K2,2,P4}")  # a comma before a digit continues K<a>,<b>
+    assert fam.members == (parse_pattern("P4"), parse_pattern("K2,2"))
+    with pytest.raises(ParseError):
+        parse_family("{K3,}")
     with pytest.raises(ParseError):
         parse_family("K3,M2")
     with pytest.raises(ParseError):
@@ -137,6 +141,73 @@ def test_canonical_agrees_with_brute_force_on_all_4_vertex_graphs():
     for g in graphs[::3]:
         for h in graphs[::5]:
             assert brute_iso(g, h) == (canonical_form(g) == canonical_form(h))
+
+
+def _brute_isomorphic(n, a, b):
+    """Permutation brute force on raw adjacency rows (no library code)."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if a[u] >> v & 1]
+    if len(edges) != sum(bin(r).count("1") for r in b) // 2:
+        return False
+    return any(all(b[p[u]] >> p[v] & 1 for u, v in edges) for p in permutations(range(n)))
+
+
+def test_canonical_counts_graphs_up_to_isomorphism():
+    # OEIS A000088: unlabelled graphs on n = 1..6 vertices
+    for n, classes in zip(range(1, 7), (1, 2, 4, 11, 34, 156)):
+        pairs = list(combinations(range(n), 2))
+        forms = {
+            canonical_form(Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1]))
+            for mask in range(1 << len(pairs))
+        }
+        assert len(forms) == classes, n
+
+
+def test_canonical_agrees_with_brute_force_on_degree_equal_pairs():
+    # h is g after 0 or 6 tried degree-preserving double-edge swaps and a relabelling,
+    # so degree sequences always agree and only the structure can tell
+    rng = random.Random(0xD15C)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(5, 7)
+        g = random_graph_rows(rng, n, rng.choice([0.3, 0.5]))
+        rows = list(g.adj)
+        for _ in range(rng.choice((0, 6, 6, 6))):
+            edges = [(u, v) for u in range(n) for v in range(n) if rows[u] >> v & 1]
+            if len(edges) < 2:
+                break
+            (a, b), (c, d) = rng.sample(edges, 2)
+            if len({a, b, c, d}) < 4 or rows[a] >> d & 1 or rows[c] >> b & 1:
+                continue
+            for u, v in ((a, b), (c, d)):
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+            for u, v in ((a, d), (c, b)):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = Graph(n, rows).relabel(perm)
+        assert sorted(g.degree(v) for v in range(n)) == sorted(h.degree(v) for v in range(n))
+        iso = _brute_isomorphic(n, g.adj, h.adj)
+        assert (canonical_form(g) == canonical_form(h)) == iso
+        outcomes[iso] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_large_legal_patterns_parse_and_canonicalize():
+    # patterns up to the 30-vertex cap with large symmetric cells
+    for text, members in (
+        ("{M15}", 1),
+        ("{P30}", 1),
+        ("{S9+10M}", 1),
+        ("{K15,15}", 1),
+        ("{M7,P15}", 2),
+    ):
+        assert len(parse_family(text)) == members, text
+    m15 = parse_pattern("M15")
+    perm = list(range(30))
+    random.Random(15).shuffle(perm)
+    assert canonical_form(m15.relabel(perm)) == canonical_form(m15)
 
 
 def test_canonical_handles_symmetric_families():

@@ -61,6 +61,26 @@ def test_turan_matches_direct_enumeration():
         assert turan_exact(n, f) == best
 
 
+# Orderly generation keeps the first graph of each class in a fixed
+# extension order; these extremal graphs (and the .rcol bytes built from
+# them) must not change when its internals do.
+PINNED_EXTREMAL_ROWS = {
+    (7, "K3"): (112, 112, 112, 112, 15, 15, 15),
+    (7, "K2,2"): (72, 80, 96, 65, 66, 68, 63),
+    (7, "K4"): (120, 120, 120, 103, 103, 31, 31),
+    (8, "P4"): (128, 128, 128, 128, 128, 128, 128, 127),
+    (7, "M3"): (96, 96, 96, 96, 96, 95, 63),
+    (6, "S2"): (8, 16, 32, 1, 2, 4),
+}
+
+
+def test_turan_extremal_graphs_are_pinned():
+    for (n, name), rows in PINNED_EXTREMAL_ROWS.items():
+        value, g = turan_extremal(n, parse_pattern(name))
+        assert g.adj == rows, (n, name)
+        assert value == g.edge_count()
+
+
 def test_turan_edge_cases():
     assert turan_exact(3, parse_pattern("E4")) == 3  # pattern cannot fit
     assert turan_exact(4, parse_pattern("E4")) == -1  # nothing avoids it
