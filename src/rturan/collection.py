@@ -268,39 +268,80 @@ def codec_read(path: str) -> Collection:
 # color assignment as a system of distinct representatives
 
 
-def _max_distinct_colors(masks: list[int]) -> list[int]:
-    """Maximum assignment of items to distinct bits of their masks.
+class _ColorMatching:
+    """A live assignment of items to distinct bits of their masks.
 
-    Classic augmenting-path matching (0-based bit indices; items are edges,
-    bits are colors).  Items are taken in index order and a matched item
-    stays matched, so any prefix of items that admits a full assignment
-    ends up fully assigned.  Returns one chosen bit per item, -1 where an
-    item stays unmatched.
+    Items are edges and bits are colors; ``bits[i]`` is the single bit
+    that item i holds, 0 while it holds none.  The searches use it as a
+    stack: ``push`` admits an item only if all items can then hold
+    distinct bits, ``truncate`` drops the last items and frees their bits,
+    and the items left stay validly assigned, so a push costs at most one
+    augmenting search, not a matching from scratch.
     """
-    owner: dict[int, int] = {}  # color bit -> item holding it
-    chosen = [-1] * len(masks)
-    seen = 0  # color bits already tried by the current augmenting search
 
-    def augment(i: int) -> bool:
-        nonlocal seen
-        m = masks[i] & ~seen
+    __slots__ = ("masks", "bits", "_held", "_seen")
+
+    def __init__(self):
+        self.masks: list[int] = []
+        self.bits: list[int] = []
+        # state of the current augmenting search: bits held, bits tried
+        self._held = self._seen = 0
+
+    def push(self, mask: int) -> bool:
+        """Append an item if the items can still take distinct bits."""
+        free = mask & ~sum(self.bits)  # held bits are distinct: their sum is their union
+        if free:  # the lowest free bit leaves every other item in place
+            self.masks.append(mask)
+            self.bits.append(free & -free)
+            return True
+        if self._add(mask):
+            return True
+        self.masks.pop()
+        self.bits.pop()
+        return False
+
+    def truncate(self, size: int) -> None:
+        """Drop every item after the first ``size``."""
+        del self.bits[size:]
+        del self.masks[size:]
+
+    def _add(self, mask: int) -> bool:
+        """Append an item and search one augmenting path from it; an item
+        left unmatched keeps bit 0, and no other item ever reaches it."""
+        self._held = sum(self.bits)
+        self._seen = 0
+        self.masks.append(mask)
+        self.bits.append(0)
+        return self._augment(len(self.bits) - 1)
+
+    def _augment(self, i: int) -> bool:
+        m = self.masks[i] & ~self._seen
         while m:
             low = m & -m
             m ^= low
-            if seen & low:
+            if self._seen & low:
                 continue
-            seen |= low
-            holder = owner.get(low)
-            if holder is None or augment(holder):
-                owner[low] = i
-                chosen[i] = low.bit_length() - 1
-                return True
+            self._seen |= low
+            if self._held & low and not self._augment(self.bits.index(low)):
+                continue
+            self.bits[i] = low
+            return True
         return False
 
-    for i in range(len(masks)):
-        seen = 0
-        augment(i)
-    return chosen
+
+def _max_distinct_colors(masks: list[int]) -> list[int]:
+    """Maximum assignment of items to distinct bits of their masks.
+
+    Classic augmenting-path matching (0-based bit indices).  Items are
+    taken in index order, each by one augmenting search that tries its
+    lowest bits first, and a matched item stays matched, so any prefix of
+    items that admits a full assignment ends up fully assigned.  Returns
+    one chosen bit per item, -1 where an item stays unmatched.
+    """
+    sdr = _ColorMatching()
+    for m in masks:
+        sdr._add(m)
+    return [low.bit_length() - 1 for low in sdr.bits]
 
 
 def assign_distinct_colors(masks: list[int]) -> list[int] | None:
@@ -310,20 +351,6 @@ def assign_distinct_colors(masks: list[int]) -> list[int] | None:
     """
     chosen = _max_distinct_colors(masks)
     return None if -1 in chosen else chosen
-
-
-def _has_distinct_colors(masks: list[int]) -> bool:
-    """Whether the items can take pairwise distinct bits of their masks.
-
-    When every mask has at least as many bits as there are items, Hall's
-    condition holds trivially and no matching is run; this keeps plain
-    containment, where every mask is full, free of SDR calls.
-    """
-    k = len(masks)
-    for m in masks:
-        if m.bit_count() < k:
-            return assign_distinct_colors(masks) is not None
-    return True
 
 
 def lexmin_distinct_colors(masks: list[int]) -> list[int] | None:
@@ -425,19 +452,30 @@ def _plan(pattern: Graph) -> _Plan:
 # the embedding backtracker and the pair-subset search
 
 
-def _embed(steps, vmap: list[int], used: int, masks: list[int], rows_by_color, union_rows) -> bool:
+def _embed(
+    steps, vmap: list[int], used: int, sdr: _ColorMatching, edges: int, rows_by_color, union_rows
+) -> bool:
     """Complete a pre-seeded embedding along ``steps``.
 
     ``vmap`` maps pattern vertices to host vertices (-1 where unplaced),
-    ``used`` is the host vertex mask of the seeds and ``masks`` the color
-    masks of the pattern edges among them, which must admit distinct
-    colors.  Host candidates are tried in ascending order and every
+    ``used`` is the host vertex mask of the seeds, ``sdr`` holds the color
+    masks of the pattern edges among them and ``edges`` is the pattern's
+    edge count.  Host candidates are tried in ascending order and every
     partial embedding must keep a system of distinct representatives, so
     the first completion is the lexicographically smallest in step order.
-    On success ``vmap`` holds it.
+    On success ``vmap`` holds the embedding; on failure ``sdr`` is back to
+    the items it came with.
+
+    Each pattern edge placed is one push onto ``sdr``, dropped again when
+    its vertex is taken back, except an edge with at least ``edges``
+    colors: the other edges hold fewer colors than that, so it can always
+    take a color last and needs no place in the matching.  So plain
+    containment, where every edge carries all ``edges`` colors, runs no
+    matching at all.
     """
     full = (1 << len(union_rows)) - 1
     last = len(steps)
+    push, truncate, held = sdr.push, sdr.truncate, sdr.bits
 
     def extend(idx: int, used: int) -> bool:
         if idx == last:
@@ -446,20 +484,23 @@ def _embed(steps, vmap: list[int], used: int, masks: list[int], rows_by_color, u
         cand = full & ~used
         for u in back:
             cand &= union_rows[vmap[u]]
-        k = len(masks)
         while cand:
             low = cand & -cand
             hv = low.bit_length() - 1
             cand ^= low
             if union_rows[hv].bit_count() < degree:
                 continue  # too few neighbors in the union for this pattern vertex
+            size = len(held)
             for u in back:
-                masks.append(_pair_color_mask(rows_by_color, vmap[u], hv))
-            if _has_distinct_colors(masks):
+                mask = _pair_color_mask(rows_by_color, vmap[u], hv)
+                if mask.bit_count() < edges and not push(mask):
+                    break
+            else:
                 vmap[pv] = hv
                 if extend(idx + 1, used | low):
                     return True
-            del masks[k:]
+            if len(held) > size:
+                truncate(size)
         return False
 
     return extend(0, used)
@@ -492,12 +533,15 @@ def _rainbow_matchings(n: int, pairs, init_masks: list[int], used: int, limit: i
     the vertices, the initial ones included.  Sets come in lexicographic
     order of their index lists, each before its extensions.  The floor is
     read at every set, so the consumer may raise it as it goes (branch and
-    bound); sets that cannot grow to the floor are not extended.
+    bound); sets that cannot grow to the floor are not extended.  Nothing
+    is yielded when ``init_masks`` alone admit no distinct colors.  Each
+    picked pair is one push onto a ``_ColorMatching``, dropped on return.
 
     Matchings are searched as pair subsets rather than labeled embeddings;
     a matching on 2k vertices has k! 2^k labelings.
     """
-    chosen = list(init_masks)
+    sdr = _ColorMatching()
+    base = len(init_masks)  # items the SDR holds before any pair is picked
     picked: list[int] = []
     vertices = [(1 << u) | (1 << v) for u, v, _ in pairs]
 
@@ -513,14 +557,14 @@ def _rainbow_matchings(n: int, pairs, init_masks: list[int], used: int, limit: i
             m = vertices[j]
             if m & used:
                 continue
-            chosen.append(pairs[j][2])
-            if _has_distinct_colors(chosen):
+            if sdr.push(pairs[j][2]):
                 picked.append(j)
                 yield from dfs(j + 1, used | m)
                 picked.pop()
-            chosen.pop()
+                sdr.truncate(size + base)
 
-    return dfs(0, used)
+    if all(sdr.push(m) for m in init_masks):
+        yield from dfs(0, used)
 
 
 def _matching_exists_with(
@@ -528,7 +572,7 @@ def _matching_exists_with(
 ) -> bool:
     """Rainbow matching of the given size avoiding banned vertices, with
     colors jointly assignable alongside the already fixed ``init_masks``."""
-    if size < 0 or not _has_distinct_colors(init_masks):
+    if size < 0:
         return False
     pairs = _colored_pairs(n, rows_by_color, banned_vmask)
     found = _rainbow_matchings(n, pairs, init_masks, banned_vmask, size, [size])
@@ -555,7 +599,7 @@ def _exists(n: int, rows_by_color, union_rows, pattern: Graph) -> bool:
         return False
     if plan.matching:
         return _matching_exists_with(n, rows_by_color, m, [], 0)
-    return _embed(plan.core, [-1] * pattern.n, 0, [], rows_by_color, union_rows)
+    return _embed(plan.core, [-1] * pattern.n, 0, _ColorMatching(), m, rows_by_color, union_rows)
 
 
 def _exists_using_pair(
@@ -583,11 +627,13 @@ def _exists_using_pair(
     seeds = (1 << pu) | (1 << pv)
     if plan.matching:
         return _matching_exists_with(n, rows_by_color, m - 1, [anchor], seeds)
+    sdr = _ColorMatching()
+    sdr.push(anchor)
     for a, b, steps in plan.anchored:
         for ha, hb in ((pu, pv), (pv, pu)):
             vmap = [-1] * pattern.n
             vmap[a], vmap[b] = ha, hb
-            if _embed(steps, vmap, seeds, [anchor], rows_by_color, union_rows):
+            if _embed(steps, vmap, seeds, sdr, m, rows_by_color, union_rows):
                 return True
     return False
 
@@ -603,15 +649,17 @@ def _exists_through_vertex(n: int, rows_by_color, union_rows, pattern: Graph, an
     plan = _plan(pattern)
     if plan.isolated:
         return _exists(n, rows_by_color, union_rows, pattern)
-    if len(plan.edges) > len(rows_by_color):
+    m = len(plan.edges)
+    if m > len(rows_by_color):
         return False
     degree = union_rows[anchor].bit_count()
+    sdr = _ColorMatching()
     for seed, steps in plan.seeded:
         if degree < pattern.degree(seed):
             continue
         vmap = [-1] * pattern.n
         vmap[seed] = anchor
-        if _embed(steps, vmap, 1 << anchor, [], rows_by_color, union_rows):
+        if _embed(steps, vmap, 1 << anchor, sdr, m, rows_by_color, union_rows):
             return True
     return False
 
@@ -644,7 +692,7 @@ def find_rainbow_copy(col: Collection, pattern: Graph) -> RainbowWitness | None:
         vmap = [x for j in found[0] for x in pairs[j][:2]]
     else:
         vmap = [-1] * pattern.n
-        if not _embed(plan.index, vmap, 0, [], rows_by_color, col.union_rows()):
+        if not _embed(plan.index, vmap, 0, _ColorMatching(), m, rows_by_color, col.union_rows()):
             return None
     masks = [_pair_color_mask(rows_by_color, vmap[a], vmap[b]) for a, b in plan.edges]
     chosen = lexmin_distinct_colors(masks)

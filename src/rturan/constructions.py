@@ -94,11 +94,12 @@ class GuardViolated(ValueError):
 
 
 class InnerTooLarge(ValueError):
-    """Inner collection missing or on the wrong vertex count."""
+    """Inner collection on the wrong vertex or color count, or an inner
+    part above desk scale."""
 
 
-class InnerInfeasible(RuntimeError):
-    """Inner extremal search did not finish within budget."""
+class InnerInfeasible(BudgetExceeded):
+    """Inner extremal search did not finish within its node budget."""
 
 
 @dataclass(frozen=True)
@@ -167,10 +168,7 @@ def _resolve_inner(
         raise InnerTooLarge(
             f"inner part has {s} > {MAX_INNER_VERTICES} vertices; supply one explicitly"
         )
-    try:
-        res = extremal_min(ExtremalQuery("min", s, t, inner_family))
-    except BudgetExceeded as exc:  # pragma: no cover - defensive
-        raise InnerInfeasible(str(exc)) from exc
+    res = extremal_min(ExtremalQuery("min", s, t, inner_family))
     if not res.exact or res.witness is None:
         raise InnerInfeasible("inner extremal search hit its node budget")
     return res.witness
@@ -656,7 +654,7 @@ def claimed_value(fid: str, params: dict) -> int:
 
 def _inner_min_value(s: int, t: int, fam: PatternFamily) -> int:
     if s > MAX_INNER_VERTICES:
-        raise InnerInfeasible(f"inner term on {s} vertices exceeds desk scale")
+        raise InnerTooLarge(f"inner term on {s} vertices exceeds desk scale")
     res = extremal_min(ExtremalQuery("min", s, t, fam))
     if not res.exact:
         raise InnerInfeasible("inner extremal search hit its node budget")

@@ -16,11 +16,18 @@ rainbow copy from a forbidden family:
 
 Shared machinery: color-permutation symmetry is broken by nonincreasing
 edge counts, vertex symmetry by keeping only prefixes that are minimal
-under simultaneous vertex relabeling (checked against all n!
-permutations, enabled up to n = 6), and every edge addition runs an
+under simultaneous vertex relabeling, and every edge addition runs an
 incremental rainbow check restricted to copies through the new
 (pair, color).  Budgets count search nodes, never wall-clock time, so
 results are bit-reproducible.
+
+Vertex canonicity (enabled up to n = 6) is checked along a stabilizer
+chain: colors 1..k have a smaller relabeling exactly when some
+permutation fixes colors 1..i-1 and maps color i below itself.  Each
+distinct color-1 mask is tested once per search against all n! - 1
+non-identity permutations, and a minimal one keeps the permutations that
+fix it; color i is then tested only against the permutations fixing
+colors 1..i-1, a set that shrinks with i and is usually small.
 
 ex(n, F) for a single plain graph is computed by orderly generation:
 F-free graphs are grown one vertex at a time and deduplicated by
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from math import comb
 
@@ -133,20 +141,33 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _pair_perm_tables(n: int) -> list[list[int]] | None:
-    """For each vertex permutation, the induced permutation of pair indices."""
+@lru_cache(maxsize=None)
+def _pair_perm_tables(n: int) -> tuple[tuple[int, ...], ...] | None:
+    """For each non-identity vertex permutation, the image of each pair
+    index as a bit, so a pair mask maps to the sum of its pairs' images."""
     if n > _PI_PRUNE_MAX_N:
         return None
     pairs = _pairs(n)
-    index = {p: i for i, p in enumerate(pairs)}
+    bit = {p: 1 << i for i, p in enumerate(pairs)}
     tables = []
     for perm in permutations(range(n)):
         if perm == tuple(range(n)):
             continue
-        tables.append(
-            [index[(min(perm[u], perm[v]), max(perm[u], perm[v]))] for (u, v) in pairs]
-        )
-    return tables
+        tables.append(tuple(bit[min(perm[u], perm[v]), max(perm[u], perm[v])] for (u, v) in pairs))
+    return tuple(tables)
+
+
+def _stabilizer(tables, mask: int) -> list | None:
+    """The tables that fix the pair mask, or None when one maps it below itself."""
+    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    fixing = []
+    for table in tables:
+        image = sum(map(table.__getitem__, bits))
+        if image < mask:
+            return None
+        if image == mask:
+            fixing.append(table)
+    return fixing
 
 
 class _CollectionSearch:
@@ -163,6 +184,7 @@ class _CollectionSearch:
         self.union = [0] * n
         self.cmasks = [0] * t
         self.perm_tables = _pair_perm_tables(n)
+        self.first_stabilizers: dict[int, list] = {}  # minimal color-1 mask -> its stabilizer
 
     def reset(self):
         for r in self.rows:
@@ -200,22 +222,28 @@ class _CollectionSearch:
             self.union[v] &= ~(1 << u)
 
     def canonical_prefix(self, k: int) -> bool:
-        """No vertex relabeling makes colors 1..k lexicographically smaller."""
+        """No vertex relabeling makes colors 1..k lexicographically smaller.
+
+        A relabeling makes them smaller exactly when it fixes colors 1..i-1
+        and maps color i below itself for some i, so only the stabilizer of
+        the colors checked so far is tested against the next one.  The
+        stabilizer of a minimal color 1 is kept for the whole search.
+        """
         if self.perm_tables is None:
             return True
         cur = self.cmasks
-        for table in self.perm_tables:
-            for i in range(k):
-                pm = 0
-                m = cur[i]
-                while m:
-                    low = m & -m
-                    pm |= 1 << table[low.bit_length() - 1]
-                    m ^= low
-                if pm != cur[i]:
-                    if pm < cur[i]:
-                        return False
-                    break
+        stab = self.first_stabilizers.get(cur[0])
+        if stab is None:
+            stab = _stabilizer(self.perm_tables, cur[0])
+            if stab is None:
+                return False
+            self.first_stabilizers[cur[0]] = stab
+        for i in range(1, k):
+            if not stab:
+                break
+            stab = _stabilizer(stab, cur[i])
+            if stab is None:
+                return False
         return True
 
     def snapshot(self) -> Collection:

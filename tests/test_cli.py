@@ -62,6 +62,20 @@ def test_budget_exhausted_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3 and "budget" in err
 
 
+def test_inner_search_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # the inner extremal search of min.i, not the outer command, runs out here
+    monkeypatch.setenv("RTURAN_BUDGET", "5")
+    out_path = tmp_path / "x.rcol"
+    code, _, err = run(
+        capsys, "construct", "--id", "min.i", "--params", "n=12,t=5,s=3,f=K3",
+        "--out", str(out_path),
+    )
+    assert code == 3 and err.startswith("budget exhausted: inner")
+    assert not out_path.exists()
+    code, _, err = run(capsys, "verify", "--suite", "constructions")
+    assert code == 3 and err.startswith("budget exhausted: ")
+
+
 PINNED_MONOCHROME_RCOL = {
     "n=7,t=3,f=K3": b"rcol 1\nn 7\nt 3\n" + b"".join(
         b"color %d\n" % c

@@ -127,6 +127,9 @@ def test_claimed_value_examples():
         claimed_value("sum.bipartite", {"n": 5, "f": "K3"})
     with pytest.raises(KeyError):
         claimed_value("nope", {})
+    # an inner term above desk scale is a usage error (CLI exit 2), not a budget stop
+    with pytest.raises(InnerTooLarge):
+        claimed_value("min.i", {"n": 12, "t": 3, "s": 5, "f": "K3"})
 
 
 def test_general_sum_upper_formula():

@@ -3,8 +3,9 @@
 Random collections (n <= 6, t <= 4) come from seeds that Hypothesis draws,
 derandomized, so every run checks the same inputs.  The rainbow oracles
 are helpers.explicit_rainbow_oracle and _copy_through below; the plain
-oracle tries every injective vertex map against the drawn edge set.  None
-of them shares code with the engine.
+oracle tries every injective vertex map against the drawn edge set; the
+color-assignment oracle tries every injective color map.  None of them
+shares code with the engine.
 """
 
 import random
@@ -13,7 +14,7 @@ from itertools import permutations
 from hypothesis import given, settings, strategies as st
 
 from rturan import Collection, Graph, contains_subgraph, matching_number_at_least, parse_pattern
-from rturan.collection import _exists_through_vertex, _exists_using_pair
+from rturan.collection import _ColorMatching, _exists_through_vertex, _exists_using_pair
 
 from helpers import explicit_rainbow_oracle
 
@@ -113,3 +114,44 @@ def test_plain_containment_matches_brute_force(seed):
     assert through == _brute_contains(n, edges, pattern, anchor)
     for k in range(1, 4):
         assert matching_number_at_least(host, k) == _brute_contains(n, edges, Graph.matching(k))
+
+
+COLORS = 6
+
+
+def _assignable(masks) -> bool:
+    """Brute force: the items take pairwise distinct colors of their masks."""
+    return any(
+        all(m >> c & 1 for m, c in zip(masks, colors)) for colors in permutations(range(COLORS), len(masks))
+    )
+
+
+# a push of a color mask over 6 colors, or a backtrack dropping 1-3 items
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 2**COLORS - 1)),
+        st.tuples(st.just("drop"), st.integers(1, 3)),
+    ),
+    max_size=40,
+)
+
+
+@SETTINGS
+@given(OPS)
+def test_incremental_color_matching_matches_brute_force(ops):
+    sdr = _ColorMatching()
+    held: list[int] = []  # the masks the kernel should hold, oldest first
+    for op, arg in ops:
+        if op == "push":
+            # at most 6 items fit, so the push after them is the 7th and fails
+            assert sdr.push(arg) == _assignable(held + [arg])
+            if _assignable(held + [arg]):
+                held.append(arg)
+        else:
+            del held[max(len(held) - arg, 0):]
+            sdr.truncate(len(held))
+        # the live assignment: one held color per item, from its own mask
+        assert sdr.masks == held
+        assert len(sdr.bits) == len(held)
+        assert len(set(sdr.bits)) == len(held)
+        assert all(b.bit_count() == 1 and b & m for b, m in zip(sdr.bits, held))

@@ -1,7 +1,7 @@
 """Exact Turan numbers and the three extremal searches against references."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -269,6 +269,87 @@ def test_results_are_deterministic_across_runs():
         b = fn(Q(mode, 4, 3, FAM("K3", "M2")))
         assert a.value == b.value and a.nodes == b.nodes
         assert a.witness == b.witness
+
+
+# Value, node count and witness edge lists of fast searches, recorded before
+# the symmetry check and the color-assignment kernel were made incremental.
+# A change that only speeds a search up keeps all three; a change to pruning
+# moves the node count.
+PINNED_SEARCHES = {
+    ("prod", 5, 3, "P3"): (8, 2418, [[(0, 3), (1, 2)]] * 3),
+    ("sum", 5, 4, "K3"): (24, 37982, [[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]] * 4),
+    ("min", 5, 3, "P3"): (2, 6198, [[(0, 3), (1, 2)]] * 3),
+    ("min", 5, 3, "M2"): (4, 2636, [[(0, 1), (0, 2), (0, 3), (0, 4)]] * 3),
+    ("prod", 4, 3, "K3"): (64, 853, [[(0, 2), (0, 3), (1, 2), (1, 3)]] * 3),
+    ("prod", 6, 2, "M2"): (25, 63560, [[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]] * 2),
+}
+
+
+def test_search_node_counts_are_pinned():
+    fns = {"min": extremal_min, "sum": extremal_sum, "prod": extremal_prod}
+    for (mode, n, t, name), (value, nodes, edges) in PINNED_SEARCHES.items():
+        res = fns[mode](Q(mode, n, t, FAM(name)))
+        got = (res.value, res.nodes, [g.edges() for g in res.witness.graphs])
+        assert res.exact and got == (value, nodes, edges), (mode, n, t, name)
+
+
+def _pair_images(n: int) -> list[list[int]]:
+    """Per non-identity vertex permutation, the image index of each pair."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    index = {p: i for i, p in enumerate(pairs)}
+    return [
+        [index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+        for perm in permutations(range(n))
+        if list(perm) != list(range(n))
+    ]
+
+
+def _image(mask: int, images: list[int]) -> int:
+    return sum(1 << images[i] for i in range(len(images)) if mask >> i & 1)
+
+
+def _prefix_is_canonical(cmasks, k: int, perms) -> bool:
+    """Every relabeling leaves colors 1..k as they are or makes the first
+    color it changes larger (the search's rule, over all n! permutations)."""
+    for images in perms:
+        for mask in cmasks[:k]:
+            moved = _image(mask, images)
+            if moved != mask:
+                if moved < mask:
+                    return False
+                break
+    return True
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_canonical_prefix_matches_all_permutations(n):
+    from rturan.search import _Budget, _CollectionSearch
+
+    rng = random.Random(n)
+    perms = _pair_images(n)
+    full = (1 << (n * (n - 1) // 2)) - 1
+    searcher = _CollectionSearch(n, 3, [], _Budget(1))  # one searcher: its cache carries over
+    outcomes = set()
+    for _ in range(150 if n < 6 else 60):
+        k = rng.randint(1, 3)
+        cmasks = []
+        for _ in range(k):
+            kind = rng.random()
+            if kind < 0.1:
+                mask = rng.choice((0, full))
+            else:
+                mask = rng.randint(0, full) & rng.randint(0, full) if kind < 0.4 else rng.randint(0, full)
+                if kind >= 0.4:
+                    # the smallest image under relabelings fixing the earlier colors,
+                    # so that later colors are reached and their check decides
+                    fixing = [p for p in perms if all(_image(m, p) == m for m in cmasks)]
+                    mask = min([mask] + [_image(mask, p) for p in fixing])
+            cmasks.append(mask)
+        searcher.cmasks = cmasks + [0] * (3 - k)
+        expected = _prefix_is_canonical(cmasks, k, perms)
+        assert searcher.canonical_prefix(k) == expected, (n, cmasks)
+        outcomes.add((k, expected))
+    assert {o for o in outcomes if o[0] >= 2} >= {(2, True), (2, False)}
 
 
 def test_budget_flags_inexact():
