@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .graphcore import Graph, PatternFamily
+from .graphcore import Graph, PatternFamily, matching_number_at_least
 
 __all__ = [
     "Collection",
@@ -469,9 +469,11 @@ def _embed(
     Each pattern edge placed is one push onto ``sdr``, dropped again when
     its vertex is taken back, except an edge with at least ``edges``
     colors: the other edges hold fewer colors than that, so it can always
-    take a color last and needs no place in the matching.  So plain
-    containment, where every edge carries all ``edges`` colors, runs no
-    matching at all.
+    take a color last and needs no place in the matching.
+
+    With ``rows_by_color`` None the embedding is plain (no color layer):
+    ``union_rows`` is the one host graph, every candidate already has the
+    back edges, and ``sdr`` and ``edges`` are not read.
     """
     full = (1 << len(union_rows)) - 1
     last = len(steps)
@@ -490,6 +492,11 @@ def _embed(
             cand ^= low
             if union_rows[hv].bit_count() < degree:
                 continue  # too few neighbors in the union for this pattern vertex
+            if rows_by_color is None:
+                vmap[pv] = hv
+                if extend(idx + 1, used | low):
+                    return True
+                continue
             size = len(held)
             for u in back:
                 mask = _pair_color_mask(rows_by_color, vmap[u], hv)
@@ -589,15 +596,20 @@ def rainbow_copy_exists(col: Collection, pattern: Graph) -> bool:
 
 
 def _exists(n: int, rows_by_color, union_rows, pattern: Graph) -> bool:
+    """Rainbow copy in the colored rows, or with ``rows_by_color`` None a
+    plain copy in the graph ``union_rows``."""
     if pattern.n > n:
         return False
     plan = _plan(pattern)
     m = len(plan.edges)
     if m == 0:
         return True
-    if m > len(rows_by_color):
+    if rows_by_color is None:
+        if plan.matching:
+            return matching_number_at_least(Graph(n, union_rows), m)
+    elif m > len(rows_by_color):
         return False
-    if plan.matching:
+    elif plan.matching:
         return _matching_exists_with(n, rows_by_color, m, [], 0)
     return _embed(plan.core, [-1] * pattern.n, 0, _ColorMatching(), m, rows_by_color, union_rows)
 
@@ -639,10 +651,11 @@ def _exists_using_pair(
 
 
 def _exists_through_vertex(n: int, rows_by_color, union_rows, pattern: Graph, anchor: int) -> bool:
-    """Existence of a rainbow copy whose embedding uses the host vertex anchor.
+    """Existence of a rainbow copy whose embedding uses the host vertex anchor;
+    with ``rows_by_color`` None, of a plain copy in the graph ``union_rows``.
 
     A pattern with an isolated vertex can always put that vertex on the
-    anchor, so for such patterns this is plain existence.
+    anchor, so for such patterns this is existence anywhere.
     """
     if pattern.n > n:
         return False
@@ -650,7 +663,7 @@ def _exists_through_vertex(n: int, rows_by_color, union_rows, pattern: Graph, an
     if plan.isolated:
         return _exists(n, rows_by_color, union_rows, pattern)
     m = len(plan.edges)
-    if m > len(rows_by_color):
+    if rows_by_color is not None and m > len(rows_by_color):
         return False
     degree = union_rows[anchor].bit_count()
     sdr = _ColorMatching()

@@ -152,12 +152,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def with_edge(self, u: int, v: int) -> "Graph":
-        rows = list(self.adj)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return Graph(self.n, rows)
-
     def relabel(self, perm) -> "Graph":
         """Image under the permutation sending vertex v to perm[v]."""
         rows = [0] * self.n
@@ -608,14 +602,10 @@ def _odd_cycle(parent: list[int], v: int, w: int) -> list[int]:
 
 
 def contains_subgraph(host: Graph, pattern: Graph) -> bool:
-    """Whether host contains pattern as a (not necessarily induced) subgraph.
-
-    Plain containment is rainbow containment in e(pattern) identical
-    copies of the host, so the rainbow detector decides it.
-    """
+    """Whether host contains pattern as a (not necessarily induced) subgraph."""
     from .collection import _exists  # collection builds on this module
 
-    return _exists(host.n, [host.adj] * pattern.edge_count(), host.adj, pattern)
+    return _exists(host.n, None, host.adj, pattern)
 
 
 def matching_number_at_least(g: Graph, k: int) -> bool:

@@ -21,6 +21,20 @@ incremental rainbow check restricted to copies through the new
 (pair, color).  Budgets count search nodes, never wall-clock time, so
 results are bit-reproducible.
 
+Two certified bounds cut the min and sum trees; neither changes a value.
+min starts from a seed: t copies of one member-free graph are rainbow
+free, so min >= ex(n, members), with t copies of the orderly-generation
+extremal graph as the witness.  The scan then probes seed + 1 first (the
+seed is often optimal, and that probe then settles it) and bisects only
+when it is feasible.  The seed runs under the query's budget, one node
+per extension attempt, so min node counts include it.  sum keeps, for
+every pair not yet decided, its cap: the largest multiplicity at which it
+can still join the current nested rows freely.  Rainbow freeness survives
+deleting edges and colors are nested, so caps only fall along a branch
+and every multiplicity up to the cap is free; a branch is cut when its
+total plus the remaining caps cannot beat the best, which cannot change
+the sequence of improvements or the witness.
+
 Vertex canonicity (enabled up to n = 6) is checked along a stabilizer
 chain: colors 1..k have a smaller relabeling exactly when some
 permutation fixes colors 1..i-1 and maps color i below itself.  Each
@@ -271,13 +285,17 @@ def extremal_min(q: ExtremalQuery) -> ExtremalResult:
     lo_witness = Collection([Graph.edgeless(q.n)] * q.t)
     exact = True
     try:
+        # t copies of one member-free graph are rainbow-free: min >= ex(n, members)
+        value, g = _turan_family(q.n, members, budget)
+        lo, lo_witness = value, Collection([g] * q.t)
+        mid = lo + 1  # the seed is often optimal: probe just above it first
         while lo < hi:
-            mid = (lo + hi + 1) // 2
             w = _feasible_min(searcher, mid)
             if w is not None:
                 lo, lo_witness = mid, w
             else:
                 hi = mid - 1
+            mid = (lo + hi + 1) // 2
     except _BudgetStop:
         exact = False
     _check_witness(lo_witness, q.family)
@@ -343,27 +361,46 @@ def extremal_sum(q: ExtremalQuery) -> ExtremalResult:
     best_rows = [list(r) for r in rows]
     exact = True
 
+    def pair_cap(j: int, mu: int) -> int:
+        """Largest multiplicity up to mu at which pair j joins the rows freely."""
+        u, v = pairs[j]
+        bit_u, bit_v = 1 << v, 1 << u
+        for i in range(mu):
+            rows[i][u] |= bit_u
+            rows[i][v] |= bit_v
+        while mu and any(_exists_using_pair(n, rows, rows[0], f, (u, v), None) for f in members):
+            mu -= 1
+            rows[mu][u] &= ~bit_u
+            rows[mu][v] &= ~bit_v
+        for i in range(mu):
+            rows[i][u] &= ~bit_u
+            rows[i][v] &= ~bit_v
+        return mu
+
+    # caps[j]: the exact cap of pair j over the current rows, for every j >= idx
+    caps = [pair_cap(j, t) for j in range(P)]
+
     def dfs(idx: int, total: int):
         nonlocal best, best_rows
         budget.step()
-        if total + t * (P - idx) <= best:
+        if total + sum(caps[idx:]) <= best:
             return
-        if idx == P:
-            if total > best:
-                best = total
-                best_rows = [list(r) for r in rows]
+        if idx == P:  # the bound above left total > best
+            best = total
+            best_rows = [list(r) for r in rows]
             return
         u, v = pairs[idx]
         bit_u, bit_v = 1 << v, 1 << u
-        for mu in range(t, 0, -1):
+        saved = caps[idx + 1 :]
+        for mu in range(caps[idx], 0, -1):
             for i in range(mu):
                 rows[i][u] |= bit_u
                 rows[i][v] |= bit_v
-            ok = not any(
-                _exists_using_pair(n, rows, rows[0], f, (u, v), None) for f in members
-            )
-            if ok:
-                dfs(idx + 1, total + mu)
+            for j in range(idx + 1, P):
+                if caps[j]:
+                    caps[j] = pair_cap(j, caps[j])
+            dfs(idx + 1, total + mu)
+            caps[idx + 1 :] = saved
             for i in range(mu):
                 rows[i][u] &= ~bit_u
                 rows[i][v] &= ~bit_v
@@ -453,11 +490,16 @@ def turan_extremal(n: int, f: Graph, budget: int | None = None) -> tuple[int, Gr
     """ex(n, f) together with one extremal graph."""
     if not 1 <= n <= 10:
         raise ValueError("orderly generation supports 1 <= n <= 10")
-    value, g = _turan_family(n, [f], budget)
-    return value, g
+    limit = _Budget(budget if budget is not None else default_budget())
+    try:
+        return _turan_family(n, [f], limit)
+    except _BudgetStop:
+        raise BudgetExceeded(
+            f"orderly generation exceeded {limit.limit} extension attempts"
+        ) from None
 
 
-def _turan_family(n: int, members, budget: int | None) -> tuple[int, Graph]:
+def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
     """Shared orderly-generation core; members is any iterable of patterns.
 
     Each level maps canonical forms to the first graph found in the class.
@@ -466,13 +508,12 @@ def _turan_family(n: int, members, budget: int | None) -> tuple[int, Graph]:
     a lower twin of the same class (``_twin_classes`` of the parent) is
     skipped: swapping the two gives a smaller mask and an isomorphic child,
     which was tried first.  So every level keeps the same graphs in the same
-    order as a search over all masks; the budget counts only the masks
-    tried.
+    order as a search over all masks; the budget takes one step per mask
+    tried, and ``_BudgetStop`` reaches the caller.
 
     Returns (-1, edgeless) when an edgeless member fits the host (then no
     host graph avoids it).  Unreachable members are dropped.
     """
-    limit = _Budget(budget if budget is not None else default_budget())
     if any(f.edge_count() == 0 and f.n <= n for f in members):
         return -1, Graph.edgeless(n)
     active = [f for f in members if f.edge_count() >= 1 and f.n <= n]
@@ -481,29 +522,24 @@ def _turan_family(n: int, members, budget: int | None) -> tuple[int, Graph]:
     matchers = [(f, f.edge_count(), all(f.degree(v) <= 1 for v in range(f.n))) for f in active]
 
     level: dict[bytes, tuple[int, ...]] = {_canonical(1, (0,)): (0,)}
-    try:
-        for k in range(2, n + 1):
-            nxt: dict[bytes, tuple[int, ...]] = {}
-            for rows in level.values():
-                # consecutive twins lo < hi of the parent: hi needs lo in the mask
-                steps = [
-                    (1 << lo, 1 << hi)
-                    for cls in _twin_classes(k - 1, rows)
-                    for lo, hi in zip(cls, cls[1:])
-                ]
-                for mask in range(1 << (k - 1)):
-                    if any(mask & hi and not mask & lo for lo, hi in steps):
-                        continue
-                    limit.step()
-                    new_rows = _extend_rows(rows, mask, k)
-                    if _hits_pattern(new_rows, k, matchers):
-                        continue
-                    nxt.setdefault(_canonical(k, new_rows), new_rows)
-            level = nxt
-    except _BudgetStop:
-        raise BudgetExceeded(
-            f"orderly generation exceeded {limit.limit} extension attempts"
-        ) from None
+    for k in range(2, n + 1):
+        nxt: dict[bytes, tuple[int, ...]] = {}
+        for rows in level.values():
+            # consecutive twins lo < hi of the parent: hi needs lo in the mask
+            steps = [
+                (1 << lo, 1 << hi)
+                for cls in _twin_classes(k - 1, rows)
+                for lo, hi in zip(cls, cls[1:])
+            ]
+            for mask in range(1 << (k - 1)):
+                if any(mask & hi and not mask & lo for lo, hi in steps):
+                    continue
+                budget.step()
+                new_rows = _extend_rows(rows, mask, k)
+                if _hits_pattern(new_rows, k, matchers):
+                    continue
+                nxt.setdefault(_canonical(k, new_rows), new_rows)
+        level = nxt
     best_rows = max(level.values(), key=lambda r: sum(x.bit_count() for x in r))
     g = Graph(n, best_rows)
     return g.edge_count(), g
@@ -521,8 +557,7 @@ def _hits_pattern(rows: tuple[int, ...], k: int, matchers) -> bool:
 
     The parent graph was member-free, so only copies through the newest
     vertex can exist.  Matching patterns skip the anchored embedding and
-    use the dedicated disjoint-edge test.  Plain containment is rainbow
-    containment in e(f) identical copies of the graph.
+    use the dedicated disjoint-edge test.
     """
     for f, m, is_matching in matchers:
         if f.n > k:
@@ -531,6 +566,6 @@ def _hits_pattern(rows: tuple[int, ...], k: int, matchers) -> bool:
             if matching_number_at_least(Graph(k, rows), m):
                 return True
             continue
-        if _exists_through_vertex(k, [rows] * m, rows, f, k - 1):
+        if _exists_through_vertex(k, None, rows, f, k - 1):
             return True
     return False

@@ -110,8 +110,9 @@ def test_plain_containment_matches_brute_force(seed):
     host = Graph.from_edges(n, edges)
     assert contains_subgraph(host, pattern) == _brute_contains(n, edges, pattern)
     anchor = rng.randrange(n)
-    through = _exists_through_vertex(n, [host.adj] * pattern.edge_count(), host.adj, pattern, anchor)
-    assert through == _brute_contains(n, edges, pattern, anchor)
+    through = _brute_contains(n, edges, pattern, anchor)
+    assert _exists_through_vertex(n, [host.adj] * pattern.edge_count(), host.adj, pattern, anchor) == through
+    assert _exists_through_vertex(n, None, host.adj, pattern, anchor) == through  # plain, no color layer
     for k in range(1, 4):
         assert matching_number_at_least(host, k) == _brute_contains(n, edges, Graph.matching(k))
 

@@ -2,8 +2,10 @@
 
 import random
 from itertools import permutations, product
+from math import comb
 
 import pytest
+from helpers import explicit_rainbow_oracle
 
 from rturan import (
     ExtremalQuery,
@@ -271,17 +273,21 @@ def test_results_are_deterministic_across_runs():
         assert a.witness == b.witness
 
 
-# Value, node count and witness edge lists of fast searches, recorded before
-# the symmetry check and the color-assignment kernel were made incremental.
-# A change that only speeds a search up keeps all three; a change to pruning
-# moves the node count.
+# Value, node count and witness edge lists of fast searches.  A change that
+# only speeds a search up keeps all three; a change to pruning may only lower
+# the node count.  Sum witnesses are those of the exhaustive search without
+# the multiplicity caps; min witnesses are the Turan seed's graph whenever
+# the seed is optimal.
 PINNED_SEARCHES = {
     ("prod", 5, 3, "P3"): (8, 2418, [[(0, 3), (1, 2)]] * 3),
-    ("sum", 5, 4, "K3"): (24, 37982, [[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]] * 4),
-    ("min", 5, 3, "P3"): (2, 6198, [[(0, 3), (1, 2)]] * 3),
-    ("min", 5, 3, "M2"): (4, 2636, [[(0, 1), (0, 2), (0, 3), (0, 4)]] * 3),
+    ("sum", 5, 4, "K3"): (24, 2732, [[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]] * 4),
+    ("min", 5, 3, "P3"): (2, 2347, [[(0, 3), (1, 4)]] * 3),
+    ("min", 5, 3, "M2"): (4, 1967, [[(0, 4), (1, 4), (2, 4), (3, 4)]] * 3),
     ("prod", 4, 3, "K3"): (64, 853, [[(0, 2), (0, 3), (1, 2), (1, 3)]] * 3),
     ("prod", 6, 2, "M2"): (25, 63560, [[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]] * 2),
+    ("sum", 5, 3, "P4"): (20, 283, [[(u, v) for u in range(5) for v in range(u + 1, 5)]] * 2 + [[]]),
+    ("sum", 5, 3, "M2"): (12, 179, [[(0, 1), (0, 2), (0, 3), (0, 4)]] * 3),
+    ("sum", 6, 3, "K3"): (30, 7889, [[(u, v) for u in range(6) for v in range(u + 1, 6)]] * 2 + [[]]),
 }
 
 
@@ -291,6 +297,31 @@ def test_search_node_counts_are_pinned():
         res = fns[mode](Q(mode, n, t, FAM(name)))
         got = (res.value, res.nodes, [g.edges() for g in res.witness.graphs])
         assert res.exact and got == (value, nodes, edges), (mode, n, t, name)
+
+
+def test_min_erdos_gallai_value_at_n6():
+    # ex(n, M_{s+1}) = max(C(2s+1, 2), C(s, 2) + s(n - s)) (Erdos-Gallai); min
+    # is at least it (t copies of an extremal graph) and the search proves equality
+    n, s = 6, 2
+    value = max(comb(2 * s + 1, 2), comb(s, 2) + s * (n - s))
+    res = extremal_min(Q("min", n, 3, FAM("M3")))
+    assert res.exact and res.value == value == 10
+    assert min(res.witness.edge_counts()) >= value
+    assert not explicit_rainbow_oracle(res.witness, parse_pattern("M3"))
+
+
+def test_min_budget_stop_inside_the_turan_seed():
+    res = extremal_min(Q("min", 6, 3, FAM("K3"), budget=5))
+    assert (res.value, res.exact, res.nodes) == (0, False, 6)
+    assert res.witness.edge_counts() == (0, 0, 0)
+
+
+def test_min_budget_stop_keeps_the_turan_seed():
+    # ex(6, K3) = 9 is proven feasible by the seed; probing 10 runs out of budget
+    res = extremal_min(Q("min", 6, 3, FAM("K3"), budget=20_000))
+    assert (res.value, res.exact, res.nodes) == (9, False, 20_001)
+    assert min(res.witness.edge_counts()) >= 9
+    assert not explicit_rainbow_oracle(res.witness, parse_pattern("K3"))
 
 
 def _pair_images(n: int) -> list[list[int]]:
