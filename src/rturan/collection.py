@@ -390,6 +390,14 @@ class _Plan:
     first: most placed neighbors, then highest degree, then lowest index.
     The anchored and seeded orders are built on first use, since plain
     detection of a large pattern never needs them.
+
+    They are kept for one arc or vertex per orbit of the pattern's
+    automorphism group.  If an automorphism s maps arc (a, b) to (a', b'),
+    an embedding f with f(a') = u and f(b') = v gives the embedding
+    x -> f(s(x)), which puts a on u and b on v.  Both have the same image
+    edges, so the same colors, and the same host edge lands on uv, so one
+    seeding finds a copy exactly when the other does.  The same holds for
+    a single vertex.
     """
 
     def __init__(self, pattern: Graph):
@@ -409,13 +417,44 @@ class _Plan:
 
     @cached_property
     def anchored(self) -> tuple:
-        """(a, b, order after seeding a and b) per pattern edge ab."""
-        return tuple((a, b, _greedy_order(self.pattern, (a, b))) for a, b in self.edges)
+        """(a, b, order after seeding a and b) per arc-orbit representative:
+        the pattern arc (a, b) goes onto the host pair in its given order.
+        Both arcs of an edge share the order, which only needs the seeds."""
+        reps: list[tuple[int, int, tuple]] = []
+        for a, b in self.edges:
+            steps = _greedy_order(self.pattern, (a, b))
+            for arc in ((a, b), (b, a)):
+                if not any(_automorphic(self.pattern, s, (p, q), arc) for p, q, s in reps):
+                    reps.append((*arc, steps))
+        return tuple(reps)
 
     @cached_property
     def seeded(self) -> tuple:
-        """(v, order after seeding v) per vertex."""
-        return tuple((v, _greedy_order(self.pattern, (v,))) for v in range(self.pattern.n))
+        """(v, order after seeding v) per vertex-orbit representative v."""
+        reps: list[tuple[int, tuple]] = []
+        for v in range(self.pattern.n):
+            if not any(_automorphic(self.pattern, s, (r,), (v,)) for r, s in reps):
+                reps.append((v, _greedy_order(self.pattern, (v,))))
+        return tuple(reps)
+
+
+def _automorphic(pattern: Graph, steps, seeds: tuple[int, ...], images: tuple[int, ...]) -> bool:
+    """Does an automorphism of the pattern map the seeds onto the images?
+
+    ``steps`` is the order after seeding ``seeds``, and two seeds must be an
+    edge, as must two images.  A plain embedding of the pattern into itself
+    is injective and maps edges to edges; with as many edges on both sides,
+    it permutes the edges and so the edge-touching vertices.  Permuting the
+    isolated vertices among themselves completes it to an automorphism.
+    """
+    if any(pattern.degree(s) != pattern.degree(i) for s, i in zip(seeds, images)):
+        return False
+    vmap = [-1] * pattern.n
+    used = 0
+    for s, i in zip(seeds, images):
+        vmap[s] = i
+        used |= 1 << i
+    return _embed(steps, vmap, used, _ColorMatching(), 0, None, pattern.adj)
 
 
 def _steps(pattern: Graph, order: list[int], start: int) -> tuple:
@@ -622,7 +661,9 @@ def _exists_using_pair(
     When ``forced_color`` (1-based) is set, the pattern edge landing on the
     pair must take that color.  This is the incremental check used by the
     searches: after adding one edge to one color, any new rainbow copy must
-    route through that (pair, color).
+    route through that (pair, color).  Only one pattern arc per orbit of the
+    pattern's automorphism group is seeded on the pair (see ``_Plan``): a
+    copy seeded by another arc of the orbit is the same copy relabelled.
     """
     if pattern.n > n:
         return False
@@ -642,11 +683,10 @@ def _exists_using_pair(
     sdr = _ColorMatching()
     sdr.push(anchor)
     for a, b, steps in plan.anchored:
-        for ha, hb in ((pu, pv), (pv, pu)):
-            vmap = [-1] * pattern.n
-            vmap[a], vmap[b] = ha, hb
-            if _embed(steps, vmap, seeds, sdr, m, rows_by_color, union_rows):
-                return True
+        vmap = [-1] * pattern.n
+        vmap[a], vmap[b] = pu, pv
+        if _embed(steps, vmap, seeds, sdr, m, rows_by_color, union_rows):
+            return True
     return False
 
 
@@ -655,7 +695,9 @@ def _exists_through_vertex(n: int, rows_by_color, union_rows, pattern: Graph, an
     with ``rows_by_color`` None, of a plain copy in the graph ``union_rows``.
 
     A pattern with an isolated vertex can always put that vertex on the
-    anchor, so for such patterns this is existence anywhere.
+    anchor, so for such patterns this is existence anywhere.  Otherwise one
+    pattern vertex per automorphism orbit is seeded on the anchor (see
+    ``_Plan``).
     """
     if pattern.n > n:
         return False

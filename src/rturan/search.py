@@ -18,8 +18,12 @@ Shared machinery: color-permutation symmetry is broken by nonincreasing
 edge counts, vertex symmetry by keeping only prefixes that are minimal
 under simultaneous vertex relabeling, and every edge addition runs an
 incremental rainbow check restricted to copies through the new
-(pair, color).  Budgets count search nodes, never wall-clock time, so
-results are bit-reproducible.
+(pair, color).  That check seeds the pair with one pattern arc per orbit
+of the pattern's automorphism group only: an automorphism turns a copy
+seeded by one arc of an orbit into a copy with the same edges and colors
+seeded by any other, so K3 needs one search instead of six.  Budgets
+count search nodes, never wall-clock time, so results are
+bit-reproducible.
 
 Two certified bounds cut the min and sum trees; neither changes a value.
 min starts from a seed: t copies of one member-free graph are rainbow
@@ -128,6 +132,8 @@ class ExtremalQuery:
             raise ValueError("nested sum search supports t <= 6")
         if self.mode != "sum" and self.t > 6:
             raise ValueError("full search supports t <= 6")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError("budget must be at least 1 node")
 
 
 @dataclass(frozen=True)
@@ -490,6 +496,8 @@ def turan_extremal(n: int, f: Graph, budget: int | None = None) -> tuple[int, Gr
     """ex(n, f) together with one extremal graph."""
     if not 1 <= n <= 10:
         raise ValueError("orderly generation supports 1 <= n <= 10")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be at least 1 extension attempt")
     limit = _Budget(budget if budget is not None else default_budget())
     try:
         return _turan_family(n, [f], limit)

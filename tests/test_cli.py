@@ -49,6 +49,18 @@ def test_compute_budget_exit_code(capsys):
     assert int(out.strip()) <= 20
 
 
+def test_nonpositive_budget_is_a_usage_error(capsys):
+    for budget in ("0", "-3"):
+        code, out, err = run(
+            capsys,
+            "compute", "--mode", "min", "--n", "5", "--t", "3", "--forbid", "{K3}",
+            "--budget", budget,
+        )
+        assert code == 2 and out == "" and err.startswith("usage error: ")
+    code, out, err = run(capsys, "verify", "--suite", "sum-k3", "--budget", "0")
+    assert code == 2 and out == "" and err.startswith("usage error: ")
+
+
 def test_budget_exhausted_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RTURAN_BUDGET", "100")
     out_path = tmp_path / "x.rcol"

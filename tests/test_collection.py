@@ -23,6 +23,8 @@ from rturan import (
     parse_pattern,
 )
 
+from rturan.collection import _plan
+
 from helpers import explicit_rainbow_oracle, pattern_pool, random_collection
 
 FAM = lambda *names: PatternFamily.from_graphs([parse_pattern(s) for s in names])
@@ -185,6 +187,32 @@ def test_detector_matches_oracle_quick():
         assert rainbow_copy_exists(col, pat) == (got is not None)
         if got is not None:
             got.validate(col)
+
+
+ORBIT_PATTERNS = {
+    s: parse_pattern(s) for s in ("K2", "P3", "P4", "P5", "S3", "S4", "M2", "K3", "K4", "K2,2", "K2,3")
+}
+ORBIT_PATTERNS["paw"] = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+ORBIT_PATTERNS["P4-relabelled"] = Graph.from_edges(4, [(0, 2), (2, 3), (3, 1)])
+
+
+@pytest.mark.parametrize("pattern", ORBIT_PATTERNS.values(), ids=ORBIT_PATTERNS.keys())
+def test_plan_keeps_one_seed_per_automorphism_orbit(pattern):
+    edges = {frozenset(e) for e in pattern.edges()}
+    group = [
+        p for p in permutations(range(pattern.n)) if {frozenset((p[a], p[b])) for a, b in edges} == edges
+    ]
+    arcs = [(a, b) for a, b in pattern.edges()] + [(b, a) for a, b in pattern.edges()]
+    arc_orbits = {frozenset((p[a], p[b]) for p in group) for a, b in arcs}
+    vertex_orbits = {frozenset(p[v] for p in group) for v in range(pattern.n)}
+
+    plan = _plan(pattern)
+    kept_arcs = [(a, b) for a, b, _ in plan.anchored]
+    kept_vertices = [v for v, _ in plan.seeded]
+    assert len(kept_arcs) == len(arc_orbits)
+    assert len(kept_vertices) == len(vertex_orbits)
+    assert {(p[a], p[b]) for p in group for a, b in kept_arcs} == set(arcs)
+    assert {p[v] for p in group for v in kept_vertices} == set(range(pattern.n))
 
 
 # -- maximum rainbow matching ---------------------------------------------

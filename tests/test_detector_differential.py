@@ -18,9 +18,12 @@ from rturan.collection import _ColorMatching, _exists_through_vertex, _exists_us
 
 from helpers import explicit_rainbow_oracle
 
-PATTERNS = [parse_pattern(s) for s in ("K2", "P3", "P4", "S3", "M2", "K3", "K2,2")] + [
+PATTERNS = [parse_pattern(s) for s in ("K2", "P3", "P4", "P5", "S3", "M2", "K3", "K2,2")] + [
     Graph.from_edges(4, [(0, 3), (1, 2)]),  # a perfect matching not labelled as M2
     Graph.from_edges(4, [(0, 1), (1, 2)]),  # P3 plus an isolated vertex
+    # arcs in several orbits under a nontrivial automorphism group
+    Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),  # the paw
+    Graph.from_edges(4, [(0, 2), (2, 3), (3, 1)]),  # P4 relabelled
 ]
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -88,6 +91,20 @@ def test_anchored_detector_matches_oracle(seed):
     has_copy = explicit_rainbow_oracle(col, pattern)
     assert anchored(col, u, v, c) == has_copy
     assert anchored(col, u, v, None) == has_copy
+
+
+def test_lone_rainbow_copy_is_found_through_every_edge_and_vertex():
+    # the host is the pattern itself, edge i alone in color i: its copies
+    # are its automorphisms, so each arc and vertex orbit must be searched
+    for pattern in PATTERNS:
+        edges = pattern.edges()
+        col = Collection.from_edge_lists(pattern.n, [[e] for e in edges])
+        rows, union = col.adj_rows(), col.union_rows()
+        for c, (u, v) in enumerate(edges, start=1):
+            for pair in ((u, v), (v, u)):
+                assert _exists_using_pair(pattern.n, rows, union, pattern, pair, c)
+        for anchor in range(pattern.n):
+            assert _exists_through_vertex(pattern.n, rows, union, pattern, anchor)
 
 
 def _brute_contains(n: int, edges, pattern: Graph, through: int | None = None) -> bool:

@@ -415,3 +415,8 @@ def test_query_validation():
         Q("min", 13, 2, FAM("M2"))
     with pytest.raises(ValueError):
         Q("sum", 4, 7, FAM("M2"))
+    for budget in (0, -3):
+        with pytest.raises(ValueError):
+            Q("min", 4, 2, FAM("M2"), budget=budget)
+        with pytest.raises(ValueError):
+            turan_exact(4, parse_pattern("K3"), budget=budget)
