@@ -242,7 +242,7 @@ def _suite_constructions(budget) -> list[dict]:
     rows = []
     for cid, params in cons.certification_grid():
         t0 = time.monotonic()
-        info = cons.describe(cid, params)
+        info = cons.describe(cid, params, budget)
         got = info.collection.edge_counts()
         free = is_rainbow_free(info.collection, info.family)
         ms = int((time.monotonic() - t0) * 1000)

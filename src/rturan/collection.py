@@ -189,16 +189,28 @@ def codec_write(col: Collection, path: str) -> None:
 _NUMERAL = re.compile("[0-9]+")
 
 
+def _value(numeral: str) -> int:
+    """Value of a numeral, read as 10**18 past 18 significant digits: that
+    is beyond every legal count and index, and int() refuses numerals of
+    more than 4,300 digits."""
+    digits = numeral.lstrip("0")
+    return int(digits or "0") if len(digits) <= 18 else 10**18
+
+
 def codec_read(path: str) -> Collection:
-    with open(path, "r", newline="") as fh:
+    with open(path, "rb") as fh:
         raw = fh.read()
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
 
     def fail(msg: str, no: int):
         raise FormatError(msg, no)
 
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        fail("non-ASCII byte", raw.count(b"\n", 0, exc.start) + 1)
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
     if not lines or lines[0] != "rcol 1":
         fail("expected header 'rcol 1'", 1)
     if len(lines) < 3:
@@ -206,13 +218,13 @@ def codec_read(path: str) -> Collection:
     mn = lines[1].split()
     if len(mn) != 2 or mn[0] != "n" or not _NUMERAL.fullmatch(mn[1]):
         fail("expected 'n <count>'", 2)
-    n = int(mn[1])
+    n = _value(mn[1])
     if not 1 <= n <= 30:
         fail(f"vertex count {n} outside 1..30", 2)
     mt = lines[2].split()
     if len(mt) != 2 or mt[0] != "t" or not _NUMERAL.fullmatch(mt[1]):
         fail("expected 't <count>'", 3)
-    t = int(mt[1])
+    t = _value(mt[1])
     if t < 1:
         fail("need at least one color", 3)
 
@@ -230,7 +242,7 @@ def codec_read(path: str) -> Collection:
         if len(parts) == 2 and parts[0] == "color":
             if not _NUMERAL.fullmatch(parts[1]):
                 fail("malformed color index", no)
-            idx = int(parts[1])
+            idx = _value(parts[1])
             if idx > t:
                 raise RangeError(f"color {idx} exceeds declared t={t}", no)
             if idx != len(edge_lists) + 1:
@@ -244,7 +256,7 @@ def codec_read(path: str) -> Collection:
                 fail("edge before first color header", no)
             if not (_NUMERAL.fullmatch(parts[0]) and _NUMERAL.fullmatch(parts[1])):
                 fail(f"malformed edge line {line!r}", no)
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _value(parts[0]), _value(parts[1])
             if u == v:
                 fail(f"loop edge '{u} {v}'", no)
             if u > v:

@@ -153,7 +153,7 @@ def _is_star_with_matching(f: Graph) -> bool:
 
 
 def _resolve_inner(
-    s: int, t: int, inner_family: PatternFamily, supplied: Collection | None
+    s: int, t: int, inner_family: PatternFamily, supplied: Collection | None, budget: int | None
 ) -> Collection:
     """Inner collection on s vertices: validate the supplied one or search."""
     if supplied is not None:
@@ -168,7 +168,7 @@ def _resolve_inner(
         raise InnerTooLarge(
             f"inner part has {s} > {MAX_INNER_VERTICES} vertices; supply one explicitly"
         )
-    res = extremal_min(ExtremalQuery("min", s, t, inner_family))
+    res = extremal_min(ExtremalQuery("min", s, t, inner_family, budget))
     if not res.exact or res.witness is None:
         raise InnerInfeasible("inner extremal search hit its node budget")
     return res.witness
@@ -216,7 +216,7 @@ def _union(n: int, *graphs: Graph) -> Graph:
 # builders
 
 
-def _b_min_split(params: dict, which: str) -> ConstructionInfo:
+def _b_min_split(params: dict, which: str, budget: int | None) -> ConstructionInfo:
     n, t, s = _need(params, "n", "t", "s")
     f = _pattern(_need(params, "f")[0])
     if t < max(f.edge_count(), s + 1):
@@ -233,7 +233,7 @@ def _b_min_split(params: dict, which: str) -> ConstructionInfo:
         if bipartition_min_class(f) <= s:
             raise GuardViolated("min.ii needs p(f) > s")
         inner_family = family_covering(f, s)
-    inner = _resolve_inner(s, t, inner_family, params.get("inner"))
+    inner = _resolve_inner(s, t, inner_family, params.get("inner"), budget)
     col = _split_rows(n, s, t, inner)
     counts = tuple(s * (n - s) + inner.graph(i).edge_count() for i in range(1, t + 1))
     fam = _fam(f, Graph.matching(s + 1))
@@ -266,7 +266,7 @@ def _b_min_iii(params: dict) -> ConstructionInfo:
     return ConstructionInfo(col, counts, fam)
 
 
-def _b_min_iv(params: dict) -> ConstructionInfo:
+def _b_min_iv(params: dict, budget: int | None) -> ConstructionInfo:
     n, t = _need(params, "n", "t")
     f = _pattern(_need(params, "f")[0])
     if not _is_bipartite(f):
@@ -281,7 +281,7 @@ def _b_min_iv(params: dict) -> ConstructionInfo:
     if "s" in params and t < params["s"] + 1:
         raise GuardViolated("need t >= s+1")
     inner_family = family_covering(f, p - 1)
-    inner = _resolve_inner(p - 1, t, inner_family, params.get("inner"))
+    inner = _resolve_inner(p - 1, t, inner_family, params.get("inner"), budget)
     cols = []
     for i in range(1, t + 1):
         rows = [0] * n
@@ -353,12 +353,12 @@ def _b_sum_cliques(params: dict) -> ConstructionInfo:
     return ConstructionInfo(col, counts, _fam(f))
 
 
-def _b_sum_monochrome(params: dict) -> ConstructionInfo:
+def _b_sum_monochrome(params: dict, budget: int | None) -> ConstructionInfo:
     n, t = _need(params, "n", "t")
     f = _pattern(_need(params, "f")[0])
     if n > 10:
         raise GuardViolated("extremal pattern-free graphs are searched up to n = 10")
-    value, g = turan_extremal(n, f)
+    value, g = turan_extremal(n, f, budget)
     if value < 0:
         raise GuardViolated("no f-free graph exists on this vertex count")
     col = Collection([g] * t)
@@ -594,31 +594,42 @@ def _b_sm_mixed(params: dict) -> ConstructionInfo:
     return ConstructionInfo(col, tuple(counts), fam)
 
 
+def _plain(builder):
+    """A builder that runs no search, so takes no budget."""
+    return lambda params, budget: builder(params)
+
+
+# each builder takes (params, budget); budget bounds its inner searches
 _BUILDERS = {
-    "min.i": lambda p: _b_min_split(p, "min.i"),
-    "min.ii": lambda p: _b_min_split(p, "min.ii"),
-    "min.iii": _b_min_iii,
+    "min.i": lambda p, budget: _b_min_split(p, "min.i", budget),
+    "min.ii": lambda p, budget: _b_min_split(p, "min.ii", budget),
+    "min.iii": _plain(_b_min_iii),
     "min.iv": _b_min_iv,
-    "min.kpp-remark": _b_kpp,
-    "sum.cliques": _b_sum_cliques,
+    "min.kpp-remark": _plain(_b_kpp),
+    "sum.cliques": _plain(_b_sum_cliques),
     "sum.monochrome-extremal": _b_sum_monochrome,
-    "prod.matching": _b_prod_matching,
-    "prod.clique-star": _b_clique_star,
-    "prod.star.gt": _b_star_gt,
-    "prod.star.eq": _b_star_eq,
-    "prod.star.lt": _b_star_lt,
-    "prod.star2": _b_star2,
-    "prod.sm.bigstar": _b_sm_bigstar,
-    "prod.sm.star-clique": _b_sm_star_clique,
-    "prod.sm.mixed": _b_sm_mixed,
+    "prod.matching": _plain(_b_prod_matching),
+    "prod.clique-star": _plain(_b_clique_star),
+    "prod.star.gt": _plain(_b_star_gt),
+    "prod.star.eq": _plain(_b_star_eq),
+    "prod.star.lt": _plain(_b_star_lt),
+    "prod.star2": _plain(_b_star2),
+    "prod.sm.bigstar": _plain(_b_sm_bigstar),
+    "prod.sm.star-clique": _plain(_b_sm_star_clique),
+    "prod.sm.mixed": _plain(_b_sm_mixed),
 }
 
 
-def describe(cid: str, params: dict) -> ConstructionInfo:
-    """Build a construction along with its documented counts and family."""
+def describe(cid: str, params: dict, budget: int | None = None) -> ConstructionInfo:
+    """Build a construction along with its documented counts and family.
+
+    ``budget`` bounds each inner search (the inner collection of min.i,
+    min.ii and min.iv, the extremal graph of sum.monochrome-extremal);
+    None uses ``default_budget()``.
+    """
     if cid not in _BUILDERS:
         raise KeyError(f"unknown construction id {cid!r}")
-    return _BUILDERS[cid](dict(params))
+    return _BUILDERS[cid](dict(params), budget)
 
 
 def build(cid: str, params: dict) -> Collection:

@@ -51,7 +51,14 @@ ex(n, F) for a single plain graph is computed by orderly generation:
 F-free graphs are grown one vertex at a time and deduplicated by
 canonical form, so each isomorphism class is extended exactly once.
 Twin vertices of a parent are interchangeable, so only new-vertex
-neighbourhoods packed toward the lowest twins are tried.
+neighbourhoods packed toward the lowest twins are tried.  ``turan_exact``
+also grows only graphs dense enough to lie under an extremal graph: with
+L the edge count of an explicit F-free graph (a Turan graph saturated
+greedily), level k keeps graphs with at least L C(k,2)/C(n,2) edges,
+since deleting a minimum-degree vertex never lowers the edge density
+(Katona, Nemetz & Simonovits, 1964).  That floor changes which graph of a
+class is met first, so ``turan_extremal`` and the min seed, which return
+or reuse the graph, run without it and keep their pinned extremal graphs.
 """
 
 from __future__ import annotations
@@ -62,7 +69,14 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb
 
-from .graphcore import Graph, PatternFamily, _canonical, _twin_classes, matching_number_at_least
+from .graphcore import (
+    Graph,
+    PatternFamily,
+    _canonical,
+    _twin_classes,
+    contains_subgraph,
+    matching_number_at_least,
+)
 from .collection import Collection, is_rainbow_free, _exists_through_vertex, _exists_using_pair
 
 __all__ = [
@@ -488,26 +502,71 @@ def _check_witness(witness: Collection, family: PatternFamily):
 
 
 def turan_exact(n: int, f: Graph, budget: int | None = None) -> int:
-    """Largest edge count of an n-vertex graph with no copy of f."""
-    return turan_extremal(n, f, budget)[0]
+    """Largest edge count of an n-vertex graph with no copy of f.
+
+    Orderly generation keeps only graphs dense enough to lie under an
+    extremal graph (see ``_turan_family``), with ``_edge_floor`` as the
+    certified lower bound.
+    """
+    return _orderly(n, f, budget, floored=True)[0]
 
 
 def turan_extremal(n: int, f: Graph, budget: int | None = None) -> tuple[int, Graph]:
-    """ex(n, f) together with one extremal graph."""
+    """ex(n, f) together with one extremal graph.
+
+    Runs without an edge floor: the floor changes which graph of a class
+    is met first, and the returned graph (and the .rcol files built from
+    it) stays the first of its class in the full extension order.
+    """
+    return _orderly(n, f, budget, floored=False)
+
+
+def _orderly(n: int, f: Graph, budget: int | None, floored: bool) -> tuple[int, Graph]:
     if not 1 <= n <= 10:
         raise ValueError("orderly generation supports 1 <= n <= 10")
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1 extension attempt")
     limit = _Budget(budget if budget is not None else default_budget())
+    floor = _edge_floor(n, [f]) if floored else 0
     try:
-        return _turan_family(n, [f], limit)
+        return _turan_family(n, [f], limit, floor)
     except _BudgetStop:
         raise BudgetExceeded(
             f"orderly generation exceeded {limit.limit} extension attempts"
         ) from None
 
 
-def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
+def _edge_floor(n: int, members) -> int:
+    """Edge count of an explicit member-free n-vertex graph, so at most
+    ex(n, members); 0 when even the edgeless graph holds a member.
+
+    The graph is the densest member-free balanced complete r-partite graph
+    T(n, r), saturated by adding pairs in lexicographic order while it
+    stays member-free.
+    """
+    members = list(members)
+
+    def free(rows) -> bool:
+        g = Graph(n, rows)
+        return not any(contains_subgraph(g, f) for f in members)
+
+    for r in range(n, 0, -1):  # T(n, r) gains edges with r; vertex v in part v mod r
+        rows = [sum(1 << w for w in range(n) if (w - v) % r) for v in range(n)]
+        if free(rows):
+            break
+    else:
+        return 0
+    for u, v in _pairs(n):
+        if not rows[u] >> v & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            if not free(rows):
+                rows[u] &= ~(1 << v)
+                rows[v] &= ~(1 << u)
+    return sum(row.bit_count() for row in rows) // 2
+
+
+def _turan_family(n: int, members, budget: _Budget, floor: int = 0) -> tuple[int, Graph]:
     """Shared orderly-generation core; members is any iterable of patterns.
 
     Each level maps canonical forms to the first graph found in the class.
@@ -518,6 +577,16 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
     which was tried first.  So every level keeps the same graphs in the same
     order as a search over all masks; the budget takes one step per mask
     tried, and ``_BudgetStop`` reaches the caller.
+
+    ``floor`` is a certified lower bound on ex(n, members).  Deleting a
+    minimum-degree vertex from a k-vertex graph with e edges keeps at least
+    e(k-2)/k = e C(k-1,2)/C(k,2) of them, so an extremal graph lies over a
+    chain of induced subgraphs, one per level, whose k-vertex member has at
+    least floor C(k,2)/C(n,2) edges; sparser children are skipped before
+    they cost a step.  Isomorphic children have equal edge counts, so the
+    skip never hides a class the twin rule relies on.  It does change which
+    graph of a class a level meets first, so callers that return the graph
+    pass 0.
 
     Returns (-1, edgeless) when an edgeless member fits the host (then no
     host graph avoids it).  Unreachable members are dropped.
@@ -531,8 +600,10 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
 
     level: dict[bytes, tuple[int, ...]] = {_canonical(1, (0,)): (0,)}
     for k in range(2, n + 1):
+        need = -(-floor * comb(k, 2) // comb(n, 2))  # ceiling
         nxt: dict[bytes, tuple[int, ...]] = {}
         for rows in level.values():
+            short = need - sum(r.bit_count() for r in rows) // 2
             # consecutive twins lo < hi of the parent: hi needs lo in the mask
             steps = [
                 (1 << lo, 1 << hi)
@@ -540,6 +611,8 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
                 for lo, hi in zip(cls, cls[1:])
             ]
             for mask in range(1 << (k - 1)):
+                if mask.bit_count() < short:
+                    continue
                 if any(mask & hi and not mask & lo for lo, hi in steps):
                     continue
                 budget.step()
@@ -550,6 +623,7 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
         level = nxt
     best_rows = max(level.values(), key=lambda r: sum(x.bit_count() for x in r))
     g = Graph(n, best_rows)
+    assert g.edge_count() >= floor
     return g.edge_count(), g
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rturan.cli import main
+from rturan.cli import SUITES, main
 from rturan import Collection, certification_grid, codec_read, codec_write, meshulam_collection
 
 
@@ -57,8 +57,15 @@ def test_nonpositive_budget_is_a_usage_error(capsys):
             "--budget", budget,
         )
         assert code == 2 and out == "" and err.startswith("usage error: ")
-    code, out, err = run(capsys, "verify", "--suite", "sum-k3", "--budget", "0")
-    assert code == 2 and out == "" and err.startswith("usage error: ")
+    for suite in SUITES:
+        code, out, err = run(capsys, "verify", "--suite", suite, "--budget", "0")
+        assert code == 2 and out == "" and err.startswith("usage error: "), suite
+
+
+def test_constructions_suite_honours_budget(capsys):
+    # the budget reaches the inner searches of the constructions
+    code, out, err = run(capsys, "verify", "--suite", "constructions", "--budget", "5")
+    assert code == 3 and out == "" and err.startswith("budget exhausted: ")
 
 
 def test_budget_exhausted_exit_code(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ from itertools import permutations, product
 from math import comb
 
 import pytest
-from helpers import explicit_rainbow_oracle
+from helpers import ORACLE_PATTERNS, explicit_rainbow_oracle
 
 from rturan import (
     ExtremalQuery,
@@ -20,6 +20,7 @@ from rturan import (
     turan_extremal,
     contains_subgraph,
 )
+from rturan.search import _Budget, _edge_floor, _turan_family
 
 FAM = lambda *names: PatternFamily.from_graphs([parse_pattern(s) for s in names])
 Q = ExtremalQuery
@@ -81,6 +82,37 @@ def test_turan_extremal_graphs_are_pinned():
         value, g = turan_extremal(n, parse_pattern(name))
         assert g.adj == rows, (n, name)
         assert value == g.edge_count()
+
+
+def test_edge_floor_never_changes_a_value():
+    # the floor only skips graphs too sparse to lie under an extremal one
+    singles = [[parse_pattern(s)] for s in ORACLE_PATTERNS]
+    families = [
+        [parse_pattern(a), parse_pattern(b)]
+        for a, b in (("K3", "M2"), ("K3", "P4"), ("K2,2", "P4"), ("S3", "M3"), ("K3", "E4"))
+    ]
+    for members in singles + families:
+        for n in range(1, 9):
+            floor = _edge_floor(n, members)
+            floored = _turan_family(n, members, _Budget(10**7), floor)[0]
+            plain = _turan_family(n, members, _Budget(10**7))[0]
+            assert floored == plain and max(plain, 0) >= floor, (members, n)
+            if len(members) == 1:
+                assert turan_exact(n, members[0]) == turan_extremal(n, members[0])[0]
+    # an edgeless member that fits leaves no free graph; one too big never bites
+    assert _edge_floor(4, [parse_pattern("E4")]) == 0
+    assert _edge_floor(3, [parse_pattern("E4")]) == 3
+    assert _edge_floor(5, [parse_pattern("K6")]) == 10
+
+
+def test_turan_closed_forms_at_nine_and_ten():
+    for n in (9, 10):
+        assert turan_exact(n, parse_pattern("K3")) == n * n // 4  # Mantel
+        thirds = [n // 3 + (i < n % 3) for i in range(3)]
+        assert turan_exact(n, parse_pattern("K4")) == (n * n - sum(p * p for p in thirds)) // 2
+        assert turan_exact(n, parse_pattern("M3")) == max(comb(5, 2), comb(2, 2) + 2 * (n - 2))
+        q, r = divmod(n, 3)  # Faudree-Schelp: disjoint triangles plus a K_r
+        assert turan_exact(n, parse_pattern("P4")) == 3 * q + comb(r, 2)
 
 
 def test_turan_edge_cases():
@@ -395,6 +427,17 @@ def test_turan_budget_error():
 
     with pytest.raises(BudgetExceeded):
         turan_exact(8, parse_pattern("K3"), budget=10)
+    with pytest.raises(BudgetExceeded):
+        turan_extremal(8, parse_pattern("K3"), budget=10)
+
+
+def test_edge_floor_fits_a_small_budget():
+    # floorless generation spends thousands of attempts on sparse graphs
+    assert turan_exact(10, parse_pattern("K4"), budget=1_000) == 33
+    from rturan import BudgetExceeded
+
+    with pytest.raises(BudgetExceeded):
+        turan_extremal(10, parse_pattern("K4"), budget=1_000)
 
 
 def test_env_budget_override(monkeypatch):
