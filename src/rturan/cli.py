@@ -10,8 +10,9 @@ import argparse
 import re
 import sys
 import time
+from math import comb
 
-from .graphcore import ParseError, SizeError, parse_pattern, parse_family, Graph, PatternFamily
+from .graphcore import ParseError, SizeError, parse_pattern, parse_family
 from .collection import (
     FormatError,
     RangeError,
@@ -129,11 +130,15 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _search(mode: str):
+    # looked up at call time, so a wrapper installed on this module's
+    # extremal_* bindings sees every search
+    return {"min": extremal_min, "sum": extremal_sum, "prod": extremal_prod}[mode]
+
+
 def _run_query(args) -> ExtremalResult:
-    family = parse_family(args.forbid)
-    query = ExtremalQuery(args.mode, args.n, args.t, family, args.budget)
-    fn = {"min": extremal_min, "sum": extremal_sum, "prod": extremal_prod}[args.mode]
-    return fn(query)
+    query = ExtremalQuery(args.mode, args.n, args.t, parse_family(args.forbid), args.budget)
+    return _search(args.mode)(query)
 
 
 def _cmd_compute(args) -> int:
@@ -160,79 +165,46 @@ def _row(suite: str, params: str, claimed, computed, status: str, nodes: int, mi
     }
 
 
-def _suite_meshulam(budget) -> list[dict]:
-    from math import comb
+# The search-backed suites: each row compares a claimed closed form with an
+# exact search.  Columns: suite, params label, formula id and its params,
+# search mode, n, t, forbidden family, boundary floor.  The floor of a
+# meshulam row is C(min(n, 2s+1), 2): that complete graph carries no matching
+# of s+1 disjoint edges in any coloring, so a claimed value below it cannot be
+# the optimum (small-host boundary).  Every other row has floor 0.
+_SEARCH_SUITE_ROWS = (
+    ("meshulam", "n=3,s=1,t=2", "meshulam", {"n": 3, "s": 1}, "min", 3, 2, "{M2}", comb(3, 2)),
+    ("meshulam", "n=4,s=1,t=2", "meshulam", {"n": 4, "s": 1}, "min", 4, 2, "{M2}", comb(3, 2)),
+    ("meshulam", "n=4,s=1,t=3", "meshulam", {"n": 4, "s": 1}, "min", 4, 3, "{M2}", comb(3, 2)),
+    ("meshulam", "n=5,s=1,t=2", "meshulam", {"n": 5, "s": 1}, "min", 5, 2, "{M2}", comb(3, 2)),
+    ("meshulam", "n=5,s=2,t=3", "meshulam", {"n": 5, "s": 2}, "min", 5, 3, "{M3}", comb(5, 2)),
+    ("min-theorem", "n=4,t=3,s=1,f=K3", "min.i", {"n": 4, "t": 3, "s": 1, "f": "K3"},
+     "min", 4, 3, "{K3,M2}", 0),
+    ("sum-k3", "n=4,t=3", "sum.k3", {"n": 4, "s": 3}, "sum", 4, 3, "{K3}", 0),
+    ("sum-k3", "n=5,t=3", "sum.k3", {"n": 5, "s": 3}, "sum", 5, 3, "{K3}", 0),
+    ("prod-matching", "n=4,t=2,s=1", "prod.matching", {"n": 4, "t": 2, "s": 1}, "prod", 4, 2, "{M2}", 0),
+    ("prod-matching", "n=4,t=3,s=1", "prod.matching", {"n": 4, "t": 3, "s": 1}, "prod", 4, 3, "{M2}", 0),
+    ("sum-bipartite", "n=5,t=2,f=P3", "sum.bipartite", {"n": 5, "f": "P3"}, "sum", 5, 2, "{P3}", 0),
+)
 
-    fam = lambda s: PatternFamily.from_graphs([Graph.matching(s + 1)])
+
+def _suite_searched(suite: str, budget) -> list[dict]:
     rows = []
-    for n, s, t in ((3, 1, 2), (4, 1, 2), (4, 1, 3), (5, 1, 2), (5, 2, 3)):
+    for row_suite, label, fid, params, mode, n, t, forbid, floor in _SEARCH_SUITE_ROWS:
+        if row_suite != suite:
+            continue
         t0 = time.monotonic()
-        claimed = cons.claimed_value("meshulam", {"n": n, "s": s})
-        res = extremal_min(ExtremalQuery("min", n, t, fam(s), budget))
+        claimed = cons.claimed_value(fid, params)
+        res = _search(mode)(ExtremalQuery(mode, n, t, parse_family(forbid), budget))
         ms = int((time.monotonic() - t0) * 1000)
-        # the complete graph on min(n, 2s+1) vertices carries no matching of
-        # s+1 disjoint edges in any coloring; below this edge count the
-        # split-graph closed form cannot be the optimum (small-host boundary)
-        at_most_free = comb(min(n, 2 * s + 1), 2)
         if not res.exact:
             status = "BUDGET"
         elif res.value == claimed:
             status = "match"
-        elif claimed < at_most_free:
+        elif claimed < floor:
             status = "boundary"
         else:
             status = "MISMATCH"
-        rows.append(_row("meshulam", f"n={n},s={s},t={t}", claimed, res.value, status, res.nodes, ms))
-    return rows
-
-
-def _suite_min_theorem(budget) -> list[dict]:
-    rows = []
-    t0 = time.monotonic()
-    claimed = cons.claimed_value("min.i", {"n": 4, "t": 3, "s": 1, "f": "K3"})
-    fam = PatternFamily.from_graphs([parse_pattern("K3"), parse_pattern("M2")])
-    res = extremal_min(ExtremalQuery("min", 4, 3, fam, budget))
-    ms = int((time.monotonic() - t0) * 1000)
-    status = ("match" if res.value == claimed else "MISMATCH") if res.exact else "BUDGET"
-    rows.append(_row("min-theorem", "n=4,t=3,s=1,f=K3", claimed, res.value, status, res.nodes, ms))
-    return rows
-
-
-def _suite_sum_k3(budget) -> list[dict]:
-    rows = []
-    fam = PatternFamily.from_graphs([parse_pattern("K3")])
-    for n in (4, 5):
-        t0 = time.monotonic()
-        claimed = cons.claimed_value("sum.k3", {"n": n, "s": 3})
-        res = extremal_sum(ExtremalQuery("sum", n, 3, fam, budget))
-        ms = int((time.monotonic() - t0) * 1000)
-        status = ("match" if res.value == claimed else "MISMATCH") if res.exact else "BUDGET"
-        rows.append(_row("sum-k3", f"n={n},t=3", claimed, res.value, status, res.nodes, ms))
-    return rows
-
-
-def _suite_prod_matching(budget) -> list[dict]:
-    rows = []
-    fam = PatternFamily.from_graphs([parse_pattern("M2")])
-    for n, t in ((4, 2), (4, 3)):
-        t0 = time.monotonic()
-        claimed = cons.claimed_value("prod.matching", {"n": n, "t": t, "s": 1})
-        res = extremal_prod(ExtremalQuery("prod", n, t, fam, budget))
-        ms = int((time.monotonic() - t0) * 1000)
-        status = ("match" if res.value == claimed else "MISMATCH") if res.exact else "BUDGET"
-        rows.append(_row("prod-matching", f"n={n},t={t},s=1", claimed, res.value, status, res.nodes, ms))
-    return rows
-
-
-def _suite_sum_bipartite(budget) -> list[dict]:
-    rows = []
-    fam = PatternFamily.from_graphs([parse_pattern("P3")])
-    t0 = time.monotonic()
-    claimed = cons.claimed_value("sum.bipartite", {"n": 5, "f": "P3"})
-    res = extremal_sum(ExtremalQuery("sum", 5, 2, fam, budget))
-    ms = int((time.monotonic() - t0) * 1000)
-    status = ("match" if res.value == claimed else "MISMATCH") if res.exact else "BUDGET"
-    rows.append(_row("sum-bipartite", "n=5,t=2,f=P3", claimed, res.value, status, res.nodes, ms))
+        rows.append(_row(suite, label, claimed, res.value, status, res.nodes, ms))
     return rows
 
 
@@ -262,14 +234,10 @@ def _suite_constructions(budget) -> list[dict]:
     return rows
 
 
-_SUITE_FNS = {
-    "meshulam": _suite_meshulam,
-    "min-theorem": _suite_min_theorem,
-    "sum-k3": _suite_sum_k3,
-    "prod-matching": _suite_prod_matching,
-    "sum-bipartite": _suite_sum_bipartite,
-    "constructions": _suite_constructions,
-}
+def _suite(suite: str, budget) -> list[dict]:
+    if suite == "constructions":
+        return _suite_constructions(budget)
+    return _suite_searched(suite, budget)
 
 
 def _exit_for(rows) -> int:
@@ -279,7 +247,7 @@ def _exit_for(rows) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rows = _SUITE_FNS[args.suite](args.budget)
+    rows = _suite(args.suite, args.budget)
     width = max(len(r["params"]) for r in rows)
     for r in rows:
         print(f"{r['params']:<{width}}  claimed={r['claimed']:<12} computed={r['computed']:<16} {r['match']}")
@@ -289,7 +257,7 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     rows = []
     for suite in SUITES:
-        rows.extend(_SUITE_FNS[suite](args.budget))
+        rows.extend(_suite(suite, args.budget))
     cols = ("suite", "params", "claimed", "computed", "match", "nodes", "millis")
     lines = ["\t".join(cols)]
     lines.extend("\t".join(r[c] for c in cols) for r in rows)

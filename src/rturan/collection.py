@@ -187,6 +187,9 @@ def codec_write(col: Collection, path: str) -> None:
 
 # plain ASCII digits only: str.isdigit() and int() also accept "²", "+0", "1_1"
 _NUMERAL = re.compile("[0-9]+")
+# fields are printable ASCII separated by exactly one space; str.split()
+# would also split on tabs, doubled spaces and control characters
+_FIELDS = re.compile("[!-~]+(?: [!-~]+)*")
 
 
 def _value(numeral: str) -> int:
@@ -204,6 +207,12 @@ def codec_read(path: str) -> Collection:
     def fail(msg: str, no: int):
         raise FormatError(msg, no)
 
+    def fields(no: int) -> list[str]:
+        line = lines[no - 1]
+        if not _FIELDS.fullmatch(line):
+            fail(f"malformed line {line!r}: fields are separated by single spaces", no)
+        return line.split(" ")
+
     try:
         text = raw.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -215,13 +224,13 @@ def codec_read(path: str) -> Collection:
         fail("expected header 'rcol 1'", 1)
     if len(lines) < 3:
         fail("truncated header", len(lines))
-    mn = lines[1].split()
+    mn = fields(2)
     if len(mn) != 2 or mn[0] != "n" or not _NUMERAL.fullmatch(mn[1]):
         fail("expected 'n <count>'", 2)
     n = _value(mn[1])
     if not 1 <= n <= 30:
         fail(f"vertex count {n} outside 1..30", 2)
-    mt = lines[2].split()
+    mt = fields(3)
     if len(mt) != 2 or mt[0] != "t" or not _NUMERAL.fullmatch(mt[1]):
         fail("expected 't <count>'", 3)
     t = _value(mt[1])
@@ -238,7 +247,7 @@ def codec_read(path: str) -> Collection:
         if line == "end":
             ended = True
             continue
-        parts = line.split()
+        parts = fields(no)
         if len(parts) == 2 and parts[0] == "color":
             if not _NUMERAL.fullmatch(parts[1]):
                 fail("malformed color index", no)

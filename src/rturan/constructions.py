@@ -49,6 +49,7 @@ from .graphcore import (
 from .collection import Collection, is_rainbow_free
 from .search import (
     ExtremalQuery,
+    ExtremalResult,
     extremal_min,
     extremal_sum,
     turan_exact,
@@ -113,6 +114,15 @@ def _pattern(value) -> Graph:
     return value if isinstance(value, Graph) else parse_pattern(str(value))
 
 
+def _checked(params: dict) -> dict:
+    """A copy of params whose numeric parameters are all ints."""
+    for k in ("n", "t", "s", "p", "r", "m"):
+        v = params.get(k, 0)
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise GuardViolated(f"parameter {k} must be an integer, got {v!r}")
+    return dict(params)
+
+
 def _need(params: dict, *keys) -> list:
     missing = [k for k in keys if k not in params]
     if missing:
@@ -152,30 +162,64 @@ def _is_star_with_matching(f: Graph) -> bool:
     return False
 
 
-def _resolve_inner(
-    s: int, t: int, inner_family: PatternFamily, supplied: Collection | None, budget: int | None
-) -> Collection:
-    """Inner collection on s vertices: validate the supplied one or search."""
-    if supplied is not None:
-        if supplied.n != s:
-            raise InnerTooLarge(f"inner collection has {supplied.n} vertices, needs {s}")
-        if supplied.t != t:
-            raise InnerTooLarge(f"inner collection has {supplied.t} colors, needs {t}")
-        if not is_rainbow_free(supplied, inner_family):
-            raise GuardViolated("supplied inner collection is not rainbow-free")
-        return supplied
+def _inner_search(
+    s: int, t: int, inner_family: PatternFamily, budget: int | None = None
+) -> ExtremalResult:
+    """Exact min search for the inner part of a split construction."""
     if s > MAX_INNER_VERTICES:
         raise InnerTooLarge(
-            f"inner part has {s} > {MAX_INNER_VERTICES} vertices; supply one explicitly"
+            f"inner part has {s} > {MAX_INNER_VERTICES} vertices, too many to search"
+            " (a construction takes an explicit inner collection)"
         )
     res = extremal_min(ExtremalQuery("min", s, t, inner_family, budget))
     if not res.exact or res.witness is None:
         raise InnerInfeasible("inner extremal search hit its node budget")
-    return res.witness
+    return res
 
 
-def _split_rows(n: int, s: int, t: int, inner: Collection) -> Collection:
-    """K_{s,n-s} in every color plus the inner collection on 0..s-1."""
+def _resolve_inner(
+    s: int, t: int, inner_family: PatternFamily, supplied: Collection | None, budget: int | None
+) -> Collection:
+    """Inner collection on s vertices: validate the supplied one or search."""
+    if supplied is None:
+        return _inner_search(s, t, inner_family, budget).witness
+    if supplied.n != s:
+        raise InnerTooLarge(f"inner collection has {supplied.n} vertices, needs {s}")
+    if supplied.t != t:
+        raise InnerTooLarge(f"inner collection has {supplied.t} colors, needs {t}")
+    if not is_rainbow_free(supplied, inner_family):
+        raise GuardViolated("supplied inner collection is not rainbow-free")
+    return supplied
+
+
+def _split_inner_family(which: str, f: Graph, s: int) -> PatternFamily:
+    """Pattern guards of min.i / min.ii and the family the s-part avoids."""
+    if which == "min.i":
+        if _is_bipartite(f):
+            raise GuardViolated("min.i needs a non-bipartite pattern")
+        return family_deleted_independent(f)
+    if not _is_bipartite(f):
+        raise GuardViolated("min.ii needs a bipartite pattern")
+    if bipartition_min_class(f) <= s:
+        raise GuardViolated("min.ii needs p(f) > s")
+    return family_covering(f, s)
+
+
+def _balanced_tree_part(f: Graph) -> tuple[int, PatternFamily]:
+    """Guards of min.iv: p(f) and the family its (p-1)-part avoids."""
+    if not _is_bipartite(f):
+        raise GuardViolated("min.iv needs a (balanced) tree")
+    p = bipartition_min_class(f)
+    if f.edge_count() != f.n - 1 or f.n != 2 * p:
+        raise GuardViolated("min.iv needs a balanced tree (|V| = 2 p(f), connected)")
+    if p < 2:
+        raise GuardViolated("need p(f) >= 2")
+    return p, family_covering(f, p - 1)
+
+
+def _split(n: int, s: int, t: int, inner: Collection) -> tuple[Collection, tuple[int, ...]]:
+    """K_{s,n-s} in every color plus the inner collection on 0..s-1, with
+    the per-color edge counts."""
     cols = []
     for i in range(1, t + 1):
         rows = [0] * n
@@ -187,7 +231,8 @@ def _split_rows(n: int, s: int, t: int, inner: Collection) -> Collection:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         cols.append(Graph(n, rows))
-    return Collection(cols)
+    counts = tuple(s * (n - s) + inner.graph(i).edge_count() for i in range(1, t + 1))
+    return Collection(cols), counts
 
 
 def _disjoint_star(n: int, start: int, leaves: int) -> Graph:
@@ -198,10 +243,6 @@ def _disjoint_clique(n: int, start: int, order: int) -> Graph:
     return Graph.from_edges(
         n, [(start + a, start + b) for a in range(order) for b in range(a + 1, order)]
     )
-
-
-def _empty(n: int) -> Graph:
-    return Graph.edgeless(n)
 
 
 def _union(n: int, *graphs: Graph) -> Graph:
@@ -223,21 +264,10 @@ def _b_min_split(params: dict, which: str, budget: int | None) -> ConstructionIn
         raise GuardViolated(f"need t >= max(|E(f)|, s+1) = {max(f.edge_count(), s + 1)}")
     if not 1 <= s < n:
         raise GuardViolated("need 1 <= s < n")
-    if which == "min.i":
-        if _is_bipartite(f):
-            raise GuardViolated("min.i needs a non-bipartite pattern")
-        inner_family = family_deleted_independent(f)
-    else:
-        if not _is_bipartite(f):
-            raise GuardViolated("min.ii needs a bipartite pattern")
-        if bipartition_min_class(f) <= s:
-            raise GuardViolated("min.ii needs p(f) > s")
-        inner_family = family_covering(f, s)
+    inner_family = _split_inner_family(which, f, s)
     inner = _resolve_inner(s, t, inner_family, params.get("inner"), budget)
-    col = _split_rows(n, s, t, inner)
-    counts = tuple(s * (n - s) + inner.graph(i).edge_count() for i in range(1, t + 1))
-    fam = _fam(f, Graph.matching(s + 1))
-    return ConstructionInfo(col, counts, fam)
+    col, counts = _split(n, s, t, inner)
+    return ConstructionInfo(col, counts, _fam(f, Graph.matching(s + 1)))
 
 
 def _b_min_iii(params: dict) -> ConstructionInfo:
@@ -269,34 +299,13 @@ def _b_min_iii(params: dict) -> ConstructionInfo:
 def _b_min_iv(params: dict, budget: int | None) -> ConstructionInfo:
     n, t = _need(params, "n", "t")
     f = _pattern(_need(params, "f")[0])
-    if not _is_bipartite(f):
-        raise GuardViolated("min.iv needs a (balanced) tree")
-    p = bipartition_min_class(f)
-    if f.edge_count() != f.n - 1 or f.n != 2 * p:
-        raise GuardViolated("min.iv needs a balanced tree (|V| = 2 p(f), connected)")
-    if p < 2:
-        raise GuardViolated("need p(f) >= 2")
+    p, inner_family = _balanced_tree_part(f)
     if t < f.edge_count():
         raise GuardViolated("need t >= |E(f)|")
     if "s" in params and t < params["s"] + 1:
         raise GuardViolated("need t >= s+1")
-    inner_family = family_covering(f, p - 1)
     inner = _resolve_inner(p - 1, t, inner_family, params.get("inner"), budget)
-    cols = []
-    for i in range(1, t + 1):
-        rows = [0] * n
-        for a in range(p - 1):
-            for b in range(p - 1, n):
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-        for u, v in inner.graph(i).edges():
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        cols.append(Graph(n, rows))
-    col = Collection(cols)
-    counts = tuple(
-        (p - 1) * (n - p + 1) + inner.graph(i).edge_count() for i in range(1, t + 1)
-    )
+    col, counts = _split(n, p - 1, t, inner)
     fam = None
     if "s" in params:
         s = params["s"]
@@ -348,7 +357,7 @@ def _b_sum_cliques(params: dict) -> ConstructionInfo:
     q = f.edge_count() - 1
     if t < f.edge_count():
         raise GuardViolated("need t >= |E(f)|")
-    col = Collection([Graph.complete(n)] * q + [_empty(n)] * (t - q))
+    col = Collection([Graph.complete(n)] * q + [Graph.edgeless(n)] * (t - q))
     counts = (comb(n, 2),) * q + (0,) * (t - q)
     return ConstructionInfo(col, counts, _fam(f))
 
@@ -428,7 +437,7 @@ def _b_star_gt(params: dict) -> ConstructionInfo:
     if t < max(r, s + 1):
         raise GuardViolated("need t >= max(r, s+1)")
     ell = n // (s * t)
-    stars = _star_blocks(n, s, ell) if ell > 0 else [_empty(n)] * s
+    stars = _star_blocks(n, s, ell) if ell > 0 else [Graph.edgeless(n)] * s
     cols: list[Graph] = []
     for i in range(s - 1):
         cols.extend([stars[i]] * (r - 1))
@@ -436,7 +445,7 @@ def _b_star_gt(params: dict) -> ConstructionInfo:
     leftover = t - s * (r - 1) + 1
     start = (s - 1) * (ell + 1)
     first_edge = (
-        Graph.from_edges(n, [(start, start + 1)]) if ell > 0 else _empty(n)
+        Graph.from_edges(n, [(start, start + 1)]) if ell > 0 else Graph.edgeless(n)
     )
     cols.extend([first_edge] * leftover)
     col = Collection(cols)
@@ -452,7 +461,7 @@ def _b_star_eq(params: dict) -> ConstructionInfo:
     if t < max(r, s + 1):
         raise GuardViolated("need t >= max(r, s+1)")
     ell = n // (s * t)
-    stars = _star_blocks(n, s, ell) if ell > 0 else [_empty(n)] * s
+    stars = _star_blocks(n, s, ell) if ell > 0 else [Graph.edgeless(n)] * s
     cols: list[Graph] = []
     for i in range(s):
         cols.extend([stars[i]] * (r - 1))
@@ -481,14 +490,14 @@ def _b_star_lt(params: dict) -> ConstructionInfo:
     star_base = (s - k) * (ell + 1)
     for j in range(k - 1):
         start = star_base + j * (ell + 1)
-        g = _disjoint_star(n, start, ell) if ell > 0 else _empty(n)
+        g = _disjoint_star(n, start, ell)
         cols.extend([g] * (r - 1))
         counts.extend([ell] * (r - 1))
     last = t - (s - k) - (k - 1) * (r - 1)
     if not 1 <= last <= r - 1:
         raise GuardViolated(f"leftover color count {last} impossible for this branch")
     start = star_base + (k - 1) * (ell + 1)
-    g = _disjoint_star(n, start, ell) if ell > 0 else _empty(n)
+    g = _disjoint_star(n, start, ell)
     if start + ell >= n + 1:
         raise GuardViolated("star blocks do not fit the vertex set")
     cols.extend([g] * last)
@@ -551,7 +560,7 @@ def _b_sm_star_clique(params: dict) -> ConstructionInfo:
     ell = n // (s * t)
     if m * ell + 1 > n:
         raise GuardViolated("blocks do not fit the vertex set")
-    star = _disjoint_star(n, 0, ell) if ell > 0 else _empty(n)
+    star = _disjoint_star(n, 0, ell)
     cols = [star] * (t - m + 1)
     counts = [ell] * (t - m + 1)
     for j in range(m - 1):
@@ -629,7 +638,7 @@ def describe(cid: str, params: dict, budget: int | None = None) -> ConstructionI
     """
     if cid not in _BUILDERS:
         raise KeyError(f"unknown construction id {cid!r}")
-    return _BUILDERS[cid](dict(params), budget)
+    return _BUILDERS[cid](_checked(params), budget)
 
 
 def build(cid: str, params: dict) -> Collection:
@@ -660,16 +669,7 @@ def claimed_value(fid: str, params: dict) -> int:
     """
     if fid not in _FORMULAS:
         raise KeyError(f"unknown formula id {fid!r}")
-    return _FORMULAS[fid](dict(params))
-
-
-def _inner_min_value(s: int, t: int, fam: PatternFamily) -> int:
-    if s > MAX_INNER_VERTICES:
-        raise InnerTooLarge(f"inner term on {s} vertices exceeds desk scale")
-    res = extremal_min(ExtremalQuery("min", s, t, fam))
-    if not res.exact:
-        raise InnerInfeasible("inner extremal search hit its node budget")
-    return res.value
+    return _FORMULAS[fid](_checked(params))
 
 
 def _v_meshulam(p: dict) -> int:
@@ -677,33 +677,16 @@ def _v_meshulam(p: dict) -> int:
     return s * (n - s) + comb(s, 2)
 
 
-def _v_min_i(p: dict) -> int:
+def _v_min_split(p: dict, which: str) -> int:
     n, t, s = _need(p, "n", "t", "s")
     f = _pattern(_need(p, "f")[0])
-    if _is_bipartite(f):
-        raise GuardViolated("min.i needs a non-bipartite pattern")
-    return s * (n - s) + _inner_min_value(s, t, family_deleted_independent(f))
-
-
-def _v_min_ii(p: dict) -> int:
-    n, t, s = _need(p, "n", "t", "s")
-    f = _pattern(_need(p, "f")[0])
-    if not _is_bipartite(f) or bipartition_min_class(f) <= s:
-        raise GuardViolated("min.ii needs a bipartite pattern with p(f) > s")
-    return s * (n - s) + _inner_min_value(s, t, family_covering(f, s))
+    return s * (n - s) + _inner_search(s, t, _split_inner_family(which, f, s)).value
 
 
 def _v_min_iv(p: dict) -> int:
     n, t = _need(p, "n", "t")
-    f = _pattern(_need(p, "f")[0])
-    if not _is_bipartite(f):
-        raise GuardViolated("min.iv needs a balanced tree")
-    pf = bipartition_min_class(f)
-    if f.edge_count() != f.n - 1 or f.n != 2 * pf or pf < 2:
-        raise GuardViolated("min.iv needs a balanced tree with p(f) >= 2")
-    return (pf - 1) * (n - pf + 1) + _inner_min_value(
-        pf - 1, t, family_covering(f, pf - 1)
-    )
+    pf, inner_family = _balanced_tree_part(_pattern(_need(p, "f")[0]))
+    return (pf - 1) * (n - pf + 1) + _inner_search(pf - 1, t, inner_family).value
 
 
 def _v_prod_matching(p: dict) -> int:
@@ -749,8 +732,8 @@ def _v_sum_general_upper(p: dict) -> int:
 
 _FORMULAS = {
     "meshulam": _v_meshulam,
-    "min.i": _v_min_i,
-    "min.ii": _v_min_ii,
+    "min.i": lambda p: _v_min_split(p, "min.i"),
+    "min.ii": lambda p: _v_min_split(p, "min.ii"),
     "min.iv": _v_min_iv,
     "prod.matching": _v_prod_matching,
     "sum.k3": _v_sum_k3,

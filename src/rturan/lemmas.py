@@ -150,6 +150,13 @@ class StrongColorEvidence:
     verdict: StrongVerdict
 
 
+def _check_strong_args(col: Collection, i: int, s: int) -> None:
+    if not 1 <= i <= col.t:
+        raise ValueError(f"color {i} outside 1..{col.t}")
+    if s < 0:
+        raise ValueError(f"matching size s={s} is negative")
+
+
 def strong_color_exact(col: Collection, i: int, s: int) -> bool:
     """Exact strong-color predicate, by exhausting small rainbow matchings.
 
@@ -157,8 +164,7 @@ def strong_color_exact(col: Collection, i: int, s: int) -> bool:
     (including the empty one, so an empty color is never strong) leaves
     some edge of color i vertex-disjoint from it.
     """
-    if not 1 <= i <= col.t:
-        raise ValueError(f"color {i} outside 1..{col.t}")
+    _check_strong_args(col, i, s)
     gi_masks = [(1 << u) | (1 << v) for u, v in col.graph(i).edges()]
     if not gi_masks:
         return False
@@ -183,8 +189,7 @@ def strong_color_sufficient(col: Collection, i: int, s: int) -> StrongColorEvide
     the verdict can contradict the exact predicate (a 5-vertex double
     broom whose middle pair carries another color already fails).
     """
-    if not 1 <= i <= col.t:
-        raise ValueError(f"color {i} outside 1..{col.t}")
+    _check_strong_args(col, i, s)
     g = col.graph(i)
     n = col.n
     e = g.edge_count()

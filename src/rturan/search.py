@@ -142,9 +142,7 @@ class ExtremalQuery:
             raise ValueError("full search supports 1 <= n <= 12")
         if self.t < 1:
             raise ValueError("need at least one color")
-        if self.mode == "sum" and self.t > 6:
-            raise ValueError("nested sum search supports t <= 6")
-        if self.mode != "sum" and self.t > 6:
+        if self.t > 6:
             raise ValueError("full search supports t <= 6")
         if self.budget is not None and self.budget < 1:
             raise ValueError("budget must be at least 1 node")

@@ -108,6 +108,31 @@ def test_non_ascii_byte_is_a_format_error(tmp_path, capsys, body, line):
     assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
 
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        (b"rcol 1\nn 3\nt 1\ncolor 1\n0\x1f1\r\nend\n", 5),  # control characters
+        (b"rcol 1\nn 3\nt 1\ncolor 1\n0 1\r\nend\n", 5),  # CRLF line end
+        (b"rcol 1\nn 3\nt 1\ncolor 1\r\n0 1\nend\n", 4),
+        (b"rcol 1\nn 3\nt 1\ncolor 1\n0\t1\nend\n", 5),  # tab
+        (b"rcol 1\nn 3\nt 1\ncolor 1\n0  1\nend\n", 5),  # doubled space
+        (b"rcol 1\nn 3\nt 1\ncolor 1\n0 1 \nend\n", 5),  # trailing space
+        (b"rcol 1\nn 3\nt 1\ncolor 1\n 0 1\nend\n", 5),  # leading space
+        (b"rcol 1\nn\t3\nt 1\ncolor 1\nend\n", 2),
+        (b"rcol 1\nn 3\nt  1\ncolor 1\nend\n", 3),
+        (b"rcol 1\nn 3\nt 1\ncolor 1\n\nend\n", 5),  # empty line
+    ],
+)
+def test_fields_take_exactly_one_space(tmp_path, capsys, body, line):
+    path = tmp_path / "bad.rcol"
+    path.write_bytes(body)
+    with pytest.raises(FormatError) as err:
+        codec_read(str(path))
+    assert err.value.line == line
+    assert main(["detect", "--collection", str(path), "--pattern", "K2"]) == 4
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+
 @pytest.mark.parametrize("field", ["n", "t", "color", "vertex"])
 def test_numeral_beyond_int_digit_limit_is_rejected(tmp_path, field):
     # int() refuses numerals of more than 4,300 digits with a bare ValueError

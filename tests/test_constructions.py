@@ -4,6 +4,7 @@ import pytest
 
 from rturan import (
     CONSTRUCTION_IDS,
+    FORMULA_IDS,
     Collection,
     Graph,
     GuardViolated,
@@ -130,6 +131,67 @@ def test_claimed_value_examples():
     # an inner term above desk scale is a usage error (CLI exit 2), not a budget stop
     with pytest.raises(InnerTooLarge):
         claimed_value("min.i", {"n": 12, "t": 3, "s": 5, "f": "K3"})
+
+
+# one row per case: the value, or the exception type on the guard cases
+CLAIMED_VALUES = [
+    ("meshulam", {"n": 5, "s": 2}, 7),
+    ("meshulam", {"n": 8, "s": 3}, 18),
+    ("meshulam", {"n": 5}, GuardViolated),
+    ("min.i", {"n": 4, "t": 3, "s": 1, "f": "K3"}, 3),
+    ("min.i", {"n": 6, "t": 3, "s": 2, "f": "K3"}, 8),
+    ("min.i", {"n": 9, "t": 4, "s": 2, "f": "K4"}, 15),
+    ("min.i", {"n": 6, "t": 3, "s": 1, "f": "P4"}, GuardViolated),
+    ("min.i", {"n": 12, "t": 3, "s": 5, "f": "K3"}, InnerTooLarge),
+    ("min.ii", {"n": 6, "t": 4, "s": 1, "f": "K2,2"}, 5),
+    ("min.ii", {"n": 10, "t": 3, "s": 1, "f": "P4"}, 9),
+    ("min.ii", {"n": 6, "t": 4, "s": 2, "f": "K2,2"}, GuardViolated),
+    ("min.ii", {"n": 6, "t": 4, "s": 1, "f": "K3"}, GuardViolated),
+    ("min.iv", {"n": 8, "t": 3, "f": "P4"}, 7),
+    ("min.iv", {"n": 12, "t": 5, "f": "P6"}, 21),
+    ("min.iv", {"n": 8, "t": 3, "f": "S3"}, GuardViolated),
+    ("min.iv", {"n": 8, "t": 3, "f": "K3"}, GuardViolated),
+    ("min.iv", {"n": 8, "t": 3, "f": "P2"}, GuardViolated),
+    ("prod.matching", {"n": 6, "t": 4, "s": 2}, 1875),
+    ("prod.matching", {"n": 4, "t": 3, "s": 1}, 27),
+    ("prod.matching", {"n": 4, "t": 3}, GuardViolated),
+    ("sum.k3", {"n": 5, "s": 2}, 20),
+    ("sum.k3", {"n": 5, "s": 3}, 20),
+    ("sum.k3", {"n": 6, "s": 4}, 36),
+    ("sum.bipartite", {"n": 5, "f": "P3"}, 10),
+    ("sum.bipartite", {"n": 6, "f": "K2,2"}, 45),
+    ("sum.bipartite", {"n": 5, "f": "K3"}, GuardViolated),
+    ("sum.general-upper", {"n": 4, "t": 3, "f1": "K3", "rest": ["M2"]}, 10),
+    ("sum.general-upper", {"n": 5, "t": 3, "f1": "P3", "rest": "K3"}, 14),
+    ("sum.general-upper", {"n": 4, "t": 2, "f1": "K3", "rest": ["M2"]}, GuardViolated),
+    ("sum.general-upper", {"n": 4, "t": 3, "f1": "K3"}, GuardViolated),
+    ("nope", {}, KeyError),
+]
+
+
+@pytest.mark.parametrize("fid, params, expected", CLAIMED_VALUES)
+def test_claimed_value_by_formula(fid, params, expected):
+    if isinstance(expected, int):
+        assert claimed_value(fid, params) == expected
+    else:
+        with pytest.raises(expected):
+            claimed_value(fid, params)
+
+
+def test_claimed_values_cover_every_formula():
+    assert {fid for fid, _, _ in CLAIMED_VALUES} == set(FORMULA_IDS) | {"nope"}
+
+
+@pytest.mark.parametrize("key", ["n", "t", "s", "p", "r", "m"])
+@pytest.mark.parametrize("bad", ["x", 2.0, None, True])
+def test_non_integer_parameter_is_a_guard_violation(key, bad):
+    params = {"n": 12, "t": 5, "s": 3, "r": 4, "m": 1, key: bad}
+    with pytest.raises(GuardViolated):
+        describe("prod.sm.bigstar", params)
+    with pytest.raises(GuardViolated):
+        claimed_value("prod.matching", params)
+    with pytest.raises(GuardViolated):
+        describe("min.iii", {"n": 8, "t": 3, "p": 2, key: bad})
 
 
 def test_general_sum_upper_formula():
