@@ -716,9 +716,9 @@ def _exists_through_vertex(n: int, rows_by_color, union_rows, pattern: Graph, an
     with ``rows_by_color`` None, of a plain copy in the graph ``union_rows``.
 
     A pattern with an isolated vertex can always put that vertex on the
-    anchor, so for such patterns this is existence anywhere.  Otherwise one
-    pattern vertex per automorphism orbit is seeded on the anchor (see
-    ``_Plan``).
+    anchor, so for such patterns this is existence anywhere, and a plain
+    matching needs only an edge at the anchor.  Otherwise one pattern
+    vertex per automorphism orbit is seeded on the anchor (see ``_Plan``).
     """
     if pattern.n > n:
         return False
@@ -726,7 +726,10 @@ def _exists_through_vertex(n: int, rows_by_color, union_rows, pattern: Graph, an
     if plan.isolated:
         return _exists(n, rows_by_color, union_rows, pattern)
     m = len(plan.edges)
-    if rows_by_color is not None and m > len(rows_by_color):
+    if rows_by_color is None:
+        if plan.matching:  # a maximum matching missing the anchor can swap in an edge at it
+            return union_rows[anchor] != 0 and matching_number_at_least(Graph(n, union_rows), m)
+    elif m > len(rows_by_color):
         return False
     degree = union_rows[anchor].bit_count()
     sdr = _ColorMatching()

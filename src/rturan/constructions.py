@@ -192,8 +192,12 @@ def _resolve_inner(
     return supplied
 
 
-def _split_inner_family(which: str, f: Graph, s: int) -> PatternFamily:
-    """Pattern guards of min.i / min.ii and the family the s-part avoids."""
+def _split_inner_family(which: str, f: Graph, n: int, t: int, s: int) -> PatternFamily:
+    """Guards of min.i / min.ii and the family the s-part avoids."""
+    if t < max(f.edge_count(), s + 1):
+        raise GuardViolated(f"need t >= max(|E(f)|, s+1) = {max(f.edge_count(), s + 1)}")
+    if not 1 <= s < n:
+        raise GuardViolated("need 1 <= s < n")
     if which == "min.i":
         if _is_bipartite(f):
             raise GuardViolated("min.i needs a non-bipartite pattern")
@@ -260,11 +264,7 @@ def _union(n: int, *graphs: Graph) -> Graph:
 def _b_min_split(params: dict, which: str, budget: int | None) -> ConstructionInfo:
     n, t, s = _need(params, "n", "t", "s")
     f = _pattern(_need(params, "f")[0])
-    if t < max(f.edge_count(), s + 1):
-        raise GuardViolated(f"need t >= max(|E(f)|, s+1) = {max(f.edge_count(), s + 1)}")
-    if not 1 <= s < n:
-        raise GuardViolated("need 1 <= s < n")
-    inner_family = _split_inner_family(which, f, s)
+    inner_family = _split_inner_family(which, f, n, t, s)
     inner = _resolve_inner(s, t, inner_family, params.get("inner"), budget)
     col, counts = _split(n, s, t, inner)
     return ConstructionInfo(col, counts, _fam(f, Graph.matching(s + 1)))
@@ -436,6 +436,8 @@ def _b_star_gt(params: dict) -> ConstructionInfo:
         raise GuardViolated("need t > s(r-1)")
     if t < max(r, s + 1):
         raise GuardViolated("need t >= max(r, s+1)")
+    if s < 1:
+        raise GuardViolated("need s >= 1")
     ell = n // (s * t)
     stars = _star_blocks(n, s, ell) if ell > 0 else [Graph.edgeless(n)] * s
     cols: list[Graph] = []
@@ -511,6 +513,8 @@ def _b_star2(params: dict) -> ConstructionInfo:
     n, t, s = _need(params, "n", "t", "s")
     if t < max(2, s + 1):
         raise GuardViolated("need t >= max(2, s+1)")
+    if s < 1:
+        raise GuardViolated("need s >= 1")
     ell = n // (s * t)
     pair_start = (s - 1) * ell
     if pair_start + 1 >= n:
@@ -680,7 +684,7 @@ def _v_meshulam(p: dict) -> int:
 def _v_min_split(p: dict, which: str) -> int:
     n, t, s = _need(p, "n", "t", "s")
     f = _pattern(_need(p, "f")[0])
-    return s * (n - s) + _inner_search(s, t, _split_inner_family(which, f, s)).value
+    return s * (n - s) + _inner_search(s, t, _split_inner_family(which, f, n, t, s)).value
 
 
 def _v_min_iv(p: dict) -> int:

@@ -415,6 +415,11 @@ def _canonical(n: int, adj: tuple[int, ...]) -> bytes:
     return bytes(out)
 
 
+def _from_canonical(form: bytes) -> Graph:
+    """The graph whose adjacency rows ``_canonical`` wrote into its form."""
+    return Graph(form[0], tuple(int.from_bytes(form[i : i + 4], "little") for i in range(1, len(form), 4)))
+
+
 def canonical_form(g: Graph) -> bytes:
     """Byte string equal for two graphs exactly when they are isomorphic."""
     return _canonical(g.n, g.adj)

@@ -51,14 +51,14 @@ ex(n, F) for a single plain graph is computed by orderly generation:
 F-free graphs are grown one vertex at a time and deduplicated by
 canonical form, so each isomorphism class is extended exactly once.
 Twin vertices of a parent are interchangeable, so only new-vertex
-neighbourhoods packed toward the lowest twins are tried.  ``turan_exact``
-also grows only graphs dense enough to lie under an extremal graph: with
-L the edge count of an explicit F-free graph (a Turan graph saturated
-greedily), level k keeps graphs with at least L C(k,2)/C(n,2) edges,
-since deleting a minimum-degree vertex never lowers the edge density
-(Katona, Nemetz & Simonovits, 1964).  That floor changes which graph of a
-class is met first, so ``turan_extremal`` and the min seed, which return
-or reuse the graph, run without it and keep their pinned extremal graphs.
+neighbourhoods packed toward the lowest twins are tried.  Only graphs
+dense enough to lie under an extremal graph are grown: with L the edge
+count of an explicit F-free graph (a Turan graph saturated greedily),
+level k keeps graphs with at least L C(k,2)/C(n,2) edges, since deleting
+a minimum-degree vertex never lowers the edge density (Katona, Nemetz &
+Simonovits, 1964).  The graph returned is the extremal class with the
+least canonical form, relabelled to that form, so it does not depend on
+the order in which the classes were met.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ from .graphcore import (
     Graph,
     PatternFamily,
     _canonical,
+    _from_canonical,
     _twin_classes,
     contains_subgraph,
-    matching_number_at_least,
 )
 from .collection import Collection, is_rainbow_free, _exists_through_vertex, _exists_using_pair
 
@@ -500,34 +500,20 @@ def _check_witness(witness: Collection, family: PatternFamily):
 
 
 def turan_exact(n: int, f: Graph, budget: int | None = None) -> int:
-    """Largest edge count of an n-vertex graph with no copy of f.
-
-    Orderly generation keeps only graphs dense enough to lie under an
-    extremal graph (see ``_turan_family``), with ``_edge_floor`` as the
-    certified lower bound.
-    """
-    return _orderly(n, f, budget, floored=True)[0]
+    """Largest edge count of an n-vertex graph with no copy of f."""
+    return turan_extremal(n, f, budget)[0]
 
 
 def turan_extremal(n: int, f: Graph, budget: int | None = None) -> tuple[int, Graph]:
-    """ex(n, f) together with one extremal graph.
-
-    Runs without an edge floor: the floor changes which graph of a class
-    is met first, and the returned graph (and the .rcol files built from
-    it) stays the first of its class in the full extension order.
-    """
-    return _orderly(n, f, budget, floored=False)
-
-
-def _orderly(n: int, f: Graph, budget: int | None, floored: bool) -> tuple[int, Graph]:
+    """ex(n, f) together with the extremal graph of least canonical form,
+    relabelled to that form.  The budget counts extension attempts."""
     if not 1 <= n <= 10:
         raise ValueError("orderly generation supports 1 <= n <= 10")
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1 extension attempt")
     limit = _Budget(budget if budget is not None else default_budget())
-    floor = _edge_floor(n, [f]) if floored else 0
     try:
-        return _turan_family(n, [f], limit, floor)
+        return _turan_family(n, [f], limit)
     except _BudgetStop:
         raise BudgetExceeded(
             f"orderly generation exceeded {limit.limit} extension attempts"
@@ -542,8 +528,6 @@ def _edge_floor(n: int, members) -> int:
     T(n, r), saturated by adding pairs in lexicographic order while it
     stays member-free.
     """
-    members = list(members)
-
     def free(rows) -> bool:
         g = Graph(n, rows)
         return not any(contains_subgraph(g, f) for f in members)
@@ -564,7 +548,7 @@ def _edge_floor(n: int, members) -> int:
     return sum(row.bit_count() for row in rows) // 2
 
 
-def _turan_family(n: int, members, budget: _Budget, floor: int = 0) -> tuple[int, Graph]:
+def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
     """Shared orderly-generation core; members is any iterable of patterns.
 
     Each level maps canonical forms to the first graph found in the class.
@@ -572,19 +556,17 @@ def _turan_family(n: int, members, budget: _Budget, floor: int = 0) -> tuple[int
     in ``mask``, tried in ascending order.  A mask holding a twin but missing
     a lower twin of the same class (``_twin_classes`` of the parent) is
     skipped: swapping the two gives a smaller mask and an isomorphic child,
-    which was tried first.  So every level keeps the same graphs in the same
-    order as a search over all masks; the budget takes one step per mask
-    tried, and ``_BudgetStop`` reaches the caller.
+    which was tried first.  The budget takes one step per mask tried, and
+    ``_BudgetStop`` reaches the caller.
 
-    ``floor`` is a certified lower bound on ex(n, members).  Deleting a
-    minimum-degree vertex from a k-vertex graph with e edges keeps at least
-    e(k-2)/k = e C(k-1,2)/C(k,2) of them, so an extremal graph lies over a
-    chain of induced subgraphs, one per level, whose k-vertex member has at
-    least floor C(k,2)/C(n,2) edges; sparser children are skipped before
-    they cost a step.  Isomorphic children have equal edge counts, so the
-    skip never hides a class the twin rule relies on.  It does change which
-    graph of a class a level meets first, so callers that return the graph
-    pass 0.
+    ``_edge_floor`` gives a certified lower bound on ex(n, members).
+    Deleting a minimum-degree vertex from a k-vertex graph with e edges
+    keeps at least e(k-2)/k = e C(k-1,2)/C(k,2) of them, so every extremal
+    graph lies over a chain of induced subgraphs, one per level, whose
+    k-vertex member has at least floor C(k,2)/C(n,2) edges; sparser children
+    are skipped before they cost a step.  Isomorphic children have equal
+    edge counts, so the skip never hides a class the twin rule relies on,
+    and the last level holds every extremal class.
 
     Returns (-1, edgeless) when an edgeless member fits the host (then no
     host graph avoids it).  Unreachable members are dropped.
@@ -594,7 +576,7 @@ def _turan_family(n: int, members, budget: _Budget, floor: int = 0) -> tuple[int
     active = [f for f in members if f.edge_count() >= 1 and f.n <= n]
     if not active:
         return comb(n, 2), Graph.complete(n)
-    matchers = [(f, f.edge_count(), all(f.degree(v) <= 1 for v in range(f.n))) for f in active]
+    floor = _edge_floor(n, active)
 
     level: dict[bytes, tuple[int, ...]] = {_canonical(1, (0,)): (0,)}
     for k in range(2, n + 1):
@@ -615,12 +597,12 @@ def _turan_family(n: int, members, budget: _Budget, floor: int = 0) -> tuple[int
                     continue
                 budget.step()
                 new_rows = _extend_rows(rows, mask, k)
-                if _hits_pattern(new_rows, k, matchers):
+                if _hits_pattern(new_rows, k, active):
                     continue
                 nxt.setdefault(_canonical(k, new_rows), new_rows)
         level = nxt
-    best_rows = max(level.values(), key=lambda r: sum(x.bit_count() for x in r))
-    g = Graph(n, best_rows)
+    edges = {form: sum(r.bit_count() for r in rows) // 2 for form, rows in level.items()}
+    g = _from_canonical(min(level, key=lambda form: (-edges[form], form)))
     assert g.edge_count() >= floor
     return g.edge_count(), g
 
@@ -632,20 +614,10 @@ def _extend_rows(rows: tuple[int, ...], mask: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _hits_pattern(rows: tuple[int, ...], k: int, matchers) -> bool:
-    """Does the k-vertex graph contain any member, using the new vertex k-1?
-
-    The parent graph was member-free, so only copies through the newest
-    vertex can exist.  Matching patterns skip the anchored embedding and
-    use the dedicated disjoint-edge test.
-    """
-    for f, m, is_matching in matchers:
-        if f.n > k:
-            continue
-        if is_matching:
-            if matching_number_at_least(Graph(k, rows), m):
-                return True
-            continue
+def _hits_pattern(rows: tuple[int, ...], k: int, members) -> bool:
+    """Does the k-vertex graph contain a member through the new vertex k-1?
+    The parent graph was member-free, so no other copy can exist."""
+    for f in members:  # a loop, not any() over a generator: this runs once per extension
         if _exists_through_vertex(k, None, rows, f, k - 1):
             return True
     return False

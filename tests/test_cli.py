@@ -74,11 +74,12 @@ def test_budget_exhausted_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RTURAN_BUDGET", "100")
     out_path = tmp_path / "x.rcol"
     code, _, err = run(
-        capsys, "construct", "--id", "sum.monochrome-extremal", "--params", "n=8,t=2,f=K3",
+        capsys, "construct", "--id", "sum.monochrome-extremal", "--params", "n=10,t=2,f=K2,2",
         "--out", str(out_path),
     )
     assert code == 3 and "budget" in err
     assert not out_path.exists()
+    monkeypatch.setenv("RTURAN_BUDGET", "30")
     code, _, err = run(capsys, "verify", "--suite", "constructions")
     assert code == 3 and "budget" in err
 
@@ -118,7 +119,7 @@ PINNED_GRID_RCOL_SHA256 = [
     ("sum.cliques", "n=6,t=3,f=M2", "d0f8aa9f8b5d436ba58bd1f8427551fbe53add4425709b8bc7bcc557fc19aa92"),
     ("sum.monochrome-extremal", "n=7,t=3,f=K3", "ecc664fcefb39384a97ce64ae7bf1c464fbc9235e347c3d2964e6bc33018e92a"),
     ("sum.monochrome-extremal", "n=6,t=2,f=M2", "d931a6e46f17b97e1a0c773a05ae89989ec3081023062e334235ea810ce02b17"),
-    ("sum.monochrome-extremal", "n=6,t=3,f=S2", "08ccc6ee5e69358b828bcbbb3e579b2eb438194ce0fd7243fd3c19490d12be83"),
+    ("sum.monochrome-extremal", "n=6,t=3,f=S2", "681bd1cdd37a46c84aaf3d00247044de39346df6adbfba1bcdaad55867418ab3"),
     ("prod.matching", "n=5,t=3,s=2", "13951da2af3b9ee5b7e4fc3eb7145c49f37579e6b4dde4d3856a73f4db2c99b9"),
     ("prod.matching", "n=9,t=4,s=2", "17a10a2d981e84dad7263185410c121e35e671aa4013299d8cd0cff3740125a4"),
     ("prod.matching", "n=12,t=5,s=3", "53ce12102448a95d6fc401f96ad1c3ebc008f0903c95cc815ba19f40366e118c"),
@@ -195,6 +196,14 @@ def test_non_integer_construction_parameter_is_a_usage_error(tmp_path, capsys, c
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("cid, spec", [("prod.star2", "n=12,t=3,s=0"), ("prod.star.gt", "n=12,t=3,s=0,r=3")])
+def test_star_construction_without_matching_edges_is_a_usage_error(tmp_path, capsys, cid, spec):
+    out_path = tmp_path / "x.rcol"
+    code, out, err = run(capsys, "construct", "--id", cid, "--params", spec, "--out", str(out_path))
+    assert code == 2 and out == "" and err == "usage error: need s >= 1\n"
+    assert not out_path.exists()
+
+
 def test_lemma_subcommands(tmp_path, capsys):
     path = str(tmp_path / "c.rcol")
     codec_write(Collection.from_edge_lists(4, [[(0, 1), (0, 2)], [(0, 3)]]), path)
@@ -248,11 +257,11 @@ def test_verify_small_suites(capsys):
 PINNED_REPORT_ROWS = [
     ("suite", "params", "claimed", "computed", "match", "nodes"),
     ("meshulam", "n=3,s=1,t=2", "2", "3", "boundary", "0"),
-    ("meshulam", "n=4,s=1,t=2", "3", "3", "match", "146"),
-    ("meshulam", "n=4,s=1,t=3", "3", "3", "match", "146"),
-    ("meshulam", "n=5,s=1,t=2", "4", "4", "match", "1967"),
+    ("meshulam", "n=4,s=1,t=2", "3", "3", "match", "130"),
+    ("meshulam", "n=4,s=1,t=3", "3", "3", "match", "130"),
+    ("meshulam", "n=5,s=1,t=2", "4", "4", "match", "1923"),
     ("meshulam", "n=5,s=2,t=3", "7", "10", "boundary", "0"),
-    ("min-theorem", "n=4,t=3,s=1,f=K3", "3", "3", "match", "142"),
+    ("min-theorem", "n=4,t=3,s=1,f=K3", "3", "3", "match", "126"),
     ("sum-k3", "n=4,t=3", "12", "12", "match", "93"),
     ("sum-k3", "n=5,t=3", "20", "20", "match", "741"),
     ("prod-matching", "n=4,t=2,s=1", "9", "9", "match", "141"),

@@ -77,6 +77,10 @@ def test_guard_violations():
     with pytest.raises(GuardViolated):
         describe("prod.star.gt", {"n": 12, "t": 4, "s": 2, "r": 3})  # t = s(r-1)
     with pytest.raises(GuardViolated):
+        describe("prod.star.gt", {"n": 12, "t": 3, "s": 0, "r": 3})  # s = 0
+    with pytest.raises(GuardViolated):
+        describe("prod.star2", {"n": 12, "t": 3, "s": 0})
+    with pytest.raises(GuardViolated):
         describe("prod.star.eq", {"n": 12, "t": 5, "s": 2, "r": 3})
     with pytest.raises(GuardViolated):
         describe("prod.star.lt", {"n": 12, "t": 5, "s": 2, "r": 3})  # t > s(r-1)
@@ -130,7 +134,7 @@ def test_claimed_value_examples():
         claimed_value("nope", {})
     # an inner term above desk scale is a usage error (CLI exit 2), not a budget stop
     with pytest.raises(InnerTooLarge):
-        claimed_value("min.i", {"n": 12, "t": 3, "s": 5, "f": "K3"})
+        claimed_value("min.i", {"n": 12, "t": 6, "s": 5, "f": "K3"})
 
 
 # one row per case: the value, or the exception type on the guard cases
@@ -140,9 +144,9 @@ CLAIMED_VALUES = [
     ("meshulam", {"n": 5}, GuardViolated),
     ("min.i", {"n": 4, "t": 3, "s": 1, "f": "K3"}, 3),
     ("min.i", {"n": 6, "t": 3, "s": 2, "f": "K3"}, 8),
-    ("min.i", {"n": 9, "t": 4, "s": 2, "f": "K4"}, 15),
+    ("min.i", {"n": 9, "t": 6, "s": 2, "f": "K4"}, 15),
     ("min.i", {"n": 6, "t": 3, "s": 1, "f": "P4"}, GuardViolated),
-    ("min.i", {"n": 12, "t": 3, "s": 5, "f": "K3"}, InnerTooLarge),
+    ("min.i", {"n": 12, "t": 6, "s": 5, "f": "K3"}, InnerTooLarge),
     ("min.ii", {"n": 6, "t": 4, "s": 1, "f": "K2,2"}, 5),
     ("min.ii", {"n": 10, "t": 3, "s": 1, "f": "P4"}, 9),
     ("min.ii", {"n": 6, "t": 4, "s": 2, "f": "K2,2"}, GuardViolated),
@@ -166,6 +170,11 @@ CLAIMED_VALUES = [
     ("sum.general-upper", {"n": 4, "t": 2, "f1": "K3", "rest": ["M2"]}, GuardViolated),
     ("sum.general-upper", {"n": 4, "t": 3, "f1": "K3"}, GuardViolated),
     ("nope", {}, KeyError),
+    # the builders' guards on t and s
+    ("min.i", {"n": 9, "t": 4, "s": 2, "f": "K4"}, GuardViolated),  # t < |E(K4)|
+    ("min.i", {"n": 6, "t": 2, "s": 1, "f": "K3"}, GuardViolated),  # t < |E(K3)|
+    ("min.i", {"n": 6, "t": 3, "s": 0, "f": "K3"}, GuardViolated),
+    ("min.ii", {"n": 6, "t": 4, "s": 6, "f": "K2,2"}, GuardViolated),  # s >= n
 ]
 
 
@@ -180,6 +189,20 @@ def test_claimed_value_by_formula(fid, params, expected):
 
 def test_claimed_values_cover_every_formula():
     assert {fid for fid, _, _ in CLAIMED_VALUES} == set(FORMULA_IDS) | {"nope"}
+
+
+@pytest.mark.parametrize(
+    "fid, params, expected",
+    [row for row in CLAIMED_VALUES if row[0] in CONSTRUCTION_IDS and not isinstance(row[2], int)],
+)
+def test_formula_and_builder_share_guards(fid, params, expected):
+    # a formula rejects exactly what the construction it counts rejects
+    def raised(fn):
+        with pytest.raises(Exception) as info:
+            fn(fid, params)
+        return info.type
+
+    assert raised(claimed_value) is raised(describe) is expected
 
 
 @pytest.mark.parametrize("key", ["n", "t", "s", "p", "r", "m"])

@@ -18,8 +18,11 @@ from rturan import (
     parse_pattern,
     turan_exact,
     turan_extremal,
+    are_isomorphic,
+    canonical_form,
     contains_subgraph,
 )
+from rturan.graphcore import _from_canonical
 from rturan.search import _Budget, _edge_floor, _turan_family
 
 FAM = lambda *names: PatternFamily.from_graphs([parse_pattern(s) for s in names])
@@ -56,24 +59,29 @@ def test_turan_matches_direct_enumeration():
         pairs = pairs_cache.setdefault(
             n, [(u, v) for u in range(n) for v in range(u + 1, n)]
         )
-        best = 0
+        best, forms = 0, set()
         for mask in range(1 << len(pairs)):
             g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
             if not contains_subgraph(g, f):
-                best = max(best, g.edge_count())
+                if g.edge_count() > best:
+                    best, forms = g.edge_count(), set()
+                if g.edge_count() == best:
+                    forms.add(canonical_form(g))
         assert turan_exact(n, f) == best
+        # the extremal class of least canonical form, relabelled to it
+        assert turan_extremal(n, f)[1] == _from_canonical(min(forms)), (n, f)
 
 
-# Orderly generation keeps the first graph of each class in a fixed
-# extension order; these extremal graphs (and the .rcol bytes built from
-# them) must not change when its internals do.
+# turan_extremal returns the extremal class of least canonical form,
+# relabelled to that form; these graphs (and the .rcol bytes built from
+# them) must not change when the generation's internals do.
 PINNED_EXTREMAL_ROWS = {
     (7, "K3"): (112, 112, 112, 112, 15, 15, 15),
-    (7, "K2,2"): (72, 80, 96, 65, 66, 68, 63),
+    (7, "K2,2"): (24, 80, 40, 37, 67, 76, 50),
     (7, "K4"): (120, 120, 120, 103, 103, 31, 31),
-    (8, "P4"): (128, 128, 128, 128, 128, 128, 128, 127),
+    (8, "P4"): (2, 1, 192, 48, 40, 24, 132, 68),
     (7, "M3"): (96, 96, 96, 96, 96, 95, 63),
-    (6, "S2"): (8, 16, 32, 1, 2, 4),
+    (6, "S2"): (32, 16, 8, 4, 2, 1),
 }
 
 
@@ -84,21 +92,42 @@ def test_turan_extremal_graphs_are_pinned():
         assert value == g.edge_count()
 
 
+def test_turan_extremal_graph_is_its_canonical_relabelling():
+    for name, n in (("K3", 6), ("M2", 6), ("P4", 7), ("S3", 8), ("K2,2", 7), ("M3", 8), ("K4", 9)):
+        g = turan_extremal(n, parse_pattern(name))[1]
+        assert _from_canonical(canonical_form(g)) == g, (name, n)
+
+
+# ex(n, members) for n = 1..8, recorded from generation without the edge floor
+EX_BY_N = {
+    ("K2",): (0, 0, 0, 0, 0, 0, 0, 0),
+    ("P3",): (0, 1, 1, 2, 2, 3, 3, 4),
+    ("P4",): (0, 1, 3, 3, 4, 6, 6, 7),
+    ("P5",): (0, 1, 3, 6, 6, 7, 9, 12),
+    ("S3",): (0, 1, 3, 4, 5, 6, 7, 8),
+    ("S4",): (0, 1, 3, 6, 7, 9, 10, 12),
+    ("M2",): (0, 1, 3, 3, 4, 5, 6, 7),
+    ("M3",): (0, 1, 3, 6, 10, 10, 11, 13),
+    ("K3",): (0, 1, 2, 4, 6, 9, 12, 16),
+    ("K2,2",): (0, 1, 3, 4, 6, 7, 9, 11),
+    ("E2",): (0, -1, -1, -1, -1, -1, -1, -1),
+    ("E3",): (0, 1, -1, -1, -1, -1, -1, -1),
+    ("K3", "M2"): (0, 1, 2, 3, 4, 5, 6, 7),
+    ("K3", "P4"): (0, 1, 2, 3, 4, 5, 6, 7),
+    ("K2,2", "P4"): (0, 1, 3, 3, 4, 6, 6, 7),
+    ("S3", "M3"): (0, 1, 3, 4, 5, 6, 6, 6),
+    ("K3", "E4"): (0, 1, 2, -1, -1, -1, -1, -1),
+}
+
+
 def test_edge_floor_never_changes_a_value():
     # the floor only skips graphs too sparse to lie under an extremal one
-    singles = [[parse_pattern(s)] for s in ORACLE_PATTERNS]
-    families = [
-        [parse_pattern(a), parse_pattern(b)]
-        for a, b in (("K3", "M2"), ("K3", "P4"), ("K2,2", "P4"), ("S3", "M3"), ("K3", "E4"))
-    ]
-    for members in singles + families:
-        for n in range(1, 9):
-            floor = _edge_floor(n, members)
-            floored = _turan_family(n, members, _Budget(10**7), floor)[0]
-            plain = _turan_family(n, members, _Budget(10**7))[0]
-            assert floored == plain and max(plain, 0) >= floor, (members, n)
-            if len(members) == 1:
-                assert turan_exact(n, members[0]) == turan_extremal(n, members[0])[0]
+    assert {names[0] for names in EX_BY_N if len(names) == 1} == set(ORACLE_PATTERNS)
+    for names, values in EX_BY_N.items():
+        members = [parse_pattern(s) for s in names]
+        for n, value in enumerate(values, 1):
+            assert _turan_family(n, members, _Budget(10**7))[0] == value, (names, n)
+            assert max(value, 0) >= _edge_floor(n, members), (names, n)
     # an edgeless member that fits leaves no free graph; one too big never bites
     assert _edge_floor(4, [parse_pattern("E4")]) == 0
     assert _edge_floor(3, [parse_pattern("E4")]) == 3
@@ -313,8 +342,8 @@ def test_results_are_deterministic_across_runs():
 PINNED_SEARCHES = {
     ("prod", 5, 3, "P3"): (8, 2418, [[(0, 3), (1, 2)]] * 3),
     ("sum", 5, 4, "K3"): (24, 2732, [[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]] * 4),
-    ("min", 5, 3, "P3"): (2, 2347, [[(0, 3), (1, 4)]] * 3),
-    ("min", 5, 3, "M2"): (4, 1967, [[(0, 4), (1, 4), (2, 4), (3, 4)]] * 3),
+    ("min", 5, 3, "P3"): (2, 2324, [[(1, 4), (2, 3)]] * 3),
+    ("min", 5, 3, "M2"): (4, 1923, [[(0, 4), (1, 4), (2, 4), (3, 4)]] * 3),
     ("prod", 4, 3, "K3"): (64, 853, [[(0, 2), (0, 3), (1, 2), (1, 3)]] * 3),
     ("prod", 6, 2, "M2"): (25, 63560, [[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]] * 2),
     ("sum", 5, 3, "P4"): (20, 283, [[(u, v) for u in range(5) for v in range(u + 1, 5)]] * 2 + [[]]),
@@ -434,10 +463,18 @@ def test_turan_budget_error():
 def test_edge_floor_fits_a_small_budget():
     # floorless generation spends thousands of attempts on sparse graphs
     assert turan_exact(10, parse_pattern("K4"), budget=1_000) == 33
-    from rturan import BudgetExceeded
+    assert turan_extremal(10, parse_pattern("K4"), budget=1_000)[0] == 33
+    budget = _Budget(100)
+    assert _turan_family(10, [parse_pattern("K3")], budget)[0] == 25
+    assert budget.used <= 100
 
-    with pytest.raises(BudgetExceeded):
-        turan_extremal(10, parse_pattern("K4"), budget=1_000)
+
+def test_min_seed_at_n10_uses_the_edge_floor():
+    # three copies of K5,5 hold min >= ex(10, K3) = 25 before the probes exhaust the budget
+    res = extremal_min(Q("min", 10, 3, FAM("K3"), budget=1000))
+    assert (res.value, res.exact) == (25, False)
+    k55 = Graph.complete_bipartite(5, 5)
+    assert all(are_isomorphic(g, k55) for g in res.witness.graphs)
 
 
 def test_env_budget_override(monkeypatch):
