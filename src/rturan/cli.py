@@ -59,7 +59,7 @@ def _parse_params(spec: str) -> dict:
         k, v = item.split("=", 1)
         k = k.strip()
         v = v.strip()
-        out[k] = int(v) if v.lstrip("-").isdigit() else v
+        out[k] = int(v) if re.fullmatch(r"-?[0-9]+", v) else v  # ASCII digits only, as in .rcol
     return out
 
 

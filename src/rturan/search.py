@@ -14,6 +14,14 @@ rainbow copy from a forbidden family:
 * prod - the largest product of edge counts; nesting does not preserve
          products, so this one searches full collections color by color.
 
+min and prod run one color-by-color DFS over full collections.  A min
+probe prunes a color that can no longer reach its floor of e edges and
+stops at the first full collection; prod prunes a branch whose bound
+prefix * maxc^(t-k+1) cannot beat the best product and searches on.  All
+three objectives share one entry: it answers trivial families without a
+node, keeps the best collection found when the budget runs out (flagged
+inexact) and checks that witness.
+
 Shared machinery: color-permutation symmetry is broken by nonincreasing
 edge counts, vertex symmetry by keeping only prefixes that are minimal
 under simultaneous vertex relabeling, and every edge addition runs an
@@ -64,10 +72,11 @@ the order in which the classes were met.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import comb
+from math import comb, prod
 
 from .graphcore import (
     Graph,
@@ -117,14 +126,15 @@ class _Budget:
 
 
 def default_budget() -> int:
-    """Node budget: RTURAN_BUDGET from the environment, else a fixed default."""
+    """Node budget: RTURAN_BUDGET from the environment, else a fixed default.
+    A set value that is not an ASCII integer of at least 1 is a ValueError,
+    as a budget below 1 passed to a query is."""
     raw = os.environ.get("RTURAN_BUDGET")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return _FALLBACK_BUDGET
+    if not raw:
+        return _FALLBACK_BUDGET
+    if not re.fullmatch(r"-?[0-9]+", raw) or int(raw) < 1:
+        raise ValueError(f"RTURAN_BUDGET must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -203,7 +213,14 @@ def _stabilizer(tables, mask: int) -> list | None:
 
 
 class _CollectionSearch:
-    """Color-by-color DFS state shared by the min and prod searches."""
+    """Search state of all three objectives with the incumbent (``best``,
+    ``witness``) a budget stop leaves standing, and ``run``, the one
+    color-by-color DFS of min and prod: colors are filled pair by pair with
+    nonincreasing edge counts, ``canonical_prefix`` checked at each color
+    boundary.  A floor e > 0 (min) prunes a color that cannot reach e edges
+    and stops at the first full collection; floor 0 (prod) prunes by
+    prefix * maxc^(t-k+1) against the best product and searches on.  A full
+    collection becomes the incumbent, valued at the floor or its product."""
 
     def __init__(self, n: int, t: int, members, budget: _Budget):
         self.n = n
@@ -217,6 +234,9 @@ class _CollectionSearch:
         self.cmasks = [0] * t
         self.perm_tables = _pair_perm_tables(n)
         self.first_stabilizers: dict[int, list] = {}  # minimal color-1 mask -> its stabilizer
+        self.floor = 0
+        self.best = 0
+        self.witness = self.snapshot()
 
     def reset(self):
         for r in self.rows:
@@ -224,6 +244,40 @@ class _CollectionSearch:
                 r[v] = 0
         self.union = [0] * self.n
         self.cmasks = [0] * self.t
+
+    def keep(self, value: int):
+        """Make the current rows the incumbent, valued at value."""
+        self.best = value
+        self.witness = self.snapshot()
+
+    def run(self, floor: int = 0) -> bool:
+        """The DFS from an empty collection; True when min (floor > 0) found one."""
+        self.reset()
+        self.floor = floor
+        return self._dfs(1, 0, 0, self.P, 1)
+
+    def _dfs(self, k: int, idx: int, count: int, cap: int, prefix: int) -> bool:
+        """Color k holds count edges among pairs below idx and may hold up to
+        cap; prefix is the product of the counts of colors 1..k-1."""
+        self.budget.step()
+        room = count + (self.P - idx)
+        if self.floor:
+            if room < self.floor:
+                return False
+        elif prefix * min(cap, room) ** (self.t - k + 1) <= self.best:
+            return False
+        if idx == self.P:
+            if not self.canonical_prefix(k):
+                return False
+            if k < self.t:
+                return self._dfs(k + 1, 0, 0, count, prefix * count)
+            self.keep(self.floor or prefix * count)  # prod: the bound put the product above best
+            return self.floor > 0
+        if count < cap and self.try_add(k, idx):
+            if self._dfs(k, idx + 1, count + 1, cap, prefix):
+                return True
+            self.remove(k, idx)
+        return self._dfs(k, idx + 1, count, cap, prefix)
 
     def try_add(self, color: int, idx: int) -> bool:
         """Add pair idx to the color unless it completes a rainbow copy."""
@@ -282,75 +336,9 @@ class _CollectionSearch:
         return Collection([Graph(self.n, tuple(r)) for r in self.rows])
 
 
-# ---------------------------------------------------------------------
-# mode = min
-
-
 def extremal_min(q: ExtremalQuery) -> ExtremalResult:
     """Largest e with a rainbow-free collection keeping >= e edges per color."""
-    if q.mode != "min":
-        raise ValueError("query mode must be 'min'")
-    budget = _Budget(q.budget if q.budget is not None else default_budget())
-    infeasible, members = _split_family(q.family, q.n, q.t)
-    cap = comb(q.n, 2)
-    if infeasible:
-        return ExtremalResult(-1, None, budget.used, True)
-    if not members:
-        full = Collection([Graph.complete(q.n)] * q.t)
-        return ExtremalResult(cap, full, budget.used, True)
-    searcher = _CollectionSearch(q.n, q.t, members, budget)
-    lo, hi = 0, cap
-    lo_witness = Collection([Graph.edgeless(q.n)] * q.t)
-    exact = True
-    try:
-        # t copies of one member-free graph are rainbow-free: min >= ex(n, members)
-        value, g = _turan_family(q.n, members, budget)
-        lo, lo_witness = value, Collection([g] * q.t)
-        mid = lo + 1  # the seed is often optimal: probe just above it first
-        while lo < hi:
-            w = _feasible_min(searcher, mid)
-            if w is not None:
-                lo, lo_witness = mid, w
-            else:
-                hi = mid - 1
-            mid = (lo + hi + 1) // 2
-    except _BudgetStop:
-        exact = False
-    _check_witness(lo_witness, q.family)
-    assert min(lo_witness.edge_counts()) >= lo
-    return ExtremalResult(lo, lo_witness, budget.used, exact)
-
-
-def _feasible_min(s: _CollectionSearch, e: int) -> Collection | None:
-    if e > s.P:
-        return None
-    s.reset()
-
-    def color_dfs(k: int, idx: int, count: int, cap: int) -> bool:
-        s.budget.step()
-        if count + (s.P - idx) < e:
-            return False
-        if idx == s.P:
-            if not s.canonical_prefix(k):
-                return False
-            if k == s.t:
-                return True
-            if count < e:
-                return False
-            return color_dfs(k + 1, 0, 0, count)
-        if count < cap and s.try_add(k, idx):
-            if color_dfs(k, idx + 1, count + 1, cap):
-                return True
-            s.remove(k, idx)
-        return color_dfs(k, idx + 1, count, cap)
-
-    if color_dfs(1, 0, 0, s.P):
-        return s.snapshot()
-    return None
-
-
-# ---------------------------------------------------------------------
-# mode = sum (nested multiplicity search)
+    return _extremal(q, "min")
 
 
 def extremal_sum(q: ExtremalQuery) -> ExtremalResult:
@@ -360,24 +348,64 @@ def extremal_sum(q: ExtremalQuery) -> ExtremalResult:
     turns any free collection into a nested free collection with the
     same sum, so searching multiplicity maps loses nothing.
     """
-    if q.mode != "sum":
-        raise ValueError("query mode must be 'sum'")
+    return _extremal(q, "sum")
+
+
+def extremal_prod(q: ExtremalQuery) -> ExtremalResult:
+    """Largest product of edge counts over rainbow-free collections."""
+    return _extremal(q, "prod")
+
+
+def _extremal(q: ExtremalQuery, mode: str) -> ExtremalResult:
+    """The entry all three searches share: trivial families are answered
+    without a node, a budget stop keeps the incumbent with exact=False,
+    and the witness is checked against the objective and the family."""
+    if q.mode != mode:
+        raise ValueError(f"query mode must be {mode!r}")
     budget = _Budget(q.budget if q.budget is not None else default_budget())
     infeasible, members = _split_family(q.family, q.n, q.t)
-    cap = comb(q.n, 2)
     if infeasible:
-        return ExtremalResult(0, None, budget.used, True)
+        return ExtremalResult(-1 if mode == "min" else 0, None, 0, True)
+    objective = {"min": min, "sum": sum, "prod": prod}[mode]
     if not members:
         full = Collection([Graph.complete(q.n)] * q.t)
-        return ExtremalResult(cap * q.t, full, budget.used, True)
-
-    n, t = q.n, q.t
-    pairs = _pairs(n)
-    P = len(pairs)
-    rows = [[0] * n for _ in range(t)]
-    best = 0
-    best_rows = [list(r) for r in rows]
+        return ExtremalResult(objective(full.edge_counts()), full, 0, True)
+    s = _CollectionSearch(q.n, q.t, members, budget)  # incumbent: 0, edgeless
     exact = True
+    try:
+        if mode == "min":
+            _scan_min(s)
+        elif mode == "sum":
+            _search_sum(s)
+        else:
+            s.run()
+    except _BudgetStop:
+        exact = False
+    if not is_rainbow_free(s.witness, q.family):
+        raise AssertionError("search produced a non-free witness")
+    counts = s.witness.edge_counts()
+    assert (min(counts) >= s.best) if mode == "min" else (objective(counts) == s.best)
+    return ExtremalResult(s.best, s.witness, budget.used, exact)
+
+
+def _scan_min(s: _CollectionSearch):
+    """Threshold scan: each probe e asks the DFS for a collection with at
+    least e edges per color, and a found one becomes the incumbent."""
+    # t copies of one member-free graph are rainbow-free: min >= ex(n, members)
+    value, g = _turan_family(s.n, s.members, s.budget)
+    s.best, s.witness = value, Collection([g] * s.t)
+    hi = s.P
+    e = value + 1  # the seed is often optimal: probe just above it first
+    while s.best < hi:
+        if not s.run(e):
+            hi = e - 1
+        e = (s.best + hi + 1) // 2
+
+
+def _search_sum(s: _CollectionSearch):
+    """Nested multiplicity search: rows[i] holds the pairs of multiplicity
+    above i, so rows[0] is the union of all colors."""
+    n, t, pairs, P, rows, members, budget = s.n, s.t, s.pairs, s.P, s.rows, s.members, s.budget
 
     def pair_cap(j: int, mu: int) -> int:
         """Largest multiplicity up to mu at which pair j joins the rows freely."""
@@ -399,13 +427,11 @@ def extremal_sum(q: ExtremalQuery) -> ExtremalResult:
     caps = [pair_cap(j, t) for j in range(P)]
 
     def dfs(idx: int, total: int):
-        nonlocal best, best_rows
         budget.step()
-        if total + sum(caps[idx:]) <= best:
+        if total + sum(caps[idx:]) <= s.best:
             return
         if idx == P:  # the bound above left total > best
-            best = total
-            best_rows = [list(r) for r in rows]
+            s.keep(total)
             return
         u, v = pairs[idx]
         bit_u, bit_v = 1 << v, 1 << u
@@ -424,75 +450,8 @@ def extremal_sum(q: ExtremalQuery) -> ExtremalResult:
                 rows[i][v] &= ~bit_v
         dfs(idx + 1, total)
 
-    try:
-        dfs(0, 0)
-    except _BudgetStop:
-        exact = False
-    witness = Collection([Graph(n, tuple(r)) for r in best_rows])
-    _check_witness(witness, q.family)
-    assert sum(witness.edge_counts()) == best
-    return ExtremalResult(best, witness, budget.used, exact)
+    dfs(0, 0)
 
-
-# ---------------------------------------------------------------------
-# mode = prod
-
-
-def extremal_prod(q: ExtremalQuery) -> ExtremalResult:
-    """Largest product of edge counts over rainbow-free collections."""
-    if q.mode != "prod":
-        raise ValueError("query mode must be 'prod'")
-    budget = _Budget(q.budget if q.budget is not None else default_budget())
-    infeasible, members = _split_family(q.family, q.n, q.t)
-    cap = comb(q.n, 2)
-    if infeasible:
-        return ExtremalResult(0, None, budget.used, True)
-    if not members:
-        full = Collection([Graph.complete(q.n)] * q.t)
-        return ExtremalResult(cap**q.t, full, budget.used, True)
-
-    s = _CollectionSearch(q.n, q.t, members, budget)
-    best = 0
-    best_witness = Collection([Graph.edgeless(q.n)] * q.t)
-    exact = True
-
-    def color_dfs(k: int, idx: int, count: int, cap_k: int, prefix: int):
-        nonlocal best, best_witness
-        s.budget.step()
-        maxc = min(cap_k, count + (s.P - idx))
-        if prefix * (maxc ** (s.t - k + 1)) <= best:
-            return
-        if idx == s.P:
-            if not s.canonical_prefix(k):
-                return
-            value = prefix * count
-            if k == s.t:
-                if value > best:
-                    best = value
-                    best_witness = s.snapshot()
-                return
-            color_dfs(k + 1, 0, 0, count, value)
-            return
-        if count < cap_k and s.try_add(k, idx):
-            color_dfs(k, idx + 1, count + 1, cap_k, prefix)
-            s.remove(k, idx)
-        color_dfs(k, idx + 1, count, cap_k, prefix)
-
-    try:
-        color_dfs(1, 0, 0, s.P, 1)
-    except _BudgetStop:
-        exact = False
-    _check_witness(best_witness, q.family)
-    prod = 1
-    for c in best_witness.edge_counts():
-        prod *= c
-    assert prod == best
-    return ExtremalResult(best, best_witness, budget.used, exact)
-
-
-def _check_witness(witness: Collection, family: PatternFamily):
-    if not is_rainbow_free(witness, family):
-        raise AssertionError("search produced a non-free witness")
 
 
 # ---------------------------------------------------------------------

@@ -64,6 +64,13 @@ def test_nonpositive_budget_is_a_usage_error(capsys):
         assert code == 2 and out == "" and err.startswith("usage error: "), suite
 
 
+@pytest.mark.parametrize("raw", ["junk", "0"])
+def test_malformed_env_budget_is_a_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("RTURAN_BUDGET", raw)
+    code, out, err = run(capsys, "compute", "--mode", "min", "--n", "5", "--t", "3", "--forbid", "{K3}")
+    assert code == 2 and out == "" and err.startswith("usage error: RTURAN_BUDGET ")
+
+
 def test_constructions_suite_honours_budget(capsys):
     # the budget reaches the inner searches of the constructions
     code, out, err = run(capsys, "verify", "--suite", "constructions", "--budget", "5")
@@ -187,7 +194,7 @@ def test_construct_pattern_value_with_comma(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "cid, spec",
-    [("prod.star2", "n=12,t=x,s=2"), ("min.iii", "n=5,t=2,p=2,f=P4,s=y")],
+    [("prod.star2", "n=12,t=x,s=2"), ("min.iii", "n=5,t=2,p=2,f=P4,s=y"), ("min.iii", "n=\u0668,t=3,p=2")],
 )
 def test_non_integer_construction_parameter_is_a_usage_error(tmp_path, capsys, cid, spec):
     out_path = tmp_path / "x.rcol"

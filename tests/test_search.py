@@ -179,6 +179,10 @@ def test_infeasible_family_conventions():
     assert r.value == 0 and r.witness is None
     r = extremal_prod(Q("prod", 4, 2, FAM("E1")))
     assert r.value == 0 and r.witness is None
+    # an edgeless member that fits the host is answered without a node
+    for fn, mode, value in ((extremal_min, "min", -1), (extremal_sum, "sum", 0), (extremal_prod, "prod", 0)):
+        r = fn(Q(mode, 4, 2, FAM("E2")))
+        assert (r.value, r.witness, r.nodes, r.exact) == (value, None, 0, True), mode
 
 
 def test_unconstrained_family_shortcut():
@@ -187,6 +191,10 @@ def test_unconstrained_family_shortcut():
     assert r.value == 6 and r.witness.edge_counts() == (3, 3)
     r = extremal_min(Q("min", 5, 3, FAM("M3")))  # M3 needs 6 vertices
     assert r.value == 10
+    # K5 does not fit on 4 vertices: two complete graphs, without a node
+    for fn, mode, value in ((extremal_min, "min", 6), (extremal_sum, "sum", 12), (extremal_prod, "prod", 36)):
+        r = fn(Q(mode, 4, 2, FAM("K5")))
+        assert (r.value, r.witness.edge_counts(), r.nodes, r.exact) == (value, (6, 6), 0, True), mode
 
 
 # -- reference enumeration agreement ------------------------------------
@@ -349,6 +357,8 @@ PINNED_SEARCHES = {
     ("sum", 5, 3, "P4"): (20, 283, [[(u, v) for u in range(5) for v in range(u + 1, 5)]] * 2 + [[]]),
     ("sum", 5, 3, "M2"): (12, 179, [[(0, 1), (0, 2), (0, 3), (0, 4)]] * 3),
     ("sum", 6, 3, "K3"): (30, 7889, [[(u, v) for u in range(6) for v in range(u + 1, 6)]] * 2 + [[]]),
+    ("prod", 5, 3, "K3"): (216, 45238, [[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]] * 3),
+    ("min", 5, 3, "K3"): (6, 8047, [[(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]] * 3),
 }
 
 
@@ -451,6 +461,18 @@ def test_budget_flags_inexact():
     assert res.value <= 20
 
 
+def test_budget_stop_keeps_the_incumbent():
+    # the best collection found before the stop is returned, checked, as it stood
+    res = extremal_prod(Q("prod", 5, 3, FAM("K3"), budget=5000))
+    assert (res.value, res.nodes, res.exact) == (40, 5001, False)
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    assert [g.edges() for g in res.witness.graphs] == [k5, [(0, 3), (1, 2)], [(0, 3), (1, 2)]]
+    res = extremal_sum(Q("sum", 5, 3, FAM("K3"), budget=300))
+    assert (res.value, res.nodes, res.exact) == (18, 301, False)
+    assert sum(res.witness.edge_counts()) == 18
+    assert not explicit_rainbow_oracle(res.witness, parse_pattern("K3"))
+
+
 def test_turan_budget_error():
     from rturan import BudgetExceeded
 
@@ -482,8 +504,10 @@ def test_env_budget_override(monkeypatch):
 
     monkeypatch.setenv("RTURAN_BUDGET", "12345")
     assert default_budget() == 12345
-    monkeypatch.setenv("RTURAN_BUDGET", "junk")
-    assert default_budget() > 12345
+    for raw in ("junk", "0", "-3", "\u0668", "1e5"):  # only ASCII integers >= 1
+        monkeypatch.setenv("RTURAN_BUDGET", raw)
+        with pytest.raises(ValueError):
+            default_budget()
     monkeypatch.delenv("RTURAN_BUDGET", raising=False)
     assert default_budget() > 12345
 
