@@ -310,12 +310,16 @@ class _ColorMatching:
 
     def push(self, mask: int) -> bool:
         """Append an item if the items can still take distinct bits."""
-        free = mask & ~sum(self.bits)  # held bits are distinct: their sum is their union
+        held = sum(self.bits)  # held bits are distinct: their sum is their union
+        free = mask & ~held
+        self.masks.append(mask)
         if free:  # the lowest free bit leaves every other item in place
-            self.masks.append(mask)
             self.bits.append(free & -free)
             return True
-        if self._add(mask):
+        # one augmenting search from the new item, which holds bit 0 meanwhile
+        self._held, self._seen = held, 0
+        self.bits.append(0)
+        if self._augment(len(self.bits) - 1):
             return True
         self.masks.pop()
         self.bits.pop()
@@ -325,15 +329,6 @@ class _ColorMatching:
         """Drop every item after the first ``size``."""
         del self.bits[size:]
         del self.masks[size:]
-
-    def _add(self, mask: int) -> bool:
-        """Append an item and search one augmenting path from it; an item
-        left unmatched keeps bit 0, and no other item ever reaches it."""
-        self._held = sum(self.bits)
-        self._seen = 0
-        self.masks.append(mask)
-        self.bits.append(0)
-        return self._augment(len(self.bits) - 1)
 
     def _augment(self, i: int) -> bool:
         m = self.masks[i] & ~self._seen
@@ -350,28 +345,15 @@ class _ColorMatching:
         return False
 
 
-def _max_distinct_colors(masks: list[int]) -> list[int]:
-    """Maximum assignment of items to distinct bits of their masks.
-
-    Classic augmenting-path matching (0-based bit indices).  Items are
-    taken in index order, each by one augmenting search that tries its
-    lowest bits first, and a matched item stays matched, so any prefix of
-    items that admits a full assignment ends up fully assigned.  Returns
-    one chosen bit per item, -1 where an item stays unmatched.
-    """
-    sdr = _ColorMatching()
-    for m in masks:
-        sdr._add(m)
-    return [low.bit_length() - 1 for low in sdr.bits]
-
-
 def assign_distinct_colors(masks: list[int]) -> list[int] | None:
     """Match each item to its own bit of its mask (0-based bit indices).
 
     Returns one chosen bit per item, or None when Hall's condition fails.
     """
-    chosen = _max_distinct_colors(masks)
-    return None if -1 in chosen else chosen
+    sdr = _ColorMatching()
+    if not all(sdr.push(m) for m in masks):
+        return None
+    return [low.bit_length() - 1 for low in sdr.bits]
 
 
 def lexmin_distinct_colors(masks: list[int]) -> list[int] | None:

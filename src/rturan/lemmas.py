@@ -13,8 +13,9 @@ hand-proof steps used on rainbow matchings:
   isolated edges;
 * the structure trichotomy of collections without a rainbow 2-matching;
 * the rainbow-star-or-cover alternative at a fixed center vertex,
-  computed by repeatedly deleting Hall violators with minimal
-  neighborhood from the incident-edge/color bipartite graph.
+  computed from one maximum matching of the incident-edge/color
+  bipartite graph: its Kőnig cover (edges plus exempt colors) has fewer
+  than p elements in all.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ from .collection import (
     Collection,
     RainbowMatching,
     RainbowWitness,
-    assign_distinct_colors,
     lexmin_distinct_colors,
     find_rainbow_copy,
+    _ColorMatching,
     _colored_pairs,
-    _max_distinct_colors,
     _pair_color_mask,
     _rainbow_matchings,
 )
@@ -69,6 +69,8 @@ def greedy_extend(
         raise PreconditionViolated(f"M0 must use colors 1..{p}, got {sorted(m0.colors)}")
     if q < p:
         raise PreconditionViolated(f"target size {q} smaller than |M0|={p}")
+    if q > col.t:
+        raise PreconditionViolated(f"target size {q} exceeds t={col.t}")
     if set(centers) != set(range(p + 1, q + 1)):
         raise PreconditionViolated(
             f"centers must be keyed by colors {p + 1}..{q}, got {sorted(centers)}"
@@ -178,9 +180,10 @@ def strong_color_exact(col: Collection, i: int, s: int) -> bool:
 def strong_color_sufficient(col: Collection, i: int, s: int) -> StrongColorEvidence:
     """First applicable sufficient condition for color i being strong.
 
-    Checked in the order: edge surplus, big monochromatic matching, then
-    the many-edges/few-hubs condition.  The degree threshold n/2s is
-    compared in integers as 2s*deg >= n.
+    Checked in the order: edge surplus (more edges than can meet the at
+    most 2s vertices of a matching of size s), big monochromatic
+    matching, then the many-edges/few-hubs condition.  The degree
+    threshold n/2s is compared in integers as 2s*deg >= n.
 
     The low-degree case carries one extra exact check: the edges among
     low-degree vertices must outnumber the largest possible number of
@@ -193,7 +196,8 @@ def strong_color_sufficient(col: Collection, i: int, s: int) -> StrongColorEvide
     g = col.graph(i)
     n = col.n
     e = g.edge_count()
-    if e > 2 * s * (n - 2 * s) + (2 * s) * (2 * s - 1) // 2:
+    k = min(2 * s, n)  # the edges meeting k vertices number at most k(n-k) + C(k,2)
+    if e > k * (n - k) + k * (k - 1) // 2:
         return StrongColorEvidence(StrongVerdict.BY_EDGE_COUNT)
     if matching_number_at_least(g, 2 * s + 1):
         return StrongColorEvidence(StrongVerdict.BY_BIG_MATCHING)
@@ -240,8 +244,6 @@ def very_strong_color(col: Collection, i: int, r: int, m: int) -> bool:
             continue
         for combo in combinations(nbrs, r):
             star_masks = [cm for _, cm in combo]
-            if assign_distinct_colors(star_masks) is None:
-                continue
             used = 1 << center
             for leaf, _ in combo:
                 used |= 1 << leaf
@@ -298,8 +300,9 @@ class StarCover:
     """Either a rainbow star witness at v, or a small cover of exceptions.
 
     In the cover case every color outside ``exempt`` that appears on an
-    edge incident to v appears only on ``cover`` edges; both parts have
-    fewer than p elements.
+    edge incident to v appears only on ``cover`` edges.  The two parts
+    form a Kőnig cover of the edge/color bipartite graph at v, so
+    together they have fewer than p elements.
     """
 
     witness: RainbowWitness | None
@@ -308,95 +311,52 @@ class StarCover:
 
 
 def star_cover(col: Collection, v: int, p: int) -> StarCover:
-    """Rainbow S_p centered at v, or the Hall-deletion cover certificate.
+    """Rainbow S_p centered at v, or the Kőnig cover certificate.
 
-    Builds the bipartite graph of v-incident edges versus their colors.
-    A matching of size p yields the star.  Otherwise Hall violators with
-    minimal neighborhood (lexicographically smallest on ties) are deleted
-    round by round; deleted colors become exempt, their matched edges and
-    the undeleted leftovers form the cover.
+    The edges at v are matched to distinct colors by one pass in leaf
+    order, stopping once p are held.  The matchable edge sets form a
+    transversal matroid, so greedy in index order holds the
+    lexicographically least p leaves that take distinct colors; the star
+    gets their least color assignment.  With fewer than p held the
+    matching is maximum, of size nu < p.  The colors reachable by
+    alternating paths from the edges left out are exempt, and the held
+    edges whose color is not reached form the cover (Kőnig 1931):
+    |cover| + |exempt| = nu.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
     if not 0 <= v < col.n:
         raise ValueError(f"vertex {v} outside 0..{col.n - 1}")
-    others = sorted(set(range(col.n)) - {v})
-    incident: list[int] = []  # leaf endpoints, ascending
-    masks: list[int] = []
     rows = col.adj_rows()
-    for u in others:
-        cm = _pair_color_mask(rows, u, v)
-        if cm:
-            incident.append(u)
-            masks.append(cm)
+    sdr = _ColorMatching()
+    held: list[int] = []  # leaves whose edge holds a color, ascending
+    left_out = 0  # colors of the edges that found none
+    for u in range(col.n):
+        if len(held) == p:
+            break
+        cm = _pair_color_mask(rows, u, v)  # 0 at u == v and off the edges
+        if cm and sdr.push(cm):
+            held.append(u)
+        else:
+            left_out |= cm
 
-    if sum(c >= 0 for c in _max_distinct_colors(masks)) >= p:
-        leaves = _lexmin_star_leaves(masks, p)
-        leaf_masks = [masks[j] for j in leaves]
-        chosen = lexmin_distinct_colors(leaf_masks)
-        assert chosen is not None
-        vmap = tuple([v] + [incident[j] for j in leaves])
-        witness = RainbowWitness(Graph.star(p), vmap, tuple(c + 1 for c in chosen))
+    if len(held) == p:
+        chosen = lexmin_distinct_colors(sdr.masks)
+        witness = RainbowWitness(Graph.star(p), (v, *held), tuple(c + 1 for c in chosen))
         witness.validate(col)
         return StarCover(witness=witness)
 
-    alive = list(range(len(incident)))
-    live_colors = 0
-    for m in masks:
-        live_colors |= m
-    exempt_bits = 0
-    matched_cover: list[int] = []
-    while True:
-        violator = None  # (|B'|, tuple(A'), B' bits)
-        for size in range(1, len(alive) + 1):
-            for sub in combinations(alive, size):
-                nb = 0
-                for j in sub:
-                    nb |= masks[j] & live_colors
-                if nb.bit_count() < size:
-                    key = (nb.bit_count(), sub)
-                    if violator is None or key < (violator[0], violator[1]):
-                        violator = (nb.bit_count(), sub, nb)
-        if violator is None:
-            break
-        _, sub, nb = violator
-        # edges of the deleted block matched to its colors, one per color;
-        # a minimal Hall violator always has such a matching
-        by_color = []
-        bits = nb
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            by_color.append(sum(1 << j for j in sub if masks[j] & low))
-        covering = assign_distinct_colors(by_color)
-        assert covering is not None
-        matched_cover.extend(covering)
-        exempt_bits |= nb
-        live_colors &= ~nb
-        alive = [j for j in alive if j not in sub]
-        masks = [m & live_colors if idx in alive else m for idx, m in enumerate(masks)]
-
-    cover_idx = sorted(set(matched_cover) | set(alive))
-    cover = tuple((min(v, incident[j]), max(v, incident[j])) for j in cover_idx)
-    exempt = []
-    while exempt_bits:
-        low = exempt_bits & -exempt_bits
-        exempt.append(low.bit_length())
-        exempt_bits ^= low
-    assert len(cover) <= p - 1 and len(exempt) <= p - 1
-    return StarCover(witness=None, cover=cover, exempt=tuple(exempt))
-
-
-def _lexmin_star_leaves(masks: list[int], p: int) -> list[int]:
-    """Smallest index set of p edges that still admits a full matching."""
-    chosen: list[int] = []
-    for j in range(len(masks)):
-        if len(chosen) == p:
-            break
-        trial = chosen + [j]
-        # trial goes first, so it is fully matched whenever it can be
-        got = _max_distinct_colors([masks[x] for x in trial] + masks[j + 1 :])
-        if -1 not in got[: len(trial)] and sum(c >= 0 for c in got) >= p:
-            chosen = trial
-    assert len(chosen) == p
-    return chosen
+    # every color reached from a left-out edge is held (the matching is
+    # maximum), and its holder reaches the colors of its own mask
+    exempt = reached = left_out
+    while reached:
+        grown = 0
+        for bit, mask in zip(sdr.bits, sdr.masks):
+            if bit & reached:
+                grown |= mask
+        reached = grown & ~exempt
+        exempt |= reached
+    cover = tuple((min(u, v), max(u, v)) for u, bit in zip(held, sdr.bits) if not bit & exempt)
+    exempt_colors = tuple(c + 1 for c in range(col.t) if exempt >> c & 1)
+    assert len(cover) + len(exempt_colors) == len(held) < p
+    return StarCover(witness=None, cover=cover, exempt=exempt_colors)

@@ -243,6 +243,16 @@ def test_lemma_subcommands(tmp_path, capsys):
     assert code == 0 and out.strip() in ("very-strong", "not-very-strong")
 
 
+def test_lemma_strong_sufficient_agrees_when_2s_exceeds_n(tmp_path, capsys):
+    path = str(tmp_path / "c.rcol")
+    codec_write(
+        Collection.from_edge_lists(4, [[(0, 1), (0, 2), (1, 3), (2, 3)], [(0, 1)], [(2, 3)]]), path
+    )
+    args = ("lemma", "strong", "--collection", path, "--color", "1", "--s", "3")
+    assert run(capsys, *args) == (0, "not-strong\n", "")
+    assert run(capsys, *args, "--sufficient") == (0, "Unknown\n", "")
+
+
 def test_verify_meshulam_records_boundary_rows(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "meshulam")
     assert code == 0

@@ -1,6 +1,7 @@
 """Greedy matching procedures, strong colors, structure results, star covers."""
 
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,6 +10,7 @@ from rturan import (
     Graph,
     RainbowMatching,
     PreconditionViolated,
+    StarCover,
     StrongVerdict,
     TooSmall,
     find_rainbow_copy,
@@ -52,6 +54,9 @@ def test_greedy_extend_validates_preconditions():
     col3 = Collection.from_edge_lists(12, [[(0, 1)], [(2, 3), (2, 4), (2, 5)], K_N(12)])
     with pytest.raises(PreconditionViolated):
         greedy_extend(col3, m0, {2: 2, 3: 2}, 3)  # centers share a vertex
+    col8 = Collection.from_edge_lists(8, [K_N(8), K_N(8)])
+    with pytest.raises(PreconditionViolated, match="exceeds t=2"):
+        greedy_extend(col8, RainbowMatching((), ()), {1: 0, 2: 2, 3: 4}, 3)  # no color 3
 
 
 def test_greedy_from_degrees_examples():
@@ -119,6 +124,14 @@ def test_strong_color_sufficient_examples():
     assert strong_color_sufficient(two_tri, 1, 1).verdict == StrongVerdict.BY_LOW_DEGREE
     assert strong_color_exact(two_tri, 1, 1)
 
+    # 2s > n: no edge count forces a strong color, and these colors are not strong
+    c4 = Collection.from_edge_lists(4, [[(0, 1), (0, 2), (1, 3), (2, 3)], [(0, 1)], [(2, 3)]])
+    assert not strong_color_exact(c4, 1, 3)
+    assert strong_color_sufficient(c4, 1, 3).verdict == StrongVerdict.UNKNOWN
+    k3 = Collection.from_edge_lists(3, [[(0, 1), (0, 2), (1, 2)], [(0, 1)]])
+    assert not strong_color_exact(k3, 1, 2)
+    assert strong_color_sufficient(k3, 1, 2).verdict == StrongVerdict.UNKNOWN
+
 
 def test_strong_sufficient_implies_exact_300():
     rng = random.Random(0x57A0)
@@ -127,6 +140,22 @@ def test_strong_sufficient_implies_exact_300():
         n = rng.randint(4, 9)
         t = rng.randint(2, 4)
         s = rng.randint(1, 2)
+        col = random_collection(rng, n, t, rng.choice([0.25, 0.5, 0.8]))
+        i = rng.randint(1, t)
+        ev = strong_color_sufficient(col, i, s)
+        if ev.verdict != StrongVerdict.UNKNOWN:
+            assert strong_color_exact(col, i, s), (col, i, s, ev)
+            confirmed += 1
+    assert confirmed > 20  # the sweep must not be vacuous
+
+
+def test_strong_sufficient_implies_exact_up_to_s5_300():
+    rng = random.Random(0x57A5)
+    confirmed = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        t = rng.randint(1, 4)
+        s = rng.randint(0, 5)
         col = random_collection(rng, n, t, rng.choice([0.25, 0.5, 0.8]))
         i = rng.randint(1, t)
         ev = strong_color_sufficient(col, i, s)
@@ -328,3 +357,53 @@ def test_star_cover_invariant_300():
                 continue
             for c in col.colors_of(*e):
                 assert c in sc.exempt, (col, v, p, sc)
+
+
+def _brute_star(col, v, p):
+    """(leaves, colors) of the lexicographically least rainbow S_p at v, by
+    trying leaf sets in lexicographic order and color tuples likewise."""
+    nbrs = [u for u in range(col.n) if u != v and col.colors_of(u, v)]
+    for leaves in combinations(nbrs, p):
+        for colors in permutations(range(1, col.t + 1), p):
+            if all(c in col.colors_of(u, v) for u, c in zip(leaves, colors)):
+                return leaves, colors
+    return None
+
+
+def _brute_star_size(col, v):
+    """Most edges at v that take pairwise distinct colors."""
+    return max(p for p in range(col.n) if p == 0 or _brute_star(col, v, p) is not None)
+
+
+def test_star_cover_matches_brute_force_400():
+    rng = random.Random(0x5C1)
+    stars = covers = 0
+    for _ in range(400):
+        n = rng.randint(3, 8)
+        t = rng.randint(1, 5)
+        col = random_collection(rng, n, t, rng.choice([0.2, 0.5, 0.8]))
+        v = rng.randrange(n)
+        p = rng.randint(1, 5)
+        sc = star_cover(col, v, p)
+        brute = _brute_star(col, v, p)
+        if brute is not None:
+            assert sc.witness is not None
+            assert (sc.witness.vmap, sc.witness.cmap) == ((v, *brute[0]), brute[1])
+            stars += 1
+            continue
+        assert sc.witness is None
+        # a Koenig cover: as many elements as a maximum matching, meeting every edge/color
+        assert len(sc.cover) + len(sc.exempt) == _brute_star_size(col, v) < p, (col, v, p, sc)
+        for u in range(n):
+            e = (min(u, v), max(u, v))
+            if u != v and e not in sc.cover:
+                assert set(col.colors_of(*e)) <= set(sc.exempt), (col, v, p, sc)
+        covers += 1
+    assert stars > 50 and covers > 50
+
+
+def test_star_cover_on_a_30_vertex_host():
+    # every edge at 0 in all 3 colors: enumerating subsets of the 29 edges is hopeless
+    star = [(0, u) for u in range(1, 30)]
+    col = Collection.from_edge_lists(30, [star, star, star])
+    assert star_cover(col, 0, 5) == StarCover(None, (), (1, 2, 3))
