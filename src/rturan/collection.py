@@ -57,7 +57,7 @@ class RangeError(ValueError):
 class Collection:
     """Ordered graphs (G_1, ..., G_t) on a common n-vertex set."""
 
-    __slots__ = ("n", "t", "graphs")
+    __slots__ = ("n", "t", "graphs", "_table")
 
     def __init__(self, graphs):
         graphs = tuple(graphs)
@@ -70,6 +70,7 @@ class Collection:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", len(graphs))
         object.__setattr__(self, "graphs", graphs)
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Collection is immutable")
@@ -82,9 +83,21 @@ class Collection:
         """Graph of a 1-based color."""
         return self.graphs[color - 1]
 
-    def adj_rows(self) -> list[tuple[int, ...]]:
-        """Per-color adjacency rows, the view the detector internals take."""
-        return [g.adj for g in self.graphs]
+    def color_table(self) -> tuple[tuple[int, ...], ...]:
+        """The view the detector internals take: ``table[u][v]`` has bit i set
+        iff color i+1 contains the pair uv.  Built once, on first use."""
+        if self._table is None:
+            table = [[0] * self.n for _ in range(self.n)]
+            for i, g in enumerate(self.graphs):
+                bit = 1 << i
+                for u, row in enumerate(g.adj):
+                    cells = table[u]
+                    while row:
+                        low = row & -row
+                        cells[low.bit_length() - 1] |= bit
+                        row ^= low
+            object.__setattr__(self, "_table", tuple(map(tuple, table)))
+        return self._table
 
     def union_rows(self) -> list[int]:
         rows = [0] * self.n
@@ -293,31 +306,33 @@ class _ColorMatching:
     """A live assignment of items to distinct bits of their masks.
 
     Items are edges and bits are colors; ``bits[i]`` is the single bit
-    that item i holds, 0 while it holds none.  The searches use it as a
-    stack: ``push`` admits an item only if all items can then hold
-    distinct bits, ``truncate`` drops the last items and frees their bits,
-    and the items left stay validly assigned, so a push costs at most one
-    augmenting search, not a matching from scratch.
+    that item i holds, 0 while it holds none, and ``held`` is the union of
+    the bits held.  The searches use it as a stack: ``push`` admits an item
+    only if all items can then hold distinct bits, ``truncate`` drops the
+    last items and frees their bits, and the items left stay validly
+    assigned, so a push costs at most one augmenting search, not a
+    matching from scratch.
     """
 
-    __slots__ = ("masks", "bits", "_held", "_seen")
+    __slots__ = ("masks", "bits", "held", "_seen")
 
     def __init__(self):
         self.masks: list[int] = []
         self.bits: list[int] = []
-        # state of the current augmenting search: bits held, bits tried
-        self._held = self._seen = 0
+        self.held = 0
+        self._seen = 0  # bits tried by the current augmenting search
 
     def push(self, mask: int) -> bool:
         """Append an item if the items can still take distinct bits."""
-        held = sum(self.bits)  # held bits are distinct: their sum is their union
-        free = mask & ~held
+        free = mask & ~self.held
         self.masks.append(mask)
         if free:  # the lowest free bit leaves every other item in place
-            self.bits.append(free & -free)
+            low = free & -free
+            self.bits.append(low)
+            self.held |= low
             return True
         # one augmenting search from the new item, which holds bit 0 meanwhile
-        self._held, self._seen = held, 0
+        self._seen = 0
         self.bits.append(0)
         if self._augment(len(self.bits) - 1):
             return True
@@ -327,6 +342,7 @@ class _ColorMatching:
 
     def truncate(self, size: int) -> None:
         """Drop every item after the first ``size``."""
+        self.held -= sum(self.bits[size:])  # held bits are distinct: their sum is their union
         del self.bits[size:]
         del self.masks[size:]
 
@@ -338,7 +354,9 @@ class _ColorMatching:
             if self._seen & low:
                 continue
             self._seen |= low
-            if self._held & low and not self._augment(self.bits.index(low)):
+            if not self.held & low:
+                self.held |= low  # the free bit that ends the path
+            elif not self._augment(self.bits.index(low)):
                 continue
             self.bits[i] = low
             return True
@@ -369,15 +387,6 @@ def lexmin_distinct_colors(masks: list[int]) -> list[int] | None:
         else:
             return None
     return [low.bit_length() - 1 for low in fixed]
-
-
-def _pair_color_mask(rows_by_color, u: int, v: int) -> int:
-    """Bit i set iff color i+1 contains the pair uv (rows are adjacency masks)."""
-    mask = 0
-    for i, rows in enumerate(rows_by_color):
-        if rows[u] >> v & 1:
-            mask |= 1 << i
-    return mask
 
 
 # ---------------------------------------------------------------------
@@ -494,9 +503,7 @@ def _plan(pattern: Graph) -> _Plan:
 # the embedding backtracker and the pair-subset search
 
 
-def _embed(
-    steps, vmap: list[int], used: int, sdr: _ColorMatching, edges: int, rows_by_color, union_rows
-) -> bool:
+def _embed(steps, vmap: list[int], used: int, sdr: _ColorMatching, edges: int, table, union_rows) -> bool:
     """Complete a pre-seeded embedding along ``steps``.
 
     ``vmap`` maps pattern vertices to host vertices (-1 where unplaced),
@@ -511,15 +518,17 @@ def _embed(
     Each pattern edge placed is one push onto ``sdr``, dropped again when
     its vertex is taken back, except an edge with at least ``edges``
     colors: the other edges hold fewer colors than that, so it can always
-    take a color last and needs no place in the matching.
+    take a color last and needs no place in the matching.  The color mask
+    of host pair uv is ``table[u][v]`` (see ``Collection.color_table``),
+    and ``union_rows`` are the adjacency rows of the union of the colors.
 
-    With ``rows_by_color`` None the embedding is plain (no color layer):
+    With ``table`` None the embedding is plain (no color layer):
     ``union_rows`` is the one host graph, every candidate already has the
     back edges, and ``sdr`` and ``edges`` are not read.
     """
     full = (1 << len(union_rows)) - 1
     last = len(steps)
-    push, truncate, held = sdr.push, sdr.truncate, sdr.bits
+    push, truncate, items = sdr.push, sdr.truncate, sdr.bits
 
     def extend(idx: int, used: int) -> bool:
         if idx == last:
@@ -534,38 +543,41 @@ def _embed(
             cand ^= low
             if union_rows[hv].bit_count() < degree:
                 continue  # too few neighbors in the union for this pattern vertex
-            if rows_by_color is None:
+            if table is None:
                 vmap[pv] = hv
                 if extend(idx + 1, used | low):
                     return True
                 continue
-            size = len(held)
+            size = len(items)
+            cells = table[hv]
             for u in back:
-                mask = _pair_color_mask(rows_by_color, vmap[u], hv)
+                mask = cells[vmap[u]]
                 if mask.bit_count() < edges and not push(mask):
                     break
             else:
                 vmap[pv] = hv
                 if extend(idx + 1, used | low):
                     return True
-            if len(held) > size:
+            if len(items) > size:
                 truncate(size)
         return False
 
     return extend(0, used)
 
 
-def _colored_pairs(n: int, rows_by_color, skip: int = 0, keep: int = -1) -> list[tuple[int, int, int]]:
-    """(u, v, color mask & keep) of every pair u < v outside the vertex mask
-    ``skip`` whose masked color set is nonempty, in lexicographic order."""
+def _colored_pairs(n: int, table, skip: int = 0, keep: int = -1) -> list[tuple[int, int, int]]:
+    """(u, v, table[u][v] & keep) of every pair u < v outside the vertex
+    mask ``skip`` whose masked color set is nonempty, in lexicographic
+    order; ``table`` is a color table (see ``Collection.color_table``)."""
     pairs = []
     for u in range(n):
         if skip >> u & 1:
             continue
+        cells = table[u]
         for v in range(u + 1, n):
             if skip >> v & 1:
                 continue
-            cm = _pair_color_mask(rows_by_color, u, v) & keep
+            cm = cells[v] & keep
             if cm:
                 pairs.append((u, v, cm))
     return pairs
@@ -616,14 +628,12 @@ def _rainbow_matchings(n: int, pairs, init_masks: list[int], used: int, limit: i
         yield from dfs(0, used)
 
 
-def _matching_exists_with(
-    n: int, rows_by_color, size: int, init_masks: list[int], banned_vmask: int
-) -> bool:
+def _matching_exists_with(n: int, table, size: int, init_masks: list[int], banned_vmask: int) -> bool:
     """Rainbow matching of the given size avoiding banned vertices, with
     colors jointly assignable alongside the already fixed ``init_masks``."""
     if size < 0:
         return False
-    pairs = _colored_pairs(n, rows_by_color, banned_vmask)
+    pairs = _colored_pairs(n, table, banned_vmask)
     found = _rainbow_matchings(n, pairs, init_masks, banned_vmask, size, [size])
     return next(found, None) is not None
 
@@ -634,30 +644,30 @@ def _matching_exists_with(
 
 def rainbow_copy_exists(col: Collection, pattern: Graph) -> bool:
     """Fast existence test; equivalent to find_rainbow_copy(...) is not None."""
-    return _exists(col.n, col.adj_rows(), col.union_rows(), pattern)
+    return _exists(col.n, col.t, col.color_table(), col.union_rows(), pattern)
 
 
-def _exists(n: int, rows_by_color, union_rows, pattern: Graph) -> bool:
-    """Rainbow copy in the colored rows, or with ``rows_by_color`` None a
-    plain copy in the graph ``union_rows``."""
+def _exists(n: int, t: int, table, union_rows, pattern: Graph) -> bool:
+    """Rainbow copy in the t-color table with union ``union_rows``, or with
+    ``table`` None a plain copy in the graph ``union_rows`` (t unread)."""
     if pattern.n > n:
         return False
     plan = _plan(pattern)
     m = len(plan.edges)
     if m == 0:
         return True
-    if rows_by_color is None:
+    if table is None:
         if plan.matching:
             return matching_number_at_least(Graph(n, union_rows), m)
-    elif m > len(rows_by_color):
+    elif m > t:
         return False
     elif plan.matching:
-        return _matching_exists_with(n, rows_by_color, m, [], 0)
-    return _embed(plan.core, [-1] * pattern.n, 0, _ColorMatching(), m, rows_by_color, union_rows)
+        return _matching_exists_with(n, table, m, [], 0)
+    return _embed(plan.core, [-1] * pattern.n, 0, _ColorMatching(), m, table, union_rows)
 
 
 def _exists_using_pair(
-    n: int, rows_by_color, union_rows, pattern: Graph, pair: tuple[int, int], forced_color: int | None
+    n: int, t: int, table, union_rows, pattern: Graph, pair: tuple[int, int], forced_color: int | None
 ) -> bool:
     """Existence of a rainbow copy whose embedding uses the given host pair.
 
@@ -667,35 +677,37 @@ def _exists_using_pair(
     route through that (pair, color).  Only one pattern arc per orbit of the
     pattern's automorphism group is seeded on the pair (see ``_Plan``): a
     copy seeded by another arc of the orbit is the same copy relabelled.
+    The host is t colors, ``table[u][v]`` the color mask of pair uv (see
+    ``Collection.color_table``) and ``union_rows`` their union's rows.
     """
     if pattern.n > n:
         return False
     plan = _plan(pattern)
     m = len(plan.edges)
-    if m == 0 or m > len(rows_by_color):
+    if m == 0 or m > t:
         return False
     pu, pv = pair
-    anchor = _pair_color_mask(rows_by_color, pu, pv)
+    anchor = table[pu][pv]
     if forced_color is not None:
         anchor &= 1 << (forced_color - 1)
     if anchor == 0:
         return False
     seeds = (1 << pu) | (1 << pv)
     if plan.matching:
-        return _matching_exists_with(n, rows_by_color, m - 1, [anchor], seeds)
+        return _matching_exists_with(n, table, m - 1, [anchor], seeds)
     sdr = _ColorMatching()
     sdr.push(anchor)
     for a, b, steps in plan.anchored:
         vmap = [-1] * pattern.n
         vmap[a], vmap[b] = pu, pv
-        if _embed(steps, vmap, seeds, sdr, m, rows_by_color, union_rows):
+        if _embed(steps, vmap, seeds, sdr, m, table, union_rows):
             return True
     return False
 
 
-def _exists_through_vertex(n: int, rows_by_color, union_rows, pattern: Graph, anchor: int) -> bool:
+def _exists_through_vertex(n: int, t: int, table, union_rows, pattern: Graph, anchor: int) -> bool:
     """Existence of a rainbow copy whose embedding uses the host vertex anchor;
-    with ``rows_by_color`` None, of a plain copy in the graph ``union_rows``.
+    with ``table`` None, of a plain copy in the graph ``union_rows``.
 
     A pattern with an isolated vertex can always put that vertex on the
     anchor, so for such patterns this is existence anywhere, and a plain
@@ -706,12 +718,12 @@ def _exists_through_vertex(n: int, rows_by_color, union_rows, pattern: Graph, an
         return False
     plan = _plan(pattern)
     if plan.isolated:
-        return _exists(n, rows_by_color, union_rows, pattern)
+        return _exists(n, t, table, union_rows, pattern)
     m = len(plan.edges)
-    if rows_by_color is None:
+    if table is None:
         if plan.matching:  # a maximum matching missing the anchor can swap in an edge at it
             return union_rows[anchor] != 0 and matching_number_at_least(Graph(n, union_rows), m)
-    elif m > len(rows_by_color):
+    elif m > t:
         return False
     degree = union_rows[anchor].bit_count()
     sdr = _ColorMatching()
@@ -720,7 +732,7 @@ def _exists_through_vertex(n: int, rows_by_color, union_rows, pattern: Graph, an
             continue
         vmap = [-1] * pattern.n
         vmap[seed] = anchor
-        if _embed(steps, vmap, 1 << anchor, sdr, m, rows_by_color, union_rows):
+        if _embed(steps, vmap, 1 << anchor, sdr, m, table, union_rows):
             return True
     return False
 
@@ -744,27 +756,27 @@ def find_rainbow_copy(col: Collection, pattern: Graph) -> RainbowWitness | None:
         return RainbowWitness(pattern, tuple(range(pattern.n)), ())
     if m > t:
         return None
-    rows_by_color = col.adj_rows()
+    table = col.color_table()
     if plan.labelled_matching:
-        pairs = _colored_pairs(n, rows_by_color)
+        pairs = _colored_pairs(n, table)
         found = next(_rainbow_matchings(n, pairs, [], 0, m, [m]), None)
         if found is None:
             return None
         vmap = [x for j in found[0] for x in pairs[j][:2]]
     else:
         vmap = [-1] * pattern.n
-        if not _embed(plan.index, vmap, 0, _ColorMatching(), m, rows_by_color, col.union_rows()):
+        if not _embed(plan.index, vmap, 0, _ColorMatching(), m, table, col.union_rows()):
             return None
-    masks = [_pair_color_mask(rows_by_color, vmap[a], vmap[b]) for a, b in plan.edges]
+    masks = [table[vmap[a]][vmap[b]] for a, b in plan.edges]
     chosen = lexmin_distinct_colors(masks)
     return RainbowWitness(pattern, tuple(vmap), tuple(c + 1 for c in chosen))
 
 
 def is_rainbow_free(col: Collection, family: PatternFamily) -> bool:
     """No member of the family has a rainbow copy in the collection."""
-    rows = col.adj_rows()
+    table = col.color_table()
     union_rows = col.union_rows()
-    return not any(_exists(col.n, rows, union_rows, f) for f in family)
+    return not any(_exists(col.n, col.t, table, union_rows, f) for f in family)
 
 
 # ---------------------------------------------------------------------
@@ -777,7 +789,7 @@ def max_rainbow_matching(col: Collection) -> tuple[int, RainbowMatching]:
     The first maximum in lexicographic pair order is returned, with its
     lexicographically smallest color assignment.
     """
-    pairs = _colored_pairs(col.n, col.adj_rows())
+    pairs = _colored_pairs(col.n, col.color_table())
     best: list[int] = []
     floor = [1]
     for picked, _ in _rainbow_matchings(col.n, pairs, [], 0, col.t, floor):
@@ -801,11 +813,10 @@ def nest_transform(col: Collection) -> Collection:
     """
     n, t = col.n, col.t
     rows = [[0] * n for _ in range(t)]
-    views = col.adj_rows()
+    table = col.color_table()
     for u in range(n):
         for v in range(u + 1, n):
-            m = _pair_color_mask(views, u, v).bit_count()
-            for i in range(m):
+            for i in range(table[u][v].bit_count()):
                 rows[i][u] |= 1 << v
                 rows[i][v] |= 1 << u
     return Collection([Graph(n, r) for r in rows])

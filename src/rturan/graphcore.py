@@ -610,7 +610,7 @@ def contains_subgraph(host: Graph, pattern: Graph) -> bool:
     """Whether host contains pattern as a (not necessarily induced) subgraph."""
     from .collection import _exists  # collection builds on this module
 
-    return _exists(host.n, None, host.adj, pattern)
+    return _exists(host.n, 0, None, host.adj, pattern)
 
 
 def matching_number_at_least(g: Graph, k: int) -> bool:

@@ -33,7 +33,6 @@ from .collection import (
     find_rainbow_copy,
     _ColorMatching,
     _colored_pairs,
-    _pair_color_mask,
     _rainbow_matchings,
 )
 
@@ -170,7 +169,7 @@ def strong_color_exact(col: Collection, i: int, s: int) -> bool:
     gi_masks = [(1 << u) | (1 << v) for u, v in col.graph(i).edges()]
     if not gi_masks:
         return False
-    pairs = _colored_pairs(col.n, col.adj_rows(), keep=~(1 << (i - 1)))
+    pairs = _colored_pairs(col.n, col.color_table(), keep=~(1 << (i - 1)))
     for _, used in _rainbow_matchings(col.n, pairs, [], 0, s, [0]):
         if not any(not m & used for m in gi_masks):
             return False
@@ -236,7 +235,7 @@ def very_strong_color(col: Collection, i: int, r: int, m: int) -> bool:
     if not gi_masks:
         return False
     n = col.n
-    pairs = _colored_pairs(n, col.adj_rows(), keep=~(1 << (i - 1)))
+    pairs = _colored_pairs(n, col.color_table(), keep=~(1 << (i - 1)))
     for center in range(n):
         # leaves ascending: pairs (leaf, center) come before pairs (center, leaf)
         nbrs = [(v if u == center else u, cm) for u, v, cm in pairs if center in (u, v)]
@@ -327,14 +326,14 @@ def star_cover(col: Collection, v: int, p: int) -> StarCover:
         raise ValueError("p must be at least 1")
     if not 0 <= v < col.n:
         raise ValueError(f"vertex {v} outside 0..{col.n - 1}")
-    rows = col.adj_rows()
+    masks = col.color_table()[v]
     sdr = _ColorMatching()
     held: list[int] = []  # leaves whose edge holds a color, ascending
     left_out = 0  # colors of the edges that found none
     for u in range(col.n):
         if len(held) == p:
             break
-        cm = _pair_color_mask(rows, u, v)  # 0 at u == v and off the edges
+        cm = masks[u]  # 0 at u == v and off the edges
         if cm and sdr.push(cm):
             held.append(u)
         else:

@@ -41,7 +41,7 @@ seed is often optimal, and that probe then settles it) and bisects only
 when it is feasible.  The seed runs under the query's budget, one node
 per extension attempt, so min node counts include it.  sum keeps, for
 every pair not yet decided, its cap: the largest multiplicity at which it
-can still join the current nested rows freely.  Rainbow freeness survives
+can still join the current nested collection freely.  Rainbow freeness survives
 deleting edges and colors are nested, so caps only fall along a branch
 and every multiplicity up to the cap is free; a branch is cut when its
 total plus the remaining caps cannot beat the best, which cannot change
@@ -220,7 +220,11 @@ class _CollectionSearch:
     boundary.  A floor e > 0 (min) prunes a color that cannot reach e edges
     and stops at the first full collection; floor 0 (prod) prunes by
     prefix * maxc^(t-k+1) against the best product and searches on.  A full
-    collection becomes the incumbent, valued at the floor or its product."""
+    collection becomes the incumbent, valued at the floor or its product.
+
+    The colors are held as one color table (``table[u][v]`` the mask of the
+    colors holding pair uv, as ``Collection.color_table``) with ``union``,
+    the adjacency rows of its nonzero cells, beside it."""
 
     def __init__(self, n: int, t: int, members, budget: _Budget):
         self.n = n
@@ -229,7 +233,7 @@ class _CollectionSearch:
         self.budget = budget
         self.pairs = _pairs(n)
         self.P = len(self.pairs)
-        self.rows = [[0] * n for _ in range(t)]
+        self.table = [[0] * n for _ in range(n)]
         self.union = [0] * n
         self.cmasks = [0] * t
         self.perm_tables = _pair_perm_tables(n)
@@ -239,14 +243,13 @@ class _CollectionSearch:
         self.witness = self.snapshot()
 
     def reset(self):
-        for r in self.rows:
-            for v in range(self.n):
-                r[v] = 0
-        self.union = [0] * self.n
+        for cells in self.table:
+            cells[:] = [0] * self.n
+        self.union[:] = [0] * self.n
         self.cmasks = [0] * self.t
 
     def keep(self, value: int):
-        """Make the current rows the incumbent, valued at value."""
+        """Make the current collection the incumbent, valued at value."""
         self.best = value
         self.witness = self.snapshot()
 
@@ -282,13 +285,9 @@ class _CollectionSearch:
     def try_add(self, color: int, idx: int) -> bool:
         """Add pair idx to the color unless it completes a rainbow copy."""
         u, v = self.pairs[idx]
-        r = self.rows[color - 1]
-        r[u] |= 1 << v
-        r[v] |= 1 << u
-        self.union[u] |= 1 << v
-        self.union[v] |= 1 << u
+        self.set_pair(u, v, self.table[u][v] | 1 << (color - 1))
         for f in self.members:
-            if _exists_using_pair(self.n, self.rows, self.union, f, (u, v), color):
+            if _exists_using_pair(self.n, self.t, self.table, self.union, f, (u, v), color):
                 self._remove(color, idx)
                 return False
         self.cmasks[color - 1] |= 1 << idx
@@ -300,10 +299,15 @@ class _CollectionSearch:
 
     def _remove(self, color: int, idx: int):
         u, v = self.pairs[idx]
-        r = self.rows[color - 1]
-        r[u] &= ~(1 << v)
-        r[v] &= ~(1 << u)
-        if not any(rows[u] >> v & 1 for rows in self.rows):
+        self.set_pair(u, v, self.table[u][v] & ~(1 << (color - 1)))
+
+    def set_pair(self, u: int, v: int, mask: int):
+        """Give pair uv the color mask; it is in the union while the mask is nonzero."""
+        self.table[u][v] = self.table[v][u] = mask
+        if mask:
+            self.union[u] |= 1 << v
+            self.union[v] |= 1 << u
+        else:
             self.union[u] &= ~(1 << v)
             self.union[v] &= ~(1 << u)
 
@@ -333,7 +337,10 @@ class _CollectionSearch:
         return True
 
     def snapshot(self) -> Collection:
-        return Collection([Graph(self.n, tuple(r)) for r in self.rows])
+        table = self.table
+        return Collection.from_edge_lists(
+            self.n, [[(u, v) for u, v in self.pairs if table[u][v] >> i & 1] for i in range(self.t)]
+        )
 
 
 def extremal_min(q: ExtremalQuery) -> ExtremalResult:
@@ -403,27 +410,22 @@ def _scan_min(s: _CollectionSearch):
 
 
 def _search_sum(s: _CollectionSearch):
-    """Nested multiplicity search: rows[i] holds the pairs of multiplicity
-    above i, so rows[0] is the union of all colors."""
-    n, t, pairs, P, rows, members, budget = s.n, s.t, s.pairs, s.P, s.rows, s.members, s.budget
+    """Nested multiplicity search: a pair of multiplicity mu lies in colors
+    1..mu, so its table cell is (1 << mu) - 1."""
+    n, t, pairs, P, members, budget = s.n, s.t, s.pairs, s.P, s.members, s.budget
+    table, union, set_pair = s.table, s.union, s.set_pair
 
     def pair_cap(j: int, mu: int) -> int:
-        """Largest multiplicity up to mu at which pair j joins the rows freely."""
+        """Largest multiplicity up to mu at which pair j joins the table freely."""
         u, v = pairs[j]
-        bit_u, bit_v = 1 << v, 1 << u
-        for i in range(mu):
-            rows[i][u] |= bit_u
-            rows[i][v] |= bit_v
-        while mu and any(_exists_using_pair(n, rows, rows[0], f, (u, v), None) for f in members):
+        set_pair(u, v, (1 << mu) - 1)
+        while mu and any(_exists_using_pair(n, t, table, union, f, (u, v), None) for f in members):
             mu -= 1
-            rows[mu][u] &= ~bit_u
-            rows[mu][v] &= ~bit_v
-        for i in range(mu):
-            rows[i][u] &= ~bit_u
-            rows[i][v] &= ~bit_v
+            set_pair(u, v, (1 << mu) - 1)
+        set_pair(u, v, 0)
         return mu
 
-    # caps[j]: the exact cap of pair j over the current rows, for every j >= idx
+    # caps[j]: the exact cap of pair j over the current table, for every j >= idx
     caps = [pair_cap(j, t) for j in range(P)]
 
     def dfs(idx: int, total: int):
@@ -434,20 +436,15 @@ def _search_sum(s: _CollectionSearch):
             s.keep(total)
             return
         u, v = pairs[idx]
-        bit_u, bit_v = 1 << v, 1 << u
         saved = caps[idx + 1 :]
         for mu in range(caps[idx], 0, -1):
-            for i in range(mu):
-                rows[i][u] |= bit_u
-                rows[i][v] |= bit_v
+            set_pair(u, v, (1 << mu) - 1)
             for j in range(idx + 1, P):
                 if caps[j]:
                     caps[j] = pair_cap(j, caps[j])
             dfs(idx + 1, total + mu)
             caps[idx + 1 :] = saved
-            for i in range(mu):
-                rows[i][u] &= ~bit_u
-                rows[i][v] &= ~bit_v
+        set_pair(u, v, 0)
         dfs(idx + 1, total)
 
     dfs(0, 0)
@@ -466,8 +463,8 @@ def turan_exact(n: int, f: Graph, budget: int | None = None) -> int:
 def turan_extremal(n: int, f: Graph, budget: int | None = None) -> tuple[int, Graph]:
     """ex(n, f) together with the extremal graph of least canonical form,
     relabelled to that form.  The budget counts extension attempts."""
-    if not 1 <= n <= 10:
-        raise ValueError("orderly generation supports 1 <= n <= 10")
+    if not 1 <= n <= 12:
+        raise ValueError("orderly generation supports 1 <= n <= 12")
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1 extension attempt")
     limit = _Budget(budget if budget is not None else default_budget())
@@ -577,6 +574,6 @@ def _hits_pattern(rows: tuple[int, ...], k: int, members) -> bool:
     """Does the k-vertex graph contain a member through the new vertex k-1?
     The parent graph was member-free, so no other copy can exist."""
     for f in members:  # a loop, not any() over a generator: this runs once per extension
-        if _exists_through_vertex(k, None, rows, f, k - 1):
+        if _exists_through_vertex(k, 0, None, rows, f, k - 1):
             return True
     return False

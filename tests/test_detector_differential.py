@@ -68,7 +68,7 @@ def test_anchored_detector_matches_oracle(seed):
 
     def anchored(col, u, v, color):
         pair = rng.choice([(u, v), (v, u)])
-        return _exists_using_pair(col.n, col.adj_rows(), col.union_rows(), pattern, pair, color)
+        return _exists_using_pair(col.n, col.t, col.color_table(), col.union_rows(), pattern, pair, color)
 
     # against the definition: copies using uv in color c, or in any color;
     # pairs in several colors first, where the forced color matters
@@ -99,12 +99,12 @@ def test_lone_rainbow_copy_is_found_through_every_edge_and_vertex():
     for pattern in PATTERNS:
         edges = pattern.edges()
         col = Collection.from_edge_lists(pattern.n, [[e] for e in edges])
-        rows, union = col.adj_rows(), col.union_rows()
+        table, union = col.color_table(), col.union_rows()
         for c, (u, v) in enumerate(edges, start=1):
             for pair in ((u, v), (v, u)):
-                assert _exists_using_pair(pattern.n, rows, union, pattern, pair, c)
+                assert _exists_using_pair(pattern.n, col.t, table, union, pattern, pair, c)
         for anchor in range(pattern.n):
-            assert _exists_through_vertex(pattern.n, rows, union, pattern, anchor)
+            assert _exists_through_vertex(pattern.n, col.t, table, union, pattern, anchor)
 
 
 def _brute_contains(n: int, edges, pattern: Graph, through: int | None = None) -> bool:
@@ -128,8 +128,10 @@ def test_plain_containment_matches_brute_force(seed):
     assert contains_subgraph(host, pattern) == _brute_contains(n, edges, pattern)
     anchor = rng.randrange(n)
     through = _brute_contains(n, edges, pattern, anchor)
-    assert _exists_through_vertex(n, [host.adj] * pattern.edge_count(), host.adj, pattern, anchor) == through
-    assert _exists_through_vertex(n, None, host.adj, pattern, anchor) == through  # plain, no color layer
+    m = pattern.edge_count()  # m identical colors: every host edge holds all of them
+    table = [[(1 << m) - 1 if host.has_edge(u, v) else 0 for v in range(n)] for u in range(n)]
+    assert _exists_through_vertex(n, m, table, host.adj, pattern, anchor) == through
+    assert _exists_through_vertex(n, 0, None, host.adj, pattern, anchor) == through  # plain, no color layer
     for k in range(1, 4):
         assert matching_number_at_least(host, k) == _brute_contains(n, edges, Graph.matching(k))
 
@@ -173,3 +175,4 @@ def test_incremental_color_matching_matches_brute_force(ops):
         assert len(sdr.bits) == len(held)
         assert len(set(sdr.bits)) == len(held)
         assert all(b.bit_count() == 1 and b & m for b, m in zip(sdr.bits, held))
+        assert sdr.held == sum(sdr.bits)

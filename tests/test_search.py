@@ -134,8 +134,8 @@ def test_edge_floor_never_changes_a_value():
     assert _edge_floor(5, [parse_pattern("K6")]) == 10
 
 
-def test_turan_closed_forms_at_nine_and_ten():
-    for n in (9, 10):
+def test_turan_closed_forms_at_nine_to_twelve():
+    for n in (9, 10, 11, 12):
         assert turan_exact(n, parse_pattern("K3")) == n * n // 4  # Mantel
         thirds = [n // 3 + (i < n % 3) for i in range(3)]
         assert turan_exact(n, parse_pattern("K4")) == (n * n - sum(p * p for p in thirds)) // 2
@@ -148,7 +148,7 @@ def test_turan_edge_cases():
     assert turan_exact(3, parse_pattern("E4")) == 3  # pattern cannot fit
     assert turan_exact(4, parse_pattern("E4")) == -1  # nothing avoids it
     with pytest.raises(ValueError):
-        turan_exact(11, parse_pattern("K3"))
+        turan_exact(13, parse_pattern("K3"))
 
 
 # -- acceptance-grid values (fast rows; full set in test_acceptance) ----
@@ -452,6 +452,37 @@ def test_canonical_prefix_matches_all_permutations(n):
         assert searcher.canonical_prefix(k) == expected, (n, cmasks)
         outcomes.add((k, expected))
     assert {o for o in outcomes if o[0] >= 2} >= {(2, True), (2, False)}
+
+
+def test_search_state_table_tracks_the_collection():
+    from rturan import nest_transform
+    from rturan.search import _CollectionSearch
+
+    rng = random.Random(13)
+    for _ in range(120):
+        n, t = rng.randint(3, 7), rng.randint(1, 4)
+        searcher = _CollectionSearch(n, t, [], _Budget(1))  # no members: every add succeeds
+        held = set()  # (color, pair index) added and not removed
+        for _ in range(25):
+            color, idx = rng.randint(1, t), rng.randrange(searcher.P)
+            if (color, idx) in held:
+                searcher.remove(color, idx)
+                held.remove((color, idx))
+            else:
+                assert searcher.try_add(color, idx)
+                held.add((color, idx))
+            table, union = searcher.table, searcher.union
+            snap = searcher.snapshot()
+            for c in range(1, t + 1):
+                assert snap.graph(c).edges() == sorted(searcher.pairs[i] for k, i in held if k == c)
+            assert all(table[u][v] == table[v][u] for u in range(n) for v in range(n))
+            assert tuple(map(tuple, table)) == snap.color_table()
+            assert all((union[u] >> v & 1) == (table[u][v] != 0) for u in range(n) for v in range(n))
+        # the sum search's nested cells: multiplicity mu is colors 1..mu
+        for cells in table:
+            cells[:] = [(1 << mask.bit_count()) - 1 for mask in cells]
+        assert tuple(map(tuple, table)) == nest_transform(snap).color_table()
+        assert searcher.snapshot() == nest_transform(snap)
 
 
 def test_budget_flags_inexact():
