@@ -357,5 +357,6 @@ def star_cover(col: Collection, v: int, p: int) -> StarCover:
         exempt |= reached
     cover = tuple((min(u, v), max(u, v)) for u, bit in zip(held, sdr.bits) if not bit & exempt)
     exempt_colors = tuple(c + 1 for c in range(col.t) if exempt >> c & 1)
-    assert len(cover) + len(exempt_colors) == len(held) < p
+    if not len(cover) + len(exempt_colors) == len(held) < p:
+        raise AssertionError("star cover is not a minimum vertex cover of the leaf-color graph")
     return StarCover(witness=None, cover=cover, exempt=exempt_colors)

@@ -26,7 +26,10 @@ Shared machinery: color-permutation symmetry is broken by nonincreasing
 edge counts, vertex symmetry by keeping only prefixes that are minimal
 under simultaneous vertex relabeling, and every edge addition runs an
 incremental rainbow check restricted to copies through the new
-(pair, color).  That check seeds the pair with one pattern arc per orbit
+(pair, color), for the members with no more edges than the table has
+nonempty colors (a rainbow copy of F takes e(F) of them; min and prod
+fill colors in order, so color k leaves out members with more than k
+edges).  That check seeds the pair with one pattern arc per orbit
 of the pattern's automorphism group only: an automorphism turns a copy
 seeded by one arc of an orbit into a copy with the same edges and colors
 seeded by any other, so K3 needs one search instead of six.  Budgets
@@ -45,7 +48,10 @@ can still join the current nested collection freely.  Rainbow freeness survives
 deleting edges and colors are nested, so caps only fall along a branch
 and every multiplicity up to the cap is free; a branch is cut when its
 total plus the remaining caps cannot beat the best, which cannot change
-the sequence of improvements or the witness.
+the sequence of improvements or the witness.  After a pair takes a
+multiplicity, only the caps of pairs within max(v(F) - 3, 0) of it in the
+union graph are refreshed (every cap when a member is disconnected): a cap
+falls only through a copy holding both pairs.
 
 Vertex canonicity (enabled up to n = 6) is checked along a stabilizer
 chain: colors 1..k have a smaller relabeling exactly when some
@@ -74,9 +80,10 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import comb, prod
+from operator import or_
 
 from .graphcore import (
     Graph,
@@ -224,12 +231,15 @@ class _CollectionSearch:
 
     The colors are held as one color table (``table[u][v]`` the mask of the
     colors holding pair uv, as ``Collection.color_table``) with ``union``,
-    the adjacency rows of its nonzero cells, beside it."""
+    the adjacency rows of its nonzero cells, beside it.  ``live[k]`` holds
+    the members with at most k edges, the only ones k nonempty colors can
+    hold rainbow; sum refreshes caps in a ``union`` ball (``_search_sum``)."""
 
     def __init__(self, n: int, t: int, members, budget: _Budget):
         self.n = n
         self.t = t
         self.members = members
+        self.live = [[f for f in members if f.edge_count() <= k] for k in range(t + 1)]
         self.budget = budget
         self.pairs = _pairs(n)
         self.P = len(self.pairs)
@@ -283,10 +293,12 @@ class _CollectionSearch:
         return self._dfs(k, idx + 1, count, cap, prefix)
 
     def try_add(self, color: int, idx: int) -> bool:
-        """Add pair idx to the color unless it completes a rainbow copy."""
+        """Add pair idx to the color unless it completes a rainbow copy.
+        Checks only ``live[color]``, so every color above this one must be
+        empty, as it is while ``_dfs`` fills the colors in order."""
         u, v = self.pairs[idx]
         self.set_pair(u, v, self.table[u][v] | 1 << (color - 1))
-        for f in self.members:
+        for f in self.live[color]:
             if _exists_using_pair(self.n, self.t, self.table, self.union, f, (u, v), color):
                 self._remove(color, idx)
                 return False
@@ -391,7 +403,8 @@ def _extremal(q: ExtremalQuery, mode: str) -> ExtremalResult:
     if not is_rainbow_free(s.witness, q.family):
         raise AssertionError("search produced a non-free witness")
     counts = s.witness.edge_counts()
-    assert (min(counts) >= s.best) if mode == "min" else (objective(counts) == s.best)
+    if not (min(counts) >= s.best if mode == "min" else objective(counts) == s.best):
+        raise AssertionError(f"search witness {counts} does not attain {mode} = {s.best}")
     return ExtremalResult(s.best, s.witness, budget.used, exact)
 
 
@@ -411,24 +424,39 @@ def _scan_min(s: _CollectionSearch):
 
 def _search_sum(s: _CollectionSearch):
     """Nested multiplicity search: a pair of multiplicity mu lies in colors
-    1..mu, so its table cell is (1 << mu) - 1."""
-    n, t, pairs, P, members, budget = s.n, s.t, s.pairs, s.P, s.members, s.budget
-    table, union, set_pair = s.table, s.union, s.set_pair
+    1..mu, so its table cell is (1 << mu) - 1.
 
-    def pair_cap(j: int, mu: int) -> int:
-        """Largest multiplicity up to mu at which pair j joins the table freely."""
+    After pair p = uv takes a multiplicity, the cap of a later pair j can
+    fall only through a copy of a member holding both j and p; every other
+    copy through j was there before.  In a connected member the nearest
+    endpoints of j and p are at most v(F) - 3 apart (v(F) the vertices on
+    its edges): a shortest path between them avoids j and p, and its
+    vertices and the two far endpoints are distinct.  So only pairs with an
+    endpoint in that ball around {u, v} of ``union`` are refreshed, every
+    pair when a member is disconnected.  A check skips the members with
+    more edges than the largest multiplicity, ``top`` or j's own."""
+    n, t, pairs, P, live, budget = s.n, s.t, s.pairs, s.P, s.live, s.budget
+    table, union, set_pair = s.table, s.union, s.set_pair
+    radius = _refresh_radius(s.members)
+    ends = [1 << u | 1 << v for u, v in pairs]
+
+    def pair_cap(j: int, mu: int, top: int) -> int:
+        """Largest multiplicity up to mu at which pair j joins the table
+        freely; top is the largest multiplicity in the table."""
         u, v = pairs[j]
         set_pair(u, v, (1 << mu) - 1)
-        while mu and any(_exists_using_pair(n, t, table, union, f, (u, v), None) for f in members):
+        while mu and any(
+            _exists_using_pair(n, t, table, union, f, (u, v), None) for f in live[max(mu, top)]
+        ):
             mu -= 1
             set_pair(u, v, (1 << mu) - 1)
         set_pair(u, v, 0)
         return mu
 
     # caps[j]: the exact cap of pair j over the current table, for every j >= idx
-    caps = [pair_cap(j, t) for j in range(P)]
+    caps = [pair_cap(j, t, 0) for j in range(P)]
 
-    def dfs(idx: int, total: int):
+    def dfs(idx: int, total: int, top: int):
         budget.step()
         if total + sum(caps[idx:]) <= s.best:
             return
@@ -437,18 +465,39 @@ def _search_sum(s: _CollectionSearch):
             return
         u, v = pairs[idx]
         saved = caps[idx + 1 :]
+        near = -1 if radius is None else _ball(union, ends[idx], radius)
         for mu in range(caps[idx], 0, -1):
             set_pair(u, v, (1 << mu) - 1)
+            high = max(top, mu)
             for j in range(idx + 1, P):
-                if caps[j]:
-                    caps[j] = pair_cap(j, caps[j])
-            dfs(idx + 1, total + mu)
+                if caps[j] and near & ends[j]:
+                    caps[j] = pair_cap(j, caps[j], high)
+            dfs(idx + 1, total + mu, high)
             caps[idx + 1 :] = saved
         set_pair(u, v, 0)
-        dfs(idx + 1, total)
+        dfs(idx + 1, total, top)
 
-    dfs(0, 0)
+    dfs(0, 0, 0)
 
+
+def _refresh_radius(members) -> int | None:
+    """max(v(F) - 3, 0) over the members, None when a member's edges are
+    not one connected graph."""
+    radius = 0
+    for f in members:
+        touched = reduce(or_, f.adj)
+        if _ball(f.adj, touched & -touched, f.n) != touched:
+            return None
+        radius = max(radius, touched.bit_count() - 3)
+    return radius
+
+
+def _ball(rows, seeds: int, radius: int) -> int:
+    """The vertices at most radius steps from the seed set along the rows."""
+    ball = seeds
+    for _ in range(radius):
+        ball |= reduce(or_, (row for w, row in enumerate(rows) if ball >> w & 1), 0)
+    return ball
 
 
 # ---------------------------------------------------------------------
@@ -559,7 +608,8 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
         level = nxt
     edges = {form: sum(r.bit_count() for r in rows) // 2 for form, rows in level.items()}
     g = _from_canonical(min(level, key=lambda form: (-edges[form], form)))
-    assert g.edge_count() >= floor
+    if g.edge_count() < floor:
+        raise AssertionError(f"ex(n, members) = {g.edge_count()} below its certified floor {floor}")
     return g.edge_count(), g
 
 

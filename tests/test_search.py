@@ -8,6 +8,7 @@ import pytest
 from helpers import ORACLE_PATTERNS, explicit_rainbow_oracle
 
 from rturan import (
+    Collection,
     ExtremalQuery,
     Graph,
     PatternFamily,
@@ -368,6 +369,158 @@ def test_search_node_counts_are_pinned():
         res = fns[mode](Q(mode, n, t, FAM(name)))
         got = (res.value, res.nodes, [g.edges() for g in res.witness.graphs])
         assert res.exact and got == (value, nodes, edges), (mode, n, t, name)
+
+
+# Anchored detector calls and node counts of searches at the detector's
+# guards: min and prod check only members with at most k edges while color
+# k fills; sum checks only members that fit the table's nonempty colors and
+# refreshes only caps near the newest pair.  Without the guards the same
+# searches make 4,328, 29,559, 10,126 and 52,887 calls.
+DETECTOR_CALLS = {
+    ("min", 5, 3, "K3", None): (1_110, 8_047),
+    ("prod", 5, 3, "K3", None): (17_791, 45_238),
+    ("min", 6, 3, "M3", 20_000): (555, 20_001),
+    ("sum", 6, 3, "K3", None): (32_201, 7_889),
+}
+
+
+def test_detector_runs_only_where_a_rainbow_copy_fits(monkeypatch):
+    import rturan.search as search
+
+    real = search._exists_using_pair
+    calls = []
+
+    def counting(n, t, table, union, f, pair, color):
+        colors = 0
+        for row in table:
+            for cell in row:
+                colors |= cell
+        assert colors.bit_count() >= f.edge_count(), (f.edges(), table)
+        calls.append(f)
+        return real(n, t, table, union, f, pair, color)
+
+    monkeypatch.setattr(search, "_exists_using_pair", counting)
+    fns = {"min": extremal_min, "sum": extremal_sum, "prod": extremal_prod}
+    for (mode, n, t, name, budget), pinned in DETECTOR_CALLS.items():
+        calls.clear()
+        res = fns[mode](Q(mode, n, t, FAM(name), budget=budget))
+        assert (len(calls), res.nodes) == pinned, (mode, n, t, name)
+
+
+def _nested_collection(n, t, mult):
+    return Collection.from_edge_lists(n, [[p for p, m in mult.items() if m >= c] for c in range(1, t + 1)])
+
+
+def _exact_cap(n, t, mult, pair, members):
+    """Largest multiplicity up to t at which pair joins the nested table
+    without a rainbow copy, by the brute-force oracle."""
+    for mu in range(t, 0, -1):
+        col = _nested_collection(n, t, {**mult, pair: mu})
+        if not any(explicit_rainbow_oracle(col, f) for f in members):
+            return mu
+    return 0
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_sum_cap_falls_only_near_the_new_pair(n):
+    # the cap of a pair j falls after p takes a multiplicity only if j has
+    # an endpoint within max(v(F) - 3, 0) of p in the union graph
+    from rturan.search import _ball, _refresh_radius
+
+    rng = random.Random(1400 + n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    ends = {(u, v): 1 << u | 1 << v for u, v in pairs}
+    names = ["K3", "P3", "P4", "S3", "K2,2"] + (["K4"] if n <= 5 else [])
+    falls = apart = 0  # apart: falls of pairs sharing no vertex with p
+    for _ in range({4: 60, 5: 60, 6: 40, 7: 30}[n]):
+        members = [f for f in map(parse_pattern, rng.sample(names, rng.randint(1, 2))) if f.n <= n]
+        if not members:
+            continue
+        most = max(f.edge_count() for f in members)
+        t = rng.randint(most, max(most, 4))
+        radius = _refresh_radius(members)
+        assert radius == max(max(f.n - 3, 0) for f in members)  # no pattern here has an isolated vertex
+        mult = {}
+        for pair in rng.sample(pairs, rng.randint(0, len(pairs) - 2)):
+            cap = _exact_cap(n, t, mult, pair, members)
+            if cap:
+                mult[pair] = rng.randint(1, cap)
+        later = [q for q in pairs if q not in mult]
+        p = rng.choice(later)
+        cap = _exact_cap(n, t, mult, p, members)
+        if not cap:
+            continue
+        union = list(_nested_collection(n, t, mult).union_rows())
+        near = _ball(union, ends[p], radius)
+        after = {**mult, p: rng.randint(1, cap)}
+        for j in later:
+            if j != p and _exact_cap(n, t, after, j, members) < _exact_cap(n, t, mult, j, members):
+                falls += 1
+                apart += not ends[j] & ends[p]
+                assert near & ends[j], ([f.edges() for f in members], mult, p, j)
+    assert falls >= 10 and apart >= 1, (falls, apart)
+
+
+def test_disconnected_member_refreshes_every_cap():
+    from rturan.search import _refresh_radius
+
+    assert _refresh_radius(FAM("M2").members) is None
+    assert _refresh_radius(FAM("K3", "M2").members) is None
+    assert _refresh_radius(FAM("K3", "P4").members) == 1
+    # a cap falls across components: j = 23 loses its cap once p = 01 has multiplicity 2
+    for members in (FAM("M2").members, FAM("K3", "M2").members):
+        assert _exact_cap(4, 2, {}, (2, 3), members) == 2
+        assert _exact_cap(4, 2, {(0, 1): 2}, (2, 3), members) == 0
+
+
+# Run under ``python -O``: each answer check must raise although asserts are off.
+_WRONG_ANSWERS = """
+import rturan.lemmas as lemmas
+import rturan.search as search
+from rturan import Collection, Graph, PatternFamily, parse_pattern
+
+def caught(call):
+    try:
+        call()
+    except AssertionError as exc:
+        print("caught:", exc)
+
+real = search._search_sum
+def overstated(s):
+    real(s)
+    s.best += 1
+search._search_sum = overstated
+fam = PatternFamily.from_graphs([parse_pattern("K3")])
+caught(lambda: search.extremal_sum(search.ExtremalQuery("sum", 4, 3, fam)))
+search._from_canonical = lambda form: Graph.edgeless(5)
+caught(lambda: search.turan_exact(5, parse_pattern("K3")))
+class NoMatching(lemmas._ColorMatching):
+    def push(self, mask):
+        self.masks.append(mask)
+        self.bits.append(0)
+        return False
+lemmas._ColorMatching = NoMatching
+caught(lambda: lemmas.star_cover(Collection([Graph.star(2)] * 2), 0, 3))
+"""
+
+
+def test_answer_checks_survive_python_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rturan
+
+    env = dict(os.environ, PYTHONPATH=str(Path(rturan.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_ANSWERS], env=env, capture_output=True, text=True, check=True
+    )
+    caught = [line for line in out.stdout.splitlines() if line.startswith("caught:")]
+    assert len(caught) == 3, out.stdout + out.stderr
+    assert "does not attain sum" in caught[0]
+    assert "below its certified floor" in caught[1]
+    assert "star cover" in caught[2]
 
 
 def test_min_erdos_gallai_value_at_n6():
