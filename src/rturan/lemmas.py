@@ -226,6 +226,11 @@ def very_strong_color(col: Collection, i: int, r: int, m: int) -> bool:
     some edge of color i avoids every vertex of the configuration.
     Configurations without an actual S_r core are not quantified, but an
     empty color is never very strong.
+
+    A center whose edges hold fewer than r distinct colors (one
+    ``_ColorMatching`` pass) has no rainbow S_r and is skipped.  Elsewhere
+    every r-subset of a center's edges is tried, exponential in r, because
+    the definition quantifies over every rainbow star.
     """
     if r < 2 or m < 1:
         raise ValueError("need r >= 2 and m >= 1")
@@ -239,7 +244,8 @@ def very_strong_color(col: Collection, i: int, r: int, m: int) -> bool:
     for center in range(n):
         # leaves ascending: pairs (leaf, center) come before pairs (center, leaf)
         nbrs = [(v if u == center else u, cm) for u, v, cm in pairs if center in (u, v)]
-        if len(nbrs) < r:
+        sdr = _ColorMatching()
+        if sum(sdr.push(cm) for _, cm in nbrs) < r:  # a maximum matching: no rainbow S_r here
             continue
         for combo in combinations(nbrs, r):
             star_masks = [cm for _, cm in combo]

@@ -51,7 +51,8 @@ total plus the remaining caps cannot beat the best, which cannot change
 the sequence of improvements or the witness.  After a pair takes a
 multiplicity, only the caps of pairs within max(v(F) - 3, 0) of it in the
 union graph are refreshed (every cap when a member is disconnected): a cap
-falls only through a copy holding both pairs.
+falls only through a copy holding both pairs.  Each lower multiplicity of
+the pair only lets caps rise back, so it refreshes only the caps that fell.
 
 Vertex canonicity (enabled up to n = 6) is checked along a stabilizer
 chain: colors 1..k have a smaller relabeling exactly when some
@@ -83,7 +84,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations
 from math import comb, prod
-from operator import or_
+from operator import itemgetter, or_
 
 from .graphcore import (
     Graph,
@@ -207,11 +208,15 @@ def _pair_perm_tables(n: int) -> tuple[tuple[int, ...], ...] | None:
 
 
 def _stabilizer(tables, mask: int) -> list | None:
-    """The tables that fix the pair mask, or None when one maps it below itself."""
+    """The tables that fix the pair mask, or None when one maps it below
+    itself.  A mask's image is the sum of one gather of its bits' images."""
+    if not mask:  # every table fixes it
+        return list(tables)
     bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    gather = itemgetter(*bits)  # of one index, gathers the image itself
+    images = map(gather, tables) if len(bits) == 1 else map(sum, map(gather, tables))
     fixing = []
-    for table in tables:
-        image = sum(map(table.__getitem__, bits))
+    for table, image in zip(tables, images):
         if image < mask:
             return None
         if image == mask:
@@ -271,26 +276,29 @@ class _CollectionSearch:
 
     def _dfs(self, k: int, idx: int, count: int, cap: int, prefix: int) -> bool:
         """Color k holds count edges among pairs below idx and may hold up to
-        cap; prefix is the product of the counts of colors 1..k-1."""
-        self.budget.step()
-        room = count + (self.P - idx)
-        if self.floor:
-            if room < self.floor:
+        cap; prefix is the product of the counts of colors 1..k-1.  One node
+        per pass: skipping pair idx is the next pass, not a recursive call."""
+        step, P, floor, power = self.budget.step, self.P, self.floor, self.t - k + 1
+        while True:
+            step()
+            room = count + (P - idx)
+            if floor:
+                if room < floor:
+                    return False
+            elif prefix * min(cap, room) ** power <= self.best:  # prod raises best as it goes
                 return False
-        elif prefix * min(cap, room) ** (self.t - k + 1) <= self.best:
-            return False
-        if idx == self.P:
-            if not self.canonical_prefix(k):
-                return False
-            if k < self.t:
-                return self._dfs(k + 1, 0, 0, count, prefix * count)
-            self.keep(self.floor or prefix * count)  # prod: the bound put the product above best
-            return self.floor > 0
-        if count < cap and self.try_add(k, idx):
-            if self._dfs(k, idx + 1, count + 1, cap, prefix):
-                return True
-            self.remove(k, idx)
-        return self._dfs(k, idx + 1, count, cap, prefix)
+            if idx == P:
+                if not self.canonical_prefix(k):
+                    return False
+                if k < self.t:
+                    return self._dfs(k + 1, 0, 0, count, prefix * count)
+                self.keep(floor or prefix * count)  # prod: the bound put the product above best
+                return floor > 0
+            if count < cap and self.try_add(k, idx):
+                if self._dfs(k, idx + 1, count + 1, cap, prefix):
+                    return True
+                self.remove(k, idx)
+            idx += 1
 
     def try_add(self, color: int, idx: int) -> bool:
         """Add pair idx to the color unless it completes a rainbow copy.
@@ -434,18 +442,26 @@ def _search_sum(s: _CollectionSearch):
     vertices and the two far endpoints are distinct.  So only pairs with an
     endpoint in that ball around {u, v} of ``union`` are refreshed, every
     pair when a member is disconnected.  A check skips the members with
-    more edges than the largest multiplicity, ``top`` or j's own."""
+    more edges than the largest multiplicity, ``top`` or j's own.
+
+    p's multiplicities run downward, and the table at mu - 1 is the table
+    at mu less color mu on p.  Freeness survives deleting edges, so j's cap
+    at mu - 1 lies between its cap at mu and its cap before p (``saved``).
+    Below the first mu only the caps that fell are refreshed, from
+    ``saved`` down to a floor, the cap at mu, that ``pair_cap`` never
+    checks; ``caps`` is restored once, after the last mu."""
     n, t, pairs, P, live, budget = s.n, s.t, s.pairs, s.P, s.live, s.budget
     table, union, set_pair = s.table, s.union, s.set_pair
     radius = _refresh_radius(s.members)
     ends = [1 << u | 1 << v for u, v in pairs]
 
-    def pair_cap(j: int, mu: int, top: int) -> int:
+    def pair_cap(j: int, mu: int, top: int, floor: int = 0) -> int:
         """Largest multiplicity up to mu at which pair j joins the table
-        freely; top is the largest multiplicity in the table."""
+        freely, known to be at least floor, so no check runs at or below
+        it; top is the largest multiplicity in the table."""
         u, v = pairs[j]
         set_pair(u, v, (1 << mu) - 1)
-        while mu and any(
+        while mu > floor and any(
             _exists_using_pair(n, t, table, union, f, (u, v), None) for f in live[max(mu, top)]
         ):
             mu -= 1
@@ -469,11 +485,14 @@ def _search_sum(s: _CollectionSearch):
         for mu in range(caps[idx], 0, -1):
             set_pair(u, v, (1 << mu) - 1)
             high = max(top, mu)
-            for j in range(idx + 1, P):
-                if caps[j] and near & ends[j]:
-                    caps[j] = pair_cap(j, caps[j], high)
-            dfs(idx + 1, total + mu, high)
-            caps[idx + 1 :] = saved
+            for j, was in enumerate(saved, idx + 1):
+                if caps[j] < was:  # fell at mu + 1, so lies in caps[j]..was at mu
+                    caps[j] = pair_cap(j, was, high, caps[j])
+                elif was and near & ends[j]:
+                    caps[j] = pair_cap(j, was, high)
+            dfs(idx + 1, total + mu, high)  # returns with caps as it found them
+            near = 0  # below the first multiplicity only fallen caps move
+        caps[idx + 1 :] = saved
         set_pair(u, v, 0)
         dfs(idx + 1, total, top)
 

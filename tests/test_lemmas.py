@@ -265,6 +265,17 @@ def test_very_strong_matches_definition_by_enumeration():
         assert very_strong_color(col, i, r, m) == oracle(col, i, r, m)
 
 
+def test_very_strong_skips_a_center_without_a_rainbow_star():
+    # 7 colors at center 0 against r = 8 once color 1 is left out: no rainbow
+    # S_8 anywhere, so color 1 is vacuously very strong, without trying the
+    # C(29, 8) = 4,292,145 leaf sets at 0
+    star = [(0, u) for u in range(1, 30)]
+    path = [(u, u + 1) for u in range(1, 29)]
+    col = Collection.from_edge_lists(30, [path] + [star] * 7)
+    assert very_strong_color(col, 1, 8, 1) is True
+    assert very_strong_color(col, 1, 8, 3) is True
+
+
 # -- structure without a rainbow 2-matching ------------------------------
 
 

@@ -1,6 +1,7 @@
 """Exact Turan numbers and the three extremal searches against references."""
 
 import random
+import sys
 from itertools import permutations, product
 from math import comb
 
@@ -374,13 +375,16 @@ def test_search_node_counts_are_pinned():
 # Anchored detector calls and node counts of searches at the detector's
 # guards: min and prod check only members with at most k edges while color
 # k fills; sum checks only members that fit the table's nonempty colors and
-# refreshes only caps near the newest pair.  Without the guards the same
-# searches make 4,328, 29,559, 10,126 and 52,887 calls.
+# refreshes only caps near the newest pair, and below a pair's first
+# multiplicity only the caps that fell.  Without the guards the first four
+# searches make 4,328, 29,559, 10,126 and 52,887 calls; refreshing every
+# ball cap at every multiplicity, the sum searches make 32,201 and 12,874.
 DETECTOR_CALLS = {
     ("min", 5, 3, "K3", None): (1_110, 8_047),
     ("prod", 5, 3, "K3", None): (17_791, 45_238),
     ("min", 6, 3, "M3", 20_000): (555, 20_001),
-    ("sum", 6, 3, "K3", None): (32_201, 7_889),
+    ("sum", 6, 3, "K3", None): (21_396, 7_889),
+    ("sum", 5, 4, "K3", None): (9_842, 2_732),
 }
 
 
@@ -471,6 +475,77 @@ def test_disconnected_member_refreshes_every_cap():
     for members in (FAM("M2").members, FAM("K3", "M2").members):
         assert _exact_cap(4, 2, {}, (2, 3), members) == 2
         assert _exact_cap(4, 2, {(0, 1): 2}, (2, 3), members) == 0
+
+
+def _random_free_table(rng, n, t, pairs, members):
+    """A random nested free multiplicity map, grown pair by pair under exact caps."""
+    mult = {}
+    for pair in rng.sample(pairs, rng.randint(0, len(pairs) - 2)):
+        cap = _exact_cap(n, t, mult, pair, members)
+        if cap:
+            mult[pair] = rng.randint(1, cap)
+    return mult
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_sum_caps_only_rise_as_the_new_pair_falls(n):
+    # the table with p at mu - 1 is the table at mu less one color of p, so
+    # every later cap at mu - 1 is at least its cap at mu, and never above
+    # its cap without p
+    rng = random.Random(1500 + n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    families = [FAM("K3"), FAM("P3"), FAM("P4"), FAM("K2,2"), FAM("K3", "M2")]
+    rises = 0
+    for _ in range({4: 30, 5: 20, 6: 8}[n]):
+        members = [f for f in rng.choice(families).members if f.n <= n]
+        t = rng.randint(max(f.edge_count() for f in members), 4)
+        mult = _random_free_table(rng, n, t, pairs, members)
+        later = [q for q in pairs if q not in mult]
+        p = rng.choice(later)
+        without = {j: _exact_cap(n, t, mult, j, members) for j in later if j != p}
+        prev = None
+        for mu in range(t, 0, -1):
+            caps = {j: _exact_cap(n, t, {**mult, p: mu}, j, members) for j in without}
+            for j, cap in caps.items():
+                assert cap <= without[j], (mult, p, mu, j)
+                if prev is not None:
+                    assert cap >= prev[j], (mult, p, mu, j)
+                    rises += cap > prev[j]
+            prev = caps
+    assert rises >= 5, rises
+
+
+class _CapCheckingBudget(_Budget):
+    """A budget whose every step, taken at a sum node, checks the node's
+    caps (every pair from idx on) against the brute-force caps of the
+    nested table the searcher holds."""
+
+    def __init__(self, searcher):
+        super().__init__(10**7)
+        self.searcher, self.checked = searcher, 0
+
+    def step(self):
+        super().step()
+        node = sys._getframe(1).f_locals  # the sum DFS frame: idx and its caps
+        s = self.searcher
+        mult = {(u, v): s.table[u][v].bit_count() for u, v in s.pairs if s.table[u][v]}
+        for j in range(node["idx"], s.P):
+            assert node["caps"][j] == _exact_cap(s.n, s.t, mult, s.pairs[j], s.members), (mult, j)
+            self.checked += 1
+
+
+@pytest.mark.parametrize("famtext", ["{K3}", "{P3}", "{P4}", "{K3,M2}"])
+def test_sum_search_caps_are_exact_at_every_node(famtext):
+    from rturan import parse_family
+    from rturan.search import _CollectionSearch, _search_sum, _split_family
+
+    fam = parse_family(famtext)
+    for n, t in ((4, 3), (5, 2), (5, 3)):
+        s = _CollectionSearch(n, t, _split_family(fam, n, t)[1], _Budget(1))
+        s.budget = budget = _CapCheckingBudget(s)  # _search_sum reads it when it starts
+        _search_sum(s)
+        assert s.best == extremal_sum(Q("sum", n, t, fam)).value
+        assert budget.checked >= budget.used
 
 
 # Run under ``python -O``: each answer check must raise although asserts are off.
@@ -605,6 +680,37 @@ def test_canonical_prefix_matches_all_permutations(n):
         assert searcher.canonical_prefix(k) == expected, (n, cmasks)
         outcomes.add((k, expected))
     assert {o for o in outcomes if o[0] >= 2} >= {(2, True), (2, False)}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_stabilizer_matches_brute_force(n):
+    from rturan.search import _pair_perm_tables, _stabilizer
+
+    rng = random.Random(2100 + n)
+    tables = _pair_perm_tables(n)
+    perms = _pair_images(n)  # the same permutations, in the same order
+    assert [list(table) for table in tables] == [[1 << i for i in images] for images in perms]
+    width = n * (n - 1) // 2
+    full = (1 << width) - 1
+    masks = [0, full] + [1 << i for i in range(width)]
+    masks += [1 << i | 1 << j for i in range(width) for j in range(i + 1, width)]
+    masks += [rng.randint(0, full) for _ in range(60)]
+    # the full set, and the stabilizers of a few masks least in their orbits
+    subsets = [list(range(len(tables)))]
+    for mask in rng.sample(masks, 4):
+        base = min(_image(mask, images) for images in perms + [list(range(width))])
+        subsets.append([k for k in subsets[0] if _image(base, perms[k]) == base])
+    outcomes = set()
+    for subset in subsets:
+        for mask in masks:
+            images = [_image(mask, perms[k]) for k in subset]
+            if any(image < mask for image in images):
+                expected = None
+            else:
+                expected = [tables[k] for k, image in zip(subset, images) if image == mask]
+            assert _stabilizer([tables[k] for k in subset], mask) == expected, (n, mask)
+            outcomes.add((mask.bit_count(), expected is None))
+    assert {(0, False), (1, False), (1, True), (2, True), (width, False)} <= outcomes
 
 
 def test_search_state_table_tracks_the_collection():
