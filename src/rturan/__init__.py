@@ -21,8 +21,6 @@ from .graphcore import (
     family_deleted_independent,
     family_covering,
     bipartition_min_class,
-    contains_subgraph,
-    matching_number_at_least,
     minimum_vertex_cover,
 )
 from .collection import (
@@ -33,6 +31,8 @@ from .collection import (
     RangeError,
     codec_read,
     codec_write,
+    contains_subgraph,
+    matching_number_at_least,
     find_rainbow_copy,
     rainbow_copy_exists,
     is_rainbow_free,

@@ -20,6 +20,7 @@ from .collection import (
     codec_read,
     codec_write,
     find_rainbow_copy,
+    is_rainbow_free,
 )
 from . import lemmas
 from .search import (
@@ -209,8 +210,6 @@ def _suite_searched(suite: str, budget) -> list[dict]:
 
 
 def _suite_constructions(budget) -> list[dict]:
-    from .collection import is_rainbow_free
-
     rows = []
     for cid, params in cons.certification_grid():
         t0 = time.monotonic()

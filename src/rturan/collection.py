@@ -12,6 +12,10 @@ edges and colors), so the color choice never costs a factorial factor.
 
 Colors are 1-based everywhere in the public interface, matching the
 .rcol file format.
+
+Plain containment in one graph (``contains_subgraph``,
+``matching_number_at_least``) is answered here too, by the same kernels
+without the color layer.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .graphcore import Graph, PatternFamily, matching_number_at_least
+from .graphcore import Graph, PatternFamily
 
 __all__ = [
     "Collection",
@@ -30,6 +34,8 @@ __all__ = [
     "RangeError",
     "codec_read",
     "codec_write",
+    "contains_subgraph",
+    "matching_number_at_least",
     "find_rainbow_copy",
     "rainbow_copy_exists",
     "is_rainbow_free",
@@ -631,15 +637,13 @@ def _rainbow_matchings(n: int, pairs, init_masks: list[int], used: int, limit: i
 def _matching_exists_with(n: int, table, size: int, init_masks: list[int], banned_vmask: int) -> bool:
     """Rainbow matching of the given size avoiding banned vertices, with
     colors jointly assignable alongside the already fixed ``init_masks``."""
-    if size < 0:
-        return False
     pairs = _colored_pairs(n, table, banned_vmask)
     found = _rainbow_matchings(n, pairs, init_masks, banned_vmask, size, [size])
     return next(found, None) is not None
 
 
 # ---------------------------------------------------------------------
-# rainbow-copy detection
+# rainbow-copy detection, and plain containment in one graph
 
 
 def rainbow_copy_exists(col: Collection, pattern: Graph) -> bool:
@@ -658,7 +662,7 @@ def _exists(n: int, t: int, table, union_rows, pattern: Graph) -> bool:
         return True
     if table is None:
         if plan.matching:
-            return matching_number_at_least(Graph(n, union_rows), m)
+            return _plain_matching(union_rows, m)
     elif m > t:
         return False
     elif plan.matching:
@@ -705,38 +709,6 @@ def _exists_using_pair(
     return False
 
 
-def _exists_through_vertex(n: int, t: int, table, union_rows, pattern: Graph, anchor: int) -> bool:
-    """Existence of a rainbow copy whose embedding uses the host vertex anchor;
-    with ``table`` None, of a plain copy in the graph ``union_rows``.
-
-    A pattern with an isolated vertex can always put that vertex on the
-    anchor, so for such patterns this is existence anywhere, and a plain
-    matching needs only an edge at the anchor.  Otherwise one pattern
-    vertex per automorphism orbit is seeded on the anchor (see ``_Plan``).
-    """
-    if pattern.n > n:
-        return False
-    plan = _plan(pattern)
-    if plan.isolated:
-        return _exists(n, t, table, union_rows, pattern)
-    m = len(plan.edges)
-    if table is None:
-        if plan.matching:  # a maximum matching missing the anchor can swap in an edge at it
-            return union_rows[anchor] != 0 and matching_number_at_least(Graph(n, union_rows), m)
-    elif m > t:
-        return False
-    degree = union_rows[anchor].bit_count()
-    sdr = _ColorMatching()
-    for seed, steps in plan.seeded:
-        if degree < pattern.degree(seed):
-            continue
-        vmap = [-1] * pattern.n
-        vmap[seed] = anchor
-        if _embed(steps, vmap, 1 << anchor, sdr, m, table, union_rows):
-            return True
-    return False
-
-
 def find_rainbow_copy(col: Collection, pattern: Graph) -> RainbowWitness | None:
     """Lexicographically smallest rainbow copy of the pattern, if any.
 
@@ -777,6 +749,60 @@ def is_rainbow_free(col: Collection, family: PatternFamily) -> bool:
     table = col.color_table()
     union_rows = col.union_rows()
     return not any(_exists(col.n, col.t, table, union_rows, f) for f in family)
+
+
+def contains_subgraph(host: Graph, pattern: Graph) -> bool:
+    """Whether host contains pattern as a (not necessarily induced) subgraph."""
+    return _exists(host.n, 0, None, host.adj, pattern)
+
+
+def matching_number_at_least(g: Graph, k: int) -> bool:
+    """Whether g contains k pairwise disjoint edges."""
+    return _plain_matching(g.adj, k)
+
+
+def _plain_matching(rows, k: int) -> bool:
+    """Whether the graph with adjacency ``rows`` has k disjoint edges: a
+    greedy pass in lexicographic pair order, then the pair-subset search
+    with every color (mask -1) on every pair, so no color matching fails."""
+    pairs = []
+    used = 0
+    for u, row in enumerate(rows):
+        row = row >> u << u  # the neighbors above u
+        free = 0 if used >> u & 1 else row & ~used
+        if free:
+            used |= 1 << u | free & -free
+            if used.bit_count() == 2 * k:
+                return True
+        while row:
+            low = row & -row
+            row ^= low
+            pairs.append((u, low.bit_length() - 1, -1))
+    return next(_rainbow_matchings(len(rows), pairs, [], 0, k, [k]), None) is not None
+
+
+def _exists_through_vertex(rows, pattern: Graph, anchor: int) -> bool:
+    """A plain copy in the graph ``rows`` that uses the host vertex anchor.
+
+    A pattern with an isolated vertex puts it on the anchor, so any copy
+    does.  A matching needs an edge at the anchor and as many disjoint
+    edges (a maximum matching can swap that edge in).  Other patterns seed
+    one vertex per automorphism orbit on the anchor (see ``_Plan``).
+    """
+    plan = _plan(pattern)
+    if plan.isolated:
+        return _exists(len(rows), 0, None, rows, pattern)
+    if plan.matching:
+        return rows[anchor] != 0 and _plain_matching(rows, len(plan.edges))
+    degree = rows[anchor].bit_count()
+    sdr = _ColorMatching()
+    for seed, steps in plan.seeded:
+        if degree >= pattern.degree(seed):
+            vmap = [-1] * pattern.n
+            vmap[seed] = anchor
+            if _embed(steps, vmap, 1 << anchor, sdr, 0, None, rows):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------

@@ -183,6 +183,8 @@ def _resolve_inner(
     """Inner collection on s vertices: validate the supplied one or search."""
     if supplied is None:
         return _inner_search(s, t, inner_family, budget).witness
+    if not isinstance(supplied, Collection):
+        raise GuardViolated(f"inner must be a collection read from --inner PATH, got {supplied!r}")
     if supplied.n != s:
         raise InnerTooLarge(f"inner collection has {supplied.n} vertices, needs {s}")
     if supplied.t != t:

@@ -19,6 +19,10 @@ Members that still have edges are stored without isolated vertices;
 edgeless members keep an explicit vertex count because a rainbow copy of
 an edgeless pattern on k vertices exists exactly when the host has at
 least k vertices.
+
+Plain containment in one graph (``contains_subgraph``,
+``matching_number_at_least``) is answered by ``collection``, which builds
+on this module; this one imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -600,36 +604,3 @@ def _odd_cycle(parent: list[int], v: int, w: int) -> list[int]:
         x = parent[x]
         pw.append(x)
     return pv[: seen[x] + 1][::-1] + pw[:-1]
-
-
-# ---------------------------------------------------------------------
-# plain subgraph utilities (single host graph, no colors)
-
-
-def contains_subgraph(host: Graph, pattern: Graph) -> bool:
-    """Whether host contains pattern as a (not necessarily induced) subgraph."""
-    from .collection import _exists  # collection builds on this module
-
-    return _exists(host.n, 0, None, host.adj, pattern)
-
-
-def matching_number_at_least(g: Graph, k: int) -> bool:
-    """Whether g contains k pairwise disjoint edges."""
-    if k <= 0:
-        return True
-    edges = g.edges()
-    if 2 * k > g.n or len(edges) < k:
-        return False
-    used = got = 0  # greedy first: usually settles it
-    for u, v in edges:
-        if not (used >> u | used >> v) & 1:
-            used |= (1 << u) | (1 << v)
-            got += 1
-            if got == k:
-                return True
-    from .collection import _rainbow_matchings  # collection builds on this module
-
-    # k identical colors: every pair carries all k of them, so no SDR is run
-    full = (1 << k) - 1
-    pairs = [(u, v, full) for u, v in edges]
-    return next(_rainbow_matchings(g.n, pairs, [], 0, k, [k]), None) is not None

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .graphcore import Graph, matching_number_at_least
+from .graphcore import Graph
 from .collection import (
     Collection,
+    matching_number_at_least,
     RainbowMatching,
     RainbowWitness,
     lexmin_distinct_colors,

@@ -92,9 +92,9 @@ from .graphcore import (
     _canonical,
     _from_canonical,
     _twin_classes,
-    contains_subgraph,
 )
-from .collection import Collection, is_rainbow_free, _exists_through_vertex, _exists_using_pair
+from .collection import Collection, contains_subgraph, is_rainbow_free
+from .collection import _exists_through_vertex, _exists_using_pair
 
 __all__ = [
     "BudgetExceeded",
@@ -643,6 +643,6 @@ def _hits_pattern(rows: tuple[int, ...], k: int, members) -> bool:
     """Does the k-vertex graph contain a member through the new vertex k-1?
     The parent graph was member-free, so no other copy can exist."""
     for f in members:  # a loop, not any() over a generator: this runs once per extension
-        if _exists_through_vertex(k, 0, None, rows, f, k - 1):
+        if _exists_through_vertex(rows, f, k - 1):
             return True
     return False

@@ -211,6 +211,15 @@ def test_star_construction_without_matching_edges_is_a_usage_error(tmp_path, cap
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("cid, spec", [("min.i", "n=6,t=3,s=1,f=K3,inner=foo"), ("min.iv", "n=8,t=3,f=P4,inner=3")])
+def test_inner_parameter_that_is_not_a_collection_is_a_usage_error(tmp_path, capsys, cid, spec):
+    # exit 1 would read as "detect found nothing"; an inner collection comes from --inner PATH
+    out_path = tmp_path / "x.rcol"
+    code, out, err = run(capsys, "construct", "--id", cid, "--params", spec, "--out", str(out_path))
+    assert code == 2 and out == "" and err.startswith("usage error: ") and "--inner PATH" in err
+    assert not out_path.exists()
+
+
 def test_lemma_subcommands(tmp_path, capsys):
     path = str(tmp_path / "c.rcol")
     codec_write(Collection.from_edge_lists(4, [[(0, 1), (0, 2)], [(0, 3)]]), path)

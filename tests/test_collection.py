@@ -139,35 +139,48 @@ def test_detect_edgeless_pattern_by_vertex_count():
     assert not is_rainbow_free(col, FAM("E1"))
 
 
+def _lexmin_rainbow_copy(col, pat):
+    """Brute force: the least (vmap, cmap) over all rainbow copies, or None."""
+    pedges = pat.edges()
+    best = None
+    for vmap in permutations(range(col.n), pat.n):
+        if not all(
+            any(col.graph(c).has_edge(vmap[a], vmap[b]) for c in range(1, col.t + 1))
+            for a, b in pedges
+        ):
+            continue
+        for cmap in permutations(range(1, col.t + 1), len(pedges)):
+            if all(
+                col.graph(c).has_edge(vmap[a], vmap[b])
+                for (a, b), c in zip(pedges, cmap)
+            ):
+                cand = (vmap, cmap)
+                if best is None or cand < best:
+                    best = cand
+    return best
+
+
 def test_witness_is_lexicographically_smallest():
     rng = random.Random(99)
     pats = pattern_pool(["K2", "P3", "M2", "K3", "S3"]) + RELABELLED_M2
-    checked = 0
-    while checked < 120:
-        col = random_collection(rng, rng.randint(2, 5), rng.randint(1, 3))
-        pat = rng.choice(pats)
-        w = find_rainbow_copy(col, pat)
-        pedges = pat.edges()
-        best = None
-        for vmap in permutations(range(col.n), pat.n):
-            if not all(
-                any(col.graph(c).has_edge(vmap[a], vmap[b]) for c in range(1, col.t + 1))
-                for a, b in pedges
-            ):
-                continue
-            for cmap in permutations(range(1, col.t + 1), len(pedges)):
-                if all(
-                    col.graph(c).has_edge(vmap[a], vmap[b])
-                    for (a, b), c in zip(pedges, cmap)
-                ):
-                    cand = (vmap, cmap)
-                    if best is None or cand < best:
-                        best = cand
-        if best is None:
-            assert w is None
-        else:
-            assert w is not None and (w.vmap, w.cmap) == best
-            checked += 1
+    # 3-matchings: M3 takes the pair-subset path, the relabelled one the embedding
+    three = pattern_pool(["M3"]) + [Graph.from_edges(6, [(0, 5), (1, 3), (2, 4)])]
+    # the 120 small draws come first, as they always have
+    draws = [
+        (lambda: (random_collection(rng, rng.randint(2, 5), rng.randint(1, 3)), rng.choice(pats)), 120),
+        (lambda: (random_collection(rng, 6, 3), rng.choice(three)), 40),
+    ]
+    for draw, wanted in draws:
+        checked = 0
+        while checked < wanted:
+            col, pat = draw()
+            w = find_rainbow_copy(col, pat)
+            best = _lexmin_rainbow_copy(col, pat)
+            if best is None:
+                assert w is None
+            else:
+                assert w is not None and (w.vmap, w.cmap) == best
+                checked += 1
 
 
 def test_meshulam_collection_detection():

@@ -67,6 +67,14 @@ def test_supplied_inner_is_validated():
         describe("min.i", {"n": 6, "t": 3, "s": 2, "f": "K3", "inner": good_shape})
 
 
+def test_supplied_inner_must_be_a_collection():
+    for inner in ("foo", 3):
+        with pytest.raises(GuardViolated):
+            describe("min.i", {"n": 6, "t": 3, "s": 1, "f": "K3", "inner": inner})
+        with pytest.raises(GuardViolated):
+            describe("min.iv", {"n": 8, "t": 3, "f": "P4", "inner": inner})
+
+
 def test_guard_violations():
     with pytest.raises(GuardViolated):
         describe("min.i", {"n": 6, "t": 3, "s": 1, "f": "P4"})  # bipartite pattern

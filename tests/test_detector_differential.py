@@ -103,8 +103,8 @@ def test_lone_rainbow_copy_is_found_through_every_edge_and_vertex():
         for c, (u, v) in enumerate(edges, start=1):
             for pair in ((u, v), (v, u)):
                 assert _exists_using_pair(pattern.n, col.t, table, union, pattern, pair, c)
-        for anchor in range(pattern.n):
-            assert _exists_through_vertex(pattern.n, col.t, table, union, pattern, anchor)
+        for anchor in range(pattern.n):  # the vertex check is plain: the pattern is its own host
+            assert _exists_through_vertex(pattern.adj, pattern, anchor)
 
 
 def _brute_contains(n: int, edges, pattern: Graph, through: int | None = None) -> bool:
@@ -128,10 +128,7 @@ def test_plain_containment_matches_brute_force(seed):
     assert contains_subgraph(host, pattern) == _brute_contains(n, edges, pattern)
     anchor = rng.randrange(n)
     through = _brute_contains(n, edges, pattern, anchor)
-    m = pattern.edge_count()  # m identical colors: every host edge holds all of them
-    table = [[(1 << m) - 1 if host.has_edge(u, v) else 0 for v in range(n)] for u in range(n)]
-    assert _exists_through_vertex(n, m, table, host.adj, pattern, anchor) == through
-    assert _exists_through_vertex(n, 0, None, host.adj, pattern, anchor) == through  # plain, no color layer
+    assert _exists_through_vertex(host.adj, pattern, anchor) == through
     for k in range(1, 4):
         assert matching_number_at_least(host, k) == _brute_contains(n, edges, Graph.matching(k))
 

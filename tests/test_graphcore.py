@@ -375,4 +375,9 @@ def test_matching_number():
     assert not matching_number_at_least(Graph.star(7), 2)
     assert matching_number_at_least(parse_pattern("P5"), 2)
     assert not matching_number_at_least(Graph.complete(7), 10**9)
+    # 30 vertices, the largest legal host; two odd cliques leave one vertex each unmatched
+    assert matching_number_at_least(Graph.path(30), 15)
+    assert not matching_number_at_least(Graph.star(29), 2)
+    k7 = Graph.complete(7).edges()
+    assert not matching_number_at_least(Graph.from_edges(14, k7 + [(u + 7, v + 7) for u, v in k7]), 7)
 
