@@ -60,6 +60,8 @@ def _parse_params(spec: str) -> dict:
         k, v = item.split("=", 1)
         k = k.strip()
         v = v.strip()
+        if k in out:
+            raise ParseError(f"parameter {k} given twice")
         out[k] = int(v) if re.fullmatch(r"-?[0-9]+", v) else v  # ASCII digits only, as in .rcol
     return out
 

@@ -8,7 +8,8 @@ entry also documents its per-color edge counts and the forbidden family
 it avoids; the certification suite checks both against the built
 collection.
 
-Construction ids (parameters in parentheses; f is a pattern string):
+Construction ids (parameters in parentheses, optional ones in brackets;
+f is a pattern string; any other name is rejected):
 
   min.i            (n, t, s, f[, inner])  split graph K_{s,n-s} in every
                    color plus a free collection on the s-part
@@ -34,7 +35,9 @@ Construction ids (parameters in parentheses; f is a pattern string):
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from math import comb, ceil
 
 from .graphcore import (
@@ -114,20 +117,33 @@ def _pattern(value) -> Graph:
     return value if isinstance(value, Graph) else parse_pattern(str(value))
 
 
-def _checked(params: dict) -> dict:
-    """A copy of params whose numeric parameters are all ints."""
+@lru_cache(maxsize=None)
+def _parameters(fn) -> dict:
+    """The parameters of a builder or formula (inspect.signature is slow)."""
+    return inspect.signature(fn).parameters
+
+
+def _checked(fn, params: dict) -> dict:
+    """params as keyword arguments of fn: every name one of its
+    construction parameters (not the keyword-only budget), every required
+    one given, numeric parameters ints and patterns parsed."""
+    sig = _parameters(fn)
+    own = [k for k, p in sig.items() if p.kind is p.POSITIONAL_OR_KEYWORD]
+    unknown = [k for k in params if k not in own]
+    if unknown:
+        raise GuardViolated(f"unknown parameters: {', '.join(unknown)}")
+    missing = [k for k in own if k not in params and sig[k].default is sig[k].empty]
+    if missing:
+        raise GuardViolated(f"missing parameters: {', '.join(missing)}")
     for k in ("n", "t", "s", "p", "r", "m"):
         v = params.get(k, 0)
         if isinstance(v, bool) or not isinstance(v, int):
             raise GuardViolated(f"parameter {k} must be an integer, got {v!r}")
-    return dict(params)
-
-
-def _need(params: dict, *keys) -> list:
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise GuardViolated(f"missing parameters: {', '.join(missing)}")
-    return [params[k] for k in keys]
+    args = dict(params)
+    for k in ("f", "f1"):
+        if k in args:
+            args[k] = _pattern(args[k])
+    return args
 
 
 def _fam(*graphs) -> PatternFamily:
@@ -263,17 +279,21 @@ def _union(n: int, *graphs: Graph) -> Graph:
 # builders
 
 
-def _b_min_split(params: dict, which: str, budget: int | None) -> ConstructionInfo:
-    n, t, s = _need(params, "n", "t", "s")
-    f = _pattern(_need(params, "f")[0])
+def _b_min_split(
+    which: str, n: int, t: int, s: int, f: Graph, inner: Collection | None = None,
+    *, budget: int | None = None,
+) -> ConstructionInfo:
     inner_family = _split_inner_family(which, f, n, t, s)
-    inner = _resolve_inner(s, t, inner_family, params.get("inner"), budget)
+    inner = _resolve_inner(s, t, inner_family, inner, budget)
     col, counts = _split(n, s, t, inner)
     return ConstructionInfo(col, counts, _fam(f, Graph.matching(s + 1)))
 
 
-def _b_min_iii(params: dict) -> ConstructionInfo:
-    n, t, p = _need(params, "n", "t", "p")
+def _b_min_iii(
+    n: int, t: int, p: int, f: Graph | None = None, s: int | None = None
+) -> ConstructionInfo:
+    if (f is None) != (s is None):
+        raise GuardViolated("min.iii takes f and s together")
     if not 1 <= p <= n:
         raise GuardViolated("need 1 <= p <= n")
     per = Graph.from_edges(
@@ -282,9 +302,7 @@ def _b_min_iii(params: dict) -> ConstructionInfo:
     col = Collection([per] * t)
     counts = ((p - 1) * (n - p + 1),) * t
     fam = None
-    if "f" in params and "s" in params:
-        f = _pattern(params["f"])
-        s = params["s"]
+    if f is not None:
         if not _is_bipartite(f):
             raise GuardViolated("min.iii needs a bipartite pattern")
         pf = bipartition_min_class(f)
@@ -298,27 +316,26 @@ def _b_min_iii(params: dict) -> ConstructionInfo:
     return ConstructionInfo(col, counts, fam)
 
 
-def _b_min_iv(params: dict, budget: int | None) -> ConstructionInfo:
-    n, t = _need(params, "n", "t")
-    f = _pattern(_need(params, "f")[0])
+def _b_min_iv(
+    n: int, t: int, f: Graph, s: int | None = None, inner: Collection | None = None,
+    *, budget: int | None = None,
+) -> ConstructionInfo:
     p, inner_family = _balanced_tree_part(f)
     if t < f.edge_count():
         raise GuardViolated("need t >= |E(f)|")
-    if "s" in params and t < params["s"] + 1:
+    if s is not None and t < s + 1:
         raise GuardViolated("need t >= s+1")
-    inner = _resolve_inner(p - 1, t, inner_family, params.get("inner"), budget)
+    inner = _resolve_inner(p - 1, t, inner_family, inner, budget)
     col, counts = _split(n, p - 1, t, inner)
     fam = None
-    if "s" in params:
-        s = params["s"]
+    if s is not None:
         if p > s:
             raise GuardViolated("min.iv needs p(f) <= s")
         fam = _fam(f, Graph.matching(s + 1))
     return ConstructionInfo(col, counts, fam)
 
 
-def _b_kpp(params: dict) -> ConstructionInfo:
-    n, t, s, p = _need(params, "n", "t", "s", "p")
+def _b_kpp(n: int, t: int, s: int, p: int) -> ConstructionInfo:
     if not (2 <= p <= s < n):
         raise GuardViolated("need 2 <= p <= s < n")
     if t < max(p * p, s + 1):
@@ -351,9 +368,7 @@ def _b_kpp(params: dict) -> ConstructionInfo:
     return ConstructionInfo(col, tuple(counts), fam)
 
 
-def _b_sum_cliques(params: dict) -> ConstructionInfo:
-    n, t = _need(params, "n", "t")
-    f = _pattern(_need(params, "f")[0])
+def _b_sum_cliques(n: int, t: int, f: Graph) -> ConstructionInfo:
     if f.edge_count() < 1:
         raise GuardViolated("pattern needs at least one edge")
     q = f.edge_count() - 1
@@ -364,9 +379,7 @@ def _b_sum_cliques(params: dict) -> ConstructionInfo:
     return ConstructionInfo(col, counts, _fam(f))
 
 
-def _b_sum_monochrome(params: dict, budget: int | None) -> ConstructionInfo:
-    n, t = _need(params, "n", "t")
-    f = _pattern(_need(params, "f")[0])
+def _b_sum_monochrome(n: int, t: int, f: Graph, *, budget: int | None = None) -> ConstructionInfo:
     if n > 10:
         raise GuardViolated("extremal pattern-free graphs are searched up to n = 10")
     value, g = turan_extremal(n, f, budget)
@@ -376,8 +389,7 @@ def _b_sum_monochrome(params: dict, budget: int | None) -> ConstructionInfo:
     return ConstructionInfo(col, (value,) * t, _fam(f))
 
 
-def _b_prod_matching(params: dict) -> ConstructionInfo:
-    n, t, s = _need(params, "n", "t", "s")
+def _b_prod_matching(n: int, t: int, s: int) -> ConstructionInfo:
     if not (1 <= s < t + 1 and t >= s + 1):
         raise GuardViolated("need t >= s+1 >= 2")
     if n < 2:
@@ -388,8 +400,7 @@ def _b_prod_matching(params: dict) -> ConstructionInfo:
     return ConstructionInfo(col, counts, _fam(Graph.matching(s + 1)))
 
 
-def _b_clique_star(params: dict) -> ConstructionInfo:
-    n, t, s = _need(params, "n", "t", "s")
+def _b_clique_star(n: int, t: int, s: int, f: Graph | None = None) -> ConstructionInfo:
     if t < s + 1 or s < 1:
         raise GuardViolated("need t >= s+1 >= 2")
     ell = n // (2 * s)
@@ -409,8 +420,7 @@ def _b_clique_star(params: dict) -> ConstructionInfo:
         comb(ell, 2) + star_sz if i < s - 1 else star_sz for i in range(t)
     )
     fam = None
-    if "f" in params:
-        f = _pattern(params["f"])
+    if f is not None:
         if _is_star_with_matching(f):
             raise GuardViolated("pattern must not be a star with isolated edges")
         if t < max(f.edge_count(), s + 1):
@@ -430,8 +440,7 @@ def _star_blocks(n: int, count: int, ell: int) -> list[Graph]:
     return out
 
 
-def _b_star_gt(params: dict) -> ConstructionInfo:
-    n, t, s, r = _need(params, "n", "t", "s", "r")
+def _b_star_gt(n: int, t: int, s: int, r: int) -> ConstructionInfo:
     if r <= 2:
         raise GuardViolated("this branch needs r > 2")
     if t <= s * (r - 1):
@@ -458,8 +467,7 @@ def _b_star_gt(params: dict) -> ConstructionInfo:
     return ConstructionInfo(col, counts, fam)
 
 
-def _b_star_eq(params: dict) -> ConstructionInfo:
-    n, t, s, r = _need(params, "n", "t", "s", "r")
+def _b_star_eq(n: int, t: int, s: int, r: int) -> ConstructionInfo:
     if t != s * (r - 1):
         raise GuardViolated("need t = s(r-1)")
     if t < max(r, s + 1):
@@ -475,8 +483,7 @@ def _b_star_eq(params: dict) -> ConstructionInfo:
     return ConstructionInfo(col, counts, fam)
 
 
-def _b_star_lt(params: dict) -> ConstructionInfo:
-    n, t, s, r = _need(params, "n", "t", "s", "r")
+def _b_star_lt(n: int, t: int, s: int, r: int) -> ConstructionInfo:
     if r <= 2:
         raise GuardViolated("this branch needs r > 2")
     if t >= s * (r - 1):
@@ -511,8 +518,7 @@ def _b_star_lt(params: dict) -> ConstructionInfo:
     return ConstructionInfo(col, tuple(counts), fam)
 
 
-def _b_star2(params: dict) -> ConstructionInfo:
-    n, t, s = _need(params, "n", "t", "s")
+def _b_star2(n: int, t: int, s: int) -> ConstructionInfo:
     if t < max(2, s + 1):
         raise GuardViolated("need t >= max(2, s+1)")
     if s < 1:
@@ -543,8 +549,7 @@ def _sm_guards(n: int, t: int, s: int, r: int, m: int):
         raise GuardViolated(f"need t >= max(|E(f)|, s+1) = {max(r + m, s + 1)}")
 
 
-def _b_sm_bigstar(params: dict) -> ConstructionInfo:
-    n, t, s, r, m = _need(params, "n", "t", "s", "r", "m")
+def _b_sm_bigstar(n: int, t: int, s: int, r: int, m: int) -> ConstructionInfo:
     _sm_guards(n, t, s, r, m)
     if r - 1 < t - s + 1:
         raise GuardViolated("need r-1 >= t-s+1")
@@ -560,8 +565,7 @@ def _b_sm_bigstar(params: dict) -> ConstructionInfo:
     return ConstructionInfo(col, tuple(counts), fam)
 
 
-def _b_sm_star_clique(params: dict) -> ConstructionInfo:
-    n, t, s, r, m = _need(params, "n", "t", "s", "r", "m")
+def _b_sm_star_clique(n: int, t: int, s: int, r: int, m: int) -> ConstructionInfo:
     _sm_guards(n, t, s, r, m)
     ell = n // (s * t)
     if m * ell + 1 > n:
@@ -577,8 +581,7 @@ def _b_sm_star_clique(params: dict) -> ConstructionInfo:
     return ConstructionInfo(col, tuple(counts), fam)
 
 
-def _b_sm_mixed(params: dict) -> ConstructionInfo:
-    n, t, s, r, m = _need(params, "n", "t", "s", "r", "m")
+def _b_sm_mixed(n: int, t: int, s: int, r: int, m: int) -> ConstructionInfo:
     _sm_guards(n, t, s, r, m)
     if r <= 2:
         raise GuardViolated("this branch needs r > 2")
@@ -594,13 +597,9 @@ def _b_sm_mixed(params: dict) -> ConstructionInfo:
         cols.append(_disjoint_clique(n, j * ell, ell))
         counts.append(comb(ell, 2))
     offset = c * ell
-    n_inner = n - offset
     t_inner, s_inner = t - c, s - c
-    inner_params = {"n": n_inner, "t": t_inner, "s": s_inner, "r": r}
-    if t_inner == s_inner * (r - 1):
-        inner = _b_star_eq(inner_params)
-    else:
-        inner = _b_star_lt(inner_params)
+    star = _b_star_eq if t_inner == s_inner * (r - 1) else _b_star_lt
+    inner = star(n - offset, t_inner, s_inner, r)
     for g in inner.collection.graphs:
         cols.append(Graph.from_edges(n, [(u + offset, v + offset) for u, v in g.edges()]))
     counts.extend(inner.expected_counts)
@@ -609,34 +608,33 @@ def _b_sm_mixed(params: dict) -> ConstructionInfo:
     return ConstructionInfo(col, tuple(counts), fam)
 
 
-def _plain(builder):
-    """A builder that runs no search, so takes no budget."""
-    return lambda params, budget: builder(params)
-
-
-# each builder takes (params, budget); budget bounds its inner searches
+# each builder takes its construction's parameters; the ones that search
+# also take a keyword-only budget for those searches
 _BUILDERS = {
-    "min.i": lambda p, budget: _b_min_split(p, "min.i", budget),
-    "min.ii": lambda p, budget: _b_min_split(p, "min.ii", budget),
-    "min.iii": _plain(_b_min_iii),
+    "min.i": partial(_b_min_split, "min.i"),
+    "min.ii": partial(_b_min_split, "min.ii"),
+    "min.iii": _b_min_iii,
     "min.iv": _b_min_iv,
-    "min.kpp-remark": _plain(_b_kpp),
-    "sum.cliques": _plain(_b_sum_cliques),
+    "min.kpp-remark": _b_kpp,
+    "sum.cliques": _b_sum_cliques,
     "sum.monochrome-extremal": _b_sum_monochrome,
-    "prod.matching": _plain(_b_prod_matching),
-    "prod.clique-star": _plain(_b_clique_star),
-    "prod.star.gt": _plain(_b_star_gt),
-    "prod.star.eq": _plain(_b_star_eq),
-    "prod.star.lt": _plain(_b_star_lt),
-    "prod.star2": _plain(_b_star2),
-    "prod.sm.bigstar": _plain(_b_sm_bigstar),
-    "prod.sm.star-clique": _plain(_b_sm_star_clique),
-    "prod.sm.mixed": _plain(_b_sm_mixed),
+    "prod.matching": _b_prod_matching,
+    "prod.clique-star": _b_clique_star,
+    "prod.star.gt": _b_star_gt,
+    "prod.star.eq": _b_star_eq,
+    "prod.star.lt": _b_star_lt,
+    "prod.star2": _b_star2,
+    "prod.sm.bigstar": _b_sm_bigstar,
+    "prod.sm.star-clique": _b_sm_star_clique,
+    "prod.sm.mixed": _b_sm_mixed,
 }
 
 
 def describe(cid: str, params: dict, budget: int | None = None) -> ConstructionInfo:
     """Build a construction along with its documented counts and family.
+
+    ``params`` holds exactly the parameters the module docstring lists for
+    ``cid``; a missing or unknown name raises GuardViolated.
 
     ``budget`` bounds each inner search (the inner collection of min.i,
     min.ii and min.iv, the extremal graph of sum.monochrome-extremal);
@@ -644,7 +642,11 @@ def describe(cid: str, params: dict, budget: int | None = None) -> ConstructionI
     """
     if cid not in _BUILDERS:
         raise KeyError(f"unknown construction id {cid!r}")
-    return _BUILDERS[cid](_checked(params), budget)
+    builder = _BUILDERS[cid]
+    args = _checked(builder, params)
+    if "budget" in _parameters(builder):
+        args["budget"] = budget
+    return builder(**args)
 
 
 def build(cid: str, params: dict) -> Collection:
@@ -670,38 +672,35 @@ def meshulam_collection(n: int, s: int, t: int) -> Collection:
 def claimed_value(fid: str, params: dict) -> int:
     """Exact integer value of a registered closed form.
 
+    ``params`` holds exactly the formula's parameters; a missing or unknown
+    name raises GuardViolated.
     Inner extremal terms (the constants on the small side of a split
     construction) are computed by the search module at desk scale.
     """
     if fid not in _FORMULAS:
         raise KeyError(f"unknown formula id {fid!r}")
-    return _FORMULAS[fid](_checked(params))
+    formula = _FORMULAS[fid]
+    return formula(**_checked(formula, params))
 
 
-def _v_meshulam(p: dict) -> int:
-    n, s = _need(p, "n", "s")
+def _v_meshulam(n: int, s: int) -> int:
     return s * (n - s) + comb(s, 2)
 
 
-def _v_min_split(p: dict, which: str) -> int:
-    n, t, s = _need(p, "n", "t", "s")
-    f = _pattern(_need(p, "f")[0])
+def _v_min_split(which: str, n: int, t: int, s: int, f: Graph) -> int:
     return s * (n - s) + _inner_search(s, t, _split_inner_family(which, f, n, t, s)).value
 
 
-def _v_min_iv(p: dict) -> int:
-    n, t = _need(p, "n", "t")
-    pf, inner_family = _balanced_tree_part(_pattern(_need(p, "f")[0]))
+def _v_min_iv(n: int, t: int, f: Graph) -> int:
+    pf, inner_family = _balanced_tree_part(f)
     return (pf - 1) * (n - pf + 1) + _inner_search(pf - 1, t, inner_family).value
 
 
-def _v_prod_matching(p: dict) -> int:
-    n, t, s = _need(p, "n", "t", "s")
+def _v_prod_matching(n: int, t: int, s: int) -> int:
     return (n - 1) ** (t - s + 1) * comb(n, 2) ** (s - 1)
 
 
-def _v_sum_k3(p: dict) -> int:
-    n, s = _need(p, "n", "s")
+def _v_sum_k3(n: int, s: int) -> int:
     if s <= 2:
         return s * comb(n, 2)
     if s == 3:
@@ -709,20 +708,13 @@ def _v_sum_k3(p: dict) -> int:
     return s * (n * n // 4)
 
 
-def _v_sum_bipartite(p: dict) -> int:
-    n = _need(p, "n")[0]
-    f = _pattern(_need(p, "f")[0])
+def _v_sum_bipartite(n: int, f: Graph) -> int:
     if not _is_bipartite(f):
         raise GuardViolated("formula applies to bipartite patterns")
     return (f.edge_count() - 1) * comb(n, 2)
 
 
-def _v_sum_general_upper(p: dict) -> int:
-    n, t = _need(p, "n", "t")
-    f1 = _pattern(_need(p, "f1")[0])
-    rest = p.get("rest")
-    if rest is None:
-        raise GuardViolated("missing parameters: rest")
+def _v_sum_general_upper(n: int, t: int, f1: Graph, rest) -> int:
     if not isinstance(rest, PatternFamily):
         rest = PatternFamily.from_graphs(
             [_pattern(x) for x in (rest if isinstance(rest, (list, tuple)) else [rest])]
@@ -738,8 +730,8 @@ def _v_sum_general_upper(p: dict) -> int:
 
 _FORMULAS = {
     "meshulam": _v_meshulam,
-    "min.i": lambda p: _v_min_split(p, "min.i"),
-    "min.ii": lambda p: _v_min_split(p, "min.ii"),
+    "min.i": partial(_v_min_split, "min.i"),
+    "min.ii": partial(_v_min_split, "min.ii"),
     "min.iv": _v_min_iv,
     "prod.matching": _v_prod_matching,
     "sum.k3": _v_sum_k3,

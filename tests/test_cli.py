@@ -220,6 +220,43 @@ def test_inner_parameter_that_is_not_a_collection_is_a_usage_error(tmp_path, cap
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "cid, spec, with_inner",
+    [
+        ("prod.matching", "n=4,t=2,s=1,inner=foo,bogus=7", False),
+        ("min.iii", "n=5,t=2,p=2,f=P4,inner=foo", False),
+        ("min.iv", "n=8,t=3,f=P4,S=2", False),  # a misspelt optional s
+        ("prod.matching", "n=4,t=2,s=1", True),  # prod.matching has no inner part
+    ],
+)
+def test_unknown_construction_parameter_is_a_usage_error(tmp_path, capsys, cid, spec, with_inner):
+    out_path = tmp_path / "x.rcol"
+    inner = []
+    if with_inner:
+        codec_write(meshulam_collection(4, 1, 2), str(tmp_path / "inner.rcol"))
+        inner = ["--inner", str(tmp_path / "inner.rcol")]
+    code, out, err = run(
+        capsys, "construct", "--id", cid, "--params", spec, *inner, "--out", str(out_path)
+    )
+    assert code == 2 and out == "" and err.startswith("usage error: unknown parameters")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "cid, spec, message",
+    [
+        ("min.iii", "n=5,t=2,p=2,f=K3", "min.iii takes f and s together"),
+        ("min.iii", "n=5,t=2,p=2,s=9", "min.iii takes f and s together"),
+        ("prod.matching", "n=4,t=2,s=1,n=9", "parameter n given twice"),
+    ],
+)
+def test_half_given_or_repeated_construction_parameter_is_a_usage_error(tmp_path, capsys, cid, spec, message):
+    out_path = tmp_path / "x.rcol"
+    code, out, err = run(capsys, "construct", "--id", cid, "--params", spec, "--out", str(out_path))
+    assert code == 2 and out == "" and err == f"usage error: {message}\n"
+    assert not out_path.exists()
+
+
 def test_lemma_subcommands(tmp_path, capsys):
     path = str(tmp_path / "c.rcol")
     codec_write(Collection.from_edge_lists(4, [[(0, 1), (0, 2)], [(0, 3)]]), path)

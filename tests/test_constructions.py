@@ -1,7 +1,11 @@
 """Construction registry outputs, guards, and claimed closed-form values."""
 
+import inspect
+import re
+
 import pytest
 
+from rturan import constructions
 from rturan import (
     CONSTRUCTION_IDS,
     FORMULA_IDS,
@@ -216,13 +220,46 @@ def test_formula_and_builder_share_guards(fid, params, expected):
 @pytest.mark.parametrize("key", ["n", "t", "s", "p", "r", "m"])
 @pytest.mark.parametrize("bad", ["x", 2.0, None, True])
 def test_non_integer_parameter_is_a_guard_violation(key, bad):
-    params = {"n": 12, "t": 5, "s": 3, "r": 4, "m": 1, key: bad}
-    with pytest.raises(GuardViolated):
-        describe("prod.sm.bigstar", params)
-    with pytest.raises(GuardViolated):
-        claimed_value("prod.matching", params)
-    with pytest.raises(GuardViolated):
-        describe("min.iii", {"n": 8, "t": 3, "p": 2, key: bad})
+    # each callee gets only its own parameters, so no unknown name can raise first
+    calls = [
+        (describe, "prod.sm.bigstar", {"n": 12, "t": 5, "s": 3, "r": 4, "m": 1}),
+        (claimed_value, "prod.matching", {"n": 12, "t": 5, "s": 3}),
+        (describe, "min.iii", {"n": 8, "t": 4, "p": 2, "f": "K2,2", "s": 2}),
+    ]
+    calls = [(fn, cid, params) for fn, cid, params in calls if key in params]
+    assert calls
+    for fn, cid, params in calls:
+        with pytest.raises(GuardViolated, match=f"parameter {key} must be an integer"):
+            fn(cid, {**params, key: bad})
+
+
+@pytest.mark.parametrize("extra", ["bogus", "budget"])
+def test_unknown_parameter_is_a_guard_violation(extra):
+    # budget is describe's argument, never a construction parameter
+    first_rows = {}
+    for cid, params in certification_grid():
+        first_rows.setdefault(cid, params)
+    for cid, params in first_rows.items():
+        with pytest.raises(GuardViolated, match=f"unknown parameters: {extra}"):
+            describe(cid, {**params, extra: 1})
+    int_rows = {fid: params for fid, params, expected in CLAIMED_VALUES if isinstance(expected, int)}
+    assert set(int_rows) == set(FORMULA_IDS)
+    for fid, params in int_rows.items():
+        with pytest.raises(GuardViolated, match=f"unknown parameters: {extra}"):
+            claimed_value(fid, {**params, extra: 1})
+
+
+def test_module_docstring_lists_each_builders_parameters():
+    # "(n, t, p[, f, s])": required names, then the optional ones in brackets
+    listed = dict(re.findall(r"^  (\S+)\s+\(([^)]*)\)", constructions.__doc__, re.M))
+    assert set(listed) == set(CONSTRUCTION_IDS)
+    for cid, names in listed.items():
+        required, _, optional = names.partition("[")
+        sig = inspect.signature(constructions._BUILDERS[cid]).parameters
+        own = [k for k, p in sig.items() if p.kind is p.POSITIONAL_OR_KEYWORD]
+        without_default = [k for k in own if sig[k].default is sig[k].empty]
+        assert re.findall(r"\w+", required) == without_default, cid
+        assert re.findall(r"\w+", optional) == own[len(without_default):], cid
 
 
 def test_general_sum_upper_formula():
