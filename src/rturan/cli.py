@@ -126,6 +126,8 @@ def _cmd_lemma(args) -> int:
 def _cmd_construct(args) -> int:
     params = _parse_params(args.params)
     if args.inner:
+        if "inner" in params:
+            raise ParseError("parameter inner given twice")
         params["inner"] = codec_read(args.inner)
     col = cons.build(args.id, params)
     codec_write(col, args.out)

@@ -31,6 +31,13 @@ f is a pattern string; any other name is rejected):
   prod.sm.star-clique (n, t, s, r, m)     small star plus cliques
   prod.sm.mixed    (n, t, s, r, m)        cliques plus a star construction
                    on the remaining colors
+
+A construction avoiding {F, M_{s+1}} takes the paper's standing
+hypothesis, s >= 1 and t >= max(|E(F)|, s+1), and raises GuardViolated
+outside it.  F is f for min.i, min.ii, min.iii, min.iv (given s) and
+prod.clique-star, K_{p,p} for min.kpp-remark, S_r for prod.star.gt/eq/lt,
+S_2 for prod.star2 and S_r + mM_2 for prod.sm.*; prod.matching avoids
+M_{s+1} alone (|E(F)| = 0).
 """
 
 from __future__ import annotations
@@ -150,6 +157,17 @@ def _fam(*graphs) -> PatternFamily:
     return PatternFamily.from_graphs(graphs)
 
 
+def _with_matching(t: int, s: int, f: Graph | None = None) -> PatternFamily:
+    """The standing hypothesis, s >= 1 and t >= max(|E(f)|, s+1), and the
+    family {f, M_{s+1}} ({M_{s+1}} when f is None)."""
+    if s < 1:
+        raise GuardViolated("need s >= 1")
+    need = max(0 if f is None else f.edge_count(), s + 1)
+    if t < need:
+        raise GuardViolated(f"need t >= max(|E(f)|, s+1) = {need}")
+    return _fam(*(g for g in (f, Graph.matching(s + 1)) if g is not None))
+
+
 def _is_bipartite(f: Graph) -> bool:
     try:
         bipartition_min_class(f)
@@ -159,23 +177,10 @@ def _is_bipartite(f: Graph) -> bool:
 
 
 def _is_star_with_matching(f: Graph) -> bool:
-    """Whether f is a star (possibly trivial) with extra isolated edges."""
-    for v in range(f.n):
-        rest = [u for u in range(f.n) if u != v]
-        h = f.induced(rest) if rest else None
-        if h is None:
-            return True
-        if any(h.degree(x) > 1 for x in range(h.n)):
-            continue
-        nv = f.adj[v]
-        if all(
-            not ((nv >> rest[a] & 1) or (nv >> rest[b] & 1))
-            for a in range(h.n)
-            for b in range(a + 1, h.n)
-            if h.has_edge(a, b)
-        ):
-            return True
-    return False
+    """Whether f is a star (possibly trivial) with extra isolated edges:
+    some vertex meets every edge that has an end of degree above 1."""
+    joined = [(u, v) for u, v in f.edges() if f.degree(u) > 1 or f.degree(v) > 1]
+    return any(all(x in e for e in joined) for x in range(f.n))
 
 
 def _inner_search(
@@ -210,25 +215,28 @@ def _resolve_inner(
     return supplied
 
 
-def _split_inner_family(which: str, f: Graph, n: int, t: int, s: int) -> PatternFamily:
-    """Guards of min.i / min.ii and the family the s-part avoids."""
-    if t < max(f.edge_count(), s + 1):
-        raise GuardViolated(f"need t >= max(|E(f)|, s+1) = {max(f.edge_count(), s + 1)}")
-    if not 1 <= s < n:
-        raise GuardViolated("need 1 <= s < n")
+def _split_inner_family(
+    which: str, f: Graph, n: int, t: int, s: int
+) -> tuple[PatternFamily, PatternFamily]:
+    """Guards of min.i / min.ii, their family and the family the s-part
+    avoids."""
+    fam = _with_matching(t, s, f)
+    if s >= n:
+        raise GuardViolated("need s < n")
     if which == "min.i":
         if _is_bipartite(f):
             raise GuardViolated("min.i needs a non-bipartite pattern")
-        return family_deleted_independent(f)
+        return fam, family_deleted_independent(f)
     if not _is_bipartite(f):
         raise GuardViolated("min.ii needs a bipartite pattern")
     if bipartition_min_class(f) <= s:
         raise GuardViolated("min.ii needs p(f) > s")
-    return family_covering(f, s)
+    return fam, family_covering(f, s)
 
 
-def _balanced_tree_part(f: Graph) -> tuple[int, PatternFamily]:
-    """Guards of min.iv: p(f) and the family its (p-1)-part avoids."""
+def _balanced_tree_part(f: Graph, n: int, t: int) -> tuple[int, PatternFamily]:
+    """Guards of min.iv on n vertices and t colors: p(f) and the family its
+    (p-1)-part avoids."""
     if not _is_bipartite(f):
         raise GuardViolated("min.iv needs a (balanced) tree")
     p = bipartition_min_class(f)
@@ -236,43 +244,39 @@ def _balanced_tree_part(f: Graph) -> tuple[int, PatternFamily]:
         raise GuardViolated("min.iv needs a balanced tree (|V| = 2 p(f), connected)")
     if p < 2:
         raise GuardViolated("need p(f) >= 2")
+    if p - 1 > n:
+        raise GuardViolated(f"need n >= p(f) - 1 = {p - 1}")
+    if t < f.edge_count():
+        raise GuardViolated("need t >= |E(f)|")
     return p, family_covering(f, p - 1)
 
 
-def _split(n: int, s: int, t: int, inner: Collection) -> tuple[Collection, tuple[int, ...]]:
+def _prod_matching_guards(n: int, t: int, s: int) -> PatternFamily:
+    """Guards of prod.matching and its family {M_{s+1}}."""
+    fam = _with_matching(t, s)
+    if n < 2:
+        raise GuardViolated("need n >= 2")
+    return fam
+
+
+def _split(n: int, s: int, inner: Collection) -> tuple[Collection, tuple[int, ...]]:
     """K_{s,n-s} in every color plus the inner collection on 0..s-1, with
     the per-color edge counts."""
-    cols = []
-    for i in range(1, t + 1):
-        rows = [0] * n
-        for a in range(s):
-            for b in range(s, n):
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-        for u, v in inner.graph(i).edges():
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        cols.append(Graph(n, rows))
-    counts = tuple(s * (n - s) + inner.graph(i).edge_count() for i in range(1, t + 1))
-    return Collection(cols), counts
+    base = Graph.complete_bipartite(s, n - s).adj
+    pad = (0,) * (n - s)
+    col = Collection(Graph(n, [a | b for a, b in zip(base, g.adj + pad)]) for g in inner.graphs)
+    return col, tuple(s * (n - s) + g.edge_count() for g in inner.graphs)
 
 
 def _disjoint_star(n: int, start: int, leaves: int) -> Graph:
     return Graph.from_edges(n, [(start, start + j) for j in range(1, leaves + 1)])
 
 
-def _disjoint_clique(n: int, start: int, order: int) -> Graph:
+def _disjoint_clique(n: int, start: int, order: int, extra=()) -> Graph:
+    """K_order on start.., plus the edges in extra."""
     return Graph.from_edges(
-        n, [(start + a, start + b) for a in range(order) for b in range(a + 1, order)]
+        n, [(start + a, start + b) for a in range(order) for b in range(a + 1, order)] + list(extra)
     )
-
-
-def _union(n: int, *graphs: Graph) -> Graph:
-    rows = [0] * n
-    for g in graphs:
-        for v in range(n):
-            rows[v] |= g.adj[v]
-    return Graph(n, rows)
 
 
 # ---------------------------------------------------------------------
@@ -283,10 +287,9 @@ def _b_min_split(
     which: str, n: int, t: int, s: int, f: Graph, inner: Collection | None = None,
     *, budget: int | None = None,
 ) -> ConstructionInfo:
-    inner_family = _split_inner_family(which, f, n, t, s)
+    fam, inner_family = _split_inner_family(which, f, n, t, s)
     inner = _resolve_inner(s, t, inner_family, inner, budget)
-    col, counts = _split(n, s, t, inner)
-    return ConstructionInfo(col, counts, _fam(f, Graph.matching(s + 1)))
+    return ConstructionInfo(*_split(n, s, inner), fam)
 
 
 def _b_min_iii(
@@ -296,11 +299,6 @@ def _b_min_iii(
         raise GuardViolated("min.iii takes f and s together")
     if not 1 <= p <= n:
         raise GuardViolated("need 1 <= p <= n")
-    per = Graph.from_edges(
-        n, [(a, b) for a in range(p - 1) for b in range(p - 1, n)]
-    )
-    col = Collection([per] * t)
-    counts = ((p - 1) * (n - p + 1),) * t
     fam = None
     if f is not None:
         if not _is_bipartite(f):
@@ -310,62 +308,38 @@ def _b_min_iii(
             raise GuardViolated(f"p={p} must equal the pattern's smaller class {pf}")
         if pf > s:
             raise GuardViolated("min.iii needs p(f) <= s")
-        if t < max(f.edge_count(), s + 1):
-            raise GuardViolated("need t >= max(|E(f)|, s+1)")
-        fam = _fam(f, Graph.matching(s + 1))
-    return ConstructionInfo(col, counts, fam)
+        fam = _with_matching(t, s, f)
+    col = Collection([Graph.complete_bipartite(p - 1, n - p + 1)] * t)
+    return ConstructionInfo(col, ((p - 1) * (n - p + 1),) * t, fam)
 
 
 def _b_min_iv(
     n: int, t: int, f: Graph, s: int | None = None, inner: Collection | None = None,
     *, budget: int | None = None,
 ) -> ConstructionInfo:
-    p, inner_family = _balanced_tree_part(f)
-    if t < f.edge_count():
-        raise GuardViolated("need t >= |E(f)|")
-    if s is not None and t < s + 1:
-        raise GuardViolated("need t >= s+1")
-    inner = _resolve_inner(p - 1, t, inner_family, inner, budget)
-    col, counts = _split(n, p - 1, t, inner)
+    p, inner_family = _balanced_tree_part(f, n, t)
     fam = None
     if s is not None:
+        fam = _with_matching(t, s, f)
         if p > s:
             raise GuardViolated("min.iv needs p(f) <= s")
-        fam = _fam(f, Graph.matching(s + 1))
-    return ConstructionInfo(col, counts, fam)
+    inner = _resolve_inner(p - 1, t, inner_family, inner, budget)
+    return ConstructionInfo(*_split(n, p - 1, inner), fam)
 
 
 def _b_kpp(n: int, t: int, s: int, p: int) -> ConstructionInfo:
     if not (2 <= p <= s < n):
         raise GuardViolated("need 2 <= p <= s < n")
-    if t < max(p * p, s + 1):
-        raise GuardViolated(f"need t >= max(p^2, s+1) = {max(p * p, s + 1)}")
-    a_part = range(p - 1)
-    b_part = range(p - 1, s)
-    c_part = range(s, n)
-    rows_per_color = [[0] * n for _ in range(t)]
-    for a in a_part:
-        for c in c_part:
-            for rows in rows_per_color:
-                rows[a] |= 1 << c
-                rows[c] |= 1 << a
-    b_color_sets = []
-    cursor = 0
-    for v in b_part:
-        mine = [(cursor + j) % t for j in range(p - 1)]
-        cursor = (cursor + p - 1) % t
-        b_color_sets.append(mine)
-        for ci in mine:
-            rows_per_color[ci][v] |= sum(1 << c for c in c_part)
-            for c in c_part:
-                rows_per_color[ci][c] |= 1 << v
-    col = Collection([Graph(n, rows) for rows in rows_per_color])
-    counts = []
-    for ci in range(t):
-        b_here = sum(1 for mine in b_color_sets if ci in mine)
-        counts.append((p - 1) * (n - s) + b_here * (n - s))
-    fam = _fam(Graph.complete_bipartite(p, p), Graph.matching(s + 1))
-    return ConstructionInfo(col, tuple(counts), fam)
+    fam = _with_matching(t, s, Graph.complete_bipartite(p, p))
+    # the first p-1 vertices join s..n-1 in every color; each later vertex
+    # below s in the next p-1 colors, cyclically
+    edge_lists = [[] for _ in range(t)]
+    for v in range(s):
+        held = range(t) if v < p - 1 else [((v - p + 1) * (p - 1) + j) % t for j in range(p - 1)]
+        for ci in held:
+            edge_lists[ci] += [(v, c) for c in range(s, n)]
+    col = Collection.from_edge_lists(n, edge_lists)
+    return ConstructionInfo(col, tuple(len(e) for e in edge_lists), fam)
 
 
 def _b_sum_cliques(n: int, t: int, f: Graph) -> ConstructionInfo:
@@ -390,43 +364,27 @@ def _b_sum_monochrome(n: int, t: int, f: Graph, *, budget: int | None = None) ->
 
 
 def _b_prod_matching(n: int, t: int, s: int) -> ConstructionInfo:
-    if not (1 <= s < t + 1 and t >= s + 1):
-        raise GuardViolated("need t >= s+1 >= 2")
-    if n < 2:
-        raise GuardViolated("need n >= 2")
+    fam = _prod_matching_guards(n, t, s)
     star = _disjoint_star(n, 0, n - 1)
     col = Collection([Graph.complete(n)] * (s - 1) + [star] * (t - s + 1))
     counts = (comb(n, 2),) * (s - 1) + (n - 1,) * (t - s + 1)
-    return ConstructionInfo(col, counts, _fam(Graph.matching(s + 1)))
+    return ConstructionInfo(col, counts, fam)
 
 
 def _b_clique_star(n: int, t: int, s: int, f: Graph | None = None) -> ConstructionInfo:
-    if t < s + 1 or s < 1:
-        raise GuardViolated("need t >= s+1 >= 2")
+    fam = _with_matching(t, s, f)
+    if f is not None and _is_star_with_matching(f):
+        raise GuardViolated("pattern must not be a star with isolated edges")
     ell = n // (2 * s)
     star_start = (s - 1) * ell
     if star_start >= n:
         raise GuardViolated("no room left for the shared star")
     star = _disjoint_star(n, star_start, n - star_start - 1)
-    cols = []
-    for i in range(t):
-        if i < s - 1:
-            cols.append(_union(n, _disjoint_clique(n, i * ell, ell), star))
-        else:
-            cols.append(star)
-    col = Collection(cols)
+    cols = [_disjoint_clique(n, i * ell, ell, star.edges()) for i in range(s - 1)]
+    col = Collection(cols + [star] * (t - s + 1))
     star_sz = n - star_start - 1
-    counts = tuple(
-        comb(ell, 2) + star_sz if i < s - 1 else star_sz for i in range(t)
-    )
-    fam = None
-    if f is not None:
-        if _is_star_with_matching(f):
-            raise GuardViolated("pattern must not be a star with isolated edges")
-        if t < max(f.edge_count(), s + 1):
-            raise GuardViolated("need t >= max(|E(f)|, s+1)")
-        fam = _fam(f, Graph.matching(s + 1))
-    return ConstructionInfo(col, counts, fam)
+    counts = (comb(ell, 2) + star_sz,) * (s - 1) + (star_sz,) * (t - s + 1)
+    return ConstructionInfo(col, counts, fam if f is not None else None)
 
 
 def _star_blocks(n: int, count: int, ell: int) -> list[Graph]:
@@ -443,12 +401,9 @@ def _star_blocks(n: int, count: int, ell: int) -> list[Graph]:
 def _b_star_gt(n: int, t: int, s: int, r: int) -> ConstructionInfo:
     if r <= 2:
         raise GuardViolated("this branch needs r > 2")
+    fam = _with_matching(t, s, Graph.star(r))
     if t <= s * (r - 1):
         raise GuardViolated("need t > s(r-1)")
-    if t < max(r, s + 1):
-        raise GuardViolated("need t >= max(r, s+1)")
-    if s < 1:
-        raise GuardViolated("need s >= 1")
     ell = n // (s * t)
     stars = _star_blocks(n, s, ell) if ell > 0 else [Graph.edgeless(n)] * s
     cols: list[Graph] = []
@@ -463,15 +418,15 @@ def _b_star_gt(n: int, t: int, s: int, r: int) -> ConstructionInfo:
     cols.extend([first_edge] * leftover)
     col = Collection(cols)
     counts = (ell,) * (s * (r - 1) - 1) + ((1 if ell > 0 else 0),) * leftover
-    fam = _fam(Graph.star(r), Graph.matching(s + 1))
     return ConstructionInfo(col, counts, fam)
 
 
 def _b_star_eq(n: int, t: int, s: int, r: int) -> ConstructionInfo:
+    if r < 2:
+        raise GuardViolated("need r >= 2")
     if t != s * (r - 1):
         raise GuardViolated("need t = s(r-1)")
-    if t < max(r, s + 1):
-        raise GuardViolated("need t >= max(r, s+1)")
+    fam = _with_matching(t, s, Graph.star(r))
     ell = n // (s * t)
     stars = _star_blocks(n, s, ell) if ell > 0 else [Graph.edgeless(n)] * s
     cols: list[Graph] = []
@@ -479,17 +434,15 @@ def _b_star_eq(n: int, t: int, s: int, r: int) -> ConstructionInfo:
         cols.extend([stars[i]] * (r - 1))
     col = Collection(cols)
     counts = (ell,) * t
-    fam = _fam(Graph.star(r), Graph.matching(s + 1))
     return ConstructionInfo(col, counts, fam)
 
 
 def _b_star_lt(n: int, t: int, s: int, r: int) -> ConstructionInfo:
     if r <= 2:
         raise GuardViolated("this branch needs r > 2")
+    fam = _with_matching(t, s, Graph.star(r))
     if t >= s * (r - 1):
         raise GuardViolated("need t < s(r-1)")
-    if t < max(r, s + 1):
-        raise GuardViolated("need t >= max(r, s+1)")
     k = ceil((t - s) / (r - 2))
     ell = n // (s * t)
     cols: list[Graph] = []
@@ -514,15 +467,11 @@ def _b_star_lt(n: int, t: int, s: int, r: int) -> ConstructionInfo:
     cols.extend([g] * last)
     counts.extend([ell] * last)
     col = Collection(cols)
-    fam = _fam(Graph.star(r), Graph.matching(s + 1))
     return ConstructionInfo(col, tuple(counts), fam)
 
 
 def _b_star2(n: int, t: int, s: int) -> ConstructionInfo:
-    if t < max(2, s + 1):
-        raise GuardViolated("need t >= max(2, s+1)")
-    if s < 1:
-        raise GuardViolated("need s >= 1")
+    fam = _with_matching(t, s, Graph.star(2))
     ell = n // (s * t)
     pair_start = (s - 1) * ell
     if pair_start + 1 >= n:
@@ -536,21 +485,19 @@ def _b_star2(n: int, t: int, s: int) -> ConstructionInfo:
     cols.extend([shared] * (t - s + 1))
     counts.extend([1] * (t - s + 1))
     col = Collection(cols)
-    fam = _fam(Graph.star(2), Graph.matching(s + 1))
     return ConstructionInfo(col, tuple(counts), fam)
 
 
-def _sm_guards(n: int, t: int, s: int, r: int, m: int):
+def _sm_guards(n: int, t: int, s: int, r: int, m: int) -> PatternFamily:
     if r < 2:
         raise GuardViolated("need r >= 2")
     if not 1 <= m <= s - 1:
         raise GuardViolated("need 1 <= m <= s-1")
-    if t < max(r + m, s + 1):
-        raise GuardViolated(f"need t >= max(|E(f)|, s+1) = {max(r + m, s + 1)}")
+    return _with_matching(t, s, Graph.star_plus_matching(r, m))
 
 
 def _b_sm_bigstar(n: int, t: int, s: int, r: int, m: int) -> ConstructionInfo:
-    _sm_guards(n, t, s, r, m)
+    fam = _sm_guards(n, t, s, r, m)
     if r - 1 < t - s + 1:
         raise GuardViolated("need r-1 >= t-s+1")
     q = (n - 1) // (s - 1)
@@ -561,12 +508,11 @@ def _b_sm_bigstar(n: int, t: int, s: int, r: int, m: int) -> ConstructionInfo:
         cols.append(_disjoint_clique(n, 1 + j * q, q))
         counts.append(comb(q, 2))
     col = Collection(cols)
-    fam = _fam(Graph.star_plus_matching(r, m), Graph.matching(s + 1))
     return ConstructionInfo(col, tuple(counts), fam)
 
 
 def _b_sm_star_clique(n: int, t: int, s: int, r: int, m: int) -> ConstructionInfo:
-    _sm_guards(n, t, s, r, m)
+    fam = _sm_guards(n, t, s, r, m)
     ell = n // (s * t)
     if m * ell + 1 > n:
         raise GuardViolated("blocks do not fit the vertex set")
@@ -577,12 +523,11 @@ def _b_sm_star_clique(n: int, t: int, s: int, r: int, m: int) -> ConstructionInf
         cols.append(_disjoint_clique(n, (ell + 1) + j * ell, ell))
         counts.append(comb(ell, 2))
     col = Collection(cols)
-    fam = _fam(Graph.star_plus_matching(r, m), Graph.matching(s + 1))
     return ConstructionInfo(col, tuple(counts), fam)
 
 
 def _b_sm_mixed(n: int, t: int, s: int, r: int, m: int) -> ConstructionInfo:
-    _sm_guards(n, t, s, r, m)
+    fam = _sm_guards(n, t, s, r, m)
     if r <= 2:
         raise GuardViolated("this branch needs r > 2")
     if not r + s - 2 < t < s * (r - 1):
@@ -604,7 +549,6 @@ def _b_sm_mixed(n: int, t: int, s: int, r: int, m: int) -> ConstructionInfo:
         cols.append(Graph.from_edges(n, [(u + offset, v + offset) for u, v in g.edges()]))
     counts.extend(inner.expected_counts)
     col = Collection(cols)
-    fam = _fam(Graph.star_plus_matching(r, m), Graph.matching(s + 1))
     return ConstructionInfo(col, tuple(counts), fam)
 
 
@@ -684,19 +628,23 @@ def claimed_value(fid: str, params: dict) -> int:
 
 
 def _v_meshulam(n: int, s: int) -> int:
+    if not 0 <= s <= n:
+        raise GuardViolated("need 0 <= s <= n")
     return s * (n - s) + comb(s, 2)
 
 
 def _v_min_split(which: str, n: int, t: int, s: int, f: Graph) -> int:
-    return s * (n - s) + _inner_search(s, t, _split_inner_family(which, f, n, t, s)).value
+    _, inner_family = _split_inner_family(which, f, n, t, s)
+    return s * (n - s) + _inner_search(s, t, inner_family).value
 
 
 def _v_min_iv(n: int, t: int, f: Graph) -> int:
-    pf, inner_family = _balanced_tree_part(f)
+    pf, inner_family = _balanced_tree_part(f, n, t)
     return (pf - 1) * (n - pf + 1) + _inner_search(pf - 1, t, inner_family).value
 
 
 def _v_prod_matching(n: int, t: int, s: int) -> int:
+    _prod_matching_guards(n, t, s)
     return (n - 1) ** (t - s + 1) * comb(n, 2) ** (s - 1)
 
 

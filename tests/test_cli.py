@@ -257,6 +257,26 @@ def test_half_given_or_repeated_construction_parameter_is_a_usage_error(tmp_path
     assert not out_path.exists()
 
 
+def test_inner_given_in_params_and_as_a_file_is_a_usage_error(tmp_path, capsys):
+    codec_write(meshulam_collection(1, 0, 3), str(tmp_path / "inner.rcol"))
+    out_path = tmp_path / "y.rcol"
+    code, out, err = run(
+        capsys, "construct", "--id", "min.i", "--params", "n=6,t=3,s=1,f=K3,inner=foo",
+        "--inner", str(tmp_path / "inner.rcol"), "--out", str(out_path),
+    )
+    assert code == 2 and out == "" and err == "usage error: parameter inner given twice\n"
+    assert not out_path.exists()
+
+
+def test_min_iv_host_below_its_inner_part_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "x.rcol"
+    code, out, err = run(
+        capsys, "construct", "--id", "min.iv", "--params", "n=1,t=5,f=P6", "--out", str(out_path)
+    )
+    assert code == 2 and out == "" and err == "usage error: need n >= p(f) - 1 = 2\n"
+    assert not out_path.exists()
+
+
 def test_lemma_subcommands(tmp_path, capsys):
     path = str(tmp_path / "c.rcol")
     codec_write(Collection.from_edge_lists(4, [[(0, 1), (0, 2)], [(0, 3)]]), path)

@@ -1,6 +1,8 @@
 """Construction registry outputs, guards, and claimed closed-form values."""
 
+import hashlib
 import inspect
+import itertools
 import re
 
 import pytest
@@ -12,9 +14,11 @@ from rturan import (
     Collection,
     Graph,
     GuardViolated,
+    InnerInfeasible,
     InnerTooLarge,
     PatternFamily,
     build,
+    canonical_form,
     certification_grid,
     claimed_value,
     describe,
@@ -187,6 +191,14 @@ CLAIMED_VALUES = [
     ("min.i", {"n": 6, "t": 2, "s": 1, "f": "K3"}, GuardViolated),  # t < |E(K3)|
     ("min.i", {"n": 6, "t": 3, "s": 0, "f": "K3"}, GuardViolated),
     ("min.ii", {"n": 6, "t": 4, "s": 6, "f": "K2,2"}, GuardViolated),  # s >= n
+    # the guards a formula shares with the collection it counts
+    ("meshulam", {"n": 3, "s": 5}, GuardViolated),  # s > n, as meshulam_collection
+    ("min.iv", {"n": 2, "t": 5, "f": "P6"}, 1),  # the host is just the inner part
+    ("min.iv", {"n": 1, "t": 5, "f": "P6"}, GuardViolated),  # n < p(f) - 1
+    ("min.iv", {"n": 8, "t": 2, "f": "P4"}, GuardViolated),  # t < |E(P4)|
+    ("prod.matching", {"n": 4, "t": 1, "s": 3}, GuardViolated),  # t < s+1
+    ("prod.matching", {"n": 4, "t": 3, "s": 0}, GuardViolated),  # s < 1
+    ("prod.matching", {"n": 1, "t": 3, "s": 1}, GuardViolated),  # n < 2
 ]
 
 
@@ -275,3 +287,45 @@ def test_constructions_beat_nothing_silently():
     for cid, params in certification_grid()[:8]:
         info = describe(cid, params)
         assert info.collection.edge_counts() == info.expected_counts, (cid, params)
+
+
+# every construction parameter but inner swept over a small range; the
+# optional ones are always given, so each built collection has a family
+PARAMETER_GRID = {
+    "n": range(1, 10),
+    "t": range(1, 6),
+    "s": range(0, 4),
+    "p": range(0, 4),
+    "r": range(1, 5),
+    "m": range(0, 3),
+    "f": ("K3", "P4", "K2,2", "S3", "M2", "P6"),
+}
+
+# sha256 over the outcome of every PARAMETER_GRID case: the exception
+# class, or the rows, documented counts and family canonical forms
+PINNED_PARAMETER_GRID_SHA256 = "b73dd7337f2ba316d3d2acfd7df5d489ffcccd16b68846688636412531b07266"
+
+
+def test_parameter_grid_guards_and_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    cases = 0
+    for cid in CONSTRUCTION_IDS:
+        sig = inspect.signature(constructions._BUILDERS[cid]).parameters
+        names = [k for k, p in sig.items() if p.kind is p.POSITIONAL_OR_KEYWORD and k != "inner"]
+        for values in itertools.product(*(PARAMETER_GRID[k] for k in names)):
+            params = dict(zip(names, values))
+            cases += 1
+            try:
+                info = describe(cid, params)
+            except (GuardViolated, InnerTooLarge, InnerInfeasible) as exc:
+                outcome = type(exc).__name__
+            else:
+                col = info.collection
+                assert col.edge_counts() == info.expected_counts, (cid, params)
+                assert info.family is not None and is_rainbow_free(col, info.family), (cid, params)
+                rows = [g.adj for g in col.graphs]
+                forms = [canonical_form(g).hex() for g in info.family]
+                outcome = f"{rows} {list(info.expected_counts)} {forms}"
+            digest.update(f"{cid} {params} {outcome}\n".encode())
+    assert cases == 18900
+    assert digest.hexdigest() == PINNED_PARAMETER_GRID_SHA256
