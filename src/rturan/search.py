@@ -22,14 +22,14 @@ three objectives share one entry: it answers trivial families without a
 node, keeps the best collection found when the budget runs out (flagged
 inexact) and checks that witness.
 
-Shared machinery: color-permutation symmetry is broken by nonincreasing
-edge counts, vertex symmetry by keeping only prefixes that are minimal
-under simultaneous vertex relabeling, and every edge addition runs an
-incremental rainbow check restricted to copies through the new
-(pair, color), for the members with no more edges than the table has
-nonempty colors (a rainbow copy of F takes e(F) of them; min and prod
-fill colors in order, so color k leaves out members with more than k
-edges).  That check seeds the pair with one pattern arc per orbit
+Shared machinery of min and prod: color-permutation symmetry is broken by
+nonincreasing edge counts, vertex symmetry by keeping only prefixes that
+are minimal under simultaneous vertex relabeling.  In all three searches
+every edge addition runs an incremental rainbow check restricted to
+copies through the new (pair, color), for the members with no more edges
+than the table has nonempty colors (a rainbow copy of F takes e(F) of
+them; min and prod fill colors in order, so color k leaves out members
+with more than k edges).  That check seeds the pair with one pattern arc per orbit
 of the pattern's automorphism group only: an automorphism turns a copy
 seeded by one arc of an orbit into a copy with the same edges and colors
 seeded by any other, so K3 needs one search instead of six.  Budgets
@@ -54,7 +54,17 @@ union graph are refreshed (every cap when a member is disconnected): a cap
 falls only through a copy holding both pairs.  Each lower multiplicity of
 the pair only lets caps rise back, so it refreshes only the caps that fell.
 
-Vertex canonicity (enabled up to n = 6) is checked along a stabilizer
+sum breaks vertex symmetry at every n by the lex-leader method (Crawford,
+Ginsberg, Luks & Roy, 1996) in the form of the sb_l constraints on
+adjacency matrices (Codish, Miller, Prosser & Stuckey, 2019).  It tries
+each pair's multiplicities from the cap down and skips the pair last, so
+it meets the multiplicity vectors over the pairs in row-major order in
+decreasing lexicographic order, and its witness W* is the greatest optimal
+vector.  Every relabeling of W* is optimal too, so W* is at least its image
+under the swap of two adjacent vertices; a prefix that is below its image
+where the two first differ is cut, which never cuts W*.
+
+min and prod check vertex canonicity (up to n = 6) along a stabilizer
 chain: colors 1..k have a smaller relabeling exactly when some
 permutation fixes colors 1..i-1 and maps color i below itself.  Each
 distinct color-1 mask is tested once per search against all n! - 1
@@ -449,7 +459,25 @@ def _search_sum(s: _CollectionSearch):
     at mu - 1 lies between its cap at mu and its cap before p (``saved``).
     Below the first mu only the caps that fell are refreshed, from
     ``saved`` down to a floor, the cap at mu, that ``pair_cap`` never
-    checks; ``caps`` is restored once, after the last mu."""
+    checks; ``caps`` is restored once, after the last mu.
+
+    Vertex symmetry: p's multiplicities run from the cap down and its skip
+    comes last, so vectors (w(a, b) over the pairs in row-major order) are
+    met in decreasing lexicographic order, and only a strictly larger total
+    replaces the best.  The witness W* is therefore the lexicographically
+    greatest optimal vector.  Relabeling vertices keeps freeness and the
+    total, so W* is at least its image under the swap of j and j + 1.  The
+    two first differ at (a, j), for the first row a < j where columns j
+    and j + 1 differ, there needing w(a, j) > w(a, j + 1); when the columns
+    tie on every row a < j, at (j, b), for the first b > j + 1 where rows j
+    and j + 1 differ, there needing w(j, b) > w(j + 1, b).  Both rules read
+    only pairs decided before uv: with j = v - 1 (v - 1 > u, columns tied
+    on the rows above u), w(u, v) <= w(u, v - 1); with j = u - 1 (columns
+    tied on the rows above u - 1, rows tied on the columns between u and
+    v), w(u, v) <= w(u - 1, v).  So p's loop starts at the least of its cap
+    and those multiplicities.  W* keeps both rules, so it is never cut, and
+    the bound prunes as before: values and witnesses are those of the
+    search without the rules, and node counts only fall."""
     n, t, pairs, P, live, budget = s.n, s.t, s.pairs, s.P, s.live, s.budget
     table, union, set_pair = s.table, s.union, s.set_pair
     radius = _refresh_radius(s.members)
@@ -480,9 +508,16 @@ def _search_sum(s: _CollectionSearch):
             s.keep(total)
             return
         u, v = pairs[idx]
+        start = caps[idx]
+        if v - 1 > u and all(table[a][v - 1] == table[a][v] for a in range(u)):
+            start = min(start, table[u][v - 1].bit_length())  # columns v-1, v
+        if u and all(table[a][u - 1] == table[a][u] for a in range(u - 1)) and all(
+            table[u - 1][b] == table[u][b] for b in range(u + 1, v)
+        ):
+            start = min(start, table[u - 1][v].bit_length())  # rows u-1, u
         saved = caps[idx + 1 :]
         near = -1 if radius is None else _ball(union, ends[idx], radius)
-        for mu in range(caps[idx], 0, -1):
+        for mu in range(start, 0, -1):
             set_pair(u, v, (1 << mu) - 1)
             high = max(top, mu)
             for j, was in enumerate(saved, idx + 1):

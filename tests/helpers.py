@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
+from types import SimpleNamespace
 
 from rturan import Collection, Graph, parse_pattern
 
@@ -31,6 +32,43 @@ def explicit_rainbow_oracle(col: Collection, pattern: Graph) -> bool:
             if all(col.graph(c).has_edge(vmap[a], vmap[b]) for (a, b), c in zip(pedges, cmap)):
                 return True
     return False
+
+
+def lex_greatest_sum_optimum(n: int, t: int, patterns) -> tuple[int, list[int]]:
+    """The largest edge sum of a nested collection (color c holds the pairs
+    of multiplicity at least c) with no rainbow copy of a pattern, and the
+    lexicographically greatest multiplicity vector over the pairs in
+    row-major order that attains it.
+
+    Vectors are met in decreasing lexicographic order, each prefix checked by
+    ``explicit_rainbow_oracle`` with the undecided pairs at 0.  Freeness
+    survives deleting edges, so a prefix holding a rainbow copy has no free
+    completion.  Only a larger sum replaces the best, so the vector kept is
+    the first, and greatest, of the largest sum, and a prefix that cannot
+    beat the best even with every later pair at t is passed over.  No
+    library code runs: the collection is a plain view of the vector.
+    """
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mult = dict.fromkeys(pairs, 0)
+    colors = [SimpleNamespace(has_edge=lambda a, b, c=c: mult[min(a, b), max(a, b)] >= c) for c in range(t + 1)]
+    view = SimpleNamespace(n=n, t=t, graph=colors.__getitem__)
+    best = (-1, [])
+
+    def grow(i: int, total: int):
+        nonlocal best
+        if total + t * (len(pairs) - i) <= best[0]:
+            return
+        if i == len(pairs):  # the check above left total > best
+            best = (total, list(mult.values()))
+            return
+        for mu in range(t, -1, -1):
+            mult[pairs[i]] = mu
+            if not mu or not any(explicit_rainbow_oracle(view, f) for f in patterns):
+                grow(i + 1, total + mu)
+        mult[pairs[i]] = 0
+
+    grow(0, 0)
+    return best
 
 
 def random_collection(rng: random.Random, n: int, t: int, p: float = 0.35) -> Collection:

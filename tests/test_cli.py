@@ -345,11 +345,11 @@ PINNED_REPORT_ROWS = [
     ("meshulam", "n=5,s=1,t=2", "4", "4", "match", "1923"),
     ("meshulam", "n=5,s=2,t=3", "7", "10", "boundary", "0"),
     ("min-theorem", "n=4,t=3,s=1,f=K3", "3", "3", "match", "126"),
-    ("sum-k3", "n=4,t=3", "12", "12", "match", "93"),
-    ("sum-k3", "n=5,t=3", "20", "20", "match", "741"),
+    ("sum-k3", "n=4,t=3", "12", "12", "match", "46"),
+    ("sum-k3", "n=5,t=3", "20", "20", "match", "176"),
     ("prod-matching", "n=4,t=2,s=1", "9", "9", "match", "141"),
     ("prod-matching", "n=4,t=3,s=1", "27", "27", "match", "168"),
-    ("sum-bipartite", "n=5,t=2,f=P3", "10", "10", "match", "62"),
+    ("sum-bipartite", "n=5,t=2,f=P3", "10", "10", "match", "44"),
     ("constructions", "min.i[n=6,t=3,s=1,f=K3]", "5,5,5", "5,5,5/free", "match", "0"),
     ("constructions", "min.i[n=9,t=4,s=2,f=K3]", "14,14,14,14", "14,14,14,14/free", "match", "0"),
     ("constructions", "min.i[n=12,t=5,s=3,f=K3]", "27,27,27,27,27", "27,27,27,27,27/free", "match", "0"),

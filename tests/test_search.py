@@ -6,7 +6,7 @@ from itertools import permutations, product
 from math import comb
 
 import pytest
-from helpers import ORACLE_PATTERNS, explicit_rainbow_oracle
+from helpers import ORACLE_PATTERNS, explicit_rainbow_oracle, lex_greatest_sum_optimum
 
 from rturan import (
     Collection,
@@ -22,7 +22,9 @@ from rturan import (
     turan_extremal,
     are_isomorphic,
     canonical_form,
+    claimed_value,
     contains_subgraph,
+    parse_family,
 )
 from rturan.graphcore import _from_canonical
 from rturan.search import _Budget, _edge_floor, _turan_family
@@ -347,20 +349,25 @@ def test_results_are_deterministic_across_runs():
 # Value, node count and witness edge lists of fast searches.  A change that
 # only speeds a search up keeps all three; a change to pruning may only lower
 # the node count.  Sum witnesses are those of the exhaustive search without
-# the multiplicity caps; min witnesses are the Turan seed's graph whenever
-# the seed is optimal.
+# the multiplicity caps: the lexicographically greatest optimal multiplicity
+# vector, which is never below its image under a swap of two adjacent
+# vertices, so the lex-leader rules of the sum search cut only other
+# branches.  Without those rules the sum rows take 2,732, 283, 179, 7,889
+# and 236,700 nodes.  Min witnesses are the Turan seed's graph whenever the
+# seed is optimal.
 PINNED_SEARCHES = {
     ("prod", 5, 3, "P3"): (8, 2418, [[(0, 3), (1, 2)]] * 3),
-    ("sum", 5, 4, "K3"): (24, 2732, [[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]] * 4),
+    ("sum", 5, 4, "K3"): (24, 265, [[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]] * 4),
     ("min", 5, 3, "P3"): (2, 2324, [[(1, 4), (2, 3)]] * 3),
     ("min", 5, 3, "M2"): (4, 1923, [[(0, 4), (1, 4), (2, 4), (3, 4)]] * 3),
     ("prod", 4, 3, "K3"): (64, 853, [[(0, 2), (0, 3), (1, 2), (1, 3)]] * 3),
     ("prod", 6, 2, "M2"): (25, 63560, [[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]] * 2),
-    ("sum", 5, 3, "P4"): (20, 283, [[(u, v) for u in range(5) for v in range(u + 1, 5)]] * 2 + [[]]),
-    ("sum", 5, 3, "M2"): (12, 179, [[(0, 1), (0, 2), (0, 3), (0, 4)]] * 3),
-    ("sum", 6, 3, "K3"): (30, 7889, [[(u, v) for u in range(6) for v in range(u + 1, 6)]] * 2 + [[]]),
+    ("sum", 5, 3, "P4"): (20, 88, [[(u, v) for u in range(5) for v in range(u + 1, 5)]] * 2 + [[]]),
+    ("sum", 5, 3, "M2"): (12, 53, [[(0, 1), (0, 2), (0, 3), (0, 4)]] * 3),
+    ("sum", 6, 3, "K3"): (30, 622, [[(u, v) for u in range(6) for v in range(u + 1, 6)]] * 2 + [[]]),
     ("prod", 5, 3, "K3"): (216, 45238, [[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]] * 3),
     ("min", 5, 3, "K3"): (6, 8047, [[(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]] * 3),
+    ("sum", 7, 3, "K3"): (42, 4702, [[(u, v) for u in range(7) for v in range(u + 1, 7)]] * 2 + [[]]),
 }
 
 
@@ -377,14 +384,16 @@ def test_search_node_counts_are_pinned():
 # k fills; sum checks only members that fit the table's nonempty colors and
 # refreshes only caps near the newest pair, and below a pair's first
 # multiplicity only the caps that fell.  Without the guards the first four
-# searches make 4,328, 29,559, 10,126 and 52,887 calls; refreshing every
-# ball cap at every multiplicity, the sum searches make 32,201 and 12,874.
+# searches make 4,328, 29,559, 10,126 and 2,687 calls; refreshing every
+# ball cap at every multiplicity, the sum searches make 1,578 and 933.
+# Without the lex-leader rules the sum searches make 21,396 calls in 7,889
+# nodes and 9,842 in 2,732.
 DETECTOR_CALLS = {
     ("min", 5, 3, "K3", None): (1_110, 8_047),
     ("prod", 5, 3, "K3", None): (17_791, 45_238),
     ("min", 6, 3, "M3", 20_000): (555, 20_001),
-    ("sum", 6, 3, "K3", None): (21_396, 7_889),
-    ("sum", 5, 4, "K3", None): (9_842, 2_732),
+    ("sum", 6, 3, "K3", None): (1_176, 622),
+    ("sum", 5, 4, "K3", None): (759, 265),
 }
 
 
@@ -409,6 +418,40 @@ def test_detector_runs_only_where_a_rainbow_copy_fits(monkeypatch):
         calls.clear()
         res = fns[mode](Q(mode, n, t, FAM(name), budget=budget))
         assert (len(calls), res.nodes) == pinned, (mode, n, t, name)
+
+
+@pytest.mark.parametrize("famtext", FAMILIES + ("{P4}", "{M3}"))
+def test_sum_witness_is_the_lex_greatest_optimum(famtext):
+    # the sum DFS meets multiplicity vectors in decreasing lexicographic
+    # order and keeps the first optimum; its lex-leader rules never cut it
+    fam = parse_family(famtext)
+    for n, t in ((4, 1), (4, 2), (4, 3), (5, 2)):
+        value, vector = lex_greatest_sum_optimum(n, t, fam.members)
+        res = extremal_sum(Q("sum", n, t, fam))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        nested = [[p for p, mu in zip(pairs, vector) if mu >= c] for c in range(1, t + 1)]
+        assert (res.value, [g.edges() for g in res.witness.graphs]) == (value, nested), (n, t)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_sum_witness_is_its_own_lex_leader(n):
+    # no vertex relabeling makes the witness's multiplicity vector greater
+    perms = _pair_images(n)
+    for famtext in FAMILIES + ("{P4}", "{M3}"):
+        for t in (2, 3):
+            graphs = extremal_sum(Q("sum", n, t, parse_family(famtext))).witness.graphs
+            vector = [sum(g.has_edge(u, v) for g in graphs) for u in range(n) for v in range(u + 1, n)]
+            for images in perms:
+                image = [0] * len(vector)
+                for i, mu in enumerate(vector):
+                    image[images[i]] = mu
+                assert vector >= image, (famtext, n, t, vector, image)
+
+
+def test_sum_k3_reaches_the_paper_value_at_six_and_seven():
+    for n in (6, 7):
+        res = extremal_sum(Q("sum", n, 3, FAM("K3")))
+        assert res.exact and res.value == claimed_value("sum.k3", {"n": n, "s": 3}), n
 
 
 def _nested_collection(n, t, mult):
@@ -757,8 +800,8 @@ def test_budget_stop_keeps_the_incumbent():
     assert (res.value, res.nodes, res.exact) == (40, 5001, False)
     k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     assert [g.edges() for g in res.witness.graphs] == [k5, [(0, 3), (1, 2)], [(0, 3), (1, 2)]]
-    res = extremal_sum(Q("sum", 5, 3, FAM("K3"), budget=300))
-    assert (res.value, res.nodes, res.exact) == (18, 301, False)
+    res = extremal_sum(Q("sum", 5, 3, FAM("K3"), budget=100))
+    assert (res.value, res.nodes, res.exact) == (18, 101, False)
     assert sum(res.witness.edge_counts()) == 18
     assert not explicit_rainbow_oracle(res.witness, parse_pattern("K3"))
 
