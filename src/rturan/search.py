@@ -70,7 +70,12 @@ permutation fixes colors 1..i-1 and maps color i below itself.  Each
 distinct color-1 mask is tested once per search against all n! - 1
 non-identity permutations, and a minimal one keeps the permutations that
 fix it; color i is then tested only against the permutations fixing
-colors 1..i-1, a set that shrinks with i and is usually small.
+colors 1..i-1, a set that shrinks with i and is usually small.  Each
+permutation is held as a table of 96 pair-mask images, one 32-entry chunk
+for each 5 bits of a mask, so an image costs three lookups and two sums.
+Three chunks hold the C(n, 2) <= 15 pairs only up to n = 6, where the n!
+tables still fit; they are built once per process, by the first min or
+prod search at that n.
 
 ex(n, F) for a single plain graph is computed by orderly generation:
 F-free graphs are grown one vertex at a time and deduplicated by
@@ -90,11 +95,12 @@ from __future__ import annotations
 
 import os
 import re
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations
 from math import comb, prod
-from operator import itemgetter, or_
+from operator import or_
 
 from .graphcore import (
     Graph,
@@ -202,31 +208,43 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _pair_perm_tables(n: int) -> tuple[tuple[int, ...], ...] | None:
-    """For each non-identity vertex permutation, the image of each pair
-    index as a bit, so a pair mask maps to the sum of its pairs' images."""
+def _pair_perm_tables(n: int) -> tuple[array, ...] | None:
+    """For each non-identity vertex permutation, the images of pair masks
+    in three 32-entry chunks: the image of mask bits 0-4 at offsets 0-31,
+    of bits 5-9 at 32-63 and of bits 10-14 at 64-95, so a mask maps to the
+    sum of three lookups (``_stabilizer``).  Three 5-bit chunks cover the
+    C(n, 2) <= 15 pairs of n <= 6; above that there are no tables.  Built
+    on first use: sum never asks for them."""
     if n > _PI_PRUNE_MAX_N:
         return None
     pairs = _pairs(n)
-    bit = {p: 1 << i for i, p in enumerate(pairs)}
+    assert len(pairs) <= 15, "three 5-bit chunks hold at most 15 pairs"
+    index = {p: i for i, p in enumerate(pairs)}
+    identity = tuple(range(n))
     tables = []
-    for perm in permutations(range(n)):
-        if perm == tuple(range(n)):
+    for perm in permutations(identity):
+        if perm == identity:
             continue
-        tables.append(tuple(bit[min(perm[u], perm[v]), max(perm[u], perm[v])] for (u, v) in pairs))
+        bits = [1 << index[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in pairs]
+        bits += [0] * (15 - len(bits))  # no mask holds the missing pairs
+        table = array("H")
+        for lo in (0, 5, 10):
+            vals = [0]
+            for image in bits[lo : lo + 5]:
+                vals += [x + image for x in vals]
+            table.extend(vals)
+        tables.append(table)
     return tuple(tables)
 
 
 def _stabilizer(tables, mask: int) -> list | None:
     """The tables that fix the pair mask, or None when one maps it below
-    itself.  A mask's image is the sum of one gather of its bits' images."""
-    if not mask:  # every table fixes it
-        return list(tables)
-    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
-    gather = itemgetter(*bits)  # of one index, gathers the image itself
-    images = map(gather, tables) if len(bits) == 1 else map(sum, map(gather, tables))
+    itself.  A mask's image is the sum of the images of its three 5-bit
+    chunks, one lookup each; mask 0 maps to 0, so every table fixes it."""
+    a, b, c = mask & 31, 32 | mask >> 5 & 31, 64 | mask >> 10
     fixing = []
-    for table, image in zip(tables, images):
+    for table in tables:
+        image = table[a] + table[b] + table[c]
         if image < mask:
             return None
         if image == mask:
@@ -261,7 +279,6 @@ class _CollectionSearch:
         self.table = [[0] * n for _ in range(n)]
         self.union = [0] * n
         self.cmasks = [0] * t
-        self.perm_tables = _pair_perm_tables(n)
         self.first_stabilizers: dict[int, list] = {}  # minimal color-1 mask -> its stabilizer
         self.floor = 0
         self.best = 0
@@ -315,21 +332,30 @@ class _CollectionSearch:
         Checks only ``live[color]``, so every color above this one must be
         empty, as it is while ``_dfs`` fills the colors in order."""
         u, v = self.pairs[idx]
-        self.set_pair(u, v, self.table[u][v] | 1 << (color - 1))
+        table, union = self.table, self.union
+        was = table[u][v]
+        table[u][v] = table[v][u] = was | 1 << (color - 1)
+        if not was:
+            union[u] |= 1 << v
+            union[v] |= 1 << u
         for f in self.live[color]:
-            if _exists_using_pair(self.n, self.t, self.table, self.union, f, (u, v), color):
-                self._remove(color, idx)
+            if _exists_using_pair(self.n, self.t, table, union, f, (u, v), color):
+                self._restore(u, v, was)
                 return False
         self.cmasks[color - 1] |= 1 << idx
         return True
 
     def remove(self, color: int, idx: int):
         self.cmasks[color - 1] &= ~(1 << idx)
-        self._remove(color, idx)
-
-    def _remove(self, color: int, idx: int):
         u, v = self.pairs[idx]
-        self.set_pair(u, v, self.table[u][v] & ~(1 << (color - 1)))
+        self._restore(u, v, self.table[u][v] & ~(1 << (color - 1)))
+
+    def _restore(self, u: int, v: int, mask: int):
+        """Give pair uv a submask of its mask; the pair leaves the union at 0."""
+        self.table[u][v] = self.table[v][u] = mask
+        if not mask:
+            self.union[u] &= ~(1 << v)
+            self.union[v] &= ~(1 << u)
 
     def set_pair(self, u: int, v: int, mask: int):
         """Give pair uv the color mask; it is in the union while the mask is nonzero."""
@@ -349,12 +375,13 @@ class _CollectionSearch:
         the colors checked so far is tested against the next one.  The
         stabilizer of a minimal color 1 is kept for the whole search.
         """
-        if self.perm_tables is None:
+        tables = _pair_perm_tables(self.n)
+        if tables is None:
             return True
         cur = self.cmasks
         stab = self.first_stabilizers.get(cur[0])
         if stab is None:
-            stab = _stabilizer(self.perm_tables, cur[0])
+            stab = _stabilizer(tables, cur[0])
             if stab is None:
                 return False
             self.first_stabilizers[cur[0]] = stab

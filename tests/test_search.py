@@ -3,7 +3,7 @@
 import random
 import sys
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial
 
 import pytest
 from helpers import ORACLE_PATTERNS, explicit_rainbow_oracle, lex_greatest_sum_optimum
@@ -732,8 +732,17 @@ def test_stabilizer_matches_brute_force(n):
     rng = random.Random(2100 + n)
     tables = _pair_perm_tables(n)
     perms = _pair_images(n)  # the same permutations, in the same order
-    assert [list(table) for table in tables] == [[1 << i for i in images] for images in perms]
     width = n * (n - 1) // 2
+    assert len(tables) == len(perms) == factorial(n) - 1
+    if n <= 5:
+        checked = range(1 << width)
+    else:
+        draw = random.Random(2200 + n)
+        checked = [1 << i for i in range(width)] + [draw.randrange(1 << width) for _ in range(40)]
+    for table, images in zip(tables, perms):
+        for mask in checked:
+            assert table[mask & 31] + table[32 | mask >> 5 & 31] + table[64 | mask >> 10] == _image(mask, images)
+    assert _pair_perm_tables(7) is None
     full = (1 << width) - 1
     masks = [0, full] + [1 << i for i in range(width)]
     masks += [1 << i | 1 << j for i in range(width) for j in range(i + 1, width)]
@@ -754,6 +763,34 @@ def test_stabilizer_matches_brute_force(n):
             assert _stabilizer([tables[k] for k in subset], mask) == expected, (n, mask)
             outcomes.add((mask.bit_count(), expected is None))
     assert {(0, False), (1, False), (1, True), (2, True), (width, False)} <= outcomes
+
+
+def test_canonical_prefix_on_the_search_path(monkeypatch):
+    # the prefixes the DFS itself asks about, dense masks and color 2 under a
+    # complete color 1, which random masks seldom reach
+    from rturan.search import _CollectionSearch
+
+    calls = []
+    original = _CollectionSearch.canonical_prefix
+
+    def recording(self, k):
+        verdict = original(self, k)
+        calls.append((tuple(self.cmasks[:k]), k, verdict))
+        return verdict
+
+    monkeypatch.setattr(_CollectionSearch, "canonical_prefix", recording)
+    outcomes = set()
+    for search, mode, n, famtext, budget, first in (
+        (extremal_min, "min", 6, "{K3}", 20_000, 300),
+        (extremal_prod, "prod", 5, "{P3}", None, None),
+    ):
+        calls.clear()
+        search(Q(mode, n, 3, parse_family(famtext), budget=budget))
+        perms = _pair_images(n)
+        for cmasks, k, verdict in set(calls[:first]):
+            assert verdict == _prefix_is_canonical(cmasks, k, perms), (mode, n, cmasks, k)
+            outcomes.add((k, verdict))
+    assert {(1, True), (1, False), (2, True), (2, False), (3, True)} <= outcomes
 
 
 def test_search_state_table_tracks_the_collection():
