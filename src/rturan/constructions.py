@@ -2,11 +2,17 @@
 
 Every entry builds a concrete rainbow-free collection witnessing a lower
 bound for one of the three objectives, on canonically chosen vertex
-blocks (lowest available indices, centers first) with colors assigned in
-round-robin order, so outputs are reproducible byte for byte.  Each
-entry also documents its per-color edge counts and the forbidden family
-it avoids; the certification suite checks both against the built
-collection.
+blocks (lowest available indices, centers first), so outputs are
+reproducible byte for byte.  Each entry also documents its per-color edge
+counts and the forbidden family it avoids; the certification suite checks
+both against the built collection.
+
+A builder declares its colors once, in color order, as (graph, documented
+edge count, number of colors) groups: a block and the run of colors that
+repeat it (``_colored``).  The documented count is the paper's formula
+(C(ell, 2), ell, ...), not read off the built graph, so comparing the two
+certifies the blocks; only a searched inner part (min.i, min.ii, min.iv)
+and min.kpp-remark's edge lists count their own edges.
 
 Construction ids (parameters in parentheses, optional ones in brackets;
 f is a pattern string; any other name is rejected):
@@ -259,17 +265,38 @@ def _prod_matching_guards(n: int, t: int, s: int) -> PatternFamily:
     return fam
 
 
-def _split(n: int, s: int, inner: Collection) -> tuple[Collection, tuple[int, ...]]:
-    """K_{s,n-s} in every color plus the inner collection on 0..s-1, with
-    the per-color edge counts."""
+def _colored(family: PatternFamily | None, *groups) -> ConstructionInfo:
+    """The construction whose colors are, in order, each (graph, documented
+    edge count, number of colors) group's graph repeated over its run."""
+    graphs: list[Graph] = []
+    counts: list[int] = []
+    for g, count, colors in groups:
+        graphs += [g] * colors
+        counts += [count] * colors
+    return ConstructionInfo(Collection(graphs), tuple(counts), family)
+
+
+def _split(n: int, s: int, inner: Collection, family: PatternFamily | None) -> ConstructionInfo:
+    """K_{s,n-s} in every color plus the inner collection on 0..s-1."""
     base = Graph.complete_bipartite(s, n - s).adj
     pad = (0,) * (n - s)
-    col = Collection(Graph(n, [a | b for a, b in zip(base, g.adj + pad)]) for g in inner.graphs)
-    return col, tuple(s * (n - s) + g.edge_count() for g in inner.graphs)
+    groups = [
+        (Graph(n, [a | b for a, b in zip(base, g.adj + pad)]), s * (n - s) + g.edge_count(), 1)
+        for g in inner.graphs
+    ]
+    return _colored(family, *groups)
 
 
 def _disjoint_star(n: int, start: int, leaves: int) -> Graph:
     return Graph.from_edges(n, [(start, start + j) for j in range(1, leaves + 1)])
+
+
+def _star_blocks(n: int, count: int, ell: int, start: int = 0) -> list[Graph]:
+    """count disjoint stars with ell leaves on consecutive (ell+1)-vertex
+    blocks from start (edgeless stars on single vertices when ell = 0)."""
+    if start + count * (ell + 1) - 1 >= n + 1:
+        raise GuardViolated("star blocks do not fit the vertex set")
+    return [_disjoint_star(n, start + i * (ell + 1), ell) for i in range(count)]
 
 
 def _disjoint_clique(n: int, start: int, order: int, extra=()) -> Graph:
@@ -277,6 +304,13 @@ def _disjoint_clique(n: int, start: int, order: int, extra=()) -> Graph:
     return Graph.from_edges(
         n, [(start + a, start + b) for a in range(order) for b in range(a + 1, order)] + list(extra)
     )
+
+
+def _cliques(n: int, start: int, count: int, order: int) -> list[tuple[Graph, int, int]]:
+    """Groups of count disjoint K_order in blocks from start, one color each."""
+    return [
+        (_disjoint_clique(n, start + i * order, order), comb(order, 2), 1) for i in range(count)
+    ]
 
 
 # ---------------------------------------------------------------------
@@ -288,8 +322,7 @@ def _b_min_split(
     *, budget: int | None = None,
 ) -> ConstructionInfo:
     fam, inner_family = _split_inner_family(which, f, n, t, s)
-    inner = _resolve_inner(s, t, inner_family, inner, budget)
-    return ConstructionInfo(*_split(n, s, inner), fam)
+    return _split(n, s, _resolve_inner(s, t, inner_family, inner, budget), fam)
 
 
 def _b_min_iii(
@@ -309,8 +342,7 @@ def _b_min_iii(
         if pf > s:
             raise GuardViolated("min.iii needs p(f) <= s")
         fam = _with_matching(t, s, f)
-    col = Collection([Graph.complete_bipartite(p - 1, n - p + 1)] * t)
-    return ConstructionInfo(col, ((p - 1) * (n - p + 1),) * t, fam)
+    return _colored(fam, (Graph.complete_bipartite(p - 1, n - p + 1), (p - 1) * (n - p + 1), t))
 
 
 def _b_min_iv(
@@ -323,8 +355,7 @@ def _b_min_iv(
         fam = _with_matching(t, s, f)
         if p > s:
             raise GuardViolated("min.iv needs p(f) <= s")
-    inner = _resolve_inner(p - 1, t, inner_family, inner, budget)
-    return ConstructionInfo(*_split(n, p - 1, inner), fam)
+    return _split(n, p - 1, _resolve_inner(p - 1, t, inner_family, inner, budget), fam)
 
 
 def _b_kpp(n: int, t: int, s: int, p: int) -> ConstructionInfo:
@@ -338,8 +369,7 @@ def _b_kpp(n: int, t: int, s: int, p: int) -> ConstructionInfo:
         held = range(t) if v < p - 1 else [((v - p + 1) * (p - 1) + j) % t for j in range(p - 1)]
         for ci in held:
             edge_lists[ci] += [(v, c) for c in range(s, n)]
-    col = Collection.from_edge_lists(n, edge_lists)
-    return ConstructionInfo(col, tuple(len(e) for e in edge_lists), fam)
+    return _colored(fam, *((Graph.from_edges(n, e), len(e), 1) for e in edge_lists))
 
 
 def _b_sum_cliques(n: int, t: int, f: Graph) -> ConstructionInfo:
@@ -348,9 +378,7 @@ def _b_sum_cliques(n: int, t: int, f: Graph) -> ConstructionInfo:
     q = f.edge_count() - 1
     if t < f.edge_count():
         raise GuardViolated("need t >= |E(f)|")
-    col = Collection([Graph.complete(n)] * q + [Graph.edgeless(n)] * (t - q))
-    counts = (comb(n, 2),) * q + (0,) * (t - q)
-    return ConstructionInfo(col, counts, _fam(f))
+    return _colored(_fam(f), (Graph.complete(n), comb(n, 2), q), (Graph.edgeless(n), 0, t - q))
 
 
 def _b_sum_monochrome(n: int, t: int, f: Graph, *, budget: int | None = None) -> ConstructionInfo:
@@ -359,16 +387,13 @@ def _b_sum_monochrome(n: int, t: int, f: Graph, *, budget: int | None = None) ->
     value, g = turan_extremal(n, f, budget)
     if value < 0:
         raise GuardViolated("no f-free graph exists on this vertex count")
-    col = Collection([g] * t)
-    return ConstructionInfo(col, (value,) * t, _fam(f))
+    return _colored(_fam(f), (g, value, t))
 
 
 def _b_prod_matching(n: int, t: int, s: int) -> ConstructionInfo:
     fam = _prod_matching_guards(n, t, s)
     star = _disjoint_star(n, 0, n - 1)
-    col = Collection([Graph.complete(n)] * (s - 1) + [star] * (t - s + 1))
-    counts = (comb(n, 2),) * (s - 1) + (n - 1,) * (t - s + 1)
-    return ConstructionInfo(col, counts, fam)
+    return _colored(fam, (Graph.complete(n), comb(n, 2), s - 1), (star, n - 1, t - s + 1))
 
 
 def _b_clique_star(n: int, t: int, s: int, f: Graph | None = None) -> ConstructionInfo:
@@ -379,23 +404,11 @@ def _b_clique_star(n: int, t: int, s: int, f: Graph | None = None) -> Constructi
     star_start = (s - 1) * ell
     if star_start >= n:
         raise GuardViolated("no room left for the shared star")
-    star = _disjoint_star(n, star_start, n - star_start - 1)
-    cols = [_disjoint_clique(n, i * ell, ell, star.edges()) for i in range(s - 1)]
-    col = Collection(cols + [star] * (t - s + 1))
     star_sz = n - star_start - 1
-    counts = (comb(ell, 2) + star_sz,) * (s - 1) + (star_sz,) * (t - s + 1)
-    return ConstructionInfo(col, counts, fam if f is not None else None)
-
-
-def _star_blocks(n: int, count: int, ell: int) -> list[Graph]:
-    """count disjoint stars with ell leaves on the lowest vertex blocks."""
-    out = []
-    for i in range(count):
-        start = i * (ell + 1)
-        if start + ell >= n + 1:
-            raise GuardViolated("star blocks do not fit the vertex set")
-        out.append(_disjoint_star(n, start, ell))
-    return out
+    star = _disjoint_star(n, star_start, star_sz)
+    cliques = [_disjoint_clique(n, i * ell, ell, star.edges()) for i in range(s - 1)]
+    groups = [(g, comb(ell, 2) + star_sz, 1) for g in cliques] + [(star, star_sz, t - s + 1)]
+    return _colored(fam if f is not None else None, *groups)
 
 
 def _b_star_gt(n: int, t: int, s: int, r: int) -> ConstructionInfo:
@@ -405,20 +418,10 @@ def _b_star_gt(n: int, t: int, s: int, r: int) -> ConstructionInfo:
     if t <= s * (r - 1):
         raise GuardViolated("need t > s(r-1)")
     ell = n // (s * t)
-    stars = _star_blocks(n, s, ell) if ell > 0 else [Graph.edgeless(n)] * s
-    cols: list[Graph] = []
-    for i in range(s - 1):
-        cols.extend([stars[i]] * (r - 1))
-    cols.extend([stars[s - 1]] * (r - 2))
-    leftover = t - s * (r - 1) + 1
-    start = (s - 1) * (ell + 1)
-    first_edge = (
-        Graph.from_edges(n, [(start, start + 1)]) if ell > 0 else Graph.edgeless(n)
-    )
-    cols.extend([first_edge] * leftover)
-    col = Collection(cols)
-    counts = (ell,) * (s * (r - 1) - 1) + ((1 if ell > 0 else 0),) * leftover
-    return ConstructionInfo(col, counts, fam)
+    *stars, last = _star_blocks(n, s, ell)
+    first_edge = _disjoint_star(n, (s - 1) * (ell + 1), min(ell, 1))  # of the last star
+    leftover = (first_edge, min(ell, 1), t - s * (r - 1) + 1)
+    return _colored(fam, *((g, ell, r - 1) for g in stars), (last, ell, r - 2), leftover)
 
 
 def _b_star_eq(n: int, t: int, s: int, r: int) -> ConstructionInfo:
@@ -428,13 +431,7 @@ def _b_star_eq(n: int, t: int, s: int, r: int) -> ConstructionInfo:
         raise GuardViolated("need t = s(r-1)")
     fam = _with_matching(t, s, Graph.star(r))
     ell = n // (s * t)
-    stars = _star_blocks(n, s, ell) if ell > 0 else [Graph.edgeless(n)] * s
-    cols: list[Graph] = []
-    for i in range(s):
-        cols.extend([stars[i]] * (r - 1))
-    col = Collection(cols)
-    counts = (ell,) * t
-    return ConstructionInfo(col, counts, fam)
+    return _colored(fam, *((g, ell, r - 1) for g in _star_blocks(n, s, ell)))
 
 
 def _b_star_lt(n: int, t: int, s: int, r: int) -> ConstructionInfo:
@@ -445,29 +442,12 @@ def _b_star_lt(n: int, t: int, s: int, r: int) -> ConstructionInfo:
         raise GuardViolated("need t < s(r-1)")
     k = ceil((t - s) / (r - 2))
     ell = n // (s * t)
-    cols: list[Graph] = []
-    counts: list[int] = []
-    for i in range(s - k):
-        g = _disjoint_clique(n, i * (ell + 1), ell + 1)
-        cols.append(g)
-        counts.append(comb(ell + 1, 2))
-    star_base = (s - k) * (ell + 1)
-    for j in range(k - 1):
-        start = star_base + j * (ell + 1)
-        g = _disjoint_star(n, start, ell)
-        cols.extend([g] * (r - 1))
-        counts.extend([ell] * (r - 1))
     last = t - (s - k) - (k - 1) * (r - 1)
     if not 1 <= last <= r - 1:
         raise GuardViolated(f"leftover color count {last} impossible for this branch")
-    start = star_base + (k - 1) * (ell + 1)
-    g = _disjoint_star(n, start, ell)
-    if start + ell >= n + 1:
-        raise GuardViolated("star blocks do not fit the vertex set")
-    cols.extend([g] * last)
-    counts.extend([ell] * last)
-    col = Collection(cols)
-    return ConstructionInfo(col, tuple(counts), fam)
+    *stars, last_star = _star_blocks(n, k, ell, (s - k) * (ell + 1))
+    runs = [(g, ell, r - 1) for g in stars] + [(last_star, ell, last)]
+    return _colored(fam, *_cliques(n, 0, s - k, ell + 1), *runs)
 
 
 def _b_star2(n: int, t: int, s: int) -> ConstructionInfo:
@@ -476,16 +456,8 @@ def _b_star2(n: int, t: int, s: int) -> ConstructionInfo:
     pair_start = (s - 1) * ell
     if pair_start + 1 >= n:
         raise GuardViolated("no room for the shared edge")
-    cols: list[Graph] = []
-    counts: list[int] = []
-    for i in range(s - 1):
-        cols.append(_disjoint_clique(n, i * ell, ell))
-        counts.append(comb(ell, 2))
-    shared = Graph.from_edges(n, [(pair_start, pair_start + 1)])
-    cols.extend([shared] * (t - s + 1))
-    counts.extend([1] * (t - s + 1))
-    col = Collection(cols)
-    return ConstructionInfo(col, tuple(counts), fam)
+    shared = _disjoint_star(n, pair_start, 1)
+    return _colored(fam, *_cliques(n, 0, s - 1, ell), (shared, 1, t - s + 1))
 
 
 def _sm_guards(n: int, t: int, s: int, r: int, m: int) -> PatternFamily:
@@ -502,13 +474,7 @@ def _b_sm_bigstar(n: int, t: int, s: int, r: int, m: int) -> ConstructionInfo:
         raise GuardViolated("need r-1 >= t-s+1")
     q = (n - 1) // (s - 1)
     star = _disjoint_star(n, 0, n - 1)
-    cols = [star] * (t - s + 1)
-    counts = [n - 1] * (t - s + 1)
-    for j in range(s - 1):
-        cols.append(_disjoint_clique(n, 1 + j * q, q))
-        counts.append(comb(q, 2))
-    col = Collection(cols)
-    return ConstructionInfo(col, tuple(counts), fam)
+    return _colored(fam, (star, n - 1, t - s + 1), *_cliques(n, 1, s - 1, q))
 
 
 def _b_sm_star_clique(n: int, t: int, s: int, r: int, m: int) -> ConstructionInfo:
@@ -517,13 +483,7 @@ def _b_sm_star_clique(n: int, t: int, s: int, r: int, m: int) -> ConstructionInf
     if m * ell + 1 > n:
         raise GuardViolated("blocks do not fit the vertex set")
     star = _disjoint_star(n, 0, ell)
-    cols = [star] * (t - m + 1)
-    counts = [ell] * (t - m + 1)
-    for j in range(m - 1):
-        cols.append(_disjoint_clique(n, (ell + 1) + j * ell, ell))
-        counts.append(comb(ell, 2))
-    col = Collection(cols)
-    return ConstructionInfo(col, tuple(counts), fam)
+    return _colored(fam, (star, ell, t - m + 1), *_cliques(n, ell + 1, m - 1, ell))
 
 
 def _b_sm_mixed(n: int, t: int, s: int, r: int, m: int) -> ConstructionInfo:
@@ -536,20 +496,15 @@ def _b_sm_mixed(n: int, t: int, s: int, r: int, m: int) -> ConstructionInfo:
         raise GuardViolated("need m <= (s(r-1)-t)/(r-2)")
     c = (s * (r - 1) - t) // (r - 2)
     ell = n // (s * t)
-    cols: list[Graph] = []
-    counts: list[int] = []
-    for j in range(c):
-        cols.append(_disjoint_clique(n, j * ell, ell))
-        counts.append(comb(ell, 2))
     offset = c * ell
     t_inner, s_inner = t - c, s - c
     star = _b_star_eq if t_inner == s_inner * (r - 1) else _b_star_lt
     inner = star(n - offset, t_inner, s_inner, r)
-    for g in inner.collection.graphs:
-        cols.append(Graph.from_edges(n, [(u + offset, v + offset) for u, v in g.edges()]))
-    counts.extend(inner.expected_counts)
-    col = Collection(cols)
-    return ConstructionInfo(col, tuple(counts), fam)
+    shifted = (
+        (Graph(n, (0,) * offset + tuple(row << offset for row in g.adj)), count, 1)
+        for g, count in zip(inner.collection.graphs, inner.expected_counts)
+    )
+    return _colored(fam, *_cliques(n, 0, c, ell), *shifted)
 
 
 # each builder takes its construction's parameters; the ones that search

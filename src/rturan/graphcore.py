@@ -493,26 +493,11 @@ class PatternFamily:
 def family_deleted_independent(f: Graph) -> PatternFamily:
     """All graphs obtained from f by deleting an independent vertex set.
 
-    The empty set is independent, so f itself is always a member.  The
-    result is deduplicated up to isomorphism.
+    A set is independent exactly when the vertices left are a vertex cover,
+    so these are f's induced subgraphs on its (nonempty) vertex covers; f
+    itself is one.  The result is deduplicated up to isomorphism.
     """
-    if f.edge_count() == 0:
-        raise ValueError("pattern must have at least one edge")
-    out = []
-    for mask in range(1 << f.n):
-        ok = True
-        m = mask
-        while m:
-            low = m & -m
-            if f.adj[low.bit_length() - 1] & mask:
-                ok = False
-                break
-            m ^= low
-        if not ok:
-            continue
-        keep = [v for v in range(f.n) if not (mask >> v & 1)]
-        out.append(f.induced(keep) if keep else None)
-    return PatternFamily.from_graphs([g for g in out if g is not None])
+    return family_covering(f, f.n)
 
 
 def minimum_vertex_cover(f: Graph) -> int:

@@ -161,6 +161,15 @@ def default_budget() -> int:
     return int(raw)
 
 
+def _check_integers(**values):
+    """ValueError unless each value is an int, not a bool; a budget may be None."""
+    for name, v in values.items():
+        if name == "budget" and v is None:
+            continue
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class ExtremalQuery:
     mode: str  # "min" | "sum" | "prod"
@@ -172,6 +181,7 @@ class ExtremalQuery:
     def __post_init__(self):
         if self.mode not in ("min", "sum", "prod"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        _check_integers(n=self.n, t=self.t, budget=self.budget)
         if not 1 <= self.n <= 12:
             raise ValueError("full search supports 1 <= n <= 12")
         if self.t < 1:
@@ -340,7 +350,7 @@ class _CollectionSearch:
             union[v] |= 1 << u
         for f in self.live[color]:
             if _exists_using_pair(self.n, self.t, table, union, f, (u, v), color):
-                self._restore(u, v, was)
+                self.set_pair(u, v, was)
                 return False
         self.cmasks[color - 1] |= 1 << idx
         return True
@@ -348,14 +358,7 @@ class _CollectionSearch:
     def remove(self, color: int, idx: int):
         self.cmasks[color - 1] &= ~(1 << idx)
         u, v = self.pairs[idx]
-        self._restore(u, v, self.table[u][v] & ~(1 << (color - 1)))
-
-    def _restore(self, u: int, v: int, mask: int):
-        """Give pair uv a submask of its mask; the pair leaves the union at 0."""
-        self.table[u][v] = self.table[v][u] = mask
-        if not mask:
-            self.union[u] &= ~(1 << v)
-            self.union[v] &= ~(1 << u)
+        self.set_pair(u, v, self.table[u][v] & ~(1 << (color - 1)))
 
     def set_pair(self, u: int, v: int, mask: int):
         """Give pair uv the color mask; it is in the union while the mask is nonzero."""
@@ -593,6 +596,7 @@ def turan_exact(n: int, f: Graph, budget: int | None = None) -> int:
 def turan_extremal(n: int, f: Graph, budget: int | None = None) -> tuple[int, Graph]:
     """ex(n, f) together with the extremal graph of least canonical form,
     relabelled to that form.  The budget counts extension attempts."""
+    _check_integers(n=n, budget=budget)
     if not 1 <= n <= 12:
         raise ValueError("orderly generation supports 1 <= n <= 12")
     if budget is not None and budget < 1:

@@ -106,6 +106,10 @@ def test_guard_violations():
         describe("prod.sm.mixed", {"n": 12, "t": 5, "s": 3, "r": 3, "m": 2})  # m too big
     with pytest.raises(GuardViolated):
         describe("min.kpp-remark", {"n": 10, "t": 3, "s": 3, "p": 2})  # t < p*p
+    # three star blocks on one vertex: the star branches share one fit check
+    for cid, t in (("prod.star.lt", 4), ("prod.star.eq", 6), ("prod.star.gt", 7)):
+        with pytest.raises(GuardViolated, match="star blocks do not fit"):
+            describe(cid, {"n": 1, "t": t, "s": 3, "r": 3})
     with pytest.raises(KeyError):
         describe("nope", {})
 

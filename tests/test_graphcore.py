@@ -262,6 +262,41 @@ def test_family_deleted_contains_every_deletion_result():
                 assert canonical_form(sub) in keys
 
 
+def _deletion_results(f: Graph) -> set[bytes]:
+    """Canonical forms of f minus each independent vertex set, by brute
+    force, edge-bearing results stripped of isolated vertices."""
+    keys = set()
+    for size in range(f.n):
+        for vs in combinations(range(f.n), size):
+            mask = sum(1 << v for v in vs)
+            if any(f.adj[v] & mask for v in vs):
+                continue
+            sub = f.induced([v for v in range(f.n) if v not in vs])
+            if sub.edge_count() > 0:
+                sub = sub.induced([v for v in range(sub.n) if sub.adj[v]])
+            keys.add(canonical_form(sub))
+    return keys
+
+
+def test_family_deleted_holds_exactly_the_deletion_results():
+    # both directions: every member is f minus some independent set, and
+    # every such deletion is a member; all graphs on up to 5 vertices, then
+    # random ones on 6 and 7
+    graphs = []
+    for n in range(2, 6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1, 1 << len(pairs)):
+            graphs.append(Graph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1]))
+    rng = random.Random(17)
+    graphs += [random_graph_rows(rng, rng.randint(6, 7), 0.45) for _ in range(30)]
+    for f in graphs:
+        if f.edge_count() == 0:
+            continue
+        members = [canonical_form(g) for g in family_deleted_independent(f)]
+        assert len(set(members)) == len(members)
+        assert set(members) == _deletion_results(f), f
+
+
 def test_family_covering_examples():
     fam = family_covering(parse_pattern("P4"), 1)
     assert len(fam) == 1 and fam.members[0] == Graph.complete(2)

@@ -153,6 +153,12 @@ def test_turan_edge_cases():
     assert turan_exact(4, parse_pattern("E4")) == -1  # nothing avoids it
     with pytest.raises(ValueError):
         turan_exact(13, parse_pattern("K3"))
+    for n in (5.0, True, "5"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            turan_exact(n, parse_pattern("K3"))
+    for budget in (10.5, True):
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            turan_exact(5, parse_pattern("K3"), budget)
 
 
 # -- acceptance-grid values (fast rows; full set in test_acceptance) ----
@@ -894,3 +900,12 @@ def test_query_validation():
             Q("min", 4, 2, FAM("M2"), budget=budget)
         with pytest.raises(ValueError):
             turan_exact(4, parse_pattern("K3"), budget=budget)
+    # a bool or a non-int is not a vertex count, color count or budget
+    for bad in (True, 5.0, "5", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Q("min", bad, 3, FAM("K3"))
+        with pytest.raises(ValueError, match="must be an integer"):
+            Q("min", 5, bad, FAM("K3"))
+    for bad in (100.5, True, "100"):
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            Q("min", 5, 3, FAM("K3"), bad)
