@@ -12,7 +12,7 @@ edge count, number of colors) groups: a block and the run of colors that
 repeat it (``_colored``).  The documented count is the paper's formula
 (C(ell, 2), ell, ...), not read off the built graph, so comparing the two
 certifies the blocks; only a searched inner part (min.i, min.ii, min.iv)
-and min.kpp-remark's edge lists count their own edges.
+counts its own edges.
 
 Construction ids (parameters in parentheses, optional ones in brackets;
 f is a pattern string; any other name is rejected):
@@ -294,7 +294,7 @@ def _disjoint_star(n: int, start: int, leaves: int) -> Graph:
 def _star_blocks(n: int, count: int, ell: int, start: int = 0) -> list[Graph]:
     """count disjoint stars with ell leaves on consecutive (ell+1)-vertex
     blocks from start (edgeless stars on single vertices when ell = 0)."""
-    if start + count * (ell + 1) - 1 >= n + 1:
+    if start + count * (ell + 1) > n:
         raise GuardViolated("star blocks do not fit the vertex set")
     return [_disjoint_star(n, start + i * (ell + 1), ell) for i in range(count)]
 
@@ -362,14 +362,24 @@ def _b_kpp(n: int, t: int, s: int, p: int) -> ConstructionInfo:
     if not (2 <= p <= s < n):
         raise GuardViolated("need 2 <= p <= s < n")
     fam = _with_matching(t, s, Graph.complete_bipartite(p, p))
-    # the first p-1 vertices join s..n-1 in every color; each later vertex
-    # below s in the next p-1 colors, cyclically
     edge_lists = [[] for _ in range(t)]
     for v in range(s):
-        held = range(t) if v < p - 1 else [((v - p + 1) * (p - 1) + j) % t for j in range(p - 1)]
-        for ci in held:
+        for ci in _kpp_colors(v, t, p):
             edge_lists[ci] += [(v, c) for c in range(s, n)]
-    return _colored(fam, *((Graph.from_edges(n, e), len(e), 1) for e in edge_lists))
+    # the s-p+1 later vertices take L = (s-p+1)(p-1) color slots 0, 1, ...
+    # mod t, so color c gets ceil((L-c)/t) of them besides the p-1 shared
+    slots = (s - p + 1) * (p - 1)
+    counts = [(n - s) * (p - 1 + max(0, -(-(slots - c) // t))) for c in range(t)]
+    return _colored(fam, *((Graph.from_edges(n, e), count, 1) for e, count in zip(edge_lists, counts)))
+
+
+def _kpp_colors(v: int, t: int, p: int):
+    """The 0-based colors in which vertex v < s of min.kpp-remark joins
+    s..n-1: every color for the first p-1 vertices, then the next p-1
+    colors for each later vertex, cyclically."""
+    if v < p - 1:
+        return range(t)
+    return [((v - p + 1) * (p - 1) + j) % t for j in range(p - 1)]
 
 
 def _b_sum_cliques(n: int, t: int, f: Graph) -> ConstructionInfo:

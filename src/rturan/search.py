@@ -267,6 +267,9 @@ class _CollectionSearch:
     ``witness``) a budget stop leaves standing, and ``run``, the one
     color-by-color DFS of min and prod: colors are filled pair by pair with
     nonincreasing edge counts, ``canonical_prefix`` checked at each color
+    boundary.  ``_dfs`` fills one color in one loop, a node per pass, and
+    recurses only at a color boundary; a blind color, too small for any
+    member, is held as a pair mask and reaches the table only at its
     boundary.  A floor e > 0 (min) prunes a color that cannot reach e edges
     and stops at the first full collection; floor 0 (prod) prunes by
     prefix * maxc^(t-k+1) against the best product and searches on.  A full
@@ -309,33 +312,71 @@ class _CollectionSearch:
         """The DFS from an empty collection; True when min (floor > 0) found one."""
         self.reset()
         self.floor = floor
-        return self._dfs(1, 0, 0, self.P, 1)
+        return self._dfs(1, self.P, 1)
 
-    def _dfs(self, k: int, idx: int, count: int, cap: int, prefix: int) -> bool:
-        """Color k holds count edges among pairs below idx and may hold up to
-        cap; prefix is the product of the counts of colors 1..k-1.  One node
-        per pass: skipping pair idx is the next pass, not a recursive call."""
+    def _dfs(self, k: int, cap: int, prefix: int) -> bool:
+        """Fill color k with up to cap edges; prefix is the product of the
+        counts of colors 1..k-1.  The color is one loop and each pass is one
+        node at (idx, count): add pair idx and go on to idx + 1, or skip it.
+        The pairs added so far are the bits of ``mask``, so a failed subtree
+        takes back the highest one and that pair's skip is the next pass.
+        The only recursion is into color k + 1, at idx = P.
+
+        A blind color (``live[k]`` empty: no member fits k colors) cannot
+        complete a rainbow copy, so its pairs stay in ``mask`` alone, with no
+        detector, table or union write.  ``paint`` puts the color into the
+        table once its prefix is canonical and takes it out again when the
+        subtree finds nothing.  Blind colors come first, since ``live`` only
+        grows with k, so a live color's detector always sees them."""
         step, P, floor, power = self.budget.step, self.P, self.floor, self.t - k + 1
+        blind = not self.live[k]
+        idx = count = mask = 0
         while True:
             step()
             room = count + (P - idx)
-            if floor:
-                if room < floor:
-                    return False
-            elif prefix * min(cap, room) ** power <= self.best:  # prod raises best as it goes
+            if (room < floor) if floor else prefix * min(cap, room) ** power <= self.best:
+                pass  # pruned: below min's floor, or prod cannot beat best (raised as it goes)
+            elif idx == P:
+                self.cmasks[k - 1] = mask
+                if self.canonical_prefix(k):
+                    if blind:
+                        self.paint(k, mask, True)
+                    if k < self.t:
+                        found = self._dfs(k + 1, count, prefix * count)
+                    else:
+                        self.keep(floor or prefix * count)  # prod: the bound put it above best
+                        found = floor > 0
+                    if found:
+                        return True
+                    if blind:
+                        self.paint(k, mask, False)
+            elif count < cap and (blind or self.try_add(k, idx)):
+                mask |= 1 << idx
+                idx += 1
+                count += 1
+                continue
+            else:
+                idx += 1
+                continue
+            # the subtree at (idx, count) failed: back up to the last pair added
+            if not mask:
+                self.cmasks[k - 1] = 0
                 return False
-            if idx == P:
-                if not self.canonical_prefix(k):
-                    return False
-                if k < self.t:
-                    return self._dfs(k + 1, 0, 0, count, prefix * count)
-                self.keep(floor or prefix * count)  # prod: the bound put the product above best
-                return floor > 0
-            if count < cap and self.try_add(k, idx):
-                if self._dfs(k, idx + 1, count + 1, cap, prefix):
-                    return True
+            idx = mask.bit_length() - 1
+            mask ^= 1 << idx
+            if not blind:
                 self.remove(k, idx)
+            count -= 1
             idx += 1
+
+    def paint(self, color: int, mask: int, on: bool):
+        """Put the pairs of mask into the color (on) or take them out."""
+        bit, pairs, table = 1 << (color - 1), self.pairs, self.table
+        while mask:
+            low = mask & -mask
+            u, v = pairs[low.bit_length() - 1]
+            self.set_pair(u, v, table[u][v] | bit if on else table[u][v] & ~bit)
+            mask ^= low
 
     def try_add(self, color: int, idx: int) -> bool:
         """Add pair idx to the color unless it completes a rainbow copy.

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from rturan import constructions
+from rturan import cli, constructions
 from rturan import (
     CONSTRUCTION_IDS,
     FORMULA_IDS,
@@ -55,6 +55,22 @@ def test_kpp_remark_example():
     # advertised floor bound: (p-1 + floor((s-p+1)(p-1)/t)) (n-s)
     assert all(c >= 7 for c in counts)
     assert is_rainbow_free(info.collection, info.family)
+
+
+def test_kpp_remark_certification_fails_on_wrong_edges(monkeypatch, capsys):
+    # the documented counts come from the closed form, not from the edge
+    # lists, so a vertex that joins one color too few is a MISMATCH
+    params = {"n": 12, "t": 5, "s": 3, "p": 2}
+    info = describe("min.kpp-remark", params)
+    assert info.collection.edge_counts() == info.expected_counts == (18, 18, 9, 9, 9)
+    real = constructions._kpp_colors
+    monkeypatch.setattr(constructions, "_kpp_colors", lambda v, t, p: real(v, t, p)[v == p - 1 :])
+    broken = describe("min.kpp-remark", params)
+    assert broken.expected_counts == info.expected_counts
+    assert broken.collection.edge_counts() == (9, 18, 9, 9, 9)
+    assert cli.main(["verify", "--suite", "constructions"]) == 1
+    mismatched = [line.split()[0] for line in capsys.readouterr().out.splitlines() if "MISMATCH" in line]
+    assert mismatched and all(label.startswith("min.kpp-remark[") for label in mismatched)
 
 
 def test_split_construction_uses_searched_inner():
@@ -110,6 +126,9 @@ def test_guard_violations():
     for cid, t in (("prod.star.lt", 4), ("prod.star.eq", 6), ("prod.star.gt", 7)):
         with pytest.raises(GuardViolated, match="star blocks do not fit"):
             describe(cid, {"n": 1, "t": t, "s": 3, "r": 3})
+    # two blocks on one vertex: the last block would end one vertex past the host
+    with pytest.raises(GuardViolated, match="star blocks do not fit"):
+        describe("prod.star.eq", {"n": 1, "t": 4, "s": 2, "r": 3})
     with pytest.raises(KeyError):
         describe("nope", {})
 
@@ -307,7 +326,7 @@ PARAMETER_GRID = {
 
 # sha256 over the outcome of every PARAMETER_GRID case: the exception
 # class, or the rows, documented counts and family canonical forms
-PINNED_PARAMETER_GRID_SHA256 = "b73dd7337f2ba316d3d2acfd7df5d489ffcccd16b68846688636412531b07266"
+PINNED_PARAMETER_GRID_SHA256 = "0515672b0012bf2eb65d8d8f878b40ae62aadfbcb80851aad5e64d3a52a855af"
 
 
 def test_parameter_grid_guards_and_outcomes_are_pinned():

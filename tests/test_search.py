@@ -799,6 +799,103 @@ def test_canonical_prefix_on_the_search_path(monkeypatch):
     assert {(1, True), (1, False), (2, True), (2, False), (3, True)} <= outcomes
 
 
+# sha256 over the (k, colors 1..k, verdict) of every canonical_prefix call,
+# in order, of min(5,3,{K3}), prod(5,3,{P3}) and min(6,3,{K3}) at budget
+# 20,000: the DFS proves the same tree, not just one of the same size
+PINNED_PREFIX_SEQUENCE_SHA256 = "93e6e6645887bd5c576f6232601a384fdf667b3df084f47f1e6eae61f4fc429e"
+
+
+def test_canonical_prefix_sequence_is_pinned(monkeypatch):
+    import hashlib
+
+    from rturan.search import _CollectionSearch
+
+    digest = hashlib.sha256()
+    original = _CollectionSearch.canonical_prefix
+
+    def recording(self, k):
+        verdict = original(self, k)
+        digest.update(f"{k} {self.cmasks[:k]} {verdict}\n".encode())
+        return verdict
+
+    monkeypatch.setattr(_CollectionSearch, "canonical_prefix", recording)
+    for search, mode, n, name, budget in (
+        (extremal_min, "min", 5, "K3", 200_000),
+        (extremal_prod, "prod", 5, "P3", 200_000),
+        (extremal_min, "min", 6, "K3", 20_000),
+    ):
+        search(Q(mode, n, 3, FAM(name), budget=budget))
+    assert digest.hexdigest() == PINNED_PREFIX_SEQUENCE_SHA256
+
+
+def _searches_seen(monkeypatch) -> list:
+    """Record each _CollectionSearch as its DFS starts; the last is running."""
+    from rturan.search import _CollectionSearch
+
+    seen = []
+    original = _CollectionSearch.run
+
+    def run(self, floor=0):
+        seen.append(self)
+        return original(self, floor)
+
+    monkeypatch.setattr(_CollectionSearch, "run", run)
+    return seen
+
+
+def test_detector_sees_exactly_the_colors_filled_so_far(monkeypatch):
+    # blind colors (no member fits that few colors) reach the table only at
+    # their boundary; every detector call must still see them, and nothing
+    # of a color above the one filling
+    import rturan.search as search
+
+    seen = _searches_seen(monkeypatch)
+    real = search._exists_using_pair
+    colors_checked = set()
+
+    def checking(n, t, table, union, f, pair, color):
+        s = seen[-1]
+        filling = s.cmasks[color - 1] | 1 << s.pairs.index(pair)
+        masks = s.cmasks[: color - 1] + [filling]
+        assert not any(s.cmasks[color:]), (color, s.cmasks)
+        for i, (u, v) in enumerate(s.pairs):
+            cell = sum(1 << c for c, m in enumerate(masks) if m >> i & 1)
+            assert table[u][v] == table[v][u] == cell, (color, s.cmasks, pair, (u, v))
+            assert (union[u] >> v & 1) == (union[v] >> u & 1) == (cell != 0)
+        colors_checked.add(color)
+        return real(n, t, table, union, f, pair, color)
+
+    monkeypatch.setattr(search, "_exists_using_pair", checking)
+    for search_fn, mode, n, name, budget in (
+        (extremal_min, "min", 5, "K3", None),
+        (extremal_prod, "prod", 5, "P3", None),
+        (extremal_min, "min", 5, "K3,M2", None),
+        (extremal_min, "min", 6, "M3", 20_000),
+    ):
+        search_fn(Q(mode, n, 3, FAM(*name.split(",")), budget=budget))
+    assert colors_checked == {2, 3}
+
+
+def test_failed_min_probe_leaves_an_empty_table(monkeypatch):
+    from rturan.search import _CollectionSearch
+
+    probes = []
+    original = _CollectionSearch.run
+
+    def run(self, floor=0):
+        found = original(self, floor)
+        probes.append(found)
+        if not found:
+            assert self.table == [[0] * self.n for _ in range(self.n)]
+            assert self.union == [0] * self.n and self.cmasks == [0] * self.t
+        return found
+
+    monkeypatch.setattr(_CollectionSearch, "run", run)
+    for name in ("K3", "P3", "P4", "M2"):
+        extremal_min(Q("min", 5, 3, FAM(name)))
+    assert False in probes
+
+
 def test_search_state_table_tracks_the_collection():
     from rturan import nest_transform
     from rturan.search import _CollectionSearch
