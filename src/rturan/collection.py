@@ -634,12 +634,16 @@ def _rainbow_matchings(n: int, pairs, init_masks: list[int], used: int, limit: i
         yield from dfs(0, used)
 
 
-def _matching_exists_with(n: int, table, size: int, init_masks: list[int], banned_vmask: int) -> bool:
+def _matching_exists_with(
+    n: int, table, size: int, init_masks: list[int], banned_vmask: int
+) -> tuple[tuple[int, int], ...] | None:
     """Rainbow matching of the given size avoiding banned vertices, with
-    colors jointly assignable alongside the already fixed ``init_masks``."""
+    colors jointly assignable alongside the already fixed ``init_masks``:
+    its host pairs, or None when there is none.  Size 0 gives the empty
+    tuple whenever ``init_masks`` admit distinct colors."""
     pairs = _colored_pairs(n, table, banned_vmask)
-    found = _rainbow_matchings(n, pairs, init_masks, banned_vmask, size, [size])
-    return next(found, None) is not None
+    found = next(_rainbow_matchings(n, pairs, init_masks, banned_vmask, size, [size]), None)
+    return None if found is None else tuple(pairs[j][:2] for j in found[0])
 
 
 # ---------------------------------------------------------------------
@@ -666,12 +670,19 @@ def _exists(n: int, t: int, table, union_rows, pattern: Graph) -> bool:
     elif m > t:
         return False
     elif plan.matching:
-        return _matching_exists_with(n, table, m, [], 0)
+        return _matching_exists_with(n, table, m, [], 0) is not None
     return _embed(plan.core, [-1] * pattern.n, 0, _ColorMatching(), m, table, union_rows)
 
 
 def _exists_using_pair(
-    n: int, t: int, table, union_rows, pattern: Graph, pair: tuple[int, int], forced_color: int | None
+    n: int,
+    t: int,
+    table,
+    union_rows,
+    pattern: Graph,
+    pair: tuple[int, int],
+    forced_color: int | None,
+    copies: dict | None = None,
 ) -> bool:
     """Existence of a rainbow copy whose embedding uses the given host pair.
 
@@ -683,6 +694,16 @@ def _exists_using_pair(
     copy seeded by another arc of the orbit is the same copy relabelled.
     The host is t colors, ``table[u][v]`` the color mask of pair uv (see
     ``Collection.color_table``) and ``union_rows`` their union's rows.
+
+    ``copies``, a dict the caller owns, holds residual copies: for each
+    (pattern, pair, forced color) asked about, the other host pairs of the
+    last copy found through the pair.  A search asks about the same pair
+    again and again while the table around it barely changes, so that copy
+    is re-checked first: if the anchor and its pairs' current color masks
+    take distinct colors, it is still a rainbow copy.  Otherwise the full
+    search runs and stores the copy it finds.  The answer is the same with
+    or without the dict, which holds at most one entry per pattern, pair
+    and forced color: members x pairs x (t + 1) for a search.
     """
     if pattern.n > n:
         return False
@@ -696,17 +717,30 @@ def _exists_using_pair(
         anchor &= 1 << (forced_color - 1)
     if anchor == 0:
         return False
-    seeds = (1 << pu) | (1 << pv)
-    if plan.matching:
-        return _matching_exists_with(n, table, m - 1, [anchor], seeds)
     sdr = _ColorMatching()
     sdr.push(anchor)
-    for a, b, steps in plan.anchored:
-        vmap = [-1] * pattern.n
-        vmap[a], vmap[b] = pu, pv
-        if _embed(steps, vmap, seeds, sdr, m, table, union_rows):
+    if copies is not None:
+        key = (plan, pair, forced_color)
+        last = copies.get(key)
+        if last is not None and all(sdr.push(table[x][y]) for x, y in last):
             return True
-    return False
+        sdr.truncate(1)  # back to the anchor alone
+    seeds = (1 << pu) | (1 << pv)
+    if plan.matching:
+        found = _matching_exists_with(n, table, m - 1, [anchor], seeds)
+    else:
+        found = None
+        for a, b, steps in plan.anchored:
+            vmap = [-1] * pattern.n
+            vmap[a], vmap[b] = pu, pv
+            if _embed(steps, vmap, seeds, sdr, m, table, union_rows):
+                found = tuple((vmap[x], vmap[y]) for x, y in plan.edges if {x, y} != {a, b})
+                break
+    if found is None:
+        return False
+    if copies is not None:
+        copies[key] = found
+    return True
 
 
 def find_rainbow_copy(col: Collection, pattern: Graph) -> RainbowWitness | None:

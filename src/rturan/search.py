@@ -32,7 +32,10 @@ them; min and prod fill colors in order, so color k leaves out members
 with more than k edges).  That check seeds the pair with one pattern arc per orbit
 of the pattern's automorphism group only: an automorphism turns a copy
 seeded by one arc of an orbit into a copy with the same edges and colors
-seeded by any other, so K3 needs one search instead of six.  Budgets
+seeded by any other, so K3 needs one search instead of six.  Each search
+keeps its residual copies: the last rainbow copy found through each
+(member, pair, forced color), re-checked by one color matching before
+that search runs again (``_CollectionSearch``).  Budgets
 count search nodes, never wall-clock time, so results are
 bit-reproducible.
 
@@ -66,11 +69,12 @@ where the two first differ is cut, which never cuts W*.
 
 min and prod check vertex canonicity (up to n = 6) along a stabilizer
 chain: colors 1..k have a smaller relabeling exactly when some
-permutation fixes colors 1..i-1 and maps color i below itself.  Each
-distinct color-1 mask is tested once per search against all n! - 1
-non-identity permutations, and a minimal one keeps the permutations that
-fix it; color i is then tested only against the permutations fixing
-colors 1..i-1, a set that shrinks with i and is usually small.  Each
+permutation fixes colors 1..i-1 and maps color i below itself.  The DFS
+checks each color once it is complete, and only after colors 1..i-1 were
+accepted: color 1 against all n! - 1 non-identity permutations, color i
+against the permutations fixing colors 1..i-1, a set that shrinks with i
+and is usually small.  An accepted color keeps the ones that fix it too,
+as the set the next color is checked against.  Each
 permutation is held as a table of 96 pair-mask images, one 32-entry chunk
 for each 5 bits of a mask, so an image costs three lookups and two sums.
 Three chunks hold the C(n, 2) <= 15 pairs only up to n = 6, where the n!
@@ -279,7 +283,16 @@ class _CollectionSearch:
     colors holding pair uv, as ``Collection.color_table``) with ``union``,
     the adjacency rows of its nonzero cells, beside it.  ``live[k]`` holds
     the members with at most k edges, the only ones k nonempty colors can
-    hold rainbow; sum refreshes caps in a ``union`` ball (``_search_sum``)."""
+    hold rainbow; sum refreshes caps in a ``union`` ball (``_search_sum``).
+
+    ``copies`` holds the search's residual copies: the anchored checks of
+    ``try_add`` (min, prod) and of ``pair_cap`` (sum) first re-check the
+    last rainbow copy found through the same (member, pair, forced color),
+    and run the full detector only when that copy no longer takes distinct
+    colors (``_exists_using_pair``).  The answers do not change, so neither
+    do node counts.  It holds at most members x pairs x (t + 1) entries and
+    lives as long as the search.  ``stabs`` is the stabilizer chain of
+    ``canonical_prefix``."""
 
     def __init__(self, n: int, t: int, members, budget: _Budget):
         self.n = n
@@ -292,7 +305,8 @@ class _CollectionSearch:
         self.table = [[0] * n for _ in range(n)]
         self.union = [0] * n
         self.cmasks = [0] * t
-        self.first_stabilizers: dict[int, list] = {}  # minimal color-1 mask -> its stabilizer
+        self.stabs: list = [()] * (t + 1)  # stabs[k]: the permutation tables fixing colors 1..k
+        self.copies: dict = {}  # residual copies of the anchored detector (``_exists_using_pair``)
         self.floor = 0
         self.best = 0
         self.witness = self.snapshot()
@@ -302,6 +316,7 @@ class _CollectionSearch:
             cells[:] = [0] * self.n
         self.union[:] = [0] * self.n
         self.cmasks = [0] * self.t
+        self.stabs[0] = _pair_perm_tables(self.n) or ()
 
     def keep(self, value: int):
         """Make the current collection the incumbent, valued at value."""
@@ -390,7 +405,7 @@ class _CollectionSearch:
             union[u] |= 1 << v
             union[v] |= 1 << u
         for f in self.live[color]:
-            if _exists_using_pair(self.n, self.t, table, union, f, (u, v), color):
+            if _exists_using_pair(self.n, self.t, table, union, f, (u, v), color, self.copies):
                 self.set_pair(u, v, was)
                 return False
         self.cmasks[color - 1] |= 1 << idx
@@ -412,29 +427,19 @@ class _CollectionSearch:
             self.union[v] &= ~(1 << u)
 
     def canonical_prefix(self, k: int) -> bool:
-        """No vertex relabeling makes colors 1..k lexicographically smaller.
+        """No vertex relabeling makes colors 1..k lexicographically smaller,
+        given that colors 1..k-1 were accepted in order, as the DFS asks.
 
         A relabeling makes them smaller exactly when it fixes colors 1..i-1
-        and maps color i below itself for some i, so only the stabilizer of
-        the colors checked so far is tested against the next one.  The
-        stabilizer of a minimal color 1 is kept for the whole search.
+        and maps color i below itself for some i.  Colors 1..k-1 passed, so
+        only ``stabs[k - 1]``, the stabilizer of those colors, is tested
+        against color k; on acceptance the tables fixing color k among them
+        become ``stabs[k]``.
         """
-        tables = _pair_perm_tables(self.n)
-        if tables is None:
-            return True
-        cur = self.cmasks
-        stab = self.first_stabilizers.get(cur[0])
+        stab = _stabilizer(self.stabs[k - 1], self.cmasks[k - 1])
         if stab is None:
-            stab = _stabilizer(tables, cur[0])
-            if stab is None:
-                return False
-            self.first_stabilizers[cur[0]] = stab
-        for i in range(1, k):
-            if not stab:
-                break
-            stab = _stabilizer(stab, cur[i])
-            if stab is None:
-                return False
+            return False
+        self.stabs[k] = stab
         return True
 
     def snapshot(self) -> Collection:
@@ -530,7 +535,9 @@ def _search_sum(s: _CollectionSearch):
     at mu - 1 lies between its cap at mu and its cap before p (``saved``).
     Below the first mu only the caps that fell are refreshed, from
     ``saved`` down to a floor, the cap at mu, that ``pair_cap`` never
-    checks; ``caps`` is restored once, after the last mu.
+    checks; ``caps`` is restored once, after the last mu.  Each check
+    re-checks the residual copy of (member, pair) in ``s.copies`` first, the
+    last copy found through that pair (``_CollectionSearch``).
 
     Vertex symmetry: p's multiplicities run from the cap down and its skip
     comes last, so vectors (w(a, b) over the pairs in row-major order) are
@@ -550,7 +557,7 @@ def _search_sum(s: _CollectionSearch):
     the bound prunes as before: values and witnesses are those of the
     search without the rules, and node counts only fall."""
     n, t, pairs, P, live, budget = s.n, s.t, s.pairs, s.P, s.live, s.budget
-    table, union, set_pair = s.table, s.union, s.set_pair
+    table, union, set_pair, copies = s.table, s.union, s.set_pair, s.copies
     radius = _refresh_radius(s.members)
     ends = [1 << u | 1 << v for u, v in pairs]
 
@@ -561,7 +568,7 @@ def _search_sum(s: _CollectionSearch):
         u, v = pairs[j]
         set_pair(u, v, (1 << mu) - 1)
         while mu > floor and any(
-            _exists_using_pair(n, t, table, union, f, (u, v), None) for f in live[max(mu, top)]
+            _exists_using_pair(n, t, table, union, f, (u, v), None, copies) for f in live[max(mu, top)]
         ):
             mu -= 1
             set_pair(u, v, (1 << mu) - 1)

@@ -173,3 +173,65 @@ def test_incremental_color_matching_matches_brute_force(ops):
         assert len(set(sdr.bits)) == len(held)
         assert all(b.bit_count() == 1 and b & m for b, m in zip(sdr.bits, held))
         assert sdr.held == sum(sdr.bits)
+
+
+def _table_collection(n: int, t: int, table) -> Collection:
+    return Collection.from_edge_lists(
+        n, [[(u, v) for u in range(n) for v in range(u + 1, n) if table[u][v] >> c & 1] for c in range(t)]
+    )
+
+
+def _set_cell(table, union, u: int, v: int, mask: int) -> None:
+    """Give pair uv the color mask, in the table and the union rows."""
+    table[u][v] = table[v][u] = mask
+    union[u] = union[u] & ~(1 << v) | (mask != 0) << v
+    union[v] = union[v] & ~(1 << u) | (mask != 0) << u
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_residual_copies_match_oracle(seed):
+    # a search's use of the detector: one table edited in place, one color of
+    # one pair at a time, and one copies dict kept across every call; the
+    # answers with the dict, and without it, must equal the brute force
+    rng = random.Random(seed)
+    patterns = [parse_pattern("K2"), rng.choice(PATTERNS)]
+    n = rng.randint(max(f.n for f in patterns), 6)
+    t = rng.randint(max(patterns[1].edge_count() - 1, 1), 4)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    table = [[0] * n for _ in range(n)]
+    union = [0] * n
+    copies: dict = {}
+    for _ in range(20):
+        u, v = rng.choice(pairs)
+        _set_cell(table, union, u, v, table[u][v] ^ 1 << rng.randrange(t))  # add or remove one color
+        col = _table_collection(n, t, table)
+        for a, b in ((u, v), rng.choice(pairs)):  # the pair just edited, and one more
+            for f in patterns:
+                for color in (rng.randint(1, t), None):
+                    expected = _copy_through(col, f, a, b, color)
+                    assert _exists_using_pair(n, t, table, union, f, (a, b), color, copies) == expected
+                    assert _exists_using_pair(n, t, table, union, f, (a, b), color) == expected
+    # K2 through any colored pair: the copy less its anchor is the empty tuple
+    assert () in copies.values()
+
+
+def test_stale_residual_copies_are_rechecked():
+    # P3 through (0, 1) in color 1 is found with its other pair (1, 2); then
+    # that pair loses its colors, or keeps only the anchor's color, and the
+    # copy it left behind must not answer for the detector
+    p3 = parse_pattern("P3")
+    table = [[0] * 3 for _ in range(3)]
+    union = [0] * 3
+    copies: dict = {}
+    _set_cell(table, union, 0, 1, 0b01)
+    _set_cell(table, union, 1, 2, 0b10)
+    assert _exists_using_pair(3, 2, table, union, p3, (0, 1), 1, copies)
+    assert list(copies.values()) == [((1, 2),)]
+    _set_cell(table, union, 1, 2, 0)
+    assert not _exists_using_pair(3, 2, table, union, p3, (0, 1), 1, copies)
+    _set_cell(table, union, 1, 2, 0b01)
+    assert not _exists_using_pair(3, 2, table, union, p3, (0, 1), 1, copies)
+    _set_cell(table, union, 0, 2, 0b10)  # a new copy, through (0, 2), replaces the stale one
+    assert _exists_using_pair(3, 2, table, union, p3, (0, 1), 1, copies)
+    assert list(copies.values()) == [((0, 2),)]

@@ -409,14 +409,14 @@ def test_detector_runs_only_where_a_rainbow_copy_fits(monkeypatch):
     real = search._exists_using_pair
     calls = []
 
-    def counting(n, t, table, union, f, pair, color):
+    def counting(n, t, table, union, f, pair, color, copies):
         colors = 0
         for row in table:
             for cell in row:
                 colors |= cell
         assert colors.bit_count() >= f.edge_count(), (f.edges(), table)
         calls.append(f)
-        return real(n, t, table, union, f, pair, color)
+        return real(n, t, table, union, f, pair, color, copies)
 
     monkeypatch.setattr(search, "_exists_using_pair", counting)
     fns = {"min": extremal_min, "sum": extremal_sum, "prod": extremal_prod}
@@ -707,12 +707,12 @@ def test_canonical_prefix_matches_all_permutations(n):
     rng = random.Random(n)
     perms = _pair_images(n)
     full = (1 << (n * (n - 1) // 2)) - 1
-    searcher = _CollectionSearch(n, 3, [], _Budget(1))  # one searcher: its cache carries over
+    searcher = _CollectionSearch(n, 3, [], _Budget(1))  # one searcher: its stabilizer chain carries over
     outcomes = set()
     for _ in range(150 if n < 6 else 60):
-        k = rng.randint(1, 3)
+        last = rng.randint(1, 3)
         cmasks = []
-        for _ in range(k):
+        for _ in range(last):
             kind = rng.random()
             if kind < 0.1:
                 mask = rng.choice((0, full))
@@ -724,10 +724,16 @@ def test_canonical_prefix_matches_all_permutations(n):
                     fixing = [p for p in perms if all(_image(m, p) == m for m in cmasks)]
                     mask = min([mask] + [_image(mask, p) for p in fixing])
             cmasks.append(mask)
-        searcher.cmasks = cmasks + [0] * (3 - k)
-        expected = _prefix_is_canonical(cmasks, k, perms)
-        assert searcher.canonical_prefix(k) == expected, (n, cmasks)
-        outcomes.add((k, expected))
+        # as the DFS asks: colors 1..k each checked once 1..k-1 were accepted
+        searcher.reset()
+        searcher.cmasks = cmasks + [0] * (3 - last)
+        for k in range(1, last + 1):
+            expected = _prefix_is_canonical(cmasks, k, perms)
+            assert searcher.canonical_prefix(k) == expected, (n, cmasks, k)
+            outcomes.add((k, expected))
+            if not expected:
+                break
+        assert expected == _prefix_is_canonical(cmasks, last, perms), (n, cmasks)
     assert {o for o in outcomes if o[0] >= 2} >= {(2, True), (2, False)}
 
 
@@ -853,7 +859,7 @@ def test_detector_sees_exactly_the_colors_filled_so_far(monkeypatch):
     real = search._exists_using_pair
     colors_checked = set()
 
-    def checking(n, t, table, union, f, pair, color):
+    def checking(n, t, table, union, f, pair, color, copies):
         s = seen[-1]
         filling = s.cmasks[color - 1] | 1 << s.pairs.index(pair)
         masks = s.cmasks[: color - 1] + [filling]
@@ -863,7 +869,7 @@ def test_detector_sees_exactly_the_colors_filled_so_far(monkeypatch):
             assert table[u][v] == table[v][u] == cell, (color, s.cmasks, pair, (u, v))
             assert (union[u] >> v & 1) == (union[v] >> u & 1) == (cell != 0)
         colors_checked.add(color)
-        return real(n, t, table, union, f, pair, color)
+        return real(n, t, table, union, f, pair, color, copies)
 
     monkeypatch.setattr(search, "_exists_using_pair", checking)
     for search_fn, mode, n, name, budget in (
