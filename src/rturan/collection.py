@@ -682,7 +682,7 @@ def _exists_using_pair(
     pattern: Graph,
     pair: tuple[int, int],
     forced_color: int | None,
-    copies: dict | None = None,
+    copies: dict,
 ) -> bool:
     """Existence of a rainbow copy whose embedding uses the given host pair.
 
@@ -701,9 +701,10 @@ def _exists_using_pair(
     again and again while the table around it barely changes, so that copy
     is re-checked first: if the anchor and its pairs' current color masks
     take distinct colors, it is still a rainbow copy.  Otherwise the full
-    search runs and stores the copy it finds.  The answer is the same with
-    or without the dict, which holds at most one entry per pattern, pair
-    and forced color: members x pairs x (t + 1) for a search.
+    search runs and stores the copy it finds.  The answer does not depend
+    on what the dict holds (a fresh ``{}`` gives the same answer), and it
+    keeps at most one entry per pattern, pair and forced color: members x
+    pairs x (t + 1) for a search.
     """
     if pattern.n > n:
         return False
@@ -719,10 +720,10 @@ def _exists_using_pair(
         return False
     sdr = _ColorMatching()
     sdr.push(anchor)
-    if copies is not None:
-        key = (plan, pair, forced_color)
-        last = copies.get(key)
-        if last is not None and all(sdr.push(table[x][y]) for x, y in last):
+    key = (plan, pair, forced_color)
+    last = copies.get(key)
+    if last is not None:
+        if all(sdr.push(table[x][y]) for x, y in last):
             return True
         sdr.truncate(1)  # back to the anchor alone
     seeds = (1 << pu) | (1 << pv)
@@ -738,8 +739,7 @@ def _exists_using_pair(
                 break
     if found is None:
         return False
-    if copies is not None:
-        copies[key] = found
+    copies[key] = found
     return True
 
 

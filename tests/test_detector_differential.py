@@ -68,7 +68,7 @@ def test_anchored_detector_matches_oracle(seed):
 
     def anchored(col, u, v, color):
         pair = rng.choice([(u, v), (v, u)])
-        return _exists_using_pair(col.n, col.t, col.color_table(), col.union_rows(), pattern, pair, color)
+        return _exists_using_pair(col.n, col.t, col.color_table(), col.union_rows(), pattern, pair, color, {})
 
     # against the definition: copies using uv in color c, or in any color;
     # pairs in several colors first, where the forced color matters
@@ -102,7 +102,7 @@ def test_lone_rainbow_copy_is_found_through_every_edge_and_vertex():
         table, union = col.color_table(), col.union_rows()
         for c, (u, v) in enumerate(edges, start=1):
             for pair in ((u, v), (v, u)):
-                assert _exists_using_pair(pattern.n, col.t, table, union, pattern, pair, c)
+                assert _exists_using_pair(pattern.n, col.t, table, union, pattern, pair, c, {})
         for anchor in range(pattern.n):  # the vertex check is plain: the pattern is its own host
             assert _exists_through_vertex(pattern.adj, pattern, anchor)
 
@@ -193,7 +193,7 @@ def _set_cell(table, union, u: int, v: int, mask: int) -> None:
 def test_residual_copies_match_oracle(seed):
     # a search's use of the detector: one table edited in place, one color of
     # one pair at a time, and one copies dict kept across every call; the
-    # answers with the dict, and without it, must equal the brute force
+    # answers with that dict, and with a fresh one, must equal the brute force
     rng = random.Random(seed)
     patterns = [parse_pattern("K2"), rng.choice(PATTERNS)]
     n = rng.randint(max(f.n for f in patterns), 6)
@@ -211,7 +211,7 @@ def test_residual_copies_match_oracle(seed):
                 for color in (rng.randint(1, t), None):
                     expected = _copy_through(col, f, a, b, color)
                     assert _exists_using_pair(n, t, table, union, f, (a, b), color, copies) == expected
-                    assert _exists_using_pair(n, t, table, union, f, (a, b), color) == expected
+                    assert _exists_using_pair(n, t, table, union, f, (a, b), color, {}) == expected
     # K2 through any colored pair: the copy less its anchor is the empty tuple
     assert () in copies.values()
 

@@ -728,12 +728,14 @@ def test_canonical_prefix_matches_all_permutations(n):
         searcher.reset()
         searcher.cmasks = cmasks + [0] * (3 - last)
         for k in range(1, last + 1):
-            expected = _prefix_is_canonical(cmasks, k, perms)
-            assert searcher.canonical_prefix(k) == expected, (n, cmasks, k)
-            outcomes.add((k, expected))
-            if not expected:
+            verdict = searcher.canonical_prefix(k)
+            assert verdict == _prefix_is_canonical(cmasks, k, perms), (n, cmasks, k)
+            outcomes.add((k, verdict))
+            if not verdict:
                 break
-        assert expected == _prefix_is_canonical(cmasks, last, perms), (n, cmasks)
+        # a rejected prefix stays rejected when longer, so the searcher's last
+        # verdict is the verdict on colors 1..last
+        assert verdict == _prefix_is_canonical(cmasks, last, perms), (n, cmasks)
     assert {o for o in outcomes if o[0] >= 2} >= {(2, True), (2, False)}
 
 
