@@ -571,16 +571,15 @@ def _embed(steps, vmap: list[int], used: int, sdr: _ColorMatching, edges: int, t
     return extend(0, used)
 
 
-def _colored_pairs(n: int, table, skip: int = 0, keep: int = -1) -> list[tuple[int, int, int]]:
+def _colored_pairs(table, skip: int = 0, keep: int = -1) -> list[tuple[int, int, int]]:
     """(u, v, table[u][v] & keep) of every pair u < v outside the vertex
     mask ``skip`` whose masked color set is nonempty, in lexicographic
     order; ``table`` is a color table (see ``Collection.color_table``)."""
     pairs = []
-    for u in range(n):
+    for u, cells in enumerate(table):
         if skip >> u & 1:
             continue
-        cells = table[u]
-        for v in range(u + 1, n):
+        for v in range(u + 1, len(cells)):
             if skip >> v & 1:
                 continue
             cm = cells[v] & keep
@@ -635,14 +634,14 @@ def _rainbow_matchings(n: int, pairs, init_masks: list[int], used: int, limit: i
 
 
 def _matching_exists_with(
-    n: int, table, size: int, init_masks: list[int], banned_vmask: int
+    table, size: int, init_masks: list[int], banned_vmask: int
 ) -> tuple[tuple[int, int], ...] | None:
     """Rainbow matching of the given size avoiding banned vertices, with
     colors jointly assignable alongside the already fixed ``init_masks``:
     its host pairs, or None when there is none.  Size 0 gives the empty
     tuple whenever ``init_masks`` admit distinct colors."""
-    pairs = _colored_pairs(n, table, banned_vmask)
-    found = next(_rainbow_matchings(n, pairs, init_masks, banned_vmask, size, [size]), None)
+    pairs = _colored_pairs(table, banned_vmask)
+    found = next(_rainbow_matchings(len(table), pairs, init_masks, banned_vmask, size, [size]), None)
     return None if found is None else tuple(pairs[j][:2] for j in found[0])
 
 
@@ -652,15 +651,15 @@ def _matching_exists_with(
 
 def rainbow_copy_exists(col: Collection, pattern: Graph) -> bool:
     """Fast existence test; equivalent to find_rainbow_copy(...) is not None."""
-    return _exists(col.n, col.t, col.color_table(), col.union_rows(), pattern)
+    return _exists(col.t, col.color_table(), col.union_rows(), _plan(pattern))
 
 
-def _exists(n: int, t: int, table, union_rows, pattern: Graph) -> bool:
-    """Rainbow copy in the t-color table with union ``union_rows``, or with
-    ``table`` None a plain copy in the graph ``union_rows`` (t unread)."""
-    if pattern.n > n:
+def _exists(t: int, table, union_rows, plan: _Plan) -> bool:
+    """Rainbow copy of the plan's pattern in the t-color table with union
+    ``union_rows``, or with ``table`` None a plain copy in the graph
+    ``union_rows`` (t unread)."""
+    if plan.pattern.n > len(union_rows):
         return False
-    plan = _plan(pattern)
     m = len(plan.edges)
     if m == 0:
         return True
@@ -670,21 +669,15 @@ def _exists(n: int, t: int, table, union_rows, pattern: Graph) -> bool:
     elif m > t:
         return False
     elif plan.matching:
-        return _matching_exists_with(n, table, m, [], 0) is not None
-    return _embed(plan.core, [-1] * pattern.n, 0, _ColorMatching(), m, table, union_rows)
+        return _matching_exists_with(table, m, [], 0) is not None
+    return _embed(plan.core, [-1] * plan.pattern.n, 0, _ColorMatching(), m, table, union_rows)
 
 
 def _exists_using_pair(
-    n: int,
-    t: int,
-    table,
-    union_rows,
-    pattern: Graph,
-    pair: tuple[int, int],
-    forced_color: int | None,
-    copies: dict,
+    table, union_rows, plan: _Plan, pair: tuple[int, int], forced_color: int | None, copies: dict
 ) -> bool:
-    """Existence of a rainbow copy whose embedding uses the given host pair.
+    """Existence of a rainbow copy of the plan's pattern F whose embedding
+    uses the given host pair.
 
     When ``forced_color`` (1-based) is set, the pattern edge landing on the
     pair must take that color.  This is the incremental check used by the
@@ -692,8 +685,13 @@ def _exists_using_pair(
     route through that (pair, color).  Only one pattern arc per orbit of the
     pattern's automorphism group is seeded on the pair (see ``_Plan``): a
     copy seeded by another arc of the orbit is the same copy relabelled.
-    The host is t colors, ``table[u][v]`` the color mask of pair uv (see
-    ``Collection.color_table``) and ``union_rows`` their union's rows.
+    The host is t colors on n vertices, ``table[u][v]`` the color mask of
+    pair uv (see ``Collection.color_table``) and ``union_rows`` their
+    union's rows.
+
+    Precondition, met by the callers' member filtering (``_split_family``,
+    ``live``) and not re-checked here: 1 <= e(F) <= t and v(F) <= n.  An
+    edgeless F would report its empty copy; a larger F wastes a search.
 
     ``copies``, a dict the caller owns, holds residual copies: for each
     (pattern, pair, forced color) asked about, the other host pairs of the
@@ -706,12 +704,7 @@ def _exists_using_pair(
     keeps at most one entry per pattern, pair and forced color: members x
     pairs x (t + 1) for a search.
     """
-    if pattern.n > n:
-        return False
-    plan = _plan(pattern)
     m = len(plan.edges)
-    if m == 0 or m > t:
-        return False
     pu, pv = pair
     anchor = table[pu][pv]
     if forced_color is not None:
@@ -728,11 +721,11 @@ def _exists_using_pair(
         sdr.truncate(1)  # back to the anchor alone
     seeds = (1 << pu) | (1 << pv)
     if plan.matching:
-        found = _matching_exists_with(n, table, m - 1, [anchor], seeds)
+        found = _matching_exists_with(table, m - 1, [anchor], seeds)
     else:
         found = None
         for a, b, steps in plan.anchored:
-            vmap = [-1] * pattern.n
+            vmap = [-1] * plan.pattern.n
             vmap[a], vmap[b] = pu, pv
             if _embed(steps, vmap, seeds, sdr, m, table, union_rows):
                 found = tuple((vmap[x], vmap[y]) for x, y in plan.edges if {x, y} != {a, b})
@@ -753,22 +746,20 @@ def find_rainbow_copy(col: Collection, pattern: Graph) -> RainbowWitness | None:
     so the first rainbow k-matching is taken instead.  Edgeless patterns
     on k vertices have a (vacuous) copy exactly when n >= k.
     """
-    n, t = col.n, col.t
-    if pattern.n > n:
+    if pattern.n > col.n:
         return None
     plan = _plan(pattern)
     m = len(plan.edges)
     if m == 0:
         return RainbowWitness(pattern, tuple(range(pattern.n)), ())
-    if m > t:
+    if m > col.t:
         return None
     table = col.color_table()
     if plan.labelled_matching:
-        pairs = _colored_pairs(n, table)
-        found = next(_rainbow_matchings(n, pairs, [], 0, m, [m]), None)
+        found = _matching_exists_with(table, m, [], 0)
         if found is None:
             return None
-        vmap = [x for j in found[0] for x in pairs[j][:2]]
+        vmap = [x for pair in found for x in pair]
     else:
         vmap = [-1] * pattern.n
         if not _embed(plan.index, vmap, 0, _ColorMatching(), m, table, col.union_rows()):
@@ -782,12 +773,12 @@ def is_rainbow_free(col: Collection, family: PatternFamily) -> bool:
     """No member of the family has a rainbow copy in the collection."""
     table = col.color_table()
     union_rows = col.union_rows()
-    return not any(_exists(col.n, col.t, table, union_rows, f) for f in family)
+    return not any(_exists(col.t, table, union_rows, _plan(f)) for f in family)
 
 
 def contains_subgraph(host: Graph, pattern: Graph) -> bool:
     """Whether host contains pattern as a (not necessarily induced) subgraph."""
-    return _exists(host.n, 0, None, host.adj, pattern)
+    return _exists(0, None, host.adj, _plan(pattern))
 
 
 def matching_number_at_least(g: Graph, k: int) -> bool:
@@ -815,24 +806,27 @@ def _plain_matching(rows, k: int) -> bool:
     return next(_rainbow_matchings(len(rows), pairs, [], 0, k, [k]), None) is not None
 
 
-def _exists_through_vertex(rows, pattern: Graph, anchor: int) -> bool:
-    """A plain copy in the graph ``rows`` that uses the host vertex anchor.
+def _exists_through_vertex(rows, plan: _Plan, anchor: int) -> bool:
+    """A plain copy of the plan's pattern in the graph ``rows`` that uses
+    the host vertex anchor.
 
     A pattern with an isolated vertex puts it on the anchor, so any copy
     does.  A matching needs an edge at the anchor and as many disjoint
     edges (a maximum matching can swap that edge in).  Other patterns seed
     one vertex per automorphism orbit on the anchor (see ``_Plan``).
+
+    The caller compiles ``plan`` (``_plan``) once for all its checks; each
+    path is exact for every pattern and host, so nothing is guarded.
     """
-    plan = _plan(pattern)
     if plan.isolated:
-        return _exists(len(rows), 0, None, rows, pattern)
+        return _exists(0, None, rows, plan)
     if plan.matching:
         return rows[anchor] != 0 and _plain_matching(rows, len(plan.edges))
     degree = rows[anchor].bit_count()
     sdr = _ColorMatching()
     for seed, steps in plan.seeded:
-        if degree >= pattern.degree(seed):
-            vmap = [-1] * pattern.n
+        if degree >= plan.pattern.degree(seed):
+            vmap = [-1] * plan.pattern.n
             vmap[seed] = anchor
             if _embed(steps, vmap, 1 << anchor, sdr, 0, None, rows):
                 return True
@@ -849,7 +843,7 @@ def max_rainbow_matching(col: Collection) -> tuple[int, RainbowMatching]:
     The first maximum in lexicographic pair order is returned, with its
     lexicographically smallest color assignment.
     """
-    pairs = _colored_pairs(col.n, col.color_table())
+    pairs = _colored_pairs(col.color_table())
     best: list[int] = []
     floor = [1]
     for picked, _ in _rainbow_matchings(col.n, pairs, [], 0, col.t, floor):

@@ -614,6 +614,8 @@ def _v_prod_matching(n: int, t: int, s: int) -> int:
 
 
 def _v_sum_k3(n: int, s: int) -> int:
+    if n < 1 or s < 1:
+        raise GuardViolated("need n >= 1 and s >= 1")
     if s <= 2:
         return s * comb(n, 2)
     if s == 3:
@@ -622,6 +624,8 @@ def _v_sum_k3(n: int, s: int) -> int:
 
 
 def _v_sum_bipartite(n: int, f: Graph) -> int:
+    if n < 1:
+        raise GuardViolated("need n >= 1")
     if not _is_bipartite(f):
         raise GuardViolated("formula applies to bipartite patterns")
     return (f.edge_count() - 1) * comb(n, 2)

@@ -170,7 +170,7 @@ def strong_color_exact(col: Collection, i: int, s: int) -> bool:
     gi_masks = [(1 << u) | (1 << v) for u, v in col.graph(i).edges()]
     if not gi_masks:
         return False
-    pairs = _colored_pairs(col.n, col.color_table(), keep=~(1 << (i - 1)))
+    pairs = _colored_pairs(col.color_table(), keep=~(1 << (i - 1)))
     for _, used in _rainbow_matchings(col.n, pairs, [], 0, s, [0]):
         if not any(not m & used for m in gi_masks):
             return False
@@ -241,7 +241,7 @@ def very_strong_color(col: Collection, i: int, r: int, m: int) -> bool:
     if not gi_masks:
         return False
     n = col.n
-    pairs = _colored_pairs(n, col.color_table(), keep=~(1 << (i - 1)))
+    pairs = _colored_pairs(col.color_table(), keep=~(1 << (i - 1)))
     for center in range(n):
         # leaves ascending: pairs (leaf, center) come before pairs (center, leaf)
         nbrs = [(v if u == center else u, cm) for u, v, cm in pairs if center in (u, v)]

@@ -114,7 +114,7 @@ from .graphcore import (
     _twin_classes,
 )
 from .collection import Collection, contains_subgraph, is_rainbow_free
-from .collection import _exists_through_vertex, _exists_using_pair
+from .collection import _exists_through_vertex, _exists_using_pair, _plan
 
 __all__ = [
     "BudgetExceeded",
@@ -281,9 +281,10 @@ class _CollectionSearch:
 
     The colors are held as one color table (``table[u][v]`` the mask of the
     colors holding pair uv, as ``Collection.color_table``) with ``union``,
-    the adjacency rows of its nonzero cells, beside it.  ``live[k]`` holds
-    the members with at most k edges, the only ones k nonempty colors can
-    hold rainbow; sum refreshes caps in a ``union`` ball (``_search_sum``).
+    the adjacency rows of its nonzero cells, beside it (a color's pair mask
+    lives in ``_dfs`` alone).  ``live[k]`` holds the plans, compiled once per
+    search, of the members with at most k edges, the only ones k nonempty
+    colors can hold rainbow; sum refreshes caps in a ``union`` ball.
 
     ``copies`` holds the search's residual copies: the anchored checks of
     ``try_add`` (min, prod) and of ``pair_cap`` (sum) first re-check the
@@ -298,13 +299,13 @@ class _CollectionSearch:
         self.n = n
         self.t = t
         self.members = members
-        self.live = [[f for f in members if f.edge_count() <= k] for k in range(t + 1)]
+        plans = [_plan(f) for f in members]
+        self.live = [[p for p in plans if len(p.edges) <= k] for k in range(t + 1)]
         self.budget = budget
         self.pairs = _pairs(n)
         self.P = len(self.pairs)
         self.table = [[0] * n for _ in range(n)]
         self.union = [0] * n
-        self.cmasks = [0] * t
         self.stabs: list = [()] * (t + 1)  # stabs[k]: the permutation tables fixing colors 1..k
         self.copies: dict = {}  # residual copies of the anchored detector (``_exists_using_pair``)
         self.floor = 0
@@ -315,7 +316,6 @@ class _CollectionSearch:
         for cells in self.table:
             cells[:] = [0] * self.n
         self.union[:] = [0] * self.n
-        self.cmasks = [0] * self.t
         self.stabs[0] = _pair_perm_tables(self.n) or ()
 
     def keep(self, value: int):
@@ -352,8 +352,7 @@ class _CollectionSearch:
             if (room < floor) if floor else prefix * min(cap, room) ** power <= self.best:
                 pass  # pruned: below min's floor, or prod cannot beat best (raised as it goes)
             elif idx == P:
-                self.cmasks[k - 1] = mask
-                if self.canonical_prefix(k):
+                if self.canonical_prefix(k, mask):
                     if blind:
                         self.paint(k, mask, True)
                     if k < self.t:
@@ -375,7 +374,6 @@ class _CollectionSearch:
                 continue
             # the subtree at (idx, count) failed: back up to the last pair added
             if not mask:
-                self.cmasks[k - 1] = 0
                 return False
             idx = mask.bit_length() - 1
             mask ^= 1 << idx
@@ -404,15 +402,13 @@ class _CollectionSearch:
         if not was:
             union[u] |= 1 << v
             union[v] |= 1 << u
-        for f in self.live[color]:
-            if _exists_using_pair(self.n, self.t, table, union, f, (u, v), color, self.copies):
+        for plan in self.live[color]:
+            if _exists_using_pair(table, union, plan, (u, v), color, self.copies):
                 self.set_pair(u, v, was)
                 return False
-        self.cmasks[color - 1] |= 1 << idx
         return True
 
     def remove(self, color: int, idx: int):
-        self.cmasks[color - 1] &= ~(1 << idx)
         u, v = self.pairs[idx]
         self.set_pair(u, v, self.table[u][v] & ~(1 << (color - 1)))
 
@@ -426,9 +422,10 @@ class _CollectionSearch:
             self.union[u] &= ~(1 << v)
             self.union[v] &= ~(1 << u)
 
-    def canonical_prefix(self, k: int) -> bool:
+    def canonical_prefix(self, k: int, mask: int) -> bool:
         """No vertex relabeling makes colors 1..k lexicographically smaller,
-        given that colors 1..k-1 were accepted in order, as the DFS asks.
+        given that colors 1..k-1 were accepted in order, as the DFS asks,
+        and that color k holds the pairs of ``mask`` (bit i: ``pairs[i]``).
 
         A relabeling makes them smaller exactly when it fixes colors 1..i-1
         and maps color i below itself for some i.  Colors 1..k-1 passed, so
@@ -436,7 +433,7 @@ class _CollectionSearch:
         against color k; on acceptance the tables fixing color k among them
         become ``stabs[k]``.
         """
-        stab = _stabilizer(self.stabs[k - 1], self.cmasks[k - 1])
+        stab = _stabilizer(self.stabs[k - 1], mask)
         if stab is None:
             return False
         self.stabs[k] = stab
@@ -556,7 +553,7 @@ def _search_sum(s: _CollectionSearch):
     and those multiplicities.  W* keeps both rules, so it is never cut, and
     the bound prunes as before: values and witnesses are those of the
     search without the rules, and node counts only fall."""
-    n, t, pairs, P, live, budget = s.n, s.t, s.pairs, s.P, s.live, s.budget
+    t, pairs, P, live, budget = s.t, s.pairs, s.P, s.live, s.budget
     table, union, set_pair, copies = s.table, s.union, s.set_pair, s.copies
     radius = _refresh_radius(s.members)
     ends = [1 << u | 1 << v for u, v in pairs]
@@ -568,7 +565,7 @@ def _search_sum(s: _CollectionSearch):
         u, v = pairs[j]
         set_pair(u, v, (1 << mu) - 1)
         while mu > floor and any(
-            _exists_using_pair(n, t, table, union, f, (u, v), None, copies) for f in live[max(mu, top)]
+            _exists_using_pair(table, union, plan, (u, v), None, copies) for plan in live[max(mu, top)]
         ):
             mu -= 1
             set_pair(u, v, (1 << mu) - 1)
@@ -715,6 +712,7 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
     if not active:
         return comb(n, 2), Graph.complete(n)
     floor = _edge_floor(n, active)
+    plans = [_plan(f) for f in active]
 
     level: dict[bytes, tuple[int, ...]] = {_canonical(1, (0,)): (0,)}
     for k in range(2, n + 1):
@@ -735,7 +733,7 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
                     continue
                 budget.step()
                 new_rows = _extend_rows(rows, mask, k)
-                if _hits_pattern(new_rows, k, active):
+                if _hits_pattern(new_rows, k, plans):
                     continue
                 nxt.setdefault(_canonical(k, new_rows), new_rows)
         level = nxt
@@ -753,10 +751,10 @@ def _extend_rows(rows: tuple[int, ...], mask: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _hits_pattern(rows: tuple[int, ...], k: int, members) -> bool:
-    """Does the k-vertex graph contain a member through the new vertex k-1?
-    The parent graph was member-free, so no other copy can exist."""
-    for f in members:  # a loop, not any() over a generator: this runs once per extension
-        if _exists_through_vertex(rows, f, k - 1):
+def _hits_pattern(rows: tuple[int, ...], k: int, plans) -> bool:
+    """Does the k-vertex graph contain a member (a plan) through the new
+    vertex k-1?  The parent graph was member-free, so no other copy can."""
+    for plan in plans:  # a loop, not any() over a generator: this runs once per extension
+        if _exists_through_vertex(rows, plan, k - 1):
             return True
     return False

@@ -222,6 +222,13 @@ CLAIMED_VALUES = [
     ("prod.matching", {"n": 4, "t": 1, "s": 3}, GuardViolated),  # t < s+1
     ("prod.matching", {"n": 4, "t": 3, "s": 0}, GuardViolated),  # s < 1
     ("prod.matching", {"n": 1, "t": 3, "s": 1}, GuardViolated),  # n < 2
+    # the sum formulas' own domain
+    ("sum.k3", {"n": -3, "s": 4}, GuardViolated),  # n < 1
+    ("sum.k3", {"n": 0, "s": 2}, GuardViolated),
+    ("sum.k3", {"n": 5, "s": -2}, GuardViolated),  # s < 1
+    ("sum.k3", {"n": 5, "s": 0}, GuardViolated),
+    ("sum.bipartite", {"n": -2, "f": "P3"}, GuardViolated),  # n < 1
+    ("sum.bipartite", {"n": 0, "f": "P3"}, GuardViolated),
 ]
 
 

@@ -14,7 +14,7 @@ from itertools import permutations
 from hypothesis import given, settings, strategies as st
 
 from rturan import Collection, Graph, contains_subgraph, matching_number_at_least, parse_pattern
-from rturan.collection import _ColorMatching, _exists_through_vertex, _exists_using_pair
+from rturan.collection import _ColorMatching, _exists_through_vertex, _exists_using_pair, _plan
 
 from helpers import explicit_rainbow_oracle
 
@@ -68,7 +68,7 @@ def test_anchored_detector_matches_oracle(seed):
 
     def anchored(col, u, v, color):
         pair = rng.choice([(u, v), (v, u)])
-        return _exists_using_pair(col.n, col.t, col.color_table(), col.union_rows(), pattern, pair, color, {})
+        return _exists_using_pair(col.color_table(), col.union_rows(), _plan(pattern), pair, color, {})
 
     # against the definition: copies using uv in color c, or in any color;
     # pairs in several colors first, where the forced color matters
@@ -102,9 +102,9 @@ def test_lone_rainbow_copy_is_found_through_every_edge_and_vertex():
         table, union = col.color_table(), col.union_rows()
         for c, (u, v) in enumerate(edges, start=1):
             for pair in ((u, v), (v, u)):
-                assert _exists_using_pair(pattern.n, col.t, table, union, pattern, pair, c, {})
+                assert _exists_using_pair(table, union, _plan(pattern), pair, c, {})
         for anchor in range(pattern.n):  # the vertex check is plain: the pattern is its own host
-            assert _exists_through_vertex(pattern.adj, pattern, anchor)
+            assert _exists_through_vertex(pattern.adj, _plan(pattern), anchor)
 
 
 def _brute_contains(n: int, edges, pattern: Graph, through: int | None = None) -> bool:
@@ -128,7 +128,7 @@ def test_plain_containment_matches_brute_force(seed):
     assert contains_subgraph(host, pattern) == _brute_contains(n, edges, pattern)
     anchor = rng.randrange(n)
     through = _brute_contains(n, edges, pattern, anchor)
-    assert _exists_through_vertex(host.adj, pattern, anchor) == through
+    assert _exists_through_vertex(host.adj, _plan(pattern), anchor) == through
     for k in range(1, 4):
         assert matching_number_at_least(host, k) == _brute_contains(n, edges, Graph.matching(k))
 
@@ -210,8 +210,8 @@ def test_residual_copies_match_oracle(seed):
             for f in patterns:
                 for color in (rng.randint(1, t), None):
                     expected = _copy_through(col, f, a, b, color)
-                    assert _exists_using_pair(n, t, table, union, f, (a, b), color, copies) == expected
-                    assert _exists_using_pair(n, t, table, union, f, (a, b), color, {}) == expected
+                    assert _exists_using_pair(table, union, _plan(f), (a, b), color, copies) == expected
+                    assert _exists_using_pair(table, union, _plan(f), (a, b), color, {}) == expected
     # K2 through any colored pair: the copy less its anchor is the empty tuple
     assert () in copies.values()
 
@@ -220,18 +220,18 @@ def test_stale_residual_copies_are_rechecked():
     # P3 through (0, 1) in color 1 is found with its other pair (1, 2); then
     # that pair loses its colors, or keeps only the anchor's color, and the
     # copy it left behind must not answer for the detector
-    p3 = parse_pattern("P3")
+    p3 = _plan(parse_pattern("P3"))
     table = [[0] * 3 for _ in range(3)]
     union = [0] * 3
     copies: dict = {}
     _set_cell(table, union, 0, 1, 0b01)
     _set_cell(table, union, 1, 2, 0b10)
-    assert _exists_using_pair(3, 2, table, union, p3, (0, 1), 1, copies)
+    assert _exists_using_pair(table, union, p3, (0, 1), 1, copies)
     assert list(copies.values()) == [((1, 2),)]
     _set_cell(table, union, 1, 2, 0)
-    assert not _exists_using_pair(3, 2, table, union, p3, (0, 1), 1, copies)
+    assert not _exists_using_pair(table, union, p3, (0, 1), 1, copies)
     _set_cell(table, union, 1, 2, 0b01)
-    assert not _exists_using_pair(3, 2, table, union, p3, (0, 1), 1, copies)
+    assert not _exists_using_pair(table, union, p3, (0, 1), 1, copies)
     _set_cell(table, union, 0, 2, 0b10)  # a new copy, through (0, 2), replaces the stale one
-    assert _exists_using_pair(3, 2, table, union, p3, (0, 1), 1, copies)
+    assert _exists_using_pair(table, union, p3, (0, 1), 1, copies)
     assert list(copies.values()) == [((0, 2),)]

@@ -409,14 +409,17 @@ def test_detector_runs_only_where_a_rainbow_copy_fits(monkeypatch):
     real = search._exists_using_pair
     calls = []
 
-    def counting(n, t, table, union, f, pair, color, copies):
+    def counting(table, union, plan, pair, color, copies):
+        f = plan.pattern
+        # the guards the detector leaves to its callers: 1 <= e(F) <= t, v(F) <= n
+        assert 1 <= f.edge_count() <= t and f.n <= len(table) == n, (f.edges(), n, t)
         colors = 0
         for row in table:
             for cell in row:
                 colors |= cell
         assert colors.bit_count() >= f.edge_count(), (f.edges(), table)
         calls.append(f)
-        return real(n, t, table, union, f, pair, color, copies)
+        return real(table, union, plan, pair, color, copies)
 
     monkeypatch.setattr(search, "_exists_using_pair", counting)
     fns = {"min": extremal_min, "sum": extremal_sum, "prod": extremal_prod}
@@ -424,6 +427,27 @@ def test_detector_runs_only_where_a_rainbow_copy_fits(monkeypatch):
         calls.clear()
         res = fns[mode](Q(mode, n, t, FAM(name), budget=budget))
         assert (len(calls), res.nodes) == pinned, (mode, n, t, name)
+
+
+def test_search_compiles_each_member_once(monkeypatch):
+    # the detector gets the plans the search compiled: the lookups left are
+    # one per member per search and per plain containment test of the seed,
+    # not one per detector call (1,131 when every call looked its plan up)
+    import rturan.collection as collection
+    import rturan.search as search
+
+    real = collection._plan
+    lookups = []
+
+    def counting(pattern):
+        lookups.append(pattern)
+        return real(pattern)
+
+    monkeypatch.setattr(collection, "_plan", counting)
+    monkeypatch.setattr(search, "_plan", counting)
+    res = extremal_min(Q("min", 5, 3, FAM("K3")))
+    assert (res.value, res.nodes, res.exact) == (6, 8_047, True)
+    assert len(lookups) <= 20, len(lookups)
 
 
 @pytest.mark.parametrize("famtext", FAMILIES + ("{P4}", "{M3}"))
@@ -726,9 +750,8 @@ def test_canonical_prefix_matches_all_permutations(n):
             cmasks.append(mask)
         # as the DFS asks: colors 1..k each checked once 1..k-1 were accepted
         searcher.reset()
-        searcher.cmasks = cmasks + [0] * (3 - last)
         for k in range(1, last + 1):
-            verdict = searcher.canonical_prefix(k)
+            verdict = searcher.canonical_prefix(k, cmasks[k - 1])
             assert verdict == _prefix_is_canonical(cmasks, k, perms), (n, cmasks, k)
             outcomes.add((k, verdict))
             if not verdict:
@@ -779,20 +802,59 @@ def test_stabilizer_matches_brute_force(n):
     assert {(0, False), (1, False), (1, True), (2, True), (width, False)} <= outcomes
 
 
+class _ColorsSoFar:
+    """The color masks of the running min or prod DFS, rebuilt from its own
+    calls rather than read from the searcher: the masks of the complete
+    colors 1..k-1 are those ``canonical_prefix`` last accepted at each
+    level, and the color being filled holds the pairs ``try_add`` admitted
+    and ``remove`` did not take back.  Cleared when a DFS starts (``run``).
+    ``on_prefix(k, masks, verdict)`` sees each canonicity check with the
+    masks of colors 1..k."""
+
+    def __init__(self, monkeypatch, on_prefix=None):
+        from rturan.search import _CollectionSearch
+
+        self.search = None
+        self.accepted: list[int] = []
+        self.filling: dict[int, int] = {}
+        run, prefix = _CollectionSearch.run, _CollectionSearch.canonical_prefix
+        try_add, remove = _CollectionSearch.try_add, _CollectionSearch.remove
+
+        def running(searcher, floor=0):
+            self.search = searcher
+            self.accepted.clear()
+            self.filling.clear()
+            return run(searcher, floor)
+
+        def checking(searcher, k, mask):
+            verdict = prefix(searcher, k, mask)
+            if on_prefix is not None:
+                on_prefix(k, self.accepted[: k - 1] + [mask], verdict)
+            if verdict:
+                self.accepted[k - 1 :] = [mask]
+            return verdict
+
+        def adding(searcher, color, idx):
+            added = try_add(searcher, color, idx)
+            if added:
+                self.filling[color] = self.filling.get(color, 0) | 1 << idx
+            return added
+
+        def removing(searcher, color, idx):
+            remove(searcher, color, idx)
+            self.filling[color] &= ~(1 << idx)
+
+        monkeypatch.setattr(_CollectionSearch, "run", running)
+        monkeypatch.setattr(_CollectionSearch, "canonical_prefix", checking)
+        monkeypatch.setattr(_CollectionSearch, "try_add", adding)
+        monkeypatch.setattr(_CollectionSearch, "remove", removing)
+
+
 def test_canonical_prefix_on_the_search_path(monkeypatch):
     # the prefixes the DFS itself asks about, dense masks and color 2 under a
     # complete color 1, which random masks seldom reach
-    from rturan.search import _CollectionSearch
-
     calls = []
-    original = _CollectionSearch.canonical_prefix
-
-    def recording(self, k):
-        verdict = original(self, k)
-        calls.append((tuple(self.cmasks[:k]), k, verdict))
-        return verdict
-
-    monkeypatch.setattr(_CollectionSearch, "canonical_prefix", recording)
+    _ColorsSoFar(monkeypatch, lambda k, masks, verdict: calls.append((tuple(masks), k, verdict)))
     outcomes = set()
     for search, mode, n, famtext, budget, first in (
         (extremal_min, "min", 6, "{K3}", 20_000, 300),
@@ -816,17 +878,8 @@ PINNED_PREFIX_SEQUENCE_SHA256 = "93e6e6645887bd5c576f6232601a384fdf667b3df084f47
 def test_canonical_prefix_sequence_is_pinned(monkeypatch):
     import hashlib
 
-    from rturan.search import _CollectionSearch
-
     digest = hashlib.sha256()
-    original = _CollectionSearch.canonical_prefix
-
-    def recording(self, k):
-        verdict = original(self, k)
-        digest.update(f"{k} {self.cmasks[:k]} {verdict}\n".encode())
-        return verdict
-
-    monkeypatch.setattr(_CollectionSearch, "canonical_prefix", recording)
+    _ColorsSoFar(monkeypatch, lambda k, masks, verdict: digest.update(f"{k} {masks} {verdict}\n".encode()))
     for search, mode, n, name, budget in (
         (extremal_min, "min", 5, "K3", 200_000),
         (extremal_prod, "prod", 5, "P3", 200_000),
@@ -836,42 +889,28 @@ def test_canonical_prefix_sequence_is_pinned(monkeypatch):
     assert digest.hexdigest() == PINNED_PREFIX_SEQUENCE_SHA256
 
 
-def _searches_seen(monkeypatch) -> list:
-    """Record each _CollectionSearch as its DFS starts; the last is running."""
-    from rturan.search import _CollectionSearch
-
-    seen = []
-    original = _CollectionSearch.run
-
-    def run(self, floor=0):
-        seen.append(self)
-        return original(self, floor)
-
-    monkeypatch.setattr(_CollectionSearch, "run", run)
-    return seen
-
-
 def test_detector_sees_exactly_the_colors_filled_so_far(monkeypatch):
     # blind colors (no member fits that few colors) reach the table only at
     # their boundary; every detector call must still see them, and nothing
     # of a color above the one filling
     import rturan.search as search
 
-    seen = _searches_seen(monkeypatch)
+    so_far = _ColorsSoFar(monkeypatch)
     real = search._exists_using_pair
     colors_checked = set()
 
-    def checking(n, t, table, union, f, pair, color, copies):
-        s = seen[-1]
-        filling = s.cmasks[color - 1] | 1 << s.pairs.index(pair)
-        masks = s.cmasks[: color - 1] + [filling]
-        assert not any(s.cmasks[color:]), (color, s.cmasks)
+    def checking(table, union, plan, pair, color, copies):
+        s, f = so_far.search, plan.pattern
+        # the guards the detector leaves to its callers: 1 <= e(F) <= t, v(F) <= n
+        assert 1 <= f.edge_count() <= s.t and f.n <= len(table) == s.n, (f.edges(), s.n, s.t)
+        masks = so_far.accepted[: color - 1] + [so_far.filling.get(color, 0) | 1 << s.pairs.index(pair)]
+        assert not any(so_far.filling.get(c) for c in range(color + 1, s.t + 1)), (color, so_far.filling)
         for i, (u, v) in enumerate(s.pairs):
             cell = sum(1 << c for c, m in enumerate(masks) if m >> i & 1)
-            assert table[u][v] == table[v][u] == cell, (color, s.cmasks, pair, (u, v))
+            assert table[u][v] == table[v][u] == cell, (color, masks, pair, (u, v))
             assert (union[u] >> v & 1) == (union[v] >> u & 1) == (cell != 0)
         colors_checked.add(color)
-        return real(n, t, table, union, f, pair, color, copies)
+        return real(table, union, plan, pair, color, copies)
 
     monkeypatch.setattr(search, "_exists_using_pair", checking)
     for search_fn, mode, n, name, budget in (
@@ -895,7 +934,7 @@ def test_failed_min_probe_leaves_an_empty_table(monkeypatch):
         probes.append(found)
         if not found:
             assert self.table == [[0] * self.n for _ in range(self.n)]
-            assert self.union == [0] * self.n and self.cmasks == [0] * self.t
+            assert self.union == [0] * self.n
         return found
 
     monkeypatch.setattr(_CollectionSearch, "run", run)
