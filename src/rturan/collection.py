@@ -588,20 +588,19 @@ def _colored_pairs(table, skip: int = 0, keep: int = -1) -> list[tuple[int, int,
     return pairs
 
 
-def _rainbow_matchings(n: int, pairs, init_masks: list[int], used: int, limit: int, floor: list[int]):
+def _rainbow_matchings(n: int, pairs, init_masks: list[int], used: int, limit: int, floor: int):
     """Yield the rainbow matchings drawn from ``pairs`` with at least
-    ``floor[0]`` pairs, as (picked, used).
+    ``floor`` pairs, as (picked, used).
 
     A rainbow matching here is a set of at most ``limit`` pairs, disjoint
     from each other and from the vertex mask ``used``, whose color masks
     admit distinct colors alongside ``init_masks``.  ``picked`` lists the
     pair indices (one list, mutated as the search goes on) and ``used``
     the vertices, the initial ones included.  Sets come in lexicographic
-    order of their index lists, each before its extensions.  The floor is
-    read at every set, so the consumer may raise it as it goes (branch and
-    bound); sets that cannot grow to the floor are not extended.  Nothing
-    is yielded when ``init_masks`` alone admit no distinct colors.  Each
-    picked pair is one push onto a ``_ColorMatching``, dropped on return.
+    order of their index lists, each before its extensions; sets that
+    cannot grow to the floor are not extended.  Nothing is yielded when
+    ``init_masks`` alone admit no distinct colors.  Each picked pair is one
+    push onto a ``_ColorMatching``, dropped on return.
 
     Matchings are searched as pair subsets rather than labeled embeddings;
     a matching on 2k vertices has k! 2^k labelings.
@@ -613,10 +612,10 @@ def _rainbow_matchings(n: int, pairs, init_masks: list[int], used: int, limit: i
 
     def dfs(idx: int, used: int):
         size = len(picked)
-        need = floor[0] - size  # pairs still to add before the floor is met
+        need = floor - size  # pairs still to add before the floor is met
         if need <= 0:
             yield picked, used
-            need = max(floor[0] - size, 1)  # the consumer may have raised the floor
+            need = 1
         if size + need > limit or (n - used.bit_count()) // 2 < need:
             return
         for j in range(idx, len(pairs) - need + 1):
@@ -641,7 +640,7 @@ def _matching_exists_with(
     its host pairs, or None when there is none.  Size 0 gives the empty
     tuple whenever ``init_masks`` admit distinct colors."""
     pairs = _colored_pairs(table, banned_vmask)
-    found = next(_rainbow_matchings(len(table), pairs, init_masks, banned_vmask, size, [size]), None)
+    found = next(_rainbow_matchings(len(table), pairs, init_masks, banned_vmask, size, size), None)
     return None if found is None else tuple(pairs[j][:2] for j in found[0])
 
 
@@ -803,7 +802,7 @@ def _plain_matching(rows, k: int) -> bool:
             low = row & -row
             row ^= low
             pairs.append((u, low.bit_length() - 1, -1))
-    return next(_rainbow_matchings(len(rows), pairs, [], 0, k, [k]), None) is not None
+    return next(_rainbow_matchings(len(rows), pairs, [], 0, k, k), None) is not None
 
 
 def _exists_through_vertex(rows, plan: _Plan, anchor: int) -> bool:
@@ -838,20 +837,20 @@ def _exists_through_vertex(rows, plan: _Plan, anchor: int) -> bool:
 
 
 def max_rainbow_matching(col: Collection) -> tuple[int, RainbowMatching]:
-    """Exact maximum rainbow matching via lexicographic branch and bound.
-
-    The first maximum in lexicographic pair order is returned, with its
-    lexicographically smallest color assignment.
+    """Exact maximum rainbow matching, asking ``_matching_exists_with`` for
+    sizes 1, 2, ... up to t until one has none (every subset of a rainbow
+    matching is one).  The first maximum in lexicographic pair order is
+    returned, with its lexicographically smallest color assignment.
     """
-    pairs = _colored_pairs(col.color_table())
-    best: list[int] = []
-    floor = [1]
-    for picked, _ in _rainbow_matchings(col.n, pairs, [], 0, col.t, floor):
-        best = list(picked)
-        floor[0] = len(best) + 1
-    colors = lexmin_distinct_colors([pairs[j][2] for j in best]) or []
-    witness = RainbowMatching(tuple(pairs[j][:2] for j in best), tuple(c + 1 for c in colors))
-    return len(best), witness
+    table = col.color_table()
+    best: tuple[tuple[int, int], ...] = ()
+    for k in range(1, col.t + 1):
+        found = _matching_exists_with(table, k, [], 0)
+        if found is None:
+            break
+        best = found
+    colors = lexmin_distinct_colors([table[u][v] for u, v in best])
+    return len(best), RainbowMatching(best, tuple(c + 1 for c in colors))
 
 
 # ---------------------------------------------------------------------

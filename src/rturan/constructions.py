@@ -54,8 +54,10 @@ from functools import lru_cache, partial
 from math import comb, ceil
 
 from .graphcore import (
+    MAX_VERTICES,
     Graph,
     PatternFamily,
+    SizeError,
     NotBipartite,
     parse_pattern,
     bipartition_min_class,
@@ -71,36 +73,6 @@ from .search import (
     turan_exact,
     turan_extremal,
     BudgetExceeded,
-)
-
-CONSTRUCTION_IDS = (
-    "min.i",
-    "min.ii",
-    "min.iii",
-    "min.iv",
-    "min.kpp-remark",
-    "sum.cliques",
-    "sum.monochrome-extremal",
-    "prod.matching",
-    "prod.clique-star",
-    "prod.star.gt",
-    "prod.star.eq",
-    "prod.star.lt",
-    "prod.star2",
-    "prod.sm.star-clique",
-    "prod.sm.mixed",
-    "prod.sm.bigstar",
-)
-
-FORMULA_IDS = (
-    "meshulam",
-    "min.i",
-    "min.ii",
-    "min.iv",
-    "prod.matching",
-    "sum.k3",
-    "sum.bipartite",
-    "sum.general-upper",
 )
 
 MAX_INNER_VERTICES = 4  # inner collections are searched, not supplied, up to here
@@ -533,10 +505,11 @@ _BUILDERS = {
     "prod.star.eq": _b_star_eq,
     "prod.star.lt": _b_star_lt,
     "prod.star2": _b_star2,
-    "prod.sm.bigstar": _b_sm_bigstar,
     "prod.sm.star-clique": _b_sm_star_clique,
     "prod.sm.mixed": _b_sm_mixed,
+    "prod.sm.bigstar": _b_sm_bigstar,
 }
+CONSTRUCTION_IDS = tuple(_BUILDERS)
 
 
 def describe(cid: str, params: dict, budget: int | None = None) -> ConstructionInfo:
@@ -553,6 +526,8 @@ def describe(cid: str, params: dict, budget: int | None = None) -> ConstructionI
         raise KeyError(f"unknown construction id {cid!r}")
     builder = _BUILDERS[cid]
     args = _checked(builder, params)
+    if args["n"] > MAX_VERTICES:
+        raise SizeError(f"vertex count {args['n']} above {MAX_VERTICES}")
     if "budget" in _parameters(builder):
         args["budget"] = budget
     return builder(**args)
@@ -655,6 +630,7 @@ _FORMULAS = {
     "sum.bipartite": _v_sum_bipartite,
     "sum.general-upper": _v_sum_general_upper,
 }
+FORMULA_IDS = tuple(_FORMULAS)
 
 
 def certification_grid() -> list[tuple[str, dict]]:

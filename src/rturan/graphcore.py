@@ -223,6 +223,8 @@ def parse_pattern(text: str) -> Graph:
         for a, lo in zip(args, mins):
             if a < lo:
                 raise ParseError(f"parameter {a} below minimum {lo} in {text!r}")
+            if a > MAX_VERTICES:  # each form has at least as many vertices as each numeral
+                raise SizeError(f"parameter {a} above {MAX_VERTICES} in {text!r}")
         return build(*args)
     raise ParseError(f"unrecognized pattern {text!r}")
 

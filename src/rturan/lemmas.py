@@ -171,7 +171,7 @@ def strong_color_exact(col: Collection, i: int, s: int) -> bool:
     if not gi_masks:
         return False
     pairs = _colored_pairs(col.color_table(), keep=~(1 << (i - 1)))
-    for _, used in _rainbow_matchings(col.n, pairs, [], 0, s, [0]):
+    for _, used in _rainbow_matchings(col.n, pairs, [], 0, s, 0):
         if not any(not m & used for m in gi_masks):
             return False
     return True
@@ -254,7 +254,7 @@ def very_strong_color(col: Collection, i: int, r: int, m: int) -> bool:
             for leaf, _ in combo:
                 used |= 1 << leaf
             # every padding by up to m-1 further edges must leave an i-edge free
-            for _, padded in _rainbow_matchings(n, pairs, star_masks, used, m - 1, [0]):
+            for _, padded in _rainbow_matchings(n, pairs, star_masks, used, m - 1, 0):
                 if all(gm & padded for gm in gi_masks):
                     return False
     return True

@@ -136,11 +136,10 @@ class BudgetExceeded(RuntimeError):
     """Search node budget exhausted before the exact answer was proven."""
 
 
-class _BudgetStop(Exception):
-    """Internal signal: unwind to the entry point, keep the best so far."""
-
-
 class _Budget:
+    """Step counter: the step past ``limit`` raises BudgetExceeded, which
+    the collection searches catch to keep their incumbent."""
+
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: int):
@@ -150,7 +149,7 @@ class _Budget:
     def step(self):
         self.used += 1
         if self.used > self.limit:
-            raise _BudgetStop
+            raise BudgetExceeded(f"search exceeded its budget of {self.limit} steps")
 
 
 def default_budget() -> int:
@@ -194,6 +193,8 @@ class ExtremalQuery:
             raise ValueError("full search supports t <= 6")
         if self.budget is not None and self.budget < 1:
             raise ValueError("budget must be at least 1 node")
+        if not isinstance(self.family, PatternFamily):
+            raise ValueError(f"family must be a PatternFamily, got {self.family!r}")
 
 
 @dataclass(frozen=True)
@@ -489,7 +490,7 @@ def _extremal(q: ExtremalQuery, mode: str) -> ExtremalResult:
             _search_sum(s)
         else:
             s.run()
-    except _BudgetStop:
+    except BudgetExceeded:
         exact = False
     if not is_rainbow_free(s.witness, q.family):
         raise AssertionError("search produced a non-free witness")
@@ -646,13 +647,9 @@ def turan_extremal(n: int, f: Graph, budget: int | None = None) -> tuple[int, Gr
         raise ValueError("orderly generation supports 1 <= n <= 12")
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1 extension attempt")
-    limit = _Budget(budget if budget is not None else default_budget())
-    try:
-        return _turan_family(n, [f], limit)
-    except _BudgetStop:
-        raise BudgetExceeded(
-            f"orderly generation exceeded {limit.limit} extension attempts"
-        ) from None
+    if not isinstance(f, Graph):
+        raise ValueError(f"pattern must be a Graph, got {f!r}")
+    return _turan_family(n, [f], _Budget(budget if budget is not None else default_budget()))
 
 
 def _edge_floor(n: int, members) -> int:
@@ -684,7 +681,7 @@ def _edge_floor(n: int, members) -> int:
 
 
 def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
-    """Shared orderly-generation core; members is any iterable of patterns.
+    """Shared orderly-generation core; members is a list or family of patterns.
 
     Each level maps canonical forms to the first graph found in the class.
     A child is the parent plus a new vertex adjacent to the parent vertices
@@ -692,7 +689,7 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
     a lower twin of the same class (``_twin_classes`` of the parent) is
     skipped: swapping the two gives a smaller mask and an isomorphic child,
     which was tried first.  The budget takes one step per mask tried, and
-    ``_BudgetStop`` reaches the caller.
+    its ``BudgetExceeded`` reaches the caller.
 
     ``_edge_floor`` gives a certified lower bound on ex(n, members).
     Deleting a minimum-degree vertex from a k-vertex graph with e edges
@@ -703,12 +700,12 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
     edge counts, so the skip never hides a class the twin rule relies on,
     and the last level holds every extremal class.
 
-    Returns (-1, edgeless) when an edgeless member fits the host (then no
-    host graph avoids it).  Unreachable members are dropped.
+    Members pass through ``_split_family`` with t = C(n,2), which drops only
+    members above n vertices; (-1, edgeless) when an edgeless one fits.
     """
-    if any(f.edge_count() == 0 and f.n <= n for f in members):
+    infeasible, active = _split_family(members, n, comb(n, 2))
+    if infeasible:
         return -1, Graph.edgeless(n)
-    active = [f for f in members if f.edge_count() >= 1 and f.n <= n]
     if not active:
         return comb(n, 2), Graph.complete(n)
     floor = _edge_floor(n, active)

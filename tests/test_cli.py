@@ -203,6 +203,19 @@ def test_non_integer_construction_parameter_is_a_usage_error(tmp_path, capsys, c
     assert not out_path.exists()
 
 
+def test_oversized_vertex_counts_are_usage_errors(tmp_path, capsys):
+    # refused before any edge list is built, whose size grows with the numeral or n
+    path = str(tmp_path / "c.rcol")
+    codec_write(meshulam_collection(6, 2, 3), path)
+    code, out, err = run(capsys, "detect", "--collection", path, "--pattern", "M" + "9" * 20)
+    assert code == 2 and out == "" and err.startswith("usage error: ")
+    out_path = tmp_path / "x.rcol"
+    spec = "n=1000000000,t=3,s=2"
+    code, out, err = run(capsys, "construct", "--id", "prod.matching", "--params", spec, "--out", str(out_path))
+    assert code == 2 and out == "" and err.startswith("usage error: ")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("cid, spec", [("prod.star2", "n=12,t=3,s=0"), ("prod.star.gt", "n=12,t=3,s=0,r=3")])
 def test_star_construction_without_matching_edges_is_a_usage_error(tmp_path, capsys, cid, spec):
     out_path = tmp_path / "x.rcol"

@@ -279,6 +279,36 @@ def test_max_matching_against_enumeration():
         assert size == best
 
 
+def test_max_matching_witness_is_the_documented_one():
+    # the least sorted pair tuple of maximum size, then its least injective
+    # colors; every rainbow matching is enumerated here with no library kernel
+    rng = random.Random(25)
+    for _ in range(150):
+        col = random_collection(rng, rng.randint(2, 6), rng.randint(1, 4), rng.choice((0.2, 0.4, 0.7)))
+        pairs = [(u, v) for u in range(col.n) for v in range(u + 1, col.n) if col.colors_of(u, v)]
+
+        def least_colors(chosen):
+            for cmap in permutations(range(1, col.t + 1), len(chosen)):  # lexicographic
+                if all(col.graph(c).has_edge(u, v) for (u, v), c in zip(chosen, cmap)):
+                    return cmap
+            return None
+
+        matchings = [()]
+
+        def grow(idx, used, chosen):
+            for j in range(idx, len(pairs)):
+                u, v = pairs[j]
+                if not used >> u & 1 and not used >> v & 1 and least_colors(chosen + (pairs[j],)):
+                    matchings.append(chosen + (pairs[j],))
+                    grow(j + 1, used | 1 << u | 1 << v, chosen + (pairs[j],))
+
+        grow(0, 0, ())
+        top = max(len(m) for m in matchings)
+        edges = min(m for m in matchings if len(m) == top)
+        size, witness = max_rainbow_matching(col)
+        assert (size, witness.edges, witness.colors) == (top, edges, least_colors(edges)), col
+
+
 # -- nesting ---------------------------------------------------------------
 
 

@@ -68,6 +68,16 @@ def test_parse_rejects_oversized():
         parse_pattern("M16")
 
 
+NINES = "9" * 20
+
+
+@pytest.mark.parametrize("text", [f"{form}{NINES}" for form in "KEMPS"] + [f"S3+{NINES}M", f"K2,{NINES}"])
+def test_parse_rejects_an_oversized_numeral_before_building(text):
+    # a numeral above the vertex cap raises at once instead of building its edge list
+    with pytest.raises(SizeError):
+        parse_pattern(text)
+
+
 def test_parse_family():
     fam = parse_family("{K3,M2}")
     assert len(fam) == 2

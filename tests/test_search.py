@@ -1053,3 +1053,10 @@ def test_query_validation():
     for bad in (100.5, True, "100"):
         with pytest.raises(ValueError, match="budget must be an integer"):
             Q("min", 5, 3, FAM("K3"), bad)
+    # a family is a PatternFamily and a Turan pattern a Graph
+    for bad in ("{K3}", parse_pattern("K3"), [parse_pattern("K3")]):
+        with pytest.raises(ValueError, match="family must be a PatternFamily"):
+            Q("min", 5, 3, bad)
+    for bad in ("K3", FAM("K3")):
+        with pytest.raises(ValueError, match="pattern must be a Graph"):
+            turan_exact(5, bad)
