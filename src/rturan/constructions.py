@@ -76,6 +76,7 @@ from .search import (
 )
 
 MAX_INNER_VERTICES = 4  # inner collections are searched, not supplied, up to here
+MAX_COLORS = 1000  # describe builds at most this many colors (t); the grids stay at t <= 5
 
 
 class GuardViolated(ValueError):
@@ -516,7 +517,10 @@ def describe(cid: str, params: dict, budget: int | None = None) -> ConstructionI
     """Build a construction along with its documented counts and family.
 
     ``params`` holds exactly the parameters the module docstring lists for
-    ``cid``; a missing or unknown name raises GuardViolated.
+    ``cid``; a missing or unknown name raises GuardViolated.  An n above
+    ``MAX_VERTICES`` (30) or a t above ``MAX_COLORS`` (1000) raises
+    SizeError before anything is built: each color repeats its block, so
+    the collection grows with t.
 
     ``budget`` bounds each inner search (the inner collection of min.i,
     min.ii and min.iv, the extremal graph of sum.monochrome-extremal);
@@ -528,6 +532,8 @@ def describe(cid: str, params: dict, budget: int | None = None) -> ConstructionI
     args = _checked(builder, params)
     if args["n"] > MAX_VERTICES:
         raise SizeError(f"vertex count {args['n']} above {MAX_VERTICES}")
+    if args["t"] > MAX_COLORS:
+        raise SizeError(f"color count {args['t']} above {MAX_COLORS}")
     if "budget" in _parameters(builder):
         args["budget"] = budget
     return builder(**args)

@@ -79,7 +79,11 @@ permutation is held as a table of 96 pair-mask images, one 32-entry chunk
 for each 5 bits of a mask, so an image costs three lookups and two sums.
 Three chunks hold the C(n, 2) <= 15 pairs only up to n = 6, where the n!
 tables still fit; they are built once per process, by the first min or
-prod search at that n.
+prod search at that n.  A check against the whole group (color 1, or a
+color after complete or empty ones) needs no scan: an orbit table maps
+each mask least in its orbit to its stabilizer, one entry per isomorphism
+class of n-vertex graphs (156 at n = 6), and a mask it lacks is rejected.
+It is built once per process, with the tables.
 
 ex(n, F) for a single plain graph is computed by orderly generation:
 F-free graphs are grown one vertex at a time and deduplicated by
@@ -104,7 +108,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations
 from math import comb, prod
-from operator import or_
+from operator import add, or_
 
 from .graphcore import (
     Graph,
@@ -267,6 +271,47 @@ def _stabilizer(tables, mask: int) -> list | None:
     return fixing
 
 
+@lru_cache(maxsize=None)
+def _orbit_table(n: int) -> dict | None:
+    """Each pair mask least in its orbit under the vertex permutations,
+    mapped to its stabilizer: the ``_pair_perm_tables`` fixing it, in their
+    order, as ``_stabilizer`` returns them.  The empty and complete masks,
+    fixed by every table, map to the table tuple itself.  A mask that is
+    absent has an image below it, where ``_stabilizer`` returns None.
+
+    Built column-major on first use: ``columns[j]`` holds entry j of every
+    table, so a mask's images under all tables are the sums of at most
+    three columns.  The least mask not yet ``seen`` is the least of its
+    orbit; its images mark the orbit, so each orbit costs one pass over the
+    tables (4, 11, 34 and 156 orbits at n = 3..6).  None above n = 6, as
+    for the tables."""
+    tables = _pair_perm_tables(n)
+    if tables is None:
+        return None
+    full = (1 << comb(n, 2)) - 1
+    columns = list(zip(*tables))
+    orbits = {0: tables, full: tables}
+    seen = bytearray(full + 1)
+    seen[full] = 1
+    mask = seen.find(0, 1)
+    while mask > 0:
+        images = columns[mask & 31]  # a chunk of mask that is 0 adds nothing
+        if mask >> 5:
+            images = map(add, images, columns[32 | mask >> 5 & 31])
+            if mask >> 10:
+                images = map(add, images, columns[64 | mask >> 10])
+            images = list(images)
+        for image in set(images):
+            seen[image] = 1
+        fixing, i = [], -1
+        for _ in range(images.count(mask)):
+            i = images.index(mask, i + 1)
+            fixing.append(tables[i])
+        orbits[mask] = fixing
+        mask = seen.find(0, mask + 1)
+    return orbits
+
+
 class _CollectionSearch:
     """Search state of all three objectives with the incumbent (``best``,
     ``witness``) a budget stop leaves standing, and ``run``, the one
@@ -294,7 +339,8 @@ class _CollectionSearch:
     colors (``_exists_using_pair``).  The answers do not change, so neither
     do node counts.  It holds at most members x pairs x (t + 1) entries and
     lives as long as the search.  ``stabs`` is the stabilizer chain of
-    ``canonical_prefix``."""
+    ``canonical_prefix``, which starts at ``group``, every permutation
+    table, answered from ``orbits`` (``_orbit_table``)."""
 
     def __init__(self, n: int, t: int, members, budget: _Budget):
         self.n = n
@@ -308,6 +354,7 @@ class _CollectionSearch:
         self.table = [[0] * n for _ in range(n)]
         self.union = [0] * n
         self.stabs: list = [()] * (t + 1)  # stabs[k]: the permutation tables fixing colors 1..k
+        self.group = self.orbits = None  # the full group and its orbit table, set by ``reset``
         self.copies: dict = {}  # residual copies of the anchored detector (``_exists_using_pair``)
         self.floor = 0
         self.best = 0
@@ -317,7 +364,8 @@ class _CollectionSearch:
         for cells in self.table:
             cells[:] = [0] * self.n
         self.union[:] = [0] * self.n
-        self.stabs[0] = _pair_perm_tables(self.n) or ()
+        self.group, self.orbits = _pair_perm_tables(self.n), _orbit_table(self.n)
+        self.stabs[0] = self.group or ()
 
     def keep(self, value: int):
         """Make the current collection the incumbent, valued at value."""
@@ -432,9 +480,12 @@ class _CollectionSearch:
         and maps color i below itself for some i.  Colors 1..k-1 passed, so
         only ``stabs[k - 1]``, the stabilizer of those colors, is tested
         against color k; on acceptance the tables fixing color k among them
-        become ``stabs[k]``.
+        become ``stabs[k]``.  When ``stabs[k - 1]`` is the whole group that
+        is one lookup in the orbit table; a proper subgroup is scanned
+        (``_stabilizer``).
         """
-        stab = _stabilizer(self.stabs[k - 1], mask)
+        group = self.stabs[k - 1]
+        stab = self.orbits.get(mask) if group is self.group else _stabilizer(group, mask)
         if stab is None:
             return False
         self.stabs[k] = stab

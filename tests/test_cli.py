@@ -216,6 +216,15 @@ def test_oversized_vertex_counts_are_usage_errors(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_oversized_color_counts_are_usage_errors(tmp_path, capsys):
+    # each color repeats its block, so t is refused before anything is built
+    out_path = tmp_path / "x.rcol"
+    spec = "n=5,t=1000000000,s=2"
+    code, out, err = run(capsys, "construct", "--id", "prod.matching", "--params", spec, "--out", str(out_path))
+    assert code == 2 and out == "" and err == "usage error: color count 1000000000 above 1000\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("cid, spec", [("prod.star2", "n=12,t=3,s=0"), ("prod.star.gt", "n=12,t=3,s=0,r=3")])
 def test_star_construction_without_matching_edges_is_a_usage_error(tmp_path, capsys, cid, spec):
     out_path = tmp_path / "x.rcol"

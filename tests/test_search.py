@@ -802,6 +802,49 @@ def test_stabilizer_matches_brute_force(n):
     assert {(0, False), (1, False), (1, True), (2, True), (width, False)} <= outcomes
 
 
+@pytest.mark.parametrize("n, orbits", [(3, 4), (4, 11), (5, 34), (6, 156)])
+def test_orbit_table_is_the_stabilizer_of_every_mask(n, orbits):
+    # one orbit per isomorphism class of n-vertex graphs: 4, 11, 34, 156
+    from rturan.search import _orbit_table, _pair_perm_tables, _stabilizer
+
+    tables, table = _pair_perm_tables(n), _orbit_table(n)
+    width = n * (n - 1) // 2
+    assert len(table) == orbits
+    assert table[0] is tables and table[(1 << width) - 1] is tables
+    perms = _pair_images(n) if n <= 5 else None
+    for mask in range(1 << width):
+        stab = _stabilizer(tables, mask)
+        if stab is None:
+            assert mask not in table, (n, mask)
+        else:
+            assert list(table[mask]) == stab, (n, mask)
+            assert all(a is b for a, b in zip(table[mask], stab)), (n, mask)
+        if perms is not None:
+            images = [_image(mask, images) for images in perms]
+            expected = None if min(images) < mask else [tables[k] for k, im in enumerate(images) if im == mask]
+            assert (list(table[mask]) if mask in table else None) == expected, (n, mask)
+    assert _orbit_table(7) is None  # no tables above n = 6
+
+
+def test_full_group_checks_take_the_orbit_table(monkeypatch):
+    # color 1, and color 2 under a complete color 1, are checked against the
+    # whole group by one lookup; the scan sees only proper stabilizers
+    # (4,931 full-group scans in this search without the table)
+    import rturan.search as search
+
+    full = len(search._pair_perm_tables(6))  # only the whole group has 719 tables
+    real, scans = search._stabilizer, []
+
+    def counting(tables, mask):
+        scans.append(len(tables) == full)
+        return real(tables, mask)
+
+    monkeypatch.setattr(search, "_stabilizer", counting)
+    res = extremal_min(Q("min", 6, 3, FAM("K3"), budget=20_000))
+    assert (res.value, res.nodes, res.exact) == (9, 20_001, False)
+    assert scans.count(True) == 0, scans.count(True)
+
+
 class _ColorsSoFar:
     """The color masks of the running min or prod DFS, rebuilt from its own
     calls rather than read from the searcher: the masks of the complete
