@@ -820,8 +820,8 @@ def test_orbit_table_is_the_stabilizer_of_every_mask(n, orbits):
             assert list(table[mask]) == stab, (n, mask)
             assert all(a is b for a, b in zip(table[mask], stab)), (n, mask)
         if perms is not None:
-            images = [_image(mask, images) for images in perms]
-            expected = None if min(images) < mask else [tables[k] for k, im in enumerate(images) if im == mask]
+            moved = [_image(mask, images) for images in perms]
+            expected = None if min(moved) < mask else [tables[k] for k, image in enumerate(moved) if image == mask]
             assert (list(table[mask]) if mask in table else None) == expected, (n, mask)
     assert _orbit_table(7) is None  # no tables above n = 6
 
