@@ -10,6 +10,7 @@ import argparse
 import re
 import sys
 import time
+from functools import lru_cache
 from math import comb
 
 from .graphcore import ParseError, SizeError, parse_pattern, parse_family
@@ -278,7 +279,9 @@ def _cmd_report(args) -> int:
 # argument parsing
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     ap = argparse.ArgumentParser(prog="rturan", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -83,7 +83,14 @@ prod search at that n.  A check against the whole group (color 1, or a
 color after complete or empty ones) needs no scan: an orbit table maps
 each mask least in its orbit to its stabilizer, one entry per isomorphism
 class of n-vertex graphs (156 at n = 6), and a mask it lacks is rejected.
-It is built once per process, with the tables.
+It is built once per process, with the tables.  A blind color (one no
+member fits) checked against the whole group goes further, in the spirit
+of isomorph rejection (McKay, J. Algorithms 26, 1998): a DFS node whose
+decided pairs begin no orbit-table key can reach no canonical leaf, so its
+subtree is counted into the budget in one step and never walked
+(``_orbit_prefixes``, ``_subtree_nodes``).  Nothing in such a subtree
+touches the table, the detector or the incumbent, so values, node counts,
+witnesses and budget stops stay those of the node-by-node walk.
 
 ex(n, F) for a single plain graph is computed by orderly generation:
 F-free graphs are grown one vertex at a time and deduplicated by
@@ -153,6 +160,14 @@ class _Budget:
     def step(self):
         self.used += 1
         if self.used > self.limit:
+            raise BudgetExceeded(f"search exceeded its budget of {self.limit} steps")
+
+    def take(self, steps: int):
+        """Take steps at once.  Passing the limit stops at limit + 1, as
+        taking them one by one would."""
+        self.used += steps
+        if self.used > self.limit:
+            self.used = self.limit + 1
             raise BudgetExceeded(f"search exceeded its budget of {self.limit} steps")
 
 
@@ -312,6 +327,34 @@ def _orbit_table(n: int) -> dict | None:
     return orbits
 
 
+@lru_cache(maxsize=None)
+def _orbit_prefixes(n: int) -> frozenset | None:
+    """The prefixes of the ``_orbit_table`` keys: for each key and each idx
+    in 0..C(n, 2), its bits below idx with a marker bit at idx, so a DFS
+    node that has decided pairs 0..idx-1 into ``mask`` looks up
+    ``mask | 1 << idx``.  1,245 entries at n = 6.  None above n = 6."""
+    orbits = _orbit_table(n)
+    if orbits is None:
+        return None
+    width = comb(n, 2)
+    return frozenset(key & (1 << idx) - 1 | 1 << idx for key in orbits for idx in range(width + 1))
+
+
+@lru_cache(maxsize=None)
+def _subtree_nodes(left: int, count: int, cap: int, least: int) -> int:
+    """Nodes of a ``_dfs`` subtree whose leaves all fail: the node holds
+    count pairs with ``left`` still undecided, and a node is pruned when
+    its room, count + left, is below ``least``.  A node that is pruned or
+    has decided every pair is one node; any other adds its pair (when
+    count < cap) and skips it."""
+    if left == 0 or count + left < least:
+        return 1
+    nodes = 1 + _subtree_nodes(left - 1, count, cap, least)
+    if count < cap:
+        nodes += _subtree_nodes(left - 1, count + 1, cap, least)
+    return nodes
+
+
 class _CollectionSearch:
     """Search state of all three objectives with the incumbent (``best``,
     ``witness``) a budget stop leaves standing, and ``run``, the one
@@ -340,7 +383,9 @@ class _CollectionSearch:
     do node counts.  It holds at most members x pairs x (t + 1) entries and
     lives as long as the search.  ``stabs`` is the stabilizer chain of
     ``canonical_prefix``, which starts at ``group``, every permutation
-    table, answered from ``orbits`` (``_orbit_table``)."""
+    table, answered from ``orbits`` (``_orbit_table``).  ``prefixes``
+    (``_orbit_prefixes``) lets ``_dfs`` count, not walk, the subtrees of a
+    blind color under ``group`` that hold no orbit representative."""
 
     def __init__(self, n: int, t: int, members, budget: _Budget):
         self.n = n
@@ -354,7 +399,8 @@ class _CollectionSearch:
         self.table = [[0] * n for _ in range(n)]
         self.union = [0] * n
         self.stabs: list = [()] * (t + 1)  # stabs[k]: the permutation tables fixing colors 1..k
-        self.group = self.orbits = None  # the full group and its orbit table, set by ``reset``
+        # the full group, its orbit table and the table's key prefixes, set by ``reset``
+        self.group = self.orbits = self.prefixes = None
         self.copies: dict = {}  # residual copies of the anchored detector (``_exists_using_pair``)
         self.floor = 0
         self.best = 0
@@ -365,6 +411,7 @@ class _CollectionSearch:
             cells[:] = [0] * self.n
         self.union[:] = [0] * self.n
         self.group, self.orbits = _pair_perm_tables(self.n), _orbit_table(self.n)
+        self.prefixes = _orbit_prefixes(self.n)
         self.stabs[0] = self.group or ()
 
     def keep(self, value: int):
@@ -391,15 +438,30 @@ class _CollectionSearch:
         detector, table or union write.  ``paint`` puts the color into the
         table once its prefix is canonical and takes it out again when the
         subtree finds nothing.  Blind colors come first, since ``live`` only
-        grows with k, so a live color's detector always sees them."""
+        grows with k, so a live color's detector always sees them.
+
+        A blind color checked against the whole group (``stabs[k - 1] is
+        group``) is accepted only as an ``_orbit_table`` key.  A node whose
+        ``mask`` begins no key (``mask | 1 << idx`` not in ``prefixes``)
+        holds no leaf that passes, and nothing else in its subtree writes
+        state, so the subtree is one ``budget.take`` of its node count
+        (``_subtree_nodes``, with the loop's prune test as a least room:
+        min's floor, or for prod the least room whose bound beats ``best``,
+        which cannot rise inside it) and the loop backs up.  A budget stop
+        inside it stops where the walk would, with the same incumbent."""
         step, P, floor, power = self.budget.step, self.P, self.floor, self.t - k + 1
         blind = not self.live[k]
+        prefixes = self.prefixes if blind and self.stabs[k - 1] is self.group else None
         idx = count = mask = 0
         while True:
             step()
             room = count + (P - idx)
             if (room < floor) if floor else prefix * min(cap, room) ** power <= self.best:
                 pass  # pruned: below min's floor, or prod cannot beat best (raised as it goes)
+            elif prefixes and mask | 1 << idx not in prefixes:
+                # no orbit representative extends mask: count the subtree, walk none of it
+                least = floor or next(r for r in range(1, cap + 1) if prefix * r**power > self.best)
+                self.budget.take(_subtree_nodes(P - idx, count, cap, least) - 1)
             elif idx == P:
                 if self.canonical_prefix(k, mask):
                     if blind:

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from rturan.cli import SUITES, main
+from rturan.cli import SUITES, _build_parser, main
 from rturan import Collection, certification_grid, codec_read, codec_write, meshulam_collection
 
 
@@ -447,3 +447,23 @@ def test_io_and_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "meshulam", "--workers", "2"])  # the flag is gone
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(capsys):
+    assert _build_parser() is _build_parser()
+    for bad in (
+        ["compute", "--mode", "nope", "--n", "4", "--t", "2", "--forbid", "{M2}"],
+        ["compute", "--mode", "sum", "--n", "4", "--t", "2"],  # --forbid missing
+        ["nope"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2, bad
+        capsys.readouterr()
+    # an option given to one call is not left standing for the next
+    code, out, _ = run(capsys, "compute", "--mode", "sum", "--n", "5", "--t", "3", "--forbid", "{K3}", "--budget", "50")
+    assert code == 3 and int(out.strip()) <= 20
+    code, out, err = run(capsys, "compute", "--mode", "prod", "--n", "4", "--t", "2", "--forbid", "{M2}")
+    assert (code, out, err) == (0, "9\n", "")
+    code, out, _ = run(capsys, "compute", "--mode", "sum", "--n", "5", "--t", "3", "--forbid", "{K3}")
+    assert (code, out) == (0, "20\n")

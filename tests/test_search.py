@@ -845,19 +845,131 @@ def test_full_group_checks_take_the_orbit_table(monkeypatch):
     assert scans.count(True) == 0, scans.count(True)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_orbit_prefixes_are_the_prefixes_of_orbit_representatives(n):
+    # (idx, prefix) is in the set, as prefix | 1 << idx, exactly when some
+    # mask least in its orbit (by brute force over all n! permutations)
+    # has bits below idx equal to prefix
+    from rturan.search import _orbit_prefixes
+
+    perms = _pair_images(n)
+    width = n * (n - 1) // 2
+    least = [mask for mask in range(1 << width) if all(_image(mask, images) >= mask for images in perms)]
+    expected = {mask & (1 << idx) - 1 | 1 << idx for mask in least for idx in range(width + 1)}
+    assert _orbit_prefixes(n) == expected
+    assert len(_orbit_prefixes(6)) == 1_245 and _orbit_prefixes(7) is None
+
+
+def _walked_nodes(left: int, count: int, cap: int, pruned) -> int:
+    """Nodes of the ``_dfs`` loop below a node with ``left`` pairs undecided
+    and ``count`` in the color when every leaf fails, walked one by one;
+    pruned(room) is the loop's prune test."""
+    P, idx, mask, nodes = left, 0, 0, 0
+    while True:
+        nodes += 1
+        if pruned(count + P - idx) or idx == P:
+            pass
+        elif count < cap:
+            mask |= 1 << idx
+            idx += 1
+            count += 1
+            continue
+        else:
+            idx += 1
+            continue
+        if not mask:
+            return nodes
+        idx = mask.bit_length() - 1
+        mask ^= 1 << idx
+        count -= 1
+        idx += 1
+
+
+def test_subtree_nodes_match_the_walk():
+    from rturan.search import _subtree_nodes
+
+    for left in range(11):
+        for cap in range(left + 1):
+            for count in range(cap + 1):
+                for floor in range(left + cap + 2):  # min: a room below floor is pruned
+                    walked = _walked_nodes(left, count, cap, lambda room: room < floor)
+                    assert _subtree_nodes(left, count, cap, floor) == walked, (left, count, cap, floor)
+    # prod: a room is pruned when prefix * min(cap, room) ** power <= best;
+    # that is monotone in the room, so it is a least unpruned room
+    for left, count, cap, prefix, power, best in ((10, 0, 10, 4, 2, 99), (9, 2, 6, 3, 3, 200), (7, 1, 7, 1, 1, 4)):
+        pruned = lambda room: prefix * min(cap, room) ** power <= best
+        least = min(room for room in range(left + count + 2) if not pruned(room))
+        assert _subtree_nodes(left, count, cap, least) == _walked_nodes(left, count, cap, pruned) > 1
+
+
+# Searches in which blind colors are checked against the whole group: their
+# exact node counts, and budgets besides 1, 2, N - 1, N and N + 1, the first
+# two (at least) stopping inside a subtree the search counts without walking
+SKIPPED_SUBTREE_SEARCHES = {
+    ("min", 5, 3, "{K3}"): (8_047, (327, 2_800, 4_010)),
+    ("prod", 5, 3, "{P3}"): (2_418, (991, 1_792, 1_200)),
+    ("prod", 5, 3, "{K3}"): (45_238, (1_791, 2_052, 21_113)),
+    ("min", 6, 3, "{M3}"): (212_459, (5_945, 32_065, 97_531)),
+    ("prod", 6, 2, "{M2}"): (63_560, (22_218, 47_380, 6_000)),
+}
+
+
+@pytest.mark.parametrize("query", list(SKIPPED_SUBTREE_SEARCHES))
+def test_skipping_blind_subtrees_changes_nothing(query, monkeypatch):
+    # with the prefix set taken away, every blind color walks its subtrees
+    # node by node and rejects their leaves at canonical_prefix; the budget
+    # stops at the same node and keeps the same incumbent either way
+    import rturan.search as search
+
+    mode, n, t, famtext = query
+    full, stops = SKIPPED_SUBTREE_SEARCHES[query]
+    fn = {"min": extremal_min, "prod": extremal_prod}[mode]
+    real, calls = search._exists_using_pair, []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    real_take, stopped_in_skip = _Budget.take, []
+
+    def taking(budget, steps):
+        try:
+            real_take(budget, steps)
+        except search.BudgetExceeded:
+            stopped_in_skip.append(budget.limit)
+            raise
+
+    monkeypatch.setattr(search, "_exists_using_pair", counting)
+    monkeypatch.setattr(_Budget, "take", taking)
+    prefixes = search._orbit_prefixes
+
+    def outcome(budget, skip):
+        monkeypatch.setattr(search, "_orbit_prefixes", prefixes if skip else lambda n: None)
+        calls.clear()
+        res = fn(Q(mode, n, t, parse_family(famtext), budget=budget))
+        return res.value, res.nodes, res.exact, [g.edges() for g in res.witness.graphs], len(calls)
+
+    for budget in (1, 2, full - 1, full, full + 1) + stops:
+        skipped = outcome(budget, True)
+        assert skipped == outcome(budget, False), (query, budget)
+        assert skipped[1:3] == ((full, True) if budget >= full else (budget + 1, False)), (query, budget)
+    assert set(stops[:2]) <= set(stopped_in_skip), query
+
+
 class _ColorsSoFar:
     """The color masks of the running min or prod DFS, rebuilt from its own
     calls rather than read from the searcher: the masks of the complete
     colors 1..k-1 are those ``canonical_prefix`` last accepted at each
     level, and the color being filled holds the pairs ``try_add`` admitted
     and ``remove`` did not take back.  Cleared when a DFS starts (``run``).
-    ``on_prefix(k, masks, verdict)`` sees each canonicity check with the
-    masks of colors 1..k."""
+    ``on_prefix(k, masks, verdict)``, which may be set after construction,
+    sees each canonicity check with the masks of colors 1..k."""
 
     def __init__(self, monkeypatch, on_prefix=None):
         from rturan.search import _CollectionSearch
 
         self.search = None
+        self.on_prefix = on_prefix
         self.accepted: list[int] = []
         self.filling: dict[int, int] = {}
         run, prefix = _CollectionSearch.run, _CollectionSearch.canonical_prefix
@@ -871,8 +983,8 @@ class _ColorsSoFar:
 
         def checking(searcher, k, mask):
             verdict = prefix(searcher, k, mask)
-            if on_prefix is not None:
-                on_prefix(k, self.accepted[: k - 1] + [mask], verdict)
+            if self.on_prefix is not None:
+                self.on_prefix(k, self.accepted[: k - 1] + [mask], verdict)
             if verdict:
                 self.accepted[k - 1 :] = [mask]
             return verdict
@@ -895,41 +1007,64 @@ class _ColorsSoFar:
 
 def test_canonical_prefix_on_the_search_path(monkeypatch):
     # the prefixes the DFS itself asks about, dense masks and color 2 under a
-    # complete color 1, which random masks seldom reach
+    # complete color 1, which random masks seldom reach.  A blind color
+    # checked against the whole group asks only about orbit representatives
+    # (``_orbit_prefixes``), so such a check never rejects; rejections come
+    # from colors checked against a proper subgroup, as color 2 of
+    # min(5,3,{K3}) is
     calls = []
-    _ColorsSoFar(monkeypatch, lambda k, masks, verdict: calls.append((tuple(masks), k, verdict)))
+    so_far = _ColorsSoFar(monkeypatch)
+
+    def on_prefix(k, masks, verdict):
+        s = so_far.search
+        calls.append((tuple(masks), k, verdict, s.stabs[k - 1] is s.group and not s.live[k]))
+
+    so_far.on_prefix = on_prefix
     outcomes = set()
     for search, mode, n, famtext, budget, first in (
         (extremal_min, "min", 6, "{K3}", 20_000, 300),
         (extremal_prod, "prod", 5, "{P3}", None, None),
+        (extremal_min, "min", 5, "{K3}", None, None),
     ):
         calls.clear()
         search(Q(mode, n, 3, parse_family(famtext), budget=budget))
+        assert not [c for c in calls if c[3] and not c[2]], (mode, n, famtext)
         perms = _pair_images(n)
-        for cmasks, k, verdict in set(calls[:first]):
+        for cmasks, k, verdict, blind_full in set(calls[:first]):
             assert verdict == _prefix_is_canonical(cmasks, k, perms), (mode, n, cmasks, k)
-            outcomes.add((k, verdict))
-    assert {(1, True), (1, False), (2, True), (2, False), (3, True)} <= outcomes
+            outcomes.add((k, verdict, blind_full))
+    assert {(1, True, True), (2, True, True), (2, True, False), (2, False, False), (3, True, False)} <= outcomes
 
 
 # sha256 over the (k, colors 1..k, verdict) of every canonical_prefix call,
 # in order, of min(5,3,{K3}), prod(5,3,{P3}) and min(6,3,{K3}) at budget
-# 20,000: the DFS proves the same tree, not just one of the same size
-PINNED_PREFIX_SEQUENCE_SHA256 = "93e6e6645887bd5c576f6232601a384fdf667b3df084f47f1e6eae61f4fc429e"
+# 20,000: the DFS proves the same tree, not just one of the same size.  The
+# second digest is over the accepted calls alone: the DFS that walked every
+# blind color under the whole group, rejecting what is not an orbit
+# representative, gave the same one
+PINNED_PREFIX_SEQUENCE_SHA256 = "e0c4d15d799a395c5819a506a2481facd0f488f26c4b164f049d2884738cb68a"
+PINNED_ACCEPTED_PREFIX_SHA256 = "ff650b8098a8cef8f879ebdc60c86f74c2aa2d39adfa5570ada7c71e3bb24700"
 
 
 def test_canonical_prefix_sequence_is_pinned(monkeypatch):
     import hashlib
 
-    digest = hashlib.sha256()
-    _ColorsSoFar(monkeypatch, lambda k, masks, verdict: digest.update(f"{k} {masks} {verdict}\n".encode()))
+    every, accepted = hashlib.sha256(), hashlib.sha256()
+
+    def on_prefix(k, masks, verdict):
+        line = f"{k} {masks} {verdict}\n".encode()
+        every.update(line)
+        if verdict:
+            accepted.update(line)
+
+    _ColorsSoFar(monkeypatch, on_prefix)
     for search, mode, n, name, budget in (
         (extremal_min, "min", 5, "K3", 200_000),
         (extremal_prod, "prod", 5, "P3", 200_000),
         (extremal_min, "min", 6, "K3", 20_000),
     ):
         search(Q(mode, n, 3, FAM(name), budget=budget))
-    assert digest.hexdigest() == PINNED_PREFIX_SEQUENCE_SHA256
+    assert (every.hexdigest(), accepted.hexdigest()) == (PINNED_PREFIX_SEQUENCE_SHA256, PINNED_ACCEPTED_PREFIX_SHA256)
 
 
 def test_detector_sees_exactly_the_colors_filled_so_far(monkeypatch):
