@@ -45,13 +45,27 @@ free, so min >= ex(n, members), with t copies of the orderly-generation
 extremal graph as the witness.  The scan then probes seed + 1 first (the
 seed is often optimal, and that probe then settles it) and bisects only
 when it is feasible.  The seed runs under the query's budget, one node
-per extension attempt, so min node counts include it.  sum keeps, for
-every pair not yet decided, its cap: the largest multiplicity at which it
-can still join the current nested collection freely.  Rainbow freeness survives
+per extension attempt, so min node counts include it.  sum starts from
+the paper's sum.cliques collection: e - 1 complete colors, e the fewest
+edges of a member, hold no rainbow member, so sum >= L = (e - 1) C(n, 2).
+It keeps a total above L - 1, not L, so it still meets the same optimal
+vector first, and until then returns the cliques.  sum keeps, for every
+pair not yet decided, its cap: the largest multiplicity at which it can
+still join the current nested collection freely.  Rainbow freeness survives
 deleting edges and colors are nested, so caps only fall along a branch
-and every multiplicity up to the cap is free; a branch is cut when its
-total plus the remaining caps cannot beat the best, which cannot change
-the sequence of improvements or the witness.  After a pair takes a
+and every multiplicity up to the cap is free.  A branch is cut when its
+total plus a bound on the undecided pairs cannot beat the best, which
+cannot change the sequence of improvements or the witness.  The bound is
+the caps' sum less what copies of a member among those pairs must lose:
+with nested colors a copy is rainbow exactly when its multiplicities,
+sorted, satisfy Hall's condition b_i >= i, so a free copy falls below its
+caps by a least loss.  An edge-disjoint packing of copies loses the sum
+of their losses; copies weighted by 1 / max d(p), d(p) the copies through
+pair p, cover each pair at most once and lose the weighted sum.  Both
+packings depend only on the first undecided pair and are built once per
+process for each n and member (``_packings``).  The bound falls with the
+caps, so a node whose children are cut on the caps they inherit counts
+them and refreshes none.  After a pair takes a
 multiplicity, only the caps of pairs within max(v(F) - 3, 0) of it in the
 union graph are refreshed (every cap when a member is disconnected): a cap
 falls only through a copy holding both pairs.  Each lower multiplicity of
@@ -111,11 +125,12 @@ from __future__ import annotations
 import os
 import re
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import permutations
-from math import comb, prod
-from operator import add, or_
+from itertools import chain, combinations, islice, permutations
+from math import comb, lcm, prod
+from operator import add, itemgetter, or_
 
 from .graphcore import (
     Graph,
@@ -141,6 +156,7 @@ __all__ = [
 
 _FALLBACK_BUDGET = 20_000_000
 _PI_PRUNE_MAX_N = 6  # vertex-symmetry pruning uses all n! permutations
+_PACKING_MAX_COPIES = 20_000  # a member with more copies in K_n gets no packing bound
 
 
 class BudgetExceeded(RuntimeError):
@@ -605,7 +621,8 @@ def _extremal(q: ExtremalQuery, mode: str) -> ExtremalResult:
             s.run()
     except BudgetExceeded:
         exact = False
-    if not is_rainbow_free(s.witness, q.family):
+    # checked on a copy, so the result does not keep the color table the check builds
+    if not is_rainbow_free(Collection(s.witness.graphs), q.family):
         raise AssertionError("search produced a non-free witness")
     counts = s.witness.edge_counts()
     if not (min(counts) >= s.best if mode == "min" else objective(counts) == s.best):
@@ -666,7 +683,18 @@ def _search_sum(s: _CollectionSearch):
     v), w(u, v) <= w(u - 1, v).  So p's loop starts at the least of its cap
     and those multiplicities.  W* keeps both rules, so it is never cut, and
     the bound prunes as before: values and witnesses are those of the
-    search without the rules, and node counts only fall."""
+    search without the rules, and node counts only fall.
+
+    The bound (``beaten``): a node is cut when its total plus the caps of
+    pairs idx..P-1 less what some member's packings must lose there
+    (``_packing_loses``) is at most ``cut``.  ``cut`` starts at L - 1, L the
+    value of the sum.cliques incumbent, and is the best total once a total
+    above it is kept.  W* has the optimal total, above every ``cut`` before
+    it, so it is still met first among the optima.  The bound only falls
+    with the caps, and a child's total is at most total + start, so when
+    ``beaten(idx + 1, total + start)`` holds on the caps the children
+    inherit, each of the start + 1 children would be cut at its first
+    step: they take their budget steps at once, with no cap refreshed."""
     t, pairs, P, live, budget = s.t, s.pairs, s.P, s.live, s.budget
     table, union, set_pair, copies = s.table, s.union, s.set_pair, s.copies
     radius = _refresh_radius(s.members)
@@ -688,13 +716,30 @@ def _search_sum(s: _CollectionSearch):
 
     # caps[j]: the exact cap of pair j over the current table, for every j >= idx
     caps = [pair_cap(j, t, 0) for j in range(P)]
+    # sum.cliques: e_min - 1 complete colors hold no rainbow member (all t with no member)
+    least = min((f.edge_count() for f in s.members), default=t + 1) - 1
+    s.best = least * P
+    s.witness = Collection([Graph.complete(s.n)] * least + [Graph.edgeless(s.n)] * (t - least))
+    cut = max(s.best - 1, 0)  # a total above cut is kept
+    packings = [(f.edge_count(), *pk) for f in s.members if (pk := _packings(s.n, f))]
+    loss = _Loss()
+
+    def beaten(i: int, total: int) -> bool:
+        """No completion of pairs i..P-1 under the caps takes the total
+        above cut: their sum, room, less what some member's packing must
+        lose, is at most cut - total."""
+        room = sum(caps[i:])
+        excess = total + room - cut
+        return excess <= 0 or any(_packing_loses(pk, loss, caps, i, room, excess) for pk in packings)
 
     def dfs(idx: int, total: int, top: int):
+        nonlocal cut
         budget.step()
-        if total + sum(caps[idx:]) <= s.best:
+        if beaten(idx, total):
             return
-        if idx == P:  # the bound above left total > best
+        if idx == P:  # the bound above left total > cut
             s.keep(total)
+            cut = total
             return
         u, v = pairs[idx]
         start = caps[idx]
@@ -704,6 +749,9 @@ def _search_sum(s: _CollectionSearch):
             table[u - 1][b] == table[u][b] for b in range(u + 1, v)
         ):
             start = min(start, table[u - 1][v].bit_length())  # rows u-1, u
+        if beaten(idx + 1, total + start):  # caps only fall: every child is cut
+            budget.take(start + 1)
+            return
         saved = caps[idx + 1 :]
         near = -1 if radius is None else _ball(union, ends[idx], radius)
         for mu in range(start, 0, -1):
@@ -721,6 +769,102 @@ def _search_sum(s: _CollectionSearch):
         dfs(idx + 1, total, top)
 
     dfs(0, 0, 0)
+
+
+class _Loss(dict):
+    """For a copy's caps (the key, in the copy's pair order), the least its
+    total must fall below their sum for the copy to be free.  With nested
+    colors a copy whose multiplicities, sorted, are b_1 <= ... <= b_e is
+    rainbow exactly when b_i >= i for every i (Hall's condition), so a free
+    copy has i values of at most i - 1 for some i; for that i it is
+    cheapest to lower the i least caps to i - 1."""
+
+    def __missing__(self, caps):
+        c = sorted(caps)
+        loss = self[caps] = min(sum(max(0, x - i) for x in c[: i + 1]) for i in range(len(c)))
+        return loss
+
+
+def _packing_loses(packing, loss: _Loss, caps, i: int, room: int, excess: int) -> bool:
+    """Must every free completion of pairs i..P-1 fall at least excess below
+    room, the sum of their caps?  ``packing`` is a member's edge count and
+    ``_packings``; each free copy loses its ``loss`` at least.  Edge-disjoint
+    copies lose the sum of theirs; weighted copies covering each pair at
+    most once lose the weighted sum, and a total is an integer, so a
+    weighted loss above excess - 1 is enough."""
+    e, getters, levels = packing
+    if room <= e * (excess - 1):
+        return False  # a copy loses at most its least cap, so either packing at most room / e
+    count, pack, nums, den = levels[i]
+    if sum(loss[g(caps)] for g in pack) >= excess:
+        return True
+    limit, lost = den * (excess - 1), 0
+    for g in islice(getters, count):
+        drop = loss[g(caps)]
+        if drop:
+            lost += drop * min(g(nums))
+            if lost > limit:
+                return True
+    return False
+
+
+@lru_cache(maxsize=64)
+def _packings(n: int, member: Graph):
+    """The copies of member in K_n and, for every idx, an edge-disjoint and
+    a fractional packing of the copies among pairs idx..P-1 (the copies at
+    idx): ``(getters, levels)``, or None for a member with one edge (its
+    caps are 0 already), over six vertices on its edges or over
+    ``_PACKING_MAX_COPIES`` copies.  Each copy is one distinct shape of the
+    member on one set of k vertices, so each appears once.
+
+    ``getters`` holds an ``itemgetter`` of each copy's pair indices, latest
+    first pair first.  ``levels[idx]`` is ``(count, pack, nums, den)``: the
+    copies at idx are the first ``count`` getters; ``pack`` (getters)
+    extends the pack at idx + 1 greedily by the copies whose first pair is
+    idx, in the order of their vertex sets, then of the member's shapes.
+    The fractional packing weighs a copy by 1 / max d(p) over its pairs,
+    d(p) the copies at idx through p, so the weights through a pair sum to
+    at most 1; over the common denominator ``den`` the weight is the least
+    ``nums[p]`` over the copy's pairs."""
+    edges = member.edges()
+    touched = reduce(or_, member.adj)
+    verts = [w for w in range(member.n) if touched >> w & 1]
+    k = len(verts)
+    if len(edges) < 2 or k > 6:
+        return None
+    spots = list(combinations(range(k), 2))  # the pairs on k vertices, ordered as _pairs orders them
+    local = [(verts.index(a), verts.index(b)) for a, b in edges]
+    shapes = {
+        tuple(sorted(spots.index((min(p[a], p[b]), max(p[a], p[b]))) for a, b in local))
+        for p in permutations(range(k))
+    }
+    if comb(n, k) * len(shapes) > _PACKING_MAX_COPIES:
+        return None
+    picks = [itemgetter(*shape) for shape in sorted(shapes)]
+    P = comb(n, 2)
+    index = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(_pairs(n)):
+        index[u][v] = i
+    starting = [[] for _ in range(P + 1)]  # the copies by their first pair
+    for vs in combinations(range(n), k):
+        at = [index[vs[a]][vs[b]] for a, b in spots]  # ascending, so each copy is too
+        for pick in picks:
+            c = pick(at)
+            starting[c[0]].append(c)
+    getters, levels = [], [None] * (P + 1)
+    through = Counter()  # d(p) at idx
+    used, pack = [False] * P, []
+    for idx in range(P, -1, -1):
+        through.update(chain.from_iterable(starting[idx]))
+        for c in starting[idx]:
+            getters.append(g := itemgetter(*c))
+            if not any(map(used.__getitem__, c)):
+                for p in c:
+                    used[p] = True
+                pack.append(g)
+        den = lcm(*through.values())
+        levels[idx] = (len(getters), tuple(pack), [den // through[p] if through[p] else 0 for p in range(P)], den)
+    return getters, levels
 
 
 def _refresh_radius(members) -> int | None:

@@ -40,7 +40,7 @@ def test_one_pass_of_each_workload_checks_clean(name, monkeypatch):
 # change to the search tree should fail here.
 PINNED_SEARCH_ANSWERS = {
     "min n=5 t=3 {K3} budget=200000": {"value": 6, "exact": True, "nodes": 8047},
-    "sum n=5 t=4 {K3} budget=200000": {"value": 24, "exact": True, "nodes": 265},
+    "sum n=5 t=4 {K3} budget=200000": {"value": 24, "exact": True, "nodes": 109},
     "prod n=5 t=3 {P3} budget=200000": {"value": 8, "exact": True, "nodes": 2418},
     "min n=6 t=3 {K3} budget=20000": {"value": 9, "exact": False, "nodes": 20001},
     "min n=6 t=3 {M3} budget=20000": {"value": 10, "exact": False, "nodes": 20001},

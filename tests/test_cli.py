@@ -367,11 +367,11 @@ PINNED_REPORT_ROWS = [
     ("meshulam", "n=5,s=1,t=2", "4", "4", "match", "1923"),
     ("meshulam", "n=5,s=2,t=3", "7", "10", "boundary", "0"),
     ("min-theorem", "n=4,t=3,s=1,f=K3", "3", "3", "match", "126"),
-    ("sum-k3", "n=4,t=3", "12", "12", "match", "46"),
-    ("sum-k3", "n=5,t=3", "20", "20", "match", "176"),
+    ("sum-k3", "n=4,t=3", "12", "12", "match", "35"),
+    ("sum-k3", "n=5,t=3", "20", "20", "match", "61"),
     ("prod-matching", "n=4,t=2,s=1", "9", "9", "match", "141"),
     ("prod-matching", "n=4,t=3,s=1", "27", "27", "match", "168"),
-    ("sum-bipartite", "n=5,t=2,f=P3", "10", "10", "match", "44"),
+    ("sum-bipartite", "n=5,t=2,f=P3", "10", "10", "match", "22"),
     ("constructions", "min.i[n=6,t=3,s=1,f=K3]", "5,5,5", "5,5,5/free", "match", "0"),
     ("constructions", "min.i[n=9,t=4,s=2,f=K3]", "14,14,14,14", "14,14,14,14/free", "match", "0"),
     ("constructions", "min.i[n=12,t=5,s=3,f=K3]", "27,27,27,27,27", "27,27,27,27,27/free", "match", "0"),
@@ -462,7 +462,7 @@ def test_parser_is_built_once_and_parses_each_call_afresh(capsys):
         capsys.readouterr()
     # an option given to one call is not left standing for the next
     code, out, _ = run(capsys, "compute", "--mode", "sum", "--n", "5", "--t", "3", "--forbid", "{K3}", "--budget", "50")
-    assert code == 3 and int(out.strip()) <= 20
+    assert (code, out) == (3, "20\n")  # the sum.cliques incumbent: the search needs 61 nodes
     code, out, err = run(capsys, "compute", "--mode", "prod", "--n", "4", "--t", "2", "--forbid", "{M2}")
     assert (code, out, err) == (0, "9\n", "")
     code, out, _ = run(capsys, "compute", "--mode", "sum", "--n", "5", "--t", "3", "--forbid", "{K3}")

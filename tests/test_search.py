@@ -358,22 +358,24 @@ def test_results_are_deterministic_across_runs():
 # the multiplicity caps: the lexicographically greatest optimal multiplicity
 # vector, which is never below its image under a swap of two adjacent
 # vertices, so the lex-leader rules of the sum search cut only other
-# branches.  Without those rules the sum rows take 2,732, 283, 179, 7,889
-# and 236,700 nodes.  Min witnesses are the Turan seed's graph whenever the
-# seed is optimal.
+# branches, as the packing bound and the sum.cliques seed do.  Without the
+# packing bound and the seed the sum rows take 265, 88, 53, 622 and 4,702
+# nodes, and without the lex-leader rules as well 2,732, 283, 179, 7,889
+# and 236,700.  Min witnesses are the Turan seed's graph whenever the seed
+# is optimal.
 PINNED_SEARCHES = {
     ("prod", 5, 3, "P3"): (8, 2418, [[(0, 3), (1, 2)]] * 3),
-    ("sum", 5, 4, "K3"): (24, 265, [[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]] * 4),
+    ("sum", 5, 4, "K3"): (24, 109, [[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]] * 4),
     ("min", 5, 3, "P3"): (2, 2324, [[(1, 4), (2, 3)]] * 3),
     ("min", 5, 3, "M2"): (4, 1923, [[(0, 4), (1, 4), (2, 4), (3, 4)]] * 3),
     ("prod", 4, 3, "K3"): (64, 853, [[(0, 2), (0, 3), (1, 2), (1, 3)]] * 3),
     ("prod", 6, 2, "M2"): (25, 63560, [[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]] * 2),
-    ("sum", 5, 3, "P4"): (20, 88, [[(u, v) for u in range(5) for v in range(u + 1, 5)]] * 2 + [[]]),
-    ("sum", 5, 3, "M2"): (12, 53, [[(0, 1), (0, 2), (0, 3), (0, 4)]] * 3),
-    ("sum", 6, 3, "K3"): (30, 622, [[(u, v) for u in range(6) for v in range(u + 1, 6)]] * 2 + [[]]),
+    ("sum", 5, 3, "P4"): (20, 36, [[(u, v) for u in range(5) for v in range(u + 1, 5)]] * 2 + [[]]),
+    ("sum", 5, 3, "M2"): (12, 34, [[(0, 1), (0, 2), (0, 3), (0, 4)]] * 3),
+    ("sum", 6, 3, "K3"): (30, 87, [[(u, v) for u in range(6) for v in range(u + 1, 6)]] * 2 + [[]]),
     ("prod", 5, 3, "K3"): (216, 45238, [[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]] * 3),
     ("min", 5, 3, "K3"): (6, 8047, [[(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]] * 3),
-    ("sum", 7, 3, "K3"): (42, 4702, [[(u, v) for u in range(7) for v in range(u + 1, 7)]] * 2 + [[]]),
+    ("sum", 7, 3, "K3"): (42, 118, [[(u, v) for u in range(7) for v in range(u + 1, 7)]] * 2 + [[]]),
 }
 
 
@@ -390,16 +392,17 @@ def test_search_node_counts_are_pinned():
 # k fills; sum checks only members that fit the table's nonempty colors and
 # refreshes only caps near the newest pair, and below a pair's first
 # multiplicity only the caps that fell.  Without the guards the first four
-# searches make 4,328, 29,559, 10,126 and 2,687 calls; refreshing every
-# ball cap at every multiplicity, the sum searches make 1,578 and 933.
-# Without the lex-leader rules the sum searches make 21,396 calls in 7,889
-# nodes and 9,842 in 2,732.
+# searches make 4,328, 29,559, 10,126 and 2,687 calls.  Without the packing
+# bound and the sum.cliques seed the sum searches make 1,176 calls in 622
+# nodes and 759 in 265; refreshing every ball cap at every multiplicity as
+# well, 1,578 and 933; without the lex-leader rules as well, 21,396 calls in
+# 7,889 nodes and 9,842 in 2,732.
 DETECTOR_CALLS = {
     ("min", 5, 3, "K3", None): (1_110, 8_047),
     ("prod", 5, 3, "K3", None): (17_791, 45_238),
     ("min", 6, 3, "M3", 20_000): (555, 20_001),
-    ("sum", 6, 3, "K3", None): (1_176, 622),
-    ("sum", 5, 4, "K3", None): (759, 265),
+    ("sum", 6, 3, "K3", None): (173, 87),
+    ("sum", 5, 4, "K3", None): (328, 109),
 }
 
 
@@ -619,6 +622,219 @@ def test_sum_search_caps_are_exact_at_every_node(famtext):
         _search_sum(s)
         assert s.best == extremal_sum(Q("sum", n, t, fam)).value
         assert budget.checked >= budget.used
+
+
+def _copies(n: int, f: Graph) -> set:
+    """The copies of f in K_n as sorted tuples of row-major pair indices."""
+    index = {p: i for i, p in enumerate((u, v) for u in range(n) for v in range(u + 1, n))}
+    return {
+        tuple(sorted(index[min(m[a], m[b]), max(m[a], m[b])] for a, b in f.edges()))
+        for m in permutations(range(n), f.n)
+    }
+
+
+def _hall_rainbow(mults) -> bool:
+    """Do nested colors of these multiplicities take distinct colors?"""
+    return all(b >= i for i, b in enumerate(sorted(mults), 1))
+
+
+def test_copy_loss_is_the_least_drop_to_a_free_copy():
+    # _Loss against every multiplicity vector of one copy under its caps,
+    # freeness by the brute-force oracle on the nested collection
+    from rturan.search import _Loss
+
+    loss = _Loss()
+    for name, t in (("P3", 3), ("M2", 3), ("K3", 3), ("K3", 4), ("P4", 3)):
+        f = parse_pattern(name)
+        edges = f.edges()
+        for caps in product(range(t + 1), repeat=len(edges)):
+            best = -1
+            for b in product(*(range(c + 1) for c in caps)):
+                col = Collection.from_edge_lists(f.n, [[e for e, m in zip(edges, b) if m > c] for c in range(t)])
+                rainbow = explicit_rainbow_oracle(col, f)
+                assert rainbow == _hall_rainbow(b), (name, b)
+                if not rainbow:
+                    best = max(best, sum(b))
+            assert loss[caps] == sum(caps) - best, (name, caps)
+
+
+@pytest.mark.parametrize(
+    "name, n, t",
+    [(name, 4, t) for name in ("K3", "P3", "M2", "P4", "K2,2", "S3") for t in (2, 3, 4)
+     if parse_pattern(name).edge_count() <= t]
+    + [(name, 5, 2) for name in ("P3", "M2")]
+    + [(name, 5, 3) for name in ("K3", "P3", "M2")],
+)
+def test_packing_bound_holds_every_free_completion(name, n, t):
+    # at every prefix of every free nested table, with the caps the search
+    # holds, neither packing claims a loss that a free completion avoids:
+    # room - B + 1 is never shown, B the best free completion by brute force
+    from rturan.search import _Loss, _packing_loses, _packings
+
+    f = parse_pattern(name)
+    P, shown = comb(n, 2), 0
+    through = [[c for c in _copies(n, f) if j in c] for j in range(P)]
+    packing, loss, mult = (f.edge_count(), *_packings(n, f)), _Loss(), [0] * P
+
+    def free_at(j: int, mu: int) -> bool:
+        was, mult[j] = mult[j], mu
+        free = not any(_hall_rainbow([mult[p] for p in c]) for c in through[j])
+        mult[j] = was
+        return free
+
+    def visit(i: int, caps: list) -> int:
+        """Best free completion of pairs i.. under mult[:i], whose caps are
+        caps[i:], checking the bound."""
+        nonlocal shown
+        best = 0
+        if i < P:
+            for mu in range(caps[i] + 1):
+                mult[i] = mu
+                # a cap falls only through a copy holding pair i, and never rises
+                below = [c if j <= i or not near[i][j] else max(m for m in range(c + 1) if free_at(j, m))
+                         for j, c in enumerate(caps)]
+                best = max(best, mu + visit(i + 1, below))
+            mult[i] = 0
+        room = sum(caps[i:])
+        assert not _packing_loses(packing, loss, caps, i, room, room - best + 1), (mult, i)
+        shown += room > best and _packing_loses(packing, loss, caps, i, room, room - best)
+        return best
+
+    near = [[any(i in c for c in through[j]) for j in range(P)] for i in range(P)]
+    visit(0, [max(mu for mu in range(t + 1) if free_at(j, mu)) for j in range(P)])
+    assert shown > 0  # the bound is below the caps' sum somewhere, so the check has teeth
+
+
+@pytest.mark.parametrize("name", ["M2", "K3", "P3", "P4", "M3", "K2,2"])
+def test_packings_cover_each_pair_at_most_once(name):
+    from rturan.search import _packings
+
+    f = parse_pattern(name)
+    for n in range(f.n, 9):
+        P = comb(n, 2)
+        getters, levels = _packings(n, f)
+        listed = [g(range(P)) for g in getters]
+        assert sorted(listed) == sorted(_copies(n, f))
+        for idx, (count, pack, nums, den) in enumerate(levels):
+            at = listed[:count]
+            assert sorted(at) == sorted(c for c in listed if c[0] >= idx)
+            packed = [g(range(P)) for g in pack]
+            assert all(c in at for c in packed)
+            assert len(set().union(*packed)) == sum(map(len, packed))  # edge-disjoint
+            cover = [0] * P
+            for c in at:
+                w = min(nums[p] for p in c)  # den / max d(p)
+                assert w * max(sum(p in other for other in at) for p in c) == den
+                for p in c:
+                    cover[p] += w
+            assert max(cover) <= den, (n, idx)
+    # every member here keeps its packings up to n = 12: C(12, k) vertex sets x shapes
+    shapes = {"M2": 3, "K3": 1, "P3": 3, "P4": 12, "M3": 15, "K2,2": 3}[name]
+    assert len(_packings(12, f)[0]) == comb(12, f.n) * shapes
+
+
+# Sum value and witness multiplicity vector (pairs in row-major order) of
+# FAMILIES, {P4}, {M3} and {K2,2} at n = 3..6 and t = 2..4, as the search
+# found them before the packing bound and the sum.cliques seed.
+SUM_OPTIMA = """
+    {M2} 3 2 6 222
+    {M2} 3 3 9 333
+    {M2} 3 4 12 444
+    {M2} 4 2 6 222000
+    {M2} 4 3 9 333000
+    {M2} 4 4 12 444000
+    {M2} 5 2 10 1111111111
+    {M2} 5 3 12 3333000000
+    {M2} 5 4 16 4444000000
+    {M2} 6 2 15 111111111111111
+    {M2} 6 3 15 333330000000000
+    {M2} 6 4 20 444440000000000
+    {K3} 3 2 6 222
+    {K3} 3 3 6 330
+    {K3} 3 4 8 440
+    {K3} 4 2 12 222222
+    {K3} 4 3 12 330033
+    {K3} 4 4 16 440044
+    {K3} 5 2 20 2222222222
+    {K3} 5 3 20 2222222222
+    {K3} 5 4 24 4440004044
+    {K3} 6 2 30 222222222222222
+    {K3} 6 3 30 222222222222222
+    {K3} 6 4 36 444000044044440
+    {K3,M2} 3 2 6 222
+    {K3,M2} 3 3 6 330
+    {K3,M2} 3 4 8 440
+    {K3,M2} 4 2 6 222000
+    {K3,M2} 4 3 9 333000
+    {K3,M2} 4 4 12 444000
+    {K3,M2} 5 2 10 1111111111
+    {K3,M2} 5 3 12 3333000000
+    {K3,M2} 5 4 16 4444000000
+    {K3,M2} 6 2 15 111111111111111
+    {K3,M2} 6 3 15 333330000000000
+    {K3,M2} 6 4 20 444440000000000
+    {P3} 3 2 3 111
+    {P3} 3 3 3 300
+    {P3} 3 4 4 400
+    {P3} 4 2 6 111111
+    {P3} 4 3 6 300003
+    {P3} 4 4 8 400004
+    {P3} 5 2 10 1111111111
+    {P3} 5 3 10 1111111111
+    {P3} 5 4 10 1111111111
+    {P3} 6 2 15 111111111111111
+    {P3} 6 3 15 111111111111111
+    {P3} 6 4 15 111111111111111
+    {P4} 3 2 6 222
+    {P4} 3 3 9 333
+    {P4} 3 4 12 444
+    {P4} 4 2 12 222222
+    {P4} 4 3 12 222222
+    {P4} 4 4 12 444000
+    {P4} 5 2 20 2222222222
+    {P4} 5 3 20 2222222222
+    {P4} 5 4 20 2222222222
+    {P4} 6 2 30 222222222222222
+    {P4} 6 3 30 222222222222222
+    {P4} 6 4 30 222222222222222
+    {M3} 3 2 6 222
+    {M3} 3 3 9 333
+    {M3} 3 4 12 444
+    {M3} 4 2 12 222222
+    {M3} 4 3 18 333333
+    {M3} 4 4 24 444444
+    {M3} 5 2 20 2222222222
+    {M3} 5 3 30 3333333333
+    {M3} 5 4 40 4444444444
+    {M3} 6 2 30 222222222222222
+    {M3} 6 3 30 333303330330300
+    {M3} 6 4 40 444404440440400
+    {K2,2} 3 2 6 222
+    {K2,2} 3 3 9 333
+    {K2,2} 3 4 12 444
+    {K2,2} 4 2 12 222222
+    {K2,2} 4 3 18 333333
+    {K2,2} 4 4 18 333333
+    {K2,2} 5 2 20 2222222222
+    {K2,2} 5 3 30 3333333333
+    {K2,2} 5 4 30 3333333333
+    {K2,2} 6 2 30 222222222222222
+    {K2,2} 6 3 45 333333333333333
+    {K2,2} 6 4 45 333333333333333
+"""
+
+
+def test_sum_optima_and_witnesses_are_unchanged():
+    for line in SUM_OPTIMA.split("\n"):
+        if not line.strip():
+            continue
+        famtext, n, t, value, vector = line.split()
+        n, t, value = int(n), int(t), int(value)
+        res = extremal_sum(Q("sum", n, t, parse_family(famtext)))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        nested = [[p for p, m in zip(pairs, vector) if int(m) > c] for c in range(t)]
+        assert (res.value, res.exact) == (value, True), line
+        assert [g.edges() for g in res.witness.graphs] == nested, line
 
 
 # Run under ``python -O``: each answer check must raise although asserts are off.
@@ -1165,10 +1381,42 @@ def test_budget_stop_keeps_the_incumbent():
     assert (res.value, res.nodes, res.exact) == (40, 5001, False)
     k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     assert [g.edges() for g in res.witness.graphs] == [k5, [(0, 3), (1, 2)], [(0, 3), (1, 2)]]
-    res = extremal_sum(Q("sum", 5, 3, FAM("K3"), budget=100))
-    assert (res.value, res.nodes, res.exact) == (18, 101, False)
-    assert sum(res.witness.edge_counts()) == 18
+    res = extremal_sum(Q("sum", 5, 4, FAM("K3"), budget=15))
+    assert (res.value, res.nodes, res.exact) == (24, 16, False)
+    assert [g.edges() for g in res.witness.graphs] == [[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]] * 4
     assert not explicit_rainbow_oracle(res.witness, parse_pattern("K3"))
+
+
+@pytest.mark.parametrize("n, t, name, budget", [(5, 4, "K3", 14), (5, 4, "K3", 1), (6, 3, "K3", 5), (5, 3, "P4", 3)])
+def test_sum_stop_before_the_first_find_keeps_the_cliques(n, t, name, budget):
+    # until the search finds a total of at least L = (e - 1) C(n, 2), the
+    # incumbent is the paper's sum.cliques collection: e - 1 complete colors
+    from rturan.constructions import describe
+
+    res = extremal_sum(Q("sum", n, t, FAM(name), budget=budget))
+    f = parse_pattern(name)
+    cliques = describe("sum.cliques", {"n": n, "t": t, "f": name}).collection
+    assert (res.value, res.nodes, res.exact) == ((f.edge_count() - 1) * comb(n, 2), budget + 1, False)
+    assert res.witness == cliques and res.witness._table is None
+
+
+def test_sum_search_without_members_takes_every_pair_in_every_color():
+    # the entry answers a family with no enforceable member itself; the
+    # search alone, with no member, finds t complete colors at once
+    from rturan.search import _CollectionSearch, _search_sum
+
+    for n, t in ((3, 1), (4, 2), (5, 3)):
+        s = _CollectionSearch(n, t, [], _Budget(100))
+        _search_sum(s)
+        assert s.best == t * comb(n, 2) and s.witness == Collection([Graph.complete(n)] * t)
+        assert s.budget.used == (t + 1) * comb(n, 2) + 1  # the way down, then every other child, cut
+
+
+def test_search_results_keep_no_color_table():
+    # the witness check builds a color table on a copy, not on the witness
+    for fn, mode in ((extremal_min, "min"), (extremal_sum, "sum"), (extremal_prod, "prod")):
+        res = fn(Q(mode, 4, 3, FAM("K3")))
+        assert res.witness._table is None, mode
 
 
 def test_turan_budget_error():
