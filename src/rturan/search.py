@@ -92,17 +92,18 @@ as the set the next color is checked against.  Each
 permutation is held as a table of 96 pair-mask images, one 32-entry chunk
 for each 5 bits of a mask, so an image costs three lookups and two sums.
 Three chunks hold the C(n, 2) <= 15 pairs only up to n = 6, where the n!
-tables still fit; they are built once per process, by the first min or
-prod search at that n.  A check against the whole group (color 1, or a
-color after complete or empty ones) needs no scan: an orbit table maps
-each mask least in its orbit to its stabilizer, one entry per isomorphism
-class of n-vertex graphs (156 at n = 6), and a mask it lacks is rejected.
-It is built once per process, with the tables.  A blind color (one no
-member fits) checked against the whole group goes further, in the spirit
-of isomorph rejection (McKay, J. Algorithms 26, 1998): a DFS node whose
-decided pairs begin no orbit-table key can reach no canonical leaf, so its
-subtree is counted into the budget in one step and never walked
-(``_orbit_prefixes``, ``_subtree_nodes``).  Nothing in such a subtree
+tables still fit.  The whole group is one dict (``_orbit_table``), built
+once per process by the first min or prod search at that n.  With a
+marker bit at P = C(n, 2) it maps each mask least in its orbit, one per
+isomorphism class of n-vertex graphs (156 at n = 6), to its stabilizer,
+so a check against the whole group (color 1, or a color after complete or
+empty ones) is one lookup, and a mask it lacks is rejected.  With the
+marker at idx < P it holds the first idx bits of each such mask.  A blind
+color (one no member fits) checked against the whole group reads those
+too, in the spirit of isomorph rejection (McKay, J. Algorithms 26, 1998):
+a DFS node whose decided pairs begin no orbit representative can reach no
+canonical leaf, so its subtree is counted into the budget in one step and
+never walked (``_subtree_nodes``).  Nothing in such a subtree
 touches the table, the detector or the incumbent, so values, node counts,
 witnesses and budget stops stay those of the node-by-node walk.
 
@@ -155,7 +156,6 @@ __all__ = [
 ]
 
 _FALLBACK_BUDGET = 20_000_000
-_PI_PRUNE_MAX_N = 6  # vertex-symmetry pruning uses all n! permutations
 _PACKING_MAX_COPIES = 20_000  # a member with more copies in K_n gets no packing bound
 
 
@@ -199,13 +199,17 @@ def default_budget() -> int:
     return int(raw)
 
 
-def _check_integers(**values):
-    """ValueError unless each value is an int, not a bool; a budget may be None."""
-    for name, v in values.items():
-        if name == "budget" and v is None:
-            continue
-        if isinstance(v, bool) or not isinstance(v, int):
+def _check_args(n, budget, **more):
+    """The argument check of the searches and of orderly generation:
+    ValueError unless n, budget and the other values are ints, not bools,
+    with 1 <= n <= 12 and budget None or at least 1."""
+    for name, v in {"n": n, **more, "budget": budget}.items():
+        if (isinstance(v, bool) or not isinstance(v, int)) and not (name == "budget" and v is None):
             raise ValueError(f"{name} must be an integer, got {v!r}")
+    if not 1 <= n <= 12:
+        raise ValueError(f"n must be in 1..12, got {n}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
 
 
 @dataclass(frozen=True)
@@ -219,15 +223,9 @@ class ExtremalQuery:
     def __post_init__(self):
         if self.mode not in ("min", "sum", "prod"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        _check_integers(n=self.n, t=self.t, budget=self.budget)
-        if not 1 <= self.n <= 12:
-            raise ValueError("full search supports 1 <= n <= 12")
-        if self.t < 1:
-            raise ValueError("need at least one color")
-        if self.t > 6:
-            raise ValueError("full search supports t <= 6")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be at least 1 node")
+        _check_args(self.n, self.budget, t=self.t)
+        if not 1 <= self.t <= 6:
+            raise ValueError(f"t must be in 1..6, got {self.t}")
         if not isinstance(self.family, PatternFamily):
             raise ValueError(f"family must be a PatternFamily, got {self.family!r}")
 
@@ -257,16 +255,12 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-@lru_cache(maxsize=None)
-def _pair_perm_tables(n: int) -> tuple[array, ...] | None:
+def _pair_perm_tables(n: int) -> tuple[array, ...]:
     """For each non-identity vertex permutation, the images of pair masks
     in three 32-entry chunks: the image of mask bits 0-4 at offsets 0-31,
     of bits 5-9 at 32-63 and of bits 10-14 at 64-95, so a mask maps to the
     sum of three lookups (``_stabilizer``).  Three 5-bit chunks cover the
-    C(n, 2) <= 15 pairs of n <= 6; above that there are no tables.  Built
-    on first use: sum never asks for them."""
-    if n > _PI_PRUNE_MAX_N:
-        return None
+    C(n, 2) <= 15 pairs of n <= 6.  Only ``_orbit_table`` builds them."""
     pairs = _pairs(n)
     assert len(pairs) <= 15, "three 5-bit chunks hold at most 15 pairs"
     index = {p: i for i, p in enumerate(pairs)}
@@ -304,24 +298,32 @@ def _stabilizer(tables, mask: int) -> list | None:
 
 @lru_cache(maxsize=None)
 def _orbit_table(n: int) -> dict | None:
-    """Each pair mask least in its orbit under the vertex permutations,
-    mapped to its stabilizer: the ``_pair_perm_tables`` fixing it, in their
-    order, as ``_stabilizer`` returns them.  The empty and complete masks,
-    fixed by every table, map to the table tuple itself.  A mask that is
-    absent has an image below it, where ``_stabilizer`` returns None.
+    """The whole vertex group as one dict over pair masks with a marker bit
+    at P = C(n, 2), or None when P > 15, above three 5-bit chunks:
+
+    * ``mask | 1 << P``, for each mask least in its orbit, maps to its
+      stabilizer: the ``_pair_perm_tables`` fixing it, in their order, as
+      ``_stabilizer`` returns them.  The empty and complete masks, fixed by
+      every table, map to the dict itself, the whole group.  A mask with an
+      image below it, where ``_stabilizer`` returns None, is absent.
+    * every shorter prefix of those masks, its bits below an idx < P with
+      the marker at idx, maps to None.  So a DFS node that has decided
+      pairs 0..idx-1 into ``mask`` begins an orbit representative exactly
+      when ``mask | 1 << idx`` is a key.
 
     Built column-major on first use: ``columns[j]`` holds entry j of every
     table, so a mask's images under all tables are the sums of at most
     three columns.  The least mask not yet ``seen`` is the least of its
     orbit; its images mark the orbit, so each orbit costs one pass over the
-    tables (4, 11, 34 and 156 orbits at n = 3..6).  None above n = 6, as
-    for the tables."""
-    tables = _pair_perm_tables(n)
-    if tables is None:
+    tables (4, 11, 34 and 156 orbits at n = 3..6; 1,245 keys at n = 6)."""
+    P = comb(n, 2)
+    if P > 15:
         return None
-    full = (1 << comb(n, 2)) - 1
+    tables = _pair_perm_tables(n)
+    marker, full = 1 << P, (1 << P) - 1
     columns = list(zip(*tables))
-    orbits = {0: tables, full: tables}
+    orbits: dict = {}
+    orbits[marker] = orbits[full | marker] = orbits
     seen = bytearray(full + 1)
     seen[full] = 1
     mask = seen.find(0, 1)
@@ -338,22 +340,12 @@ def _orbit_table(n: int) -> dict | None:
         for _ in range(images.count(mask)):
             i = images.index(mask, i + 1)
             fixing.append(tables[i])
-        orbits[mask] = fixing
+        orbits[mask | marker] = fixing
         mask = seen.find(0, mask + 1)
+    for key in list(orbits):
+        for idx in range(P):
+            orbits.setdefault(key & (1 << idx) - 1 | 1 << idx, None)
     return orbits
-
-
-@lru_cache(maxsize=None)
-def _orbit_prefixes(n: int) -> frozenset | None:
-    """The prefixes of the ``_orbit_table`` keys: for each key and each idx
-    in 0..C(n, 2), its bits below idx with a marker bit at idx, so a DFS
-    node that has decided pairs 0..idx-1 into ``mask`` looks up
-    ``mask | 1 << idx``.  1,245 entries at n = 6.  None above n = 6."""
-    orbits = _orbit_table(n)
-    if orbits is None:
-        return None
-    width = comb(n, 2)
-    return frozenset(key & (1 << idx) - 1 | 1 << idx for key in orbits for idx in range(width + 1))
 
 
 @lru_cache(maxsize=None)
@@ -379,10 +371,12 @@ class _CollectionSearch:
     boundary.  ``_dfs`` fills one color in one loop, a node per pass, and
     recurses only at a color boundary; a blind color, too small for any
     member, is held as a pair mask and reaches the table only at its
-    boundary.  A floor e > 0 (min) prunes a color that cannot reach e edges
-    and stops at the first full collection; floor 0 (prod) prunes by
-    prefix * maxc^(t-k+1) against the best product and searches on.  A full
-    collection becomes the incumbent, valued at the floor or its product.
+    boundary.  A node is pruned when its room, the pairs in its color plus
+    the pairs undecided, is below the color's ``least_room``: a floor e > 0
+    (min) prunes a color that cannot reach e edges and stops at the first
+    full collection; floor 0 (prod) prunes by prefix * maxc^(t-k+1) against
+    the best product and searches on.  A full collection becomes the
+    incumbent, valued at the floor or its product.
 
     The colors are held as one color table (``table[u][v]`` the mask of the
     colors holding pair uv, as ``Collection.color_table``) with ``union``,
@@ -398,10 +392,9 @@ class _CollectionSearch:
     colors (``_exists_using_pair``).  The answers do not change, so neither
     do node counts.  It holds at most members x pairs x (t + 1) entries and
     lives as long as the search.  ``stabs`` is the stabilizer chain of
-    ``canonical_prefix``, which starts at ``group``, every permutation
-    table, answered from ``orbits`` (``_orbit_table``).  ``prefixes``
-    (``_orbit_prefixes``) lets ``_dfs`` count, not walk, the subtrees of a
-    blind color under ``group`` that hold no orbit representative."""
+    ``canonical_prefix``.  It starts at ``orbits`` (``_orbit_table``), the
+    whole group, which also lets ``_dfs`` count, not walk, the subtrees of
+    a blind color under the whole group that hold no orbit representative."""
 
     def __init__(self, n: int, t: int, members, budget: _Budget):
         self.n = n
@@ -415,8 +408,7 @@ class _CollectionSearch:
         self.table = [[0] * n for _ in range(n)]
         self.union = [0] * n
         self.stabs: list = [()] * (t + 1)  # stabs[k]: the permutation tables fixing colors 1..k
-        # the full group, its orbit table and the table's key prefixes, set by ``reset``
-        self.group = self.orbits = self.prefixes = None
+        self.orbits = None  # the whole group, ``_orbit_table``, set by ``reset``
         self.copies: dict = {}  # residual copies of the anchored detector (``_exists_using_pair``)
         self.floor = 0
         self.best = 0
@@ -426,9 +418,8 @@ class _CollectionSearch:
         for cells in self.table:
             cells[:] = [0] * self.n
         self.union[:] = [0] * self.n
-        self.group, self.orbits = _pair_perm_tables(self.n), _orbit_table(self.n)
-        self.prefixes = _orbit_prefixes(self.n)
-        self.stabs[0] = self.group or ()
+        self.orbits = _orbit_table(self.n)
+        self.stabs[0] = self.orbits or ()
 
     def keep(self, value: int):
         """Make the current collection the incumbent, valued at value."""
@@ -456,27 +447,31 @@ class _CollectionSearch:
         subtree finds nothing.  Blind colors come first, since ``live`` only
         grows with k, so a live color's detector always sees them.
 
+        The one prune test: a node whose room, count + P - idx, is below
+        ``least`` (``least_room``) is pruned.  ``least`` depends on ``best``
+        alone besides the color, and ``best`` rises only below an accepted
+        color boundary, so it is computed when the color starts and again
+        after each such boundary returns.
+
         A blind color checked against the whole group (``stabs[k - 1] is
-        group``) is accepted only as an ``_orbit_table`` key.  A node whose
-        ``mask`` begins no key (``mask | 1 << idx`` not in ``prefixes``)
-        holds no leaf that passes, and nothing else in its subtree writes
-        state, so the subtree is one ``budget.take`` of its node count
-        (``_subtree_nodes``, with the loop's prune test as a least room:
-        min's floor, or for prod the least room whose bound beats ``best``,
-        which cannot rise inside it) and the loop backs up.  A budget stop
-        inside it stops where the walk would, with the same incumbent."""
+        orbits``) is accepted only as an orbit representative.  A node whose
+        ``mask`` begins none (``mask | 1 << idx`` not in ``orbits``) holds no
+        leaf that passes, and nothing else in its subtree writes state, so
+        the subtree is one ``budget.take`` of its node count
+        (``_subtree_nodes``, pruned at the same ``least``, which cannot
+        change inside it) and the loop backs up.  A budget stop inside it
+        stops where the walk would, with the same incumbent."""
         step, P, floor, power = self.budget.step, self.P, self.floor, self.t - k + 1
         blind = not self.live[k]
-        prefixes = self.prefixes if blind and self.stabs[k - 1] is self.group else None
+        orbits = self.orbits if blind and self.stabs[k - 1] is self.orbits else None
+        least = self.least_room(cap, prefix, power)
         idx = count = mask = 0
         while True:
             step()
-            room = count + (P - idx)
-            if (room < floor) if floor else prefix * min(cap, room) ** power <= self.best:
-                pass  # pruned: below min's floor, or prod cannot beat best (raised as it goes)
-            elif prefixes and mask | 1 << idx not in prefixes:
+            if count + P - idx < least:
+                pass  # pruned: below min's floor, or prod cannot beat best
+            elif orbits and mask | 1 << idx not in orbits:
                 # no orbit representative extends mask: count the subtree, walk none of it
-                least = floor or next(r for r in range(1, cap + 1) if prefix * r**power > self.best)
                 self.budget.take(_subtree_nodes(P - idx, count, cap, least) - 1)
             elif idx == P:
                 if self.canonical_prefix(k, mask):
@@ -485,12 +480,13 @@ class _CollectionSearch:
                     if k < self.t:
                         found = self._dfs(k + 1, count, prefix * count)
                     else:
-                        self.keep(floor or prefix * count)  # prod: the bound put it above best
+                        self.keep(floor or prefix * count)  # prod: room >= least put it above best
                         found = floor > 0
                     if found:
                         return True
                     if blind:
                         self.paint(k, mask, False)
+                    least = self.least_room(cap, prefix, power)  # best may have risen
             elif count < cap and (blind or self.try_add(k, idx)):
                 mask |= 1 << idx
                 idx += 1
@@ -508,6 +504,17 @@ class _CollectionSearch:
                 self.remove(k, idx)
             count -= 1
             idx += 1
+
+    def least_room(self, cap: int, prefix: int, power: int) -> int:
+        """The least room a node of a color with up to cap edges needs to
+        stay unpruned: min's floor, or for prod the least r <= cap with
+        prefix * r^power > best (P + 1, above every room, when none is), so
+        a room falls below it exactly when prefix * min(cap, room)^power
+        cannot beat best; prefix is the product of the earlier counts and
+        power the colors left, this one included."""
+        if self.floor:
+            return self.floor
+        return next((r for r in range(cap + 1) if prefix * r**power > self.best), self.P + 1)
 
     def paint(self, color: int, mask: int, on: bool):
         """Put the pairs of mask into the color (on) or take them out."""
@@ -558,12 +565,13 @@ class _CollectionSearch:
         and maps color i below itself for some i.  Colors 1..k-1 passed, so
         only ``stabs[k - 1]``, the stabilizer of those colors, is tested
         against color k; on acceptance the tables fixing color k among them
-        become ``stabs[k]``.  When ``stabs[k - 1]`` is the whole group that
-        is one lookup in the orbit table; a proper subgroup is scanned
-        (``_stabilizer``).
+        become ``stabs[k]``.  When ``stabs[k - 1]`` is the whole group,
+        ``orbits``, that is one lookup of ``mask | 1 << P`` there, which
+        gives ``orbits`` again for the empty and complete masks; a proper
+        subgroup is scanned (``_stabilizer``).
         """
         group = self.stabs[k - 1]
-        stab = self.orbits.get(mask) if group is self.group else _stabilizer(group, mask)
+        stab = self.orbits.get(mask | 1 << self.P) if group is self.orbits else _stabilizer(group, mask)
         if stab is None:
             return False
         self.stabs[k] = stab
@@ -899,11 +907,7 @@ def turan_exact(n: int, f: Graph, budget: int | None = None) -> int:
 def turan_extremal(n: int, f: Graph, budget: int | None = None) -> tuple[int, Graph]:
     """ex(n, f) together with the extremal graph of least canonical form,
     relabelled to that form.  The budget counts extension attempts."""
-    _check_integers(n=n, budget=budget)
-    if not 1 <= n <= 12:
-        raise ValueError("orderly generation supports 1 <= n <= 12")
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be at least 1 extension attempt")
+    _check_args(n, budget)
     if not isinstance(f, Graph):
         raise ValueError(f"pattern must be a Graph, got {f!r}")
     return _turan_family(n, [f], _Budget(budget if budget is not None else default_budget()))

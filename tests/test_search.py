@@ -25,9 +25,29 @@ from rturan import (
     claimed_value,
     contains_subgraph,
     parse_family,
+    nest_transform,
+    BudgetExceeded,
+    default_budget,
 )
+from rturan.constructions import describe
 from rturan.graphcore import _from_canonical
-from rturan.search import _Budget, _edge_floor, _turan_family
+from rturan.search import (
+    _Budget,
+    _CollectionSearch,
+    _Loss,
+    _ball,
+    _edge_floor,
+    _orbit_table,
+    _packing_loses,
+    _packings,
+    _pair_perm_tables,
+    _refresh_radius,
+    _search_sum,
+    _split_family,
+    _stabilizer,
+    _subtree_nodes,
+    _turan_family,
+)
 
 FAM = lambda *names: PatternFamily.from_graphs([parse_pattern(s) for s in names])
 Q = ExtremalQuery
@@ -289,8 +309,6 @@ FAMILIES = ("{M2}", "{K3}", "{K3,M2}", "{P3}")
 
 @pytest.mark.parametrize("famtext", FAMILIES)
 def test_pruned_search_agrees_with_reference(famtext):
-    from rturan import parse_family
-
     fam = parse_family(famtext)
     for n in range(1, 5):
         for t in range(1, 4):
@@ -505,8 +523,6 @@ def _exact_cap(n, t, mult, pair, members):
 def test_sum_cap_falls_only_near_the_new_pair(n):
     # the cap of a pair j falls after p takes a multiplicity only if j has
     # an endpoint within max(v(F) - 3, 0) of p in the union graph
-    from rturan.search import _ball, _refresh_radius
-
     rng = random.Random(1400 + n)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     ends = {(u, v): 1 << u | 1 << v for u, v in pairs}
@@ -542,8 +558,6 @@ def test_sum_cap_falls_only_near_the_new_pair(n):
 
 
 def test_disconnected_member_refreshes_every_cap():
-    from rturan.search import _refresh_radius
-
     assert _refresh_radius(FAM("M2").members) is None
     assert _refresh_radius(FAM("K3", "M2").members) is None
     assert _refresh_radius(FAM("K3", "P4").members) == 1
@@ -612,9 +626,6 @@ class _CapCheckingBudget(_Budget):
 
 @pytest.mark.parametrize("famtext", ["{K3}", "{P3}", "{P4}", "{K3,M2}"])
 def test_sum_search_caps_are_exact_at_every_node(famtext):
-    from rturan import parse_family
-    from rturan.search import _CollectionSearch, _search_sum, _split_family
-
     fam = parse_family(famtext)
     for n, t in ((4, 3), (5, 2), (5, 3)):
         s = _CollectionSearch(n, t, _split_family(fam, n, t)[1], _Budget(1))
@@ -641,8 +652,6 @@ def _hall_rainbow(mults) -> bool:
 def test_copy_loss_is_the_least_drop_to_a_free_copy():
     # _Loss against every multiplicity vector of one copy under its caps,
     # freeness by the brute-force oracle on the nested collection
-    from rturan.search import _Loss
-
     loss = _Loss()
     for name, t in (("P3", 3), ("M2", 3), ("K3", 3), ("K3", 4), ("P4", 3)):
         f = parse_pattern(name)
@@ -669,8 +678,6 @@ def test_packing_bound_holds_every_free_completion(name, n, t):
     # at every prefix of every free nested table, with the caps the search
     # holds, neither packing claims a loss that a free completion avoids:
     # room - B + 1 is never shown, B the best free completion by brute force
-    from rturan.search import _Loss, _packing_loses, _packings
-
     f = parse_pattern(name)
     P, shown = comb(n, 2), 0
     through = [[c for c in _copies(n, f) if j in c] for j in range(P)]
@@ -707,8 +714,6 @@ def test_packing_bound_holds_every_free_completion(name, n, t):
 
 @pytest.mark.parametrize("name", ["M2", "K3", "P3", "P4", "M3", "K2,2"])
 def test_packings_cover_each_pair_at_most_once(name):
-    from rturan.search import _packings
-
     f = parse_pattern(name)
     for n in range(f.n, 9):
         P = comb(n, 2)
@@ -942,8 +947,6 @@ def _prefix_is_canonical(cmasks, k: int, perms) -> bool:
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_canonical_prefix_matches_all_permutations(n):
-    from rturan.search import _Budget, _CollectionSearch
-
     rng = random.Random(n)
     perms = _pair_images(n)
     full = (1 << (n * (n - 1) // 2)) - 1
@@ -980,8 +983,6 @@ def test_canonical_prefix_matches_all_permutations(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_stabilizer_matches_brute_force(n):
-    from rturan.search import _pair_perm_tables, _stabilizer
-
     rng = random.Random(2100 + n)
     tables = _pair_perm_tables(n)
     perms = _pair_images(n)  # the same permutations, in the same order
@@ -995,7 +996,6 @@ def test_stabilizer_matches_brute_force(n):
     for table, images in zip(tables, perms):
         for mask in checked:
             assert table[mask & 31] + table[32 | mask >> 5 & 31] + table[64 | mask >> 10] == _image(mask, images)
-    assert _pair_perm_tables(7) is None
     full = (1 << width) - 1
     masks = [0, full] + [1 << i for i in range(width)]
     masks += [1 << i | 1 << j for i in range(width) for j in range(i + 1, width)]
@@ -1018,28 +1018,32 @@ def test_stabilizer_matches_brute_force(n):
     assert {(0, False), (1, False), (1, True), (2, True), (width, False)} <= outcomes
 
 
-@pytest.mark.parametrize("n, orbits", [(3, 4), (4, 11), (5, 34), (6, 156)])
+@pytest.mark.parametrize("n, orbits", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)])
 def test_orbit_table_is_the_stabilizer_of_every_mask(n, orbits):
-    # one orbit per isomorphism class of n-vertex graphs: 4, 11, 34, 156
-    from rturan.search import _orbit_table, _pair_perm_tables, _stabilizer
-
+    # one orbit per isomorphism class of n-vertex graphs: 1, 2, 4, 11, 34,
+    # 156.  At n = 1 the empty and complete masks coincide; n = 2 has one pair
     tables, table = _pair_perm_tables(n), _orbit_table(n)
     width = n * (n - 1) // 2
-    assert len(table) == orbits
-    assert table[0] is tables and table[(1 << width) - 1] is tables
+    marker, full = 1 << width, (1 << width) - 1
+    assert sum(key >= marker for key in table) == orbits
+    assert table[marker] is table and table[full | marker] is table
     perms = _pair_images(n) if n <= 5 else None
     for mask in range(1 << width):
         stab = _stabilizer(tables, mask)
-        if stab is None:
-            assert mask not in table, (n, mask)
+        assert (mask | marker in table) == (stab is not None), (n, mask)
+        entry = table.get(mask | marker)
+        if mask in (0, full):
+            assert entry is table and stab == list(tables), (n, mask)
         else:
-            assert list(table[mask]) == stab, (n, mask)
-            assert all(a is b for a, b in zip(table[mask], stab)), (n, mask)
+            assert entry == stab, (n, mask)
         if perms is not None:
             moved = [_image(mask, images) for images in perms]
-            expected = None if min(moved) < mask else [tables[k] for k, image in enumerate(moved) if image == mask]
-            assert (list(table[mask]) if mask in table else None) == expected, (n, mask)
-    assert _orbit_table(7) is None  # no tables above n = 6
+            expected = None if min(moved, default=mask) < mask else [tables[k] for k, image in enumerate(moved) if image == mask]
+            assert (list(tables) if entry is table else entry) == expected, (n, mask)
+    # the stabilizers share the n! - 1 table objects, none is a copy
+    shared = {id(t) for stab in table.values() if stab and stab is not table for t in stab}
+    assert len(shared) <= factorial(n) - 1, (n, len(shared))
+    assert _orbit_table(7) is None  # three 5-bit chunks hold no more than 15 pairs
 
 
 def test_full_group_checks_take_the_orbit_table(monkeypatch):
@@ -1063,17 +1067,20 @@ def test_full_group_checks_take_the_orbit_table(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_orbit_prefixes_are_the_prefixes_of_orbit_representatives(n):
-    # (idx, prefix) is in the set, as prefix | 1 << idx, exactly when some
-    # mask least in its orbit (by brute force over all n! permutations)
-    # has bits below idx equal to prefix
-    from rturan.search import _orbit_prefixes
-
+    # a key below the marker, prefix | 1 << idx, maps to None exactly when
+    # some mask least in its orbit (by brute force over all n! permutations)
+    # has bits below idx equal to prefix; every other key is such a mask
+    # with the marker
     perms = _pair_images(n)
     width = n * (n - 1) // 2
     least = [mask for mask in range(1 << width) if all(_image(mask, images) >= mask for images in perms)]
-    expected = {mask & (1 << idx) - 1 | 1 << idx for mask in least for idx in range(width + 1)}
-    assert _orbit_prefixes(n) == expected
-    assert len(_orbit_prefixes(6)) == 1_245 and _orbit_prefixes(7) is None
+    expected = {mask & (1 << idx) - 1 | 1 << idx for mask in least for idx in range(width)}
+    table = _orbit_table(n)
+    assert {key for key, entry in table.items() if entry is None} == expected
+    assert {key for key, entry in table.items() if entry is not None} == {mask | 1 << width for mask in least}
+    table = _orbit_table(6)
+    assert (len(table), sum(entry is None for entry in table.values())) == (1_245, 1_089)
+    assert _orbit_table(7) is None
 
 
 def _walked_nodes(left: int, count: int, cap: int, pruned) -> int:
@@ -1102,8 +1109,6 @@ def _walked_nodes(left: int, count: int, cap: int, pruned) -> int:
 
 
 def test_subtree_nodes_match_the_walk():
-    from rturan.search import _subtree_nodes
-
     for left in range(11):
         for cap in range(left + 1):
             for count in range(cap + 1):
@@ -1118,6 +1123,23 @@ def test_subtree_nodes_match_the_walk():
         assert _subtree_nodes(left, count, cap, least) == _walked_nodes(left, count, cap, pruned) > 1
 
 
+def test_least_room_is_both_prune_tests():
+    # the one prune test of _dfs, room < least_room, is min's room < floor
+    # and prod's prefix * min(cap, room) ** power <= best, for every room
+    # of an n = 6 color (P = 15) and best on both sides of each threshold
+    s = _CollectionSearch(6, 3, [], _Budget(1))
+    for cap, power, prefix in product(range(16), range(1, 7), (0, 1, 2, 5)):
+        s.floor = 0
+        for best in {prefix * r**power + d for r in range(cap + 1) for d in (-1, 0, 1)}:
+            s.best = best
+            least = s.least_room(cap, prefix, power)
+            for room in range(16):
+                assert (room < least) == (prefix * min(cap, room) ** power <= best), (cap, power, prefix, best, room)
+        for floor in range(1, 17):
+            s.floor = s.best = floor
+            assert s.least_room(cap, prefix, power) == floor, (cap, power, prefix, floor)
+
+
 # Searches in which blind colors are checked against the whole group: their
 # exact node counts, and budgets besides 1, 2, N - 1, N and N + 1, the first
 # two (at least) stopping inside a subtree the search counts without walking
@@ -1130,11 +1152,27 @@ SKIPPED_SUBTREE_SEARCHES = {
 }
 
 
+class _EveryPrefix(dict):
+    """An orbit table whose every key below the marker bit is present, so
+    that no node of ``_dfs`` skips its subtree: each blind color is walked
+    node by node and its leaves are checked at the marker as before.  Its
+    whole-group entries point to this copy, not to the table it copies."""
+
+    def __init__(self, table, width):
+        super().__init__(table)
+        self.update({key: self for key, entry in table.items() if entry is table})
+        self.marker = 1 << width
+
+    def __contains__(self, key):
+        return key < self.marker or super().__contains__(key)
+
+
 @pytest.mark.parametrize("query", list(SKIPPED_SUBTREE_SEARCHES))
 def test_skipping_blind_subtrees_changes_nothing(query, monkeypatch):
-    # with the prefix set taken away, every blind color walks its subtrees
-    # node by node and rejects their leaves at canonical_prefix; the budget
-    # stops at the same node and keeps the same incumbent either way
+    # with every prefix taken to begin an orbit representative, every blind
+    # color walks its subtrees node by node and rejects their leaves that
+    # are no representative; the budget stops at the same node and keeps
+    # the same incumbent either way
     import rturan.search as search
 
     mode, n, t, famtext = query
@@ -1157,10 +1195,10 @@ def test_skipping_blind_subtrees_changes_nothing(query, monkeypatch):
 
     monkeypatch.setattr(search, "_exists_using_pair", counting)
     monkeypatch.setattr(_Budget, "take", taking)
-    prefixes = search._orbit_prefixes
+    walking = _EveryPrefix(_orbit_table(n), comb(n, 2))
 
     def outcome(budget, skip):
-        monkeypatch.setattr(search, "_orbit_prefixes", prefixes if skip else lambda n: None)
+        monkeypatch.setattr(search, "_orbit_table", _orbit_table if skip else lambda n: walking)
         calls.clear()
         res = fn(Q(mode, n, t, parse_family(famtext), budget=budget))
         return res.value, res.nodes, res.exact, [g.edges() for g in res.witness.graphs], len(calls)
@@ -1182,8 +1220,6 @@ class _ColorsSoFar:
     sees each canonicity check with the masks of colors 1..k."""
 
     def __init__(self, monkeypatch, on_prefix=None):
-        from rturan.search import _CollectionSearch
-
         self.search = None
         self.on_prefix = on_prefix
         self.accepted: list[int] = []
@@ -1225,15 +1261,15 @@ def test_canonical_prefix_on_the_search_path(monkeypatch):
     # the prefixes the DFS itself asks about, dense masks and color 2 under a
     # complete color 1, which random masks seldom reach.  A blind color
     # checked against the whole group asks only about orbit representatives
-    # (``_orbit_prefixes``), so such a check never rejects; rejections come
-    # from colors checked against a proper subgroup, as color 2 of
-    # min(5,3,{K3}) is
+    # (the prefixes in ``_orbit_table``), so such a check never rejects;
+    # rejections come from colors checked against a proper subgroup, as
+    # color 2 of min(5,3,{K3}) is
     calls = []
     so_far = _ColorsSoFar(monkeypatch)
 
     def on_prefix(k, masks, verdict):
         s = so_far.search
-        calls.append((tuple(masks), k, verdict, s.stabs[k - 1] is s.group and not s.live[k]))
+        calls.append((tuple(masks), k, verdict, s.stabs[k - 1] is s.orbits and not s.live[k]))
 
     so_far.on_prefix = on_prefix
     outcomes = set()
@@ -1318,8 +1354,6 @@ def test_detector_sees_exactly_the_colors_filled_so_far(monkeypatch):
 
 
 def test_failed_min_probe_leaves_an_empty_table(monkeypatch):
-    from rturan.search import _CollectionSearch
-
     probes = []
     original = _CollectionSearch.run
 
@@ -1338,9 +1372,6 @@ def test_failed_min_probe_leaves_an_empty_table(monkeypatch):
 
 
 def test_search_state_table_tracks_the_collection():
-    from rturan import nest_transform
-    from rturan.search import _CollectionSearch
-
     rng = random.Random(13)
     for _ in range(120):
         n, t = rng.randint(3, 7), rng.randint(1, 4)
@@ -1391,8 +1422,6 @@ def test_budget_stop_keeps_the_incumbent():
 def test_sum_stop_before_the_first_find_keeps_the_cliques(n, t, name, budget):
     # until the search finds a total of at least L = (e - 1) C(n, 2), the
     # incumbent is the paper's sum.cliques collection: e - 1 complete colors
-    from rturan.constructions import describe
-
     res = extremal_sum(Q("sum", n, t, FAM(name), budget=budget))
     f = parse_pattern(name)
     cliques = describe("sum.cliques", {"n": n, "t": t, "f": name}).collection
@@ -1403,8 +1432,6 @@ def test_sum_stop_before_the_first_find_keeps_the_cliques(n, t, name, budget):
 def test_sum_search_without_members_takes_every_pair_in_every_color():
     # the entry answers a family with no enforceable member itself; the
     # search alone, with no member, finds t complete colors at once
-    from rturan.search import _CollectionSearch, _search_sum
-
     for n, t in ((3, 1), (4, 2), (5, 3)):
         s = _CollectionSearch(n, t, [], _Budget(100))
         _search_sum(s)
@@ -1420,8 +1447,6 @@ def test_search_results_keep_no_color_table():
 
 
 def test_turan_budget_error():
-    from rturan import BudgetExceeded
-
     with pytest.raises(BudgetExceeded):
         turan_exact(8, parse_pattern("K3"), budget=10)
     with pytest.raises(BudgetExceeded):
@@ -1446,8 +1471,6 @@ def test_min_seed_at_n10_uses_the_edge_floor():
 
 
 def test_env_budget_override(monkeypatch):
-    from rturan import default_budget
-
     monkeypatch.setenv("RTURAN_BUDGET", "12345")
     assert default_budget() == 12345
     for raw in ("junk", "0", "-3", "\u0668", "1e5"):  # only ASCII integers >= 1
