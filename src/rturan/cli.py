@@ -13,7 +13,7 @@ import time
 from functools import lru_cache
 from math import comb
 
-from .graphcore import ParseError, SizeError, parse_pattern, parse_family
+from .graphcore import ParseError, parse_pattern, parse_family
 from .collection import (
     FormatError,
     RangeError,
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, SizeError, ValueError) as exc:
+    except ValueError as exc:  # ParseError and SizeError among them
         if isinstance(exc, (FormatError, RangeError)):
             print(f"error: {exc}", file=sys.stderr)
             return 4

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .graphcore import Graph, PatternFamily
+from .graphcore import MAX_VERTICES, Graph, PatternFamily
 
 __all__ = [
     "Collection",
@@ -148,16 +148,7 @@ class RainbowWitness:
             raise ValueError("vmap not injective")
         if any(not 0 <= v < col.n for v in self.vmap):
             raise ValueError("vmap leaves the host vertex set")
-        edges = self.pattern.edges()
-        if len(self.cmap) != len(edges):
-            raise ValueError("cmap does not cover the pattern edges")
-        if len(set(self.cmap)) != len(self.cmap):
-            raise ValueError("cmap not injective")
-        for (a, b), c in zip(edges, self.cmap):
-            if not 1 <= c <= col.t:
-                raise ValueError(f"color {c} outside 1..{col.t}")
-            if not col.graph(c).has_edge(self.vmap[a], self.vmap[b]):
-                raise ValueError(f"edge {(a, b)} not present in color {c}")
+        _check_colors(col, [(self.vmap[a], self.vmap[b]) for a, b in self.pattern.edges()], self.cmap)
 
 
 @dataclass(frozen=True)
@@ -175,19 +166,26 @@ class RainbowMatching:
         return {v for e in self.edges for v in e}
 
     def validate(self, col: Collection) -> None:
-        if len(self.edges) != len(self.colors):
-            raise ValueError("edge/color length mismatch")
-        if len(set(self.colors)) != len(self.colors):
-            raise ValueError("colors not injective")
-        seen: set[int] = set()
-        for (u, v), c in zip(self.edges, self.colors):
-            if u in seen or v in seen or u == v:
-                raise ValueError("edges not vertex-disjoint")
-            seen.update((u, v))
-            if not 1 <= c <= col.t:
-                raise ValueError(f"color {c} outside 1..{col.t}")
-            if not col.graph(c).has_edge(u, v):
-                raise ValueError(f"edge {(u, v)} missing from color {c}")
+        ends = self.vertex_set()
+        if len(ends) != 2 * self.size:
+            raise ValueError("edges not vertex-disjoint")
+        if any(not 0 <= v < col.n for v in ends):
+            raise ValueError("edges leave the host vertex set")
+        _check_colors(col, self.edges, self.colors)
+
+
+def _check_colors(col: Collection, pairs, colors) -> None:
+    """Each host pair lies in its own 1-based color: one color per pair,
+    no color twice."""
+    if len(pairs) != len(colors):
+        raise ValueError("edge/color length mismatch")
+    if len(set(colors)) != len(colors):
+        raise ValueError("colors not injective")
+    for (u, v), c in zip(pairs, colors):
+        if not 1 <= c <= col.t:
+            raise ValueError(f"color {c} outside 1..{col.t}")
+        if not col.graph(c).has_edge(u, v):
+            raise ValueError(f"edge {(u, v)} missing from color {c}")
 
 
 # ---------------------------------------------------------------------
@@ -232,6 +230,12 @@ def codec_read(path: str) -> Collection:
             fail(f"malformed line {line!r}: fields are separated by single spaces", no)
         return line.split(" ")
 
+    def count(no: int, name: str) -> int:
+        parts = fields(no)
+        if len(parts) != 2 or parts[0] != name or not _NUMERAL.fullmatch(parts[1]):
+            fail(f"expected '{name} <count>'", no)
+        return _value(parts[1])
+
     try:
         text = raw.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -243,16 +247,10 @@ def codec_read(path: str) -> Collection:
         fail("expected header 'rcol 1'", 1)
     if len(lines) < 3:
         fail("truncated header", len(lines))
-    mn = fields(2)
-    if len(mn) != 2 or mn[0] != "n" or not _NUMERAL.fullmatch(mn[1]):
-        fail("expected 'n <count>'", 2)
-    n = _value(mn[1])
-    if not 1 <= n <= 30:
-        fail(f"vertex count {n} outside 1..30", 2)
-    mt = fields(3)
-    if len(mt) != 2 or mt[0] != "t" or not _NUMERAL.fullmatch(mt[1]):
-        fail("expected 't <count>'", 3)
-    t = _value(mt[1])
+    n = count(2, "n")
+    if not 1 <= n <= MAX_VERTICES:
+        fail(f"vertex count {n} outside 1..{MAX_VERTICES}", 2)
+    t = count(3, "t")
     if t < 1:
         fail("need at least one color", 3)
 
@@ -472,7 +470,7 @@ def _automorphic(pattern: Graph, steps, seeds: tuple[int, ...], images: tuple[in
     for s, i in zip(seeds, images):
         vmap[s] = i
         used |= 1 << i
-    return _embed(steps, vmap, used, _ColorMatching(), 0, None, pattern.adj)
+    return _embed(steps, vmap, used, _ColorMatching(), None, pattern.adj)
 
 
 def _steps(pattern: Graph, order: list[int], start: int) -> tuple:
@@ -509,28 +507,27 @@ def _plan(pattern: Graph) -> _Plan:
 # the embedding backtracker and the pair-subset search
 
 
-def _embed(steps, vmap: list[int], used: int, sdr: _ColorMatching, edges: int, table, union_rows) -> bool:
+def _embed(steps, vmap: list[int], used: int, sdr: _ColorMatching, table, union_rows) -> bool:
     """Complete a pre-seeded embedding along ``steps``.
 
     ``vmap`` maps pattern vertices to host vertices (-1 where unplaced),
-    ``used`` is the host vertex mask of the seeds, ``sdr`` holds the color
-    masks of the pattern edges among them and ``edges`` is the pattern's
-    edge count.  Host candidates are tried in ascending order and every
-    partial embedding must keep a system of distinct representatives, so
-    the first completion is the lexicographically smallest in step order.
-    On success ``vmap`` holds the embedding; on failure ``sdr`` is back to
-    the items it came with.
+    ``used`` is the host vertex mask of the seeds and ``sdr`` holds the
+    color masks of the pattern edges among them.  Host candidates are tried
+    in ascending order and every partial embedding must keep a system of
+    distinct representatives, so the first completion is the
+    lexicographically smallest in step order.  On success ``vmap`` holds
+    the embedding; on failure ``sdr`` is back to the items it came with.
 
     Each pattern edge placed is one push onto ``sdr``, dropped again when
-    its vertex is taken back, except an edge with at least ``edges``
-    colors: the other edges hold fewer colors than that, so it can always
-    take a color last and needs no place in the matching.  The color mask
-    of host pair uv is ``table[u][v]`` (see ``Collection.color_table``),
-    and ``union_rows`` are the adjacency rows of the union of the colors.
+    its vertex is taken back.  The color mask of host pair uv is
+    ``table[u][v]`` (see ``Collection.color_table``), and ``union_rows``
+    are the adjacency rows of the union of the colors.  A candidate with
+    fewer union neighbors than its pattern vertex's degree is skipped
+    before any push.
 
     With ``table`` None the embedding is plain (no color layer):
     ``union_rows`` is the one host graph, every candidate already has the
-    back edges, and ``sdr`` and ``edges`` are not read.
+    back edges, and ``sdr`` is not read.
     """
     full = (1 << len(union_rows)) - 1
     last = len(steps)
@@ -557,8 +554,7 @@ def _embed(steps, vmap: list[int], used: int, sdr: _ColorMatching, edges: int, t
             size = len(items)
             cells = table[hv]
             for u in back:
-                mask = cells[vmap[u]]
-                if mask.bit_count() < edges and not push(mask):
+                if not push(cells[vmap[u]]):
                     break
             else:
                 vmap[pv] = hv
@@ -669,7 +665,7 @@ def _exists(t: int, table, union_rows, plan: _Plan) -> bool:
         return False
     elif plan.matching:
         return _matching_exists_with(table, m, [], 0) is not None
-    return _embed(plan.core, [-1] * plan.pattern.n, 0, _ColorMatching(), m, table, union_rows)
+    return _embed(plan.core, [-1] * plan.pattern.n, 0, _ColorMatching(), table, union_rows)
 
 
 def _exists_using_pair(
@@ -726,7 +722,7 @@ def _exists_using_pair(
         for a, b, steps in plan.anchored:
             vmap = [-1] * plan.pattern.n
             vmap[a], vmap[b] = pu, pv
-            if _embed(steps, vmap, seeds, sdr, m, table, union_rows):
+            if _embed(steps, vmap, seeds, sdr, table, union_rows):
                 found = tuple((vmap[x], vmap[y]) for x, y in plan.edges if {x, y} != {a, b})
                 break
     if found is None:
@@ -761,7 +757,7 @@ def find_rainbow_copy(col: Collection, pattern: Graph) -> RainbowWitness | None:
         vmap = [x for pair in found for x in pair]
     else:
         vmap = [-1] * pattern.n
-        if not _embed(plan.index, vmap, 0, _ColorMatching(), m, table, col.union_rows()):
+        if not _embed(plan.index, vmap, 0, _ColorMatching(), table, col.union_rows()):
             return None
     masks = [table[vmap[a]][vmap[b]] for a, b in plan.edges]
     chosen = lexmin_distinct_colors(masks)
@@ -827,7 +823,7 @@ def _exists_through_vertex(rows, plan: _Plan, anchor: int) -> bool:
         if degree >= plan.pattern.degree(seed):
             vmap = [-1] * plan.pattern.n
             vmap[seed] = anchor
-            if _embed(steps, vmap, 1 << anchor, sdr, 0, None, rows):
+            if _embed(steps, vmap, 1 << anchor, sdr, None, rows):
                 return True
     return False
 

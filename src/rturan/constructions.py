@@ -147,12 +147,13 @@ def _with_matching(t: int, s: int, f: Graph | None = None) -> PatternFamily:
     return _fam(*(g for g in (f, Graph.matching(s + 1)) if g is not None))
 
 
-def _is_bipartite(f: Graph) -> bool:
+def _min_class(f: Graph) -> int | None:
+    """p(f), the smaller class of f's most balanced 2-coloring, or None
+    when f is not bipartite."""
     try:
-        bipartition_min_class(f)
-        return True
+        return bipartition_min_class(f)
     except NotBipartite:
-        return False
+        return None
 
 
 def _is_star_with_matching(f: Graph) -> bool:
@@ -202,13 +203,14 @@ def _split_inner_family(
     fam = _with_matching(t, s, f)
     if s >= n:
         raise GuardViolated("need s < n")
+    p = _min_class(f)
     if which == "min.i":
-        if _is_bipartite(f):
+        if p is not None:
             raise GuardViolated("min.i needs a non-bipartite pattern")
         return fam, family_deleted_independent(f)
-    if not _is_bipartite(f):
+    if p is None:
         raise GuardViolated("min.ii needs a bipartite pattern")
-    if bipartition_min_class(f) <= s:
+    if p <= s:
         raise GuardViolated("min.ii needs p(f) > s")
     return fam, family_covering(f, s)
 
@@ -216,9 +218,9 @@ def _split_inner_family(
 def _balanced_tree_part(f: Graph, n: int, t: int) -> tuple[int, PatternFamily]:
     """Guards of min.iv on n vertices and t colors: p(f) and the family its
     (p-1)-part avoids."""
-    if not _is_bipartite(f):
+    p = _min_class(f)
+    if p is None:
         raise GuardViolated("min.iv needs a (balanced) tree")
-    p = bipartition_min_class(f)
     if f.edge_count() != f.n - 1 or f.n != 2 * p:
         raise GuardViolated("min.iv needs a balanced tree (|V| = 2 p(f), connected)")
     if p < 2:
@@ -307,9 +309,9 @@ def _b_min_iii(
         raise GuardViolated("need 1 <= p <= n")
     fam = None
     if f is not None:
-        if not _is_bipartite(f):
+        pf = _min_class(f)
+        if pf is None:
             raise GuardViolated("min.iii needs a bipartite pattern")
-        pf = bipartition_min_class(f)
         if pf != p:
             raise GuardViolated(f"p={p} must equal the pattern's smaller class {pf}")
         if pf > s:
@@ -607,7 +609,7 @@ def _v_sum_k3(n: int, s: int) -> int:
 def _v_sum_bipartite(n: int, f: Graph) -> int:
     if n < 1:
         raise GuardViolated("need n >= 1")
-    if not _is_bipartite(f):
+    if _min_class(f) is None:
         raise GuardViolated("formula applies to bipartite patterns")
     return (f.edge_count() - 1) * comb(n, 2)
 

@@ -158,6 +158,8 @@ class Graph:
 
     def relabel(self, perm) -> "Graph":
         """Image under the permutation sending vertex v to perm[v]."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"relabel needs a permutation of 0..{self.n - 1}, got {list(perm)}")
         rows = [0] * self.n
         for u in range(self.n):
             row = self.adj[u]
@@ -170,11 +172,14 @@ class Graph:
         return Graph(self.n, rows)
 
     def induced(self, vertices) -> "Graph":
-        """Induced subgraph on the given vertices, compacted to 0..k-1."""
+        """Induced subgraph on the given distinct vertices, compacted to
+        0..k-1."""
         vs = sorted(vertices)
-        pos = {v: i for i, v in enumerate(vs)}
         if not vs:
             raise ValueError("induced subgraph needs at least one vertex")
+        if len(set(vs)) != len(vs) or vs[0] < 0 or vs[-1] >= self.n:
+            raise ValueError(f"induced needs distinct vertices in 0..{self.n - 1}, got {vs}")
+        pos = {v: i for i, v in enumerate(vs)}
         rows = [0] * len(vs)
         for v in vs:
             for w in vs:
@@ -502,19 +507,19 @@ def family_deleted_independent(f: Graph) -> PatternFamily:
     return family_covering(f, f.n)
 
 
+def _vertex_covers(f: Graph, most: int):
+    """Vertex covers of f with at most ``most`` vertices, as sorted tuples,
+    smallest first (brute force)."""
+    edges = f.edges()
+    for size in range(min(most, f.n) + 1):
+        for s in combinations(range(f.n), size):
+            if all(u in s or v in s for u, v in edges):
+                yield s
+
+
 def minimum_vertex_cover(f: Graph) -> int:
     """Size of a smallest vertex set meeting every edge (brute force)."""
-    edges = f.edges()
-    if not edges:
-        return 0
-    for size in range(f.n + 1):
-        for s in combinations(range(f.n), size):
-            smask = 0
-            for v in s:
-                smask |= 1 << v
-            if all((smask >> u & 1) or (smask >> v & 1) for u, v in edges):
-                return size
-    raise AssertionError("unreachable: full vertex set covers everything")
+    return len(next(_vertex_covers(f, f.n)))  # the full vertex set is a cover
 
 
 def family_covering(f: Graph, p: int) -> PatternFamily:
@@ -527,15 +532,7 @@ def family_covering(f: Graph, p: int) -> PatternFamily:
         raise ValueError("p must be at least 1")
     if f.edge_count() == 0:
         raise ValueError("pattern must have at least one edge")
-    edges = f.edges()
-    members = []
-    for size in range(1, min(p, f.n) + 1):
-        for s in combinations(range(f.n), size):
-            smask = 0
-            for v in s:
-                smask |= 1 << v
-            if all((smask >> u & 1) or (smask >> v & 1) for u, v in edges):
-                members.append(f.induced(s))
+    members = [f.induced(s) for s in _vertex_covers(f, p)]  # f has an edge: no empty cover
     if not members:
         return PatternFamily.from_graphs([Graph.complete(p + 1)])
     return PatternFamily.from_graphs(members)

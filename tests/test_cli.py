@@ -75,6 +75,11 @@ def test_constructions_suite_honours_budget(capsys):
     # the budget reaches the inner searches of the constructions
     code, out, err = run(capsys, "verify", "--suite", "constructions", "--budget", "5")
     assert code == 3 and out == "" and err.startswith("budget exhausted: ")
+    # a searched suite prints its rows, each stopped search as BUDGET
+    code, out, err = run(capsys, "verify", "--suite", "meshulam", "--budget", "1")
+    statuses = [ln.split()[-1] for ln in out.splitlines()]
+    assert code == 3 and err == ""
+    assert statuses == ["boundary", "BUDGET", "BUDGET", "BUDGET", "boundary"]
 
 
 def test_budget_exhausted_exit_code(tmp_path, capsys, monkeypatch):
@@ -322,8 +327,21 @@ def test_lemma_subcommands(tmp_path, capsys):
         capsys, "lemma", "starcover", "--collection", path, "--vertex", "0", "--p", "2"
     )
     assert code == 0 and out.startswith("star")
+    # three leaves need three colors: the Konig cover of the two edges that take one
+    code, out, _ = run(
+        capsys, "lemma", "starcover", "--collection", path, "--vertex", "0", "--p", "3"
+    )
+    assert (code, out) == (0, "cover (0,3); exempt 1\n")
     code, out, _ = run(capsys, "lemma", "greedy", "--collection", path, "--q", "1")
     assert code == 0 and "#1" in out
+    code, out, _ = run(capsys, "lemma", "greedy", "--collection", path, "--q", "3")
+    assert (code, out) == (0, "precondition-violated: size 3 outside 0..t=2\n")
+    codec_write(Collection.from_edge_lists(4, [[(0, 1)], [(2, 3)]]), path)
+    code, out, _ = run(capsys, "lemma", "m2", "--collection", path)
+    assert (code, out) == (0, "rainbow-m2 vmap 0->0 1->1 2->2 3->3; cmap (0,1)->1 (2,3)->2\n")
+    codec_write(Collection.from_edge_lists(4, [[(0, 1), (0, 2), (1, 2)], []]), path)
+    code, out, _ = run(capsys, "lemma", "m2", "--collection", path)
+    assert (code, out) == (0, "all-but-one-small exempt=1\n")
     code, out, _ = run(
         capsys, "lemma", "verystrong", "--collection", path, "--color", "1",
         "--r", "2", "--m", "1",
@@ -418,13 +436,16 @@ PINNED_REPORT_ROWS = [
 
 
 def test_report_tsv_is_deterministic(tmp_path, capsys):
-    # the default budget and a larger one give the same table
+    # the default budget and a larger one give the same table, in a file or on stdout
     for extra in ([], ["--budget", "1000000"]):
         path = tmp_path / "report.tsv"
         code, _, _ = run(capsys, "report", "--out", str(path), *extra)
         assert code == 0
         rows = [tuple(ln.split("\t")[:-1]) for ln in path.read_text().splitlines()]
         assert rows == PINNED_REPORT_ROWS, extra
+    code, out, _ = run(capsys, "report")
+    assert code == 0
+    assert [tuple(ln.split("\t")[:-1]) for ln in out.splitlines()] == PINNED_REPORT_ROWS
 
 
 def test_io_and_usage_errors(tmp_path, capsys):

@@ -11,6 +11,7 @@ from rturan import (
     Graph,
     PatternFamily,
     RainbowMatching,
+    RainbowWitness,
     RangeError,
     codec_read,
     codec_write,
@@ -343,10 +344,35 @@ def test_nest_preserves_multiplicity_and_freeness():
 
 
 def test_rainbow_matching_validation_rejects_bad():
-    col = Collection.from_edge_lists(4, [[(0, 1)], [(2, 3)]])
-    with pytest.raises(ValueError):
-        RainbowMatching(((0, 1), (1, 2)), (1, 2)).validate(col)  # shared vertex
-    with pytest.raises(ValueError):
-        RainbowMatching(((0, 1), (2, 3)), (1, 1)).validate(col)  # repeated color
-    with pytest.raises(ValueError):
-        RainbowMatching(((0, 1),), (2,)).validate(col)  # wrong color
+    col = Collection.from_edge_lists(4, [[(0, 1), (0, 3)], [(2, 3)]])
+    RainbowMatching(((0, 1), (2, 3)), (1, 2)).validate(col)
+    for edges, colors, message in [
+        (((0, 1), (1, 2)), (1, 2), "not vertex-disjoint"),  # shared vertex
+        (((0, 0),), (1,), "not vertex-disjoint"),  # loop
+        (((-1, 0),), (1,), "leave the host vertex set"),  # -1 must not read as vertex 3
+        (((0, 4),), (1,), "leave the host vertex set"),
+        (((0, 1), (2, 3)), (1,), "length mismatch"),
+        (((0, 1), (2, 3)), (1, 1), "colors not injective"),  # repeated color
+        (((0, 1),), (3,), r"color 3 outside 1\.\.2"),
+        (((0, 1),), (2,), r"edge \(0, 1\) missing from color 2"),  # wrong color
+    ]:
+        with pytest.raises(ValueError, match=message):
+            RainbowMatching(edges, colors).validate(col)
+
+
+def test_rainbow_witness_validation_rejects_bad():
+    col = Collection.from_edge_lists(4, [[(0, 1)], [(2, 3)], [(1, 2)]])
+    p3 = parse_pattern("P3")
+    assert p3.edges() == [(0, 1), (1, 2)]
+    RainbowWitness(p3, (0, 1, 2), (1, 3)).validate(col)
+    for vmap, cmap, message in [
+        ((0, 1), (1, 3), "vmap does not cover the pattern vertices"),
+        ((0, 1, 1), (1, 3), "vmap not injective"),
+        ((0, 1, 4), (1, 3), "vmap leaves the host vertex set"),
+        ((0, 1, 2), (1,), "length mismatch"),
+        ((0, 1, 2), (1, 1), "colors not injective"),
+        ((0, 1, 2), (1, 4), r"color 4 outside 1\.\.3"),
+        ((0, 1, 2), (3, 1), r"edge \(0, 1\) missing from color 3"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            RainbowWitness(p3, vmap, cmap).validate(col)

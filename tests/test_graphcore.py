@@ -103,6 +103,14 @@ def test_graph_validates_invariants():
         Graph(2, [0b100, 0b000])  # bit beyond n-1
     with pytest.raises(SizeError):
         Graph(31, [0] * 31)
+    p3, p4 = parse_pattern("P3"), parse_pattern("P4")
+    for bad in ([0, 1, 0, 1], [0, 1, 2], [0, 1, 2, 4], [3, 2, 1, 0, 4]):
+        with pytest.raises(ValueError, match="permutation"):
+            p4.relabel(bad)  # not a permutation of 0..3
+    for g, bad in ((p3, [0, 0]), (p4, [0, 7]), (p4, [-1, 2])):
+        with pytest.raises(ValueError, match="distinct vertices"):
+            g.induced(bad)
+    assert p4.relabel([3, 2, 1, 0]) == p4 and p4.induced([2, 1, 0]) == p3
 
 
 def test_graph_is_immutable_value():

@@ -30,8 +30,10 @@ from rturan import (
     default_budget,
 )
 from rturan.constructions import describe
+from rturan import search
 from rturan.graphcore import _from_canonical
 from rturan.search import (
+    _PACKING_MAX_COPIES,
     _Budget,
     _CollectionSearch,
     _Loss,
@@ -712,6 +714,16 @@ def test_packing_bound_holds_every_free_completion(name, n, t):
     assert shown > 0  # the bound is below the caps' sum somewhere, so the check has teeth
 
 
+def test_packings_none_for_one_edge_over_six_vertices_or_too_many_copies():
+    assert _packings(4, parse_pattern("K2")) is None  # one edge: its caps are 0 already
+    assert _packings(8, parse_pattern("M4")) is None  # eight vertices on its edges
+    assert comb(12, 6) * 360 > _PACKING_MAX_COPIES  # the labelled 6-vertex paths in K12
+    assert _packings(12, parse_pattern("P6")) is None
+    assert _packings(12, parse_pattern("M3")) is not None
+    res = extremal_sum(Q("sum", 4, 2, FAM("K2")))
+    assert (res.value, res.exact, res.nodes) == (0, True, 1)
+
+
 @pytest.mark.parametrize("name", ["M2", "K3", "P3", "P4", "M3", "K2,2"])
 def test_packings_cover_each_pair_at_most_once(name):
     f = parse_pattern(name)
@@ -915,6 +927,26 @@ def test_min_budget_stop_keeps_the_turan_seed():
     assert (res.value, res.exact, res.nodes) == (9, False, 20_001)
     assert min(res.witness.edge_counts()) >= 9
     assert not explicit_rainbow_oracle(res.witness, parse_pattern("K3"))
+
+
+@pytest.mark.parametrize("n, t, name", [(4, 3, "K3"), (5, 3, "K3"), (5, 2, "P3"), (6, 3, "P3")])
+def test_min_probes_find_every_floor_up_to_the_value(n, t, name, monkeypatch):
+    # every min value here equals its ex(n, members) seed, so the scan alone
+    # never reaches a successful probe: run each floor directly
+    fam = FAM(name)
+    res = extremal_min(Q("min", n, t, fam))
+    assert res.exact
+    _, members = _split_family(fam, n, t)
+    for e in range(1, res.value + 2):
+        s = _CollectionSearch(n, t, members, _Budget(10**7))
+        assert s.run(e) == (e <= res.value), e
+        if e <= res.value:
+            assert s.best == e and min(s.witness.edge_counts()) >= e
+            assert not explicit_rainbow_oracle(s.witness, parse_pattern(name))
+    # from an edgeless seed the scan bisects to the same value, through found probes
+    monkeypatch.setattr(search, "_turan_family", lambda n, members, budget: (0, Graph.edgeless(n)))
+    bisected = extremal_min(Q("min", n, t, fam))
+    assert (bisected.value, bisected.exact) == (res.value, res.exact)
 
 
 def _pair_images(n: int) -> list[list[int]]:
