@@ -27,7 +27,6 @@ from . import lemmas
 from .search import (
     BudgetExceeded,
     ExtremalQuery,
-    ExtremalResult,
     extremal_min,
     extremal_sum,
     extremal_prod,
@@ -142,13 +141,9 @@ def _search(mode: str):
     return {"min": extremal_min, "sum": extremal_sum, "prod": extremal_prod}[mode]
 
 
-def _run_query(args) -> ExtremalResult:
-    query = ExtremalQuery(args.mode, args.n, args.t, parse_family(args.forbid), args.budget)
-    return _search(args.mode)(query)
-
-
 def _cmd_compute(args) -> int:
-    res = _run_query(args)
+    query = ExtremalQuery(args.mode, args.n, args.t, parse_family(args.forbid), args.budget)
+    res = _search(args.mode)(query)
     print(res.value)
     if args.out and res.witness is not None:
         codec_write(res.witness, args.out)
@@ -173,35 +168,35 @@ def _row(suite: str, params: str, claimed, computed, status: str, nodes: int, mi
 
 # The search-backed suites: each row compares a claimed closed form with an
 # exact search.  Columns: suite, params label, formula id and its params,
-# search mode, n, t, forbidden family, boundary floor.  The floor of a
-# meshulam row is C(min(n, 2s+1), 2): that complete graph carries no matching
-# of s+1 disjoint edges in any coloring, so a claimed value below it cannot be
-# the optimum (small-host boundary).  Every other row has floor 0.
+# search mode, n, t, forbidden family.
 _SEARCH_SUITE_ROWS = (
-    ("meshulam", "n=3,s=1,t=2", "meshulam", {"n": 3, "s": 1}, "min", 3, 2, "{M2}", comb(3, 2)),
-    ("meshulam", "n=4,s=1,t=2", "meshulam", {"n": 4, "s": 1}, "min", 4, 2, "{M2}", comb(3, 2)),
-    ("meshulam", "n=4,s=1,t=3", "meshulam", {"n": 4, "s": 1}, "min", 4, 3, "{M2}", comb(3, 2)),
-    ("meshulam", "n=5,s=1,t=2", "meshulam", {"n": 5, "s": 1}, "min", 5, 2, "{M2}", comb(3, 2)),
-    ("meshulam", "n=5,s=2,t=3", "meshulam", {"n": 5, "s": 2}, "min", 5, 3, "{M3}", comb(5, 2)),
-    ("min-theorem", "n=4,t=3,s=1,f=K3", "min.i", {"n": 4, "t": 3, "s": 1, "f": "K3"},
-     "min", 4, 3, "{K3,M2}", 0),
-    ("sum-k3", "n=4,t=3", "sum.k3", {"n": 4, "s": 3}, "sum", 4, 3, "{K3}", 0),
-    ("sum-k3", "n=5,t=3", "sum.k3", {"n": 5, "s": 3}, "sum", 5, 3, "{K3}", 0),
-    ("prod-matching", "n=4,t=2,s=1", "prod.matching", {"n": 4, "t": 2, "s": 1}, "prod", 4, 2, "{M2}", 0),
-    ("prod-matching", "n=4,t=3,s=1", "prod.matching", {"n": 4, "t": 3, "s": 1}, "prod", 4, 3, "{M2}", 0),
-    ("sum-bipartite", "n=5,t=2,f=P3", "sum.bipartite", {"n": 5, "f": "P3"}, "sum", 5, 2, "{P3}", 0),
+    ("meshulam", "n=3,s=1,t=2", "meshulam", {"n": 3, "s": 1}, "min", 3, 2, "{M2}"),
+    ("meshulam", "n=4,s=1,t=2", "meshulam", {"n": 4, "s": 1}, "min", 4, 2, "{M2}"),
+    ("meshulam", "n=4,s=1,t=3", "meshulam", {"n": 4, "s": 1}, "min", 4, 3, "{M2}"),
+    ("meshulam", "n=5,s=1,t=2", "meshulam", {"n": 5, "s": 1}, "min", 5, 2, "{M2}"),
+    ("meshulam", "n=5,s=2,t=3", "meshulam", {"n": 5, "s": 2}, "min", 5, 3, "{M3}"),
+    ("min-theorem", "n=4,t=3,s=1,f=K3", "min.i", {"n": 4, "t": 3, "s": 1, "f": "K3"}, "min", 4, 3, "{K3,M2}"),
+    ("sum-k3", "n=4,t=3", "sum.k3", {"n": 4, "s": 3}, "sum", 4, 3, "{K3}"),
+    ("sum-k3", "n=5,t=3", "sum.k3", {"n": 5, "s": 3}, "sum", 5, 3, "{K3}"),
+    ("prod-matching", "n=4,t=2,s=1", "prod.matching", {"n": 4, "t": 2, "s": 1}, "prod", 4, 2, "{M2}"),
+    ("prod-matching", "n=4,t=3,s=1", "prod.matching", {"n": 4, "t": 3, "s": 1}, "prod", 4, 3, "{M2}"),
+    ("sum-bipartite", "n=5,t=2,f=P3", "sum.bipartite", {"n": 5, "f": "P3"}, "sum", 5, 2, "{P3}"),
 )
 
 
 def _suite_searched(suite: str, budget) -> list[dict]:
     rows = []
-    for row_suite, label, fid, params, mode, n, t, forbid, floor in _SEARCH_SUITE_ROWS:
+    for row_suite, label, fid, params, mode, n, t, forbid in _SEARCH_SUITE_ROWS:
         if row_suite != suite:
             continue
         t0 = time.monotonic()
         claimed = cons.claimed_value(fid, params)
         res = _search(mode)(ExtremalQuery(mode, n, t, parse_family(forbid), budget))
         ms = int((time.monotonic() - t0) * 1000)
+        # A meshulam row's boundary floor is C(min(n, 2s+1), 2): that complete
+        # graph carries no matching of s+1 disjoint edges in any coloring, so a
+        # claimed value below it cannot be the optimum (small-host boundary).
+        floor = comb(min(n, 2 * params["s"] + 1), 2) if suite == "meshulam" else 0
         if not res.exact:
             status = "BUDGET"
         elif res.value == claimed:
@@ -285,37 +280,30 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rturan", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("detect", help="find a rainbow copy of a pattern in a collection")
-    p.add_argument("--collection", required=True)
+    rcol = argparse.ArgumentParser(add_help=False)  # the input of detect and of every lemma check
+    rcol.add_argument("--collection", required=True)
+
+    p = sub.add_parser("detect", parents=[rcol], help="find a rainbow copy of a pattern in a collection")
     p.add_argument("--pattern", required=True)
     p.set_defaults(fn=_cmd_detect)
 
     p = sub.add_parser("lemma", help="run one of the matching-lemma checks")
+    p.set_defaults(fn=_cmd_lemma)
     lsub = p.add_subparsers(dest="check", required=True)
-    q = lsub.add_parser("strong")
-    q.add_argument("--collection", required=True)
+    q = lsub.add_parser("strong", parents=[rcol])
     q.add_argument("--color", type=int, required=True)
     q.add_argument("--s", type=int, required=True)
     q.add_argument("--sufficient", action="store_true")
-    q.set_defaults(fn=_cmd_lemma)
-    q = lsub.add_parser("verystrong")
-    q.add_argument("--collection", required=True)
+    q = lsub.add_parser("verystrong", parents=[rcol])
     q.add_argument("--color", type=int, required=True)
     q.add_argument("--r", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
-    q.set_defaults(fn=_cmd_lemma)
-    q = lsub.add_parser("m2")
-    q.add_argument("--collection", required=True)
-    q.set_defaults(fn=_cmd_lemma)
-    q = lsub.add_parser("starcover")
-    q.add_argument("--collection", required=True)
+    lsub.add_parser("m2", parents=[rcol])
+    q = lsub.add_parser("starcover", parents=[rcol])
     q.add_argument("--vertex", type=int, required=True)
     q.add_argument("--p", type=int, required=True)
-    q.set_defaults(fn=_cmd_lemma)
-    q = lsub.add_parser("greedy")
-    q.add_argument("--collection", required=True)
+    q = lsub.add_parser("greedy", parents=[rcol])
     q.add_argument("--q", type=int, required=True)
-    q.set_defaults(fn=_cmd_lemma)
 
     p = sub.add_parser("construct", help="emit a registered construction as .rcol")
     p.add_argument("--id", required=True, choices=sorted(cons.CONSTRUCTION_IDS))

@@ -21,7 +21,7 @@ without the color layer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .graphcore import MAX_VERTICES, Graph, PatternFamily
@@ -60,26 +60,29 @@ class RangeError(ValueError):
         self.line = line
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Collection:
-    """Ordered graphs (G_1, ..., G_t) on a common n-vertex set."""
+    """Ordered graphs (G_1, ..., G_t) on a common n-vertex set.
 
-    __slots__ = ("n", "t", "graphs", "_table")
+    Equality and hashing read ``graphs`` alone; ``n``, ``t`` and the
+    memoized color table follow from it."""
 
-    def __init__(self, graphs):
-        graphs = tuple(graphs)
+    graphs: tuple[Graph, ...]
+    n: int = field(init=False, compare=False)
+    t: int = field(init=False, compare=False)
+    _table: tuple[tuple[int, ...], ...] | None = field(init=False, compare=False, default=None)
+
+    def __post_init__(self):
+        graphs = tuple(self.graphs)
         if not graphs:
             raise ValueError("collection needs at least one color")
         n = graphs[0].n
         for g in graphs:
             if g.n != n:
                 raise ValueError("all graphs must share the vertex count")
+        object.__setattr__(self, "graphs", graphs)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", len(graphs))
-        object.__setattr__(self, "graphs", graphs)
-        object.__setattr__(self, "_table", None)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Collection is immutable")
 
     @classmethod
     def from_edge_lists(cls, n: int, edge_lists) -> "Collection":
@@ -118,12 +121,6 @@ class Collection:
 
     def edge_counts(self) -> tuple[int, ...]:
         return tuple(g.edge_count() for g in self.graphs)
-
-    def __eq__(self, other):
-        return isinstance(other, Collection) and self.graphs == other.graphs
-
-    def __hash__(self):
-        return hash(self.graphs)
 
     def __repr__(self):
         return f"Collection(n={self.n}, t={self.t}, edges={self.edge_counts()})"
@@ -378,8 +375,9 @@ def assign_distinct_colors(masks: list[int]) -> list[int] | None:
     return [low.bit_length() - 1 for low in sdr.bits]
 
 
-def lexmin_distinct_colors(masks: list[int]) -> list[int] | None:
-    """Lexicographically smallest color assignment, item by item."""
+def lexmin_distinct_colors(masks: list[int]) -> tuple[int, ...] | None:
+    """Lexicographically smallest color assignment, item by item, as the
+    1-based colors a witness records (bit i is color i + 1)."""
     fixed = list(masks)
     for i, m in enumerate(masks):
         while m:
@@ -390,7 +388,7 @@ def lexmin_distinct_colors(masks: list[int]) -> list[int] | None:
                 break
         else:
             return None
-    return [low.bit_length() - 1 for low in fixed]
+    return tuple(low.bit_length() for low in fixed)
 
 
 # ---------------------------------------------------------------------
@@ -760,8 +758,7 @@ def find_rainbow_copy(col: Collection, pattern: Graph) -> RainbowWitness | None:
         if not _embed(plan.index, vmap, 0, _ColorMatching(), table, col.union_rows()):
             return None
     masks = [table[vmap[a]][vmap[b]] for a, b in plan.edges]
-    chosen = lexmin_distinct_colors(masks)
-    return RainbowWitness(pattern, tuple(vmap), tuple(c + 1 for c in chosen))
+    return RainbowWitness(pattern, tuple(vmap), lexmin_distinct_colors(masks))
 
 
 def is_rainbow_free(col: Collection, family: PatternFamily) -> bool:
@@ -845,8 +842,7 @@ def max_rainbow_matching(col: Collection) -> tuple[int, RainbowMatching]:
         if found is None:
             break
         best = found
-    colors = lexmin_distinct_colors([table[u][v] for u, v in best])
-    return len(best), RainbowMatching(best, tuple(c + 1 for c in colors))
+    return len(best), RainbowMatching(best, lexmin_distinct_colors([table[u][v] for u, v in best]))
 
 
 # ---------------------------------------------------------------------

@@ -73,6 +73,7 @@ from .search import (
     turan_exact,
     turan_extremal,
     BudgetExceeded,
+    _check_query,
 )
 
 MAX_INNER_VERTICES = 4  # inner collections are searched, not supplied, up to here
@@ -163,23 +164,26 @@ def _is_star_with_matching(f: Graph) -> bool:
     return any(all(x in e for e in joined) for x in range(f.n))
 
 
-def _inner_search(
-    s: int, t: int, inner_family: PatternFamily, budget: int | None = None
-) -> ExtremalResult:
-    """Exact min search for the inner part of a split construction."""
+def _inner_search(s: int, t: int, inner_family: partial, budget: int | None = None) -> ExtremalResult:
+    """Exact min search for the inner part of a split construction.
+
+    ``inner_family()`` builds the family the part avoids.  It runs only
+    once the search's limits hold, since it can take seconds (a brute force
+    over the vertex sets of f) where the search would refuse at once."""
     if s > MAX_INNER_VERTICES:
         raise InnerTooLarge(
             f"inner part has {s} > {MAX_INNER_VERTICES} vertices, too many to search"
             " (a construction takes an explicit inner collection)"
         )
-    res = extremal_min(ExtremalQuery("min", s, t, inner_family, budget))
+    _check_query(s, t, budget)
+    res = extremal_min(ExtremalQuery("min", s, t, inner_family(), budget))
     if not res.exact or res.witness is None:
         raise InnerInfeasible("inner extremal search hit its node budget")
     return res
 
 
 def _resolve_inner(
-    s: int, t: int, inner_family: PatternFamily, supplied: Collection | None, budget: int | None
+    s: int, t: int, inner_family: partial, supplied: Collection | None, budget: int | None
 ) -> Collection:
     """Inner collection on s vertices: validate the supplied one or search."""
     if supplied is None:
@@ -190,16 +194,14 @@ def _resolve_inner(
         raise InnerTooLarge(f"inner collection has {supplied.n} vertices, needs {s}")
     if supplied.t != t:
         raise InnerTooLarge(f"inner collection has {supplied.t} colors, needs {t}")
-    if not is_rainbow_free(supplied, inner_family):
+    if not is_rainbow_free(supplied, inner_family()):
         raise GuardViolated("supplied inner collection is not rainbow-free")
     return supplied
 
 
-def _split_inner_family(
-    which: str, f: Graph, n: int, t: int, s: int
-) -> tuple[PatternFamily, PatternFamily]:
-    """Guards of min.i / min.ii, their family and the family the s-part
-    avoids."""
+def _split_inner_family(which: str, f: Graph, n: int, t: int, s: int) -> tuple[PatternFamily, partial]:
+    """Guards of min.i / min.ii, their family and a builder of the family
+    the s-part avoids."""
     fam = _with_matching(t, s, f)
     if s >= n:
         raise GuardViolated("need s < n")
@@ -207,17 +209,17 @@ def _split_inner_family(
     if which == "min.i":
         if p is not None:
             raise GuardViolated("min.i needs a non-bipartite pattern")
-        return fam, family_deleted_independent(f)
+        return fam, partial(family_deleted_independent, f)
     if p is None:
         raise GuardViolated("min.ii needs a bipartite pattern")
     if p <= s:
         raise GuardViolated("min.ii needs p(f) > s")
-    return fam, family_covering(f, s)
+    return fam, partial(family_covering, f, s)
 
 
-def _balanced_tree_part(f: Graph, n: int, t: int) -> tuple[int, PatternFamily]:
-    """Guards of min.iv on n vertices and t colors: p(f) and the family its
-    (p-1)-part avoids."""
+def _balanced_tree_part(f: Graph, n: int, t: int) -> tuple[int, partial]:
+    """Guards of min.iv on n vertices and t colors: p(f) and a builder of
+    the family its (p-1)-part avoids."""
     p = _min_class(f)
     if p is None:
         raise GuardViolated("min.iv needs a (balanced) tree")
@@ -229,7 +231,7 @@ def _balanced_tree_part(f: Graph, n: int, t: int) -> tuple[int, PatternFamily]:
         raise GuardViolated(f"need n >= p(f) - 1 = {p - 1}")
     if t < f.edge_count():
         raise GuardViolated("need t >= |E(f)|")
-    return p, family_covering(f, p - 1)
+    return p, partial(family_covering, f, p - 1)
 
 
 def _prod_matching_guards(n: int, t: int, s: int) -> PatternFamily:

@@ -28,6 +28,7 @@ on this module; this one imports no other module of the package.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -53,6 +54,7 @@ class NotBipartite(Exception):
         self.odd_cycle = odd_cycle
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bit-mask rows.
 
@@ -60,12 +62,14 @@ class Graph:
     beyond index n is ever set.  Instances are immutable value objects.
     """
 
-    __slots__ = ("n", "adj")
+    n: int
+    adj: tuple[int, ...]
 
-    def __init__(self, n: int, adj):
+    def __post_init__(self):
+        n = self.n
         if not 1 <= n <= MAX_VERTICES:
             raise SizeError(f"vertex count {n} outside 1..{MAX_VERTICES}")
-        adj = tuple(adj)
+        adj = tuple(self.adj)
         if len(adj) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
         full = (1 << n) - 1
@@ -78,11 +82,7 @@ class Graph:
             for v in range(u + 1, n):
                 if (adj[u] >> v & 1) != (adj[v] >> u & 1):
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Graph is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -188,12 +188,6 @@ class Graph:
                     rows[pos[w]] |= 1 << pos[v]
         return Graph(len(vs), rows)
 
-    def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-
-    def __hash__(self):
-        return hash((self.n, self.adj))
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edges()})"
 
@@ -203,13 +197,13 @@ class Graph:
 
 
 _FORMS = [
-    (re.compile(r"K(\d+),(\d+)\Z"), lambda a, b: Graph.complete_bipartite(a, b), (1, 1)),
-    (re.compile(r"K(\d+)\Z"), lambda k: Graph.complete(k), (1,)),
-    (re.compile(r"S(\d+)\+(\d+)M\Z"), lambda r, m: Graph.star_plus_matching(r, m), (1, 1)),
-    (re.compile(r"S(\d+)\Z"), lambda r: Graph.star(r), (1,)),
-    (re.compile(r"M(\d+)\Z"), lambda k: Graph.matching(k), (1,)),
-    (re.compile(r"P(\d+)\Z"), lambda k: Graph.path(k), (1,)),
-    (re.compile(r"E(\d+)\Z"), lambda k: Graph.edgeless(k), (1,)),
+    (re.compile(r"K(\d+),(\d+)\Z"), Graph.complete_bipartite),
+    (re.compile(r"K(\d+)\Z"), Graph.complete),
+    (re.compile(r"S(\d+)\+(\d+)M\Z"), Graph.star_plus_matching),
+    (re.compile(r"S(\d+)\Z"), Graph.star),
+    (re.compile(r"M(\d+)\Z"), Graph.matching),
+    (re.compile(r"P(\d+)\Z"), Graph.path),
+    (re.compile(r"E(\d+)\Z"), Graph.edgeless),
 ]
 
 
@@ -220,14 +214,14 @@ def parse_pattern(text: str) -> Graph:
     contiguous, matching edge i = (2i, 2i+1)) so that constructions
     built from patterns are reproducible byte for byte.
     """
-    for rx, build, mins in _FORMS:
+    for rx, build in _FORMS:
         m = rx.match(text)
         if m is None:
             continue
         args = [int(g) for g in m.groups()]
-        for a, lo in zip(args, mins):
-            if a < lo:
-                raise ParseError(f"parameter {a} below minimum {lo} in {text!r}")
+        for a in args:
+            if a < 1:
+                raise ParseError(f"parameter {a} below minimum 1 in {text!r}")
             if a > MAX_VERTICES:  # each form has at least as many vertices as each numeral
                 raise SizeError(f"parameter {a} above {MAX_VERTICES} in {text!r}")
         return build(*args)
@@ -458,19 +452,17 @@ def _normalize_member(g: Graph) -> Graph:
     return g.induced(touched)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class PatternFamily:
     """A set of forbidden patterns, pairwise non-isomorphic."""
 
-    __slots__ = ("members",)
+    members: tuple[Graph, ...]
 
-    def __init__(self, members):
-        members = tuple(members)
+    def __post_init__(self):
+        members = tuple(self.members)
         if not members:
             raise ValueError("family needs at least one member")
         object.__setattr__(self, "members", members)
-
-    def __setattr__(self, *args):
-        raise AttributeError("PatternFamily is immutable")
 
     @classmethod
     def from_graphs(cls, graphs) -> "PatternFamily":
@@ -486,12 +478,6 @@ class PatternFamily:
 
     def __len__(self):
         return len(self.members)
-
-    def __eq__(self, other):
-        return isinstance(other, PatternFamily) and self.members == other.members
-
-    def __hash__(self):
-        return hash(self.members)
 
     def __repr__(self):
         return f"PatternFamily({list(self.members)})"

@@ -347,8 +347,7 @@ def star_cover(col: Collection, v: int, p: int) -> StarCover:
             left_out |= cm
 
     if len(held) == p:
-        chosen = lexmin_distinct_colors(sdr.masks)
-        witness = RainbowWitness(Graph.star(p), (v, *held), tuple(c + 1 for c in chosen))
+        witness = RainbowWitness(Graph.star(p), (v, *held), lexmin_distinct_colors(sdr.masks))
         witness.validate(col)
         return StarCover(witness=witness)
 

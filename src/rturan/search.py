@@ -212,6 +212,14 @@ def _check_args(n, budget, **more):
         raise ValueError(f"budget must be at least 1, got {budget}")
 
 
+def _check_query(n, t, budget):
+    """The checks of ``ExtremalQuery`` that read no family, so a caller can
+    run them before it builds one: those of ``_check_args`` and 1 <= t <= 6."""
+    _check_args(n, budget, t=t)
+    if not 1 <= t <= 6:
+        raise ValueError(f"t must be in 1..6, got {t}")
+
+
 @dataclass(frozen=True)
 class ExtremalQuery:
     mode: str  # "min" | "sum" | "prod"
@@ -223,9 +231,7 @@ class ExtremalQuery:
     def __post_init__(self):
         if self.mode not in ("min", "sum", "prod"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        _check_args(self.n, self.budget, t=self.t)
-        if not 1 <= self.t <= 6:
-            raise ValueError(f"t must be in 1..6, got {self.t}")
+        _check_query(self.n, self.t, self.budget)
         if not isinstance(self.family, PatternFamily):
             raise ValueError(f"family must be a PatternFamily, got {self.family!r}")
 

@@ -349,6 +349,21 @@ def test_lemma_subcommands(tmp_path, capsys):
     assert code == 0 and out.strip() in ("very-strong", "not-very-strong")
 
 
+def test_lemma_greedy_of_size_zero_prints_empty(tmp_path, capsys):
+    path = str(tmp_path / "c.rcol")
+    codec_write(Collection.from_edge_lists(4, [[(0, 1)], []]), path)
+    assert run(capsys, "lemma", "greedy", "--collection", path, "--q", "0") == (0, "empty\n", "")
+
+
+def test_construction_parameter_without_a_value_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "x.rcol"
+    code, out, err = run(
+        capsys, "construct", "--id", "prod.matching", "--params", "n5,t=2,s=1", "--out", str(out_path)
+    )
+    assert (code, out, err) == (2, "", "usage error: malformed parameter 'n5' (expected k=v)\n")
+    assert not out_path.exists()
+
+
 def test_lemma_strong_sufficient_agrees_when_2s_exceeds_n(tmp_path, capsys):
     path = str(tmp_path / "c.rcol")
     codec_write(

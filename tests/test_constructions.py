@@ -16,14 +16,19 @@ from rturan import (
     GuardViolated,
     InnerInfeasible,
     InnerTooLarge,
+    ExtremalQuery,
     PatternFamily,
     build,
     canonical_form,
     certification_grid,
     claimed_value,
+    codec_write,
     describe,
+    extremal_min,
+    family_deleted_independent,
     is_rainbow_free,
     meshulam_collection,
+    parse_pattern,
 )
 
 
@@ -89,6 +94,69 @@ def test_supplied_inner_is_validated():
     with pytest.raises(GuardViolated):
         # a single edge on the 2-set is a rainbow copy of the inner K2 member
         describe("min.i", {"n": 6, "t": 3, "s": 2, "f": "K3", "inner": good_shape})
+
+
+def test_supplied_inner_with_the_wrong_color_count_is_refused():
+    with pytest.raises(InnerTooLarge, match="inner collection has 2 colors, needs 3"):
+        describe("min.i", {"n": 6, "t": 3, "s": 2, "f": "K3", "inner": Collection.from_edge_lists(2, [[], []])})
+
+
+def test_supplied_inner_equal_to_the_searched_one_gives_the_searched_build(tmp_path, capsys):
+    params = {"n": 6, "t": 6, "s": 3, "f": "K4"}
+    inner = extremal_min(ExtremalQuery("min", 3, 6, family_deleted_independent(parse_pattern("K4")))).witness
+    assert inner.edge_counts() == (2,) * 6  # no rainbow K3 on 3 vertices: one path in every color
+    searched = describe("min.i", params).collection
+    assert describe("min.i", {**params, "inner": inner}).collection == searched
+    codec_write(inner, str(tmp_path / "inner.rcol"))
+    spec = "n=6,t=6,s=3,f=K4"
+    for name, extra in (("searched", []), ("supplied", ["--inner", str(tmp_path / "inner.rcol")])):
+        argv = ["construct", "--id", "min.i", "--params", spec, *extra, "--out", str(tmp_path / f"{name}.rcol")]
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert (tmp_path / "searched.rcol").read_bytes() == (tmp_path / "supplied.rcol").read_bytes()
+
+
+# inputs the inner search refuses; each used to build the inner family first,
+# which takes seconds from v(f) = 18 on and grows about 3x per two vertices
+REFUSED_INNER = [
+    ("min.iv", {"n": 22, "t": 21, "f": "P22"}, InnerTooLarge, "inner part has 10 > 4 vertices"),
+    ("min.iv", {"n": 30, "t": 29, "f": "P30"}, InnerTooLarge, "inner part has 14 > 4 vertices"),
+    ("min.i", {"n": 23, "t": 231, "s": 1, "f": "K22"}, ValueError, "t must be in 1..6, got 231"),
+    ("min.ii", {"n": 6, "t": 7, "s": 1, "f": "P4"}, ValueError, "t must be in 1..6, got 7"),
+]
+
+
+@pytest.mark.parametrize("cid, params, error, message", REFUSED_INNER)
+def test_inner_search_limits_are_checked_before_its_family_is_built(
+    monkeypatch, tmp_path, capsys, cid, params, error, message
+):
+    def refuse(*args):
+        raise AssertionError("inner family built before the inner search's limits were checked")
+
+    monkeypatch.setattr(constructions, "family_deleted_independent", refuse)
+    monkeypatch.setattr(constructions, "family_covering", refuse)
+    for call in (describe, claimed_value):
+        with pytest.raises(error, match=re.escape(message)) as info:
+            call(cid, params)
+        assert info.type is error
+    spec = ",".join(f"{k}={v}" for k, v in params.items())
+    out_path = tmp_path / "x.rcol"
+    assert cli.main(["construct", "--id", cid, "--params", spec, "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: {message}")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "cid, params, message",
+    [
+        ("sum.cliques", {"n": 5, "t": 3, "f": "E2"}, "pattern needs at least one edge"),
+        ("sum.monochrome-extremal", {"n": 11, "t": 2, "f": "K3"}, "searched up to n = 10"),
+        ("sum.monochrome-extremal", {"n": 4, "t": 2, "f": "E3"}, "no f-free graph exists on this vertex count"),
+    ],
+)
+def test_sum_construction_guards(cid, params, message):
+    with pytest.raises(GuardViolated, match=message):
+        describe(cid, params)
 
 
 def test_supplied_inner_must_be_a_collection():

@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 from rturan import (
+    Collection,
     Graph,
     NotBipartite,
     ParseError,
@@ -119,6 +120,71 @@ def test_graph_is_immutable_value():
         g.n = 5
     assert g == Graph.complete(3)
     assert hash(g) == hash(Graph.complete(3))
+
+
+# (its fields, make a value, make an equal one by another route, make a different one, its repr)
+VALUES = {
+    "graph": (
+        ("n", "adj"),
+        lambda: parse_pattern("P3"),
+        lambda: Graph.from_edges(3, [(1, 2), (0, 1)]),
+        lambda: Graph.path(4),
+        "Graph(n=3, edges=[(0, 1), (1, 2)])",
+    ),
+    "collection": (
+        ("graphs", "n", "t", "_table"),
+        lambda: Collection.from_edge_lists(3, [[(0, 1)], [(0, 1), (1, 2)]]),
+        lambda: Collection([Graph.from_edges(3, [(0, 1)]), parse_pattern("P3")]),
+        lambda: Collection.from_edge_lists(3, [[(0, 1), (1, 2)], [(0, 1)]]),
+        "Collection(n=3, t=2, edges=(1, 2))",
+    ),
+    "family": (
+        ("members",),
+        lambda: parse_family("{K3,M2}"),
+        lambda: PatternFamily.from_graphs([Graph.complete(3), Graph.matching(2), parse_pattern("K3")]),
+        lambda: parse_family("{K3}"),
+        "PatternFamily([Graph(n=4, edges=[(0, 1), (2, 3)]), Graph(n=3, edges=[(0, 1), (0, 2), (1, 2)])])",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_value_types_are_immutable_and_compare_by_value(kind):
+    fields, make, same, other, text = VALUES[kind]
+    value = make()
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert value == same() and hash(value) == hash(same())
+    assert value != other() and value != repr(value)
+    assert repr(value) == text
+
+
+def test_collection_color_table_keeps_equality_and_hash():
+    _, make, same, _, _ = VALUES["collection"]
+    col = make()
+    before = hash(col)
+    assert col.color_table()[0][1] == 0b11
+    assert hash(col) == before and col == same()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Collection([]), ValueError, "collection needs at least one color"),
+        (lambda: Collection([Graph.edgeless(2), Graph.edgeless(3)]), ValueError, "all graphs must share"),
+        (lambda: PatternFamily([]), ValueError, "family needs at least one member"),
+        (lambda: Graph(3, [0, 0]), ValueError, "expected 3 adjacency rows, got 2"),
+        (lambda: Graph(2, [0b10, 0]), ValueError, "asymmetric adjacency between 0 and 1"),
+        (lambda: Graph.from_edges(3, [(1, 1)]), ValueError, r"loop \(1,1\)"),
+        (lambda: Graph.from_edges(3, [(0, 3)]), ValueError, r"edge \(0,3\) outside 0..2"),
+        (lambda: Graph(0, []), SizeError, "vertex count 0 outside 1..30"),
+        (lambda: Graph(31, [0] * 31), SizeError, "vertex count 31 outside 1..30"),
+    ],
+)
+def test_value_type_constructor_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 # -- canonical labeling ------------------------------------------------

@@ -45,3 +45,18 @@ def test_module_graph_is_one_way():
     assert edges and all(target in RANK for _, target in edges), edges
     against = [(source, target) for source, target in edges if RANK[target] >= RANK[source]]
     assert against == [], "imports against graphcore -> collection -> {lemmas, search} -> constructions -> cli"
+
+
+def test_no_class_writes_its_own_value_semantics():
+    """Value types are frozen dataclasses: no class hand-writes the
+    assignment guard, equality or hash that the decorator generates."""
+    files = sorted(Path(rturan.__file__).parent.glob("*.py"))
+    written = [
+        f"{path.stem}.{node.name}.{item.name}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("__setattr__", "__eq__", "__hash__")
+    ]
+    assert written == []

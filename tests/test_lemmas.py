@@ -59,6 +59,19 @@ def test_greedy_extend_validates_preconditions():
         greedy_extend(col8, RainbowMatching((), ()), {1: 0, 2: 2, 3: 4}, 3)  # no color 3
 
 
+def test_greedy_extend_checks_colors_size_and_centers():
+    col = Collection.from_edge_lists(12, [[(2, 3)], [(0, 1)], [(4, v) for v in range(5, 10)]])
+    with pytest.raises(PreconditionViolated, match=r"M0 must use colors 1..1, got \[2\]"):
+        greedy_extend(col, RainbowMatching(((0, 1),), (2,)), {}, 1)  # a valid M0 in color 2
+    m0 = RainbowMatching(((2, 3),), (1,))
+    with pytest.raises(PreconditionViolated, match=r"target size 0 smaller than \|M0\|=1"):
+        greedy_extend(col, m0, {}, 0)
+    with pytest.raises(PreconditionViolated, match=r"centers must be keyed by colors 2..2, got \[3\]"):
+        greedy_extend(col, m0, {3: 4}, 2)
+    with pytest.raises(PreconditionViolated, match="center 12 outside the vertex set"):
+        greedy_extend(col, m0, {2: 12}, 2)
+
+
 def test_greedy_from_degrees_examples():
     single = Collection.from_edge_lists(2, [[(0, 1)]])
     m = greedy_from_degrees(single, 1)
@@ -208,6 +221,23 @@ def test_very_strong_examples():
         14, [[(2 * i, 2 * i + 1) for i in range(7)], [(0, 2), (1, 3)], [(0, 3)]]
     )
     assert very_strong_color(big14, 1, 2, 1) is True
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda col: very_strong_color(col, 1, 1, 1), "need r >= 2 and m >= 1"),
+        (lambda col: very_strong_color(col, 1, 2, 0), "need r >= 2 and m >= 1"),
+        (lambda col: very_strong_color(col, 0, 2, 1), "color 0 outside 1..2"),
+        (lambda col: very_strong_color(col, 3, 2, 1), "color 3 outside 1..2"),
+        (lambda col: star_cover(col, 0, 0), "p must be at least 1"),
+        (lambda col: star_cover(col, -1, 1), "vertex -1 outside 0..3"),
+        (lambda col: star_cover(col, 4, 1), "vertex 4 outside 0..3"),
+    ],
+)
+def test_very_strong_and_star_cover_check_their_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(Collection.from_edge_lists(4, [[(0, 1)], [(0, 2)]]))
 
 
 def test_very_strong_detects_blocking_configuration():

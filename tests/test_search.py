@@ -364,6 +364,41 @@ def test_min_value_nonincreasing_in_colors():
             prev = v
 
 
+# Every free collection obeys these relations, so exact answers must too: at
+# n = 5 and 6 they check search values that no reference search reaches.
+INVARIANT_FAMILIES = ("{K3}", "{P3}", "{M2}", "{P4}", "{K3,M2}", "{S3}", "{M3}", "{K2,2}")
+EXACT_AT_6_3 = ("{P3}", "{M2}", "{K3,M2}", "{K2,2}")  # within the budget below
+
+
+def _balanced_product(total: int, t: int) -> int:
+    """Largest product of t nonnegative integers with the given sum."""
+    q, r = divmod(total, t)
+    return (q + 1) ** r * q ** (t - r)
+
+
+@pytest.mark.parametrize("famtext", INVARIANT_FAMILIES)
+def test_min_sum_prod_obey_cross_objective_invariants(famtext):
+    points = [(n, t) for n in range(2, 6) for t in (2, 3)] + [(6, 2)]
+    if famtext in EXACT_AT_6_3:
+        points.append((6, 3))
+    fam = parse_family(famtext)
+    value = {}
+    for n, t in points:
+        for mode, search in (("min", extremal_min), ("sum", extremal_sum), ("prod", extremal_prod)):
+            res = search(Q(mode, n, t, fam, 300_000))
+            assert res.exact, (mode, n, t)
+            value[mode, n, t] = res.value
+    for n, t in points:
+        least, total = value["min", n, t], value["sum", n, t]
+        assert t * least <= total, (n, t)
+        assert least**t <= value["prod", n, t] <= _balanced_product(total, t), (n, t)
+        for mode in ("min", "sum", "prod"):
+            if (mode, n + 1, t) in value:
+                assert value[mode, n, t] <= value[mode, n + 1, t], (mode, n, t)
+        if ("min", n, t + 1) in value:
+            assert value["min", n, t + 1] <= least and value["sum", n, t + 1] >= total, (n, t)
+
+
 def test_results_are_deterministic_across_runs():
     for fn, mode in ((extremal_min, "min"), (extremal_sum, "sum"), (extremal_prod, "prod")):
         a = fn(Q(mode, 4, 3, FAM("K3", "M2")))
