@@ -54,7 +54,7 @@ class NotBipartite(Exception):
         self.odd_cycle = odd_cycle
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, repr=False)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bit-mask rows.
 
@@ -452,7 +452,7 @@ def _normalize_member(g: Graph) -> Graph:
     return g.induced(touched)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, repr=False)
 class PatternFamily:
     """A set of forbidden patterns, pairwise non-isomorphic."""
 

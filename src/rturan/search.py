@@ -111,7 +111,13 @@ ex(n, F) for a single plain graph is computed by orderly generation:
 F-free graphs are grown one vertex at a time and deduplicated by
 canonical form, so each isomorphism class is extended exactly once.
 Twin vertices of a parent are interchangeable, so only new-vertex
-neighbourhoods packed toward the lowest twins are tried.  Only graphs
+neighbourhoods packed toward the lowest twins are tried, built directly
+as unions of one prefix per twin class.  A child holds a member only
+through its new vertex, and a copy found there leaves the new vertex's
+residual neighbourhood N: the parent vertices its pattern neighbours
+landed on.  A later neighbourhood of the same parent that contains N
+holds the same copy, so it is rejected without a search, much as the
+anchored detector re-checks its residual copies.  Only graphs
 dense enough to lie under an extremal graph are grown: with L the edge
 count of an explicit F-free graph (a Turan graph saturated greedily),
 level k keeps graphs with at least L C(k,2)/C(n,2) edges, since deleting
@@ -129,7 +135,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, combinations, islice, permutations
+from itertools import accumulate, chain, combinations, islice, permutations
 from math import comb, lcm, prod
 from operator import add, itemgetter, or_
 
@@ -927,21 +933,19 @@ def _edge_floor(n: int, members) -> int:
     T(n, r), saturated by adding pairs in lexicographic order while it
     stays member-free.
     """
-    def free(rows) -> bool:
-        g = Graph(n, rows)
-        return not any(contains_subgraph(g, f) for f in members)
-
     for r in range(n, 0, -1):  # T(n, r) gains edges with r; vertex v in part v mod r
         rows = [sum(1 << w for w in range(n) if (w - v) % r) for v in range(n)]
-        if free(rows):
+        if not any(contains_subgraph(Graph(n, rows), f) for f in members):
             break
     else:
         return 0
+    plans = [_plan(f) for f in members]
     for u, v in _pairs(n):
         if not rows[u] >> v & 1:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            if not free(rows):
+            # the graph without uv was member-free, so any copy uses u
+            if any(_exists_through_vertex(rows, plan, u) is not None for plan in plans):
                 rows[u] &= ~(1 << v)
                 rows[v] &= ~(1 << u)
     return sum(row.bit_count() for row in rows) // 2
@@ -953,10 +957,18 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
     Each level maps canonical forms to the first graph found in the class.
     A child is the parent plus a new vertex adjacent to the parent vertices
     in ``mask``, tried in ascending order.  A mask holding a twin but missing
-    a lower twin of the same class (``_twin_classes`` of the parent) is
-    skipped: swapping the two gives a smaller mask and an isomorphic child,
-    which was tried first.  The budget takes one step per mask tried, and
-    its ``BudgetExceeded`` reaches the caller.
+    a lower twin of the same class (``_twin_classes`` of the parent) is never
+    built: swapping the two gives a smaller mask and an isomorphic child,
+    which was tried first.  So the masks are the unions of one prefix of
+    each class, sorted.  The budget takes one step per mask tried, and its
+    ``BudgetExceeded`` reaches the caller.
+
+    The parent is member-free, so a child holds a member only through the
+    new vertex, and ``_hits_pattern`` returns the new vertex's residual
+    neighbourhood N of a copy it finds.  The child of any later mask that
+    contains N differs only in the new vertex's row and keeps N in it, so
+    it holds the same copy: such a mask takes its step and is rejected
+    without a search.  Each parent keeps the N of its own hits only.
 
     ``_edge_floor`` gives a certified lower bound on ex(n, members).
     Deleting a minimum-degree vertex from a k-vertex graph with e edges
@@ -984,20 +996,19 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
         nxt: dict[bytes, tuple[int, ...]] = {}
         for rows in level.values():
             short = need - sum(r.bit_count() for r in rows) // 2
-            # consecutive twins lo < hi of the parent: hi needs lo in the mask
-            steps = [
-                (1 << lo, 1 << hi)
-                for cls in _twin_classes(k - 1, rows)
-                for lo, hi in zip(cls, cls[1:])
-            ]
-            for mask in range(1 << (k - 1)):
-                if mask.bit_count() < short:
-                    continue
-                if any(mask & hi and not mask & lo for lo, hi in steps):
-                    continue
+            masks = [0]  # the unions of one prefix of each twin class
+            for cls in _twin_classes(k - 1, rows):
+                prefixes = list(accumulate((1 << v for v in cls), or_, initial=0))
+                masks = [m | p for m in masks for p in prefixes]
+            residual: list[int] = []  # residual neighbourhoods of this parent's hits
+            for mask in sorted(m for m in masks if m.bit_count() >= short):
                 budget.step()
+                if any(mask & r == r for r in residual):
+                    continue
                 new_rows = _extend_rows(rows, mask, k)
-                if _hits_pattern(new_rows, k, plans):
+                hit = _hits_pattern(new_rows, k, plans)
+                if hit is not None:
+                    residual.append(hit)
                     continue
                 nxt.setdefault(_canonical(k, new_rows), new_rows)
         level = nxt
@@ -1015,10 +1026,13 @@ def _extend_rows(rows: tuple[int, ...], mask: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _hits_pattern(rows: tuple[int, ...], k: int, plans) -> bool:
+def _hits_pattern(rows: tuple[int, ...], k: int, plans) -> int | None:
     """Does the k-vertex graph contain a member (a plan) through the new
-    vertex k-1?  The parent graph was member-free, so no other copy can."""
+    vertex k-1?  The parent graph was member-free, so no other copy can.
+    The new vertex's residual neighbourhood of the first member found
+    (see ``_exists_through_vertex``), or None when none is there."""
     for plan in plans:  # a loop, not any() over a generator: this runs once per extension
-        if _exists_through_vertex(rows, plan, k - 1):
-            return True
-    return False
+        hit = _exists_through_vertex(rows, plan, k - 1)
+        if hit is not None:
+            return hit
+    return None

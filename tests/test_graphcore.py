@@ -1,5 +1,8 @@
 """Pattern parsing, canonical labeling, derived families, bipartitions."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from itertools import combinations, permutations
 
@@ -158,6 +161,18 @@ def test_value_types_are_immutable_and_compare_by_value(kind):
     assert value == same() and hash(value) == hash(same())
     assert value != other() and value != repr(value)
     assert repr(value) == text
+
+
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_value_types_refuse_every_assignment_and_round_trip(kind):
+    # a field name and a name that is not a field raise the same error
+    fields, make, same, _, _ = VALUES[kind]
+    value = make()
+    for name in (fields[0], "color"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, 1)
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert copied == same() and hash(copied) == hash(value) and repr(copied) == repr(value)
 
 
 def test_collection_color_table_keeps_equality_and_hash():

@@ -160,6 +160,37 @@ def test_edge_floor_never_changes_a_value():
     assert _edge_floor(5, [parse_pattern("K6")]) == 10
 
 
+# Orderly generation's work: (value, extension attempts, ceiling on the
+# _hits_pattern searches).  A mask holding the residual neighbourhood of an
+# earlier hit of the same parent is a hit without a search, at the same one
+# budget step.  (6, {M3}) is the seed of min(6, t, {M3}).
+TURAN_WORK = {
+    (7, ("K3",)): (12, 28, 13),
+    (7, ("K2,2",)): (9, 307, 109),
+    (7, ("K4",)): (16, 21, 12),
+    (8, ("P4",)): (7, 331, 74),
+    (6, ("M3",)): (10, 209, 104),
+    (7, ("K3", "M3")): (10, 656, 177),
+    (9, ("P5",)): (12, 4_508, 587),
+}
+
+
+def test_orderly_generation_work_is_pinned(monkeypatch):
+    real, searched = search._hits_pattern, []
+
+    def counting(rows, k, plans):
+        searched.append(k)
+        return real(rows, k, plans)
+
+    monkeypatch.setattr(search, "_hits_pattern", counting)
+    for (n, names), (value, attempts, ceiling) in TURAN_WORK.items():
+        searched.clear()
+        budget = _Budget(10**7)
+        assert _turan_family(n, [parse_pattern(s) for s in names], budget)[0] == value, (n, names)
+        assert budget.used == attempts, (n, names)
+        assert len(searched) <= ceiling, (n, names, len(searched))
+
+
 def test_turan_closed_forms_at_nine_to_twelve():
     for n in (9, 10, 11, 12):
         assert turan_exact(n, parse_pattern("K3")) == n * n // 4  # Mantel
