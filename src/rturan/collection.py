@@ -406,12 +406,15 @@ class _Plan:
     detection of a large pattern never needs them.
 
     They are kept for one arc or vertex per orbit of the pattern's
-    automorphism group.  If an automorphism s maps arc (a, b) to (a', b'),
-    an embedding f with f(a') = u and f(b') = v gives the embedding
-    x -> f(s(x)), which puts a on u and b on v.  Both have the same image
-    edges, so the same colors, and the same host edge lands on uv, so one
-    seeding finds a copy exactly when the other does.  The same holds for
-    a single vertex.
+    automorphism group (``_orbit_reps``), each with the order after seeding
+    it.  If an automorphism s maps arc (a, b) to (a', b'), an embedding f
+    with f(a') = u and f(b') = v gives the embedding x -> f(s(x)), which
+    puts a on u and b on v.  Both have the same image edges, so the same
+    colors, and the same host edge lands on uv, so one seeding finds a copy
+    exactly when the other does.  The same holds for a single vertex.  The
+    order in which a step's placed neighbors are listed changes only the
+    order of color pushes, and whether a set of color masks takes distinct
+    colors does not depend on that order.
     """
 
     def __init__(self, pattern: Graph):
@@ -432,24 +435,25 @@ class _Plan:
     @cached_property
     def anchored(self) -> tuple:
         """(a, b, order after seeding a and b) per arc-orbit representative:
-        the pattern arc (a, b) goes onto the host pair in its given order.
-        Both arcs of an edge share the order, which only needs the seeds."""
-        reps: list[tuple[int, int, tuple]] = []
-        for a, b in self.edges:
-            steps = _greedy_order(self.pattern, (a, b))
-            for arc in ((a, b), (b, a)):
-                if not any(_automorphic(self.pattern, s, (p, q), arc) for p, q, s in reps):
-                    reps.append((*arc, steps))
-        return tuple(reps)
+        the pattern arc (a, b) goes onto the host pair in its given order."""
+        arcs = [arc for a, b in self.edges for arc in ((a, b), (b, a))]
+        return tuple((a, b, steps) for (a, b), steps in _orbit_reps(self.pattern, arcs))
 
     @cached_property
     def seeded(self) -> tuple:
         """(v, order after seeding v) per vertex-orbit representative v."""
-        reps: list[tuple[int, tuple]] = []
-        for v in range(self.pattern.n):
-            if not any(_automorphic(self.pattern, s, (r,), (v,)) for r, s in reps):
-                reps.append((v, _greedy_order(self.pattern, (v,))))
-        return tuple(reps)
+        vertices = [(v,) for v in range(self.pattern.n)]
+        return tuple((v, steps) for (v,), steps in _orbit_reps(self.pattern, vertices))
+
+
+def _orbit_reps(pattern: Graph, candidates) -> list[tuple[tuple[int, ...], tuple]]:
+    """(seeds, order after seeding them) for each candidate seed tuple that
+    no automorphism maps an earlier kept one onto: the first of each orbit."""
+    reps: list[tuple[tuple[int, ...], tuple]] = []
+    for seeds in candidates:
+        if not any(_automorphic(pattern, steps, kept, seeds) for kept, steps in reps):
+            reps.append((seeds, _greedy_order(pattern, seeds)))
+    return reps
 
 
 def _automorphic(pattern: Graph, steps, seeds: tuple[int, ...], images: tuple[int, ...]) -> bool:

@@ -388,9 +388,7 @@ def _b_clique_star(n: int, t: int, s: int, f: Graph | None = None) -> Constructi
     if f is not None and _is_star_with_matching(f):
         raise GuardViolated("pattern must not be a star with isolated edges")
     ell = n // (2 * s)
-    star_start = (s - 1) * ell
-    if star_start >= n:
-        raise GuardViolated("no room left for the shared star")
+    star_start = (s - 1) * ell  # below n / 2
     star_sz = n - star_start - 1
     star = _disjoint_star(n, star_start, star_sz)
     cliques = [_disjoint_clique(n, i * ell, ell, star.edges()) for i in range(s - 1)]
@@ -429,9 +427,7 @@ def _b_star_lt(n: int, t: int, s: int, r: int) -> ConstructionInfo:
         raise GuardViolated("need t < s(r-1)")
     k = ceil((t - s) / (r - 2))
     ell = n // (s * t)
-    last = t - (s - k) - (k - 1) * (r - 1)
-    if not 1 <= last <= r - 1:
-        raise GuardViolated(f"leftover color count {last} impossible for this branch")
+    last = t - (s - k) - (k - 1) * (r - 1)  # j + 1 for t - s = (k - 1)(r - 2) + j, 1 <= j <= r - 2
     *stars, last_star = _star_blocks(n, k, ell, (s - k) * (ell + 1))
     runs = [(g, ell, r - 1) for g in stars] + [(last_star, ell, last)]
     return _colored(fam, *_cliques(n, 0, s - k, ell + 1), *runs)
@@ -466,9 +462,7 @@ def _b_sm_bigstar(n: int, t: int, s: int, r: int, m: int) -> ConstructionInfo:
 
 def _b_sm_star_clique(n: int, t: int, s: int, r: int, m: int) -> ConstructionInfo:
     fam = _sm_guards(n, t, s, r, m)
-    ell = n // (s * t)
-    if m * ell + 1 > n:
-        raise GuardViolated("blocks do not fit the vertex set")
+    ell = n // (s * t)  # m <= s - 1 and t >= s + 1, so m * ell + 1 <= n
     star = _disjoint_star(n, 0, ell)
     return _colored(fam, (star, ell, t - m + 1), *_cliques(n, ell + 1, m - 1, ell))
 
@@ -521,10 +515,10 @@ def describe(cid: str, params: dict, budget: int | None = None) -> ConstructionI
     """Build a construction along with its documented counts and family.
 
     ``params`` holds exactly the parameters the module docstring lists for
-    ``cid``; a missing or unknown name raises GuardViolated.  An n above
-    ``MAX_VERTICES`` (30) or a t above ``MAX_COLORS`` (1000) raises
+    ``cid``; a missing or unknown name raises GuardViolated.  An n outside
+    1..``MAX_VERTICES`` (30) or a t above ``MAX_COLORS`` (1000) raises
     SizeError before anything is built: each color repeats its block, so
-    the collection grows with t.
+    the collection grows with t.  So every builder sees n >= 1.
 
     ``budget`` bounds each inner search (the inner collection of min.i,
     min.ii and min.iv, the extremal graph of sum.monochrome-extremal);
@@ -534,8 +528,8 @@ def describe(cid: str, params: dict, budget: int | None = None) -> ConstructionI
         raise KeyError(f"unknown construction id {cid!r}")
     builder = _BUILDERS[cid]
     args = _checked(builder, params)
-    if args["n"] > MAX_VERTICES:
-        raise SizeError(f"vertex count {args['n']} above {MAX_VERTICES}")
+    if not 1 <= args["n"] <= MAX_VERTICES:
+        raise SizeError(f"vertex count {args['n']} outside 1..{MAX_VERTICES}")
     if args["t"] > MAX_COLORS:
         raise SizeError(f"color count {args['t']} above {MAX_COLORS}")
     if "budget" in _parameters(builder):

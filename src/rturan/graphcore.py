@@ -40,7 +40,8 @@ class ParseError(ValueError):
 
 
 class SizeError(ValueError):
-    """Raised when a requested graph would exceed the vertex cap."""
+    """Raised when a requested size lies outside its legal range, such as a
+    vertex count outside 1..30."""
 
 
 class NotBipartite(Exception):
@@ -104,11 +105,12 @@ class Graph:
 
     @classmethod
     def complete(cls, k: int) -> "Graph":
-        full = (1 << k) - 1
-        return cls(k, [full ^ (1 << v) for v in range(k)])
+        return cls(k, [((1 << k) - 1) ^ (1 << v) for v in range(k)])  # k < 0: no row, SizeError
 
     @classmethod
     def complete_bipartite(cls, a: int, b: int) -> "Graph":
+        if min(a, b) < 0:
+            raise SizeError(f"part sizes {a} and {b} must not be negative")
         left = (1 << a) - 1
         right = ((1 << (a + b)) - 1) ^ left
         return cls(a + b, [right] * a + [left] * b)
@@ -160,16 +162,8 @@ class Graph:
         """Image under the permutation sending vertex v to perm[v]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError(f"relabel needs a permutation of 0..{self.n - 1}, got {list(perm)}")
-        rows = [0] * self.n
-        for u in range(self.n):
-            row = self.adj[u]
-            v = 0
-            while row:
-                if row & 1:
-                    rows[perm[u]] |= 1 << perm[v]
-                row >>= 1
-                v += 1
-        return Graph(self.n, rows)
+        order = sorted(range(self.n), key=lambda v: perm[v])  # the inverse: order[perm[v]] = v
+        return Graph(self.n, _leaf_rows(self.adj, order))
 
     def induced(self, vertices) -> "Graph":
         """Induced subgraph on the given distinct vertices, compacted to
@@ -179,14 +173,7 @@ class Graph:
             raise ValueError("induced subgraph needs at least one vertex")
         if len(set(vs)) != len(vs) or vs[0] < 0 or vs[-1] >= self.n:
             raise ValueError(f"induced needs distinct vertices in 0..{self.n - 1}, got {vs}")
-        pos = {v: i for i, v in enumerate(vs)}
-        rows = [0] * len(vs)
-        for v in vs:
-            for w in vs:
-                if w > v and self.has_edge(v, w):
-                    rows[pos[v]] |= 1 << pos[w]
-                    rows[pos[w]] |= 1 << pos[v]
-        return Graph(len(vs), rows)
+        return Graph(len(vs), _leaf_rows(self.adj, vs))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -305,13 +292,21 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
 
 
 def _leaf_rows(adj: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
-    """Adjacency rows of the graph relabelled so that order[i] becomes i."""
-    pos = [0] * len(order)
+    """Adjacency rows of the subgraph induced on the distinct vertices of
+    ``order``, relabelled so that order[i] becomes i.
+
+    This is the one relabelling routine: ``_canonical`` reads its leaves
+    with it, ``Graph.relabel`` passes the inverse permutation and
+    ``Graph.induced`` its sorted vertices.
+    """
+    pos = [0] * len(adj)
+    keep = 0
     for i, v in enumerate(order):
         pos[v] = i
+        keep |= 1 << v
     rows = []
     for v in order:
-        row, bits = adj[v], 0
+        row, bits = adj[v] & keep, 0
         while row:
             low = row & -row
             bits |= 1 << pos[low.bit_length() - 1]
@@ -321,22 +316,20 @@ def _leaf_rows(adj: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
 
 
 def _in_orbit(v: int, explored: list[int], generators: list[list[int]]) -> bool:
-    """Is v in the orbit of an explored vertex under the generated group?"""
-    root = list(range(len(generators[0])))
+    """Is v in the orbit of an explored vertex under the generated group?
 
-    def find(u: int) -> int:
-        while root[u] != u:
-            root[u] = root[root[u]]
-            u = root[u]
-        return u
-
-    for g in generators:
-        for a, b in enumerate(g):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                root[ra] = rb
-    target = find(v)
-    return any(find(u) == target for u in explored)
+    The explored vertices are closed under the generators (permutations of
+    a finite set, so images alone reach every group element's).
+    """
+    orbit = set(explored)
+    stack = list(explored)
+    while stack:
+        u = stack.pop()
+        for g in generators:
+            if g[u] not in orbit:
+                orbit.add(g[u])
+                stack.append(g[u])
+    return v in orbit
 
 
 @lru_cache(maxsize=1 << 16)

@@ -5,6 +5,8 @@ must still resolve, apart from the ones known to be absent."""
 
 from pathlib import Path
 
+from rturan import graphcore, search
+
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 # bindings that no library module defines today
@@ -27,3 +29,11 @@ def test_trace_bindings_resolve():
     finally:
         tracer.uninstall()
     assert absent <= KNOWN_ABSENT, sorted(absent - KNOWN_ABSENT)
+
+
+def test_canonical_cache_is_the_one_the_benchmark_clears():
+    # bench/run.py clears this cache before each pass through
+    # getattr(..., "cache_clear", lambda: None): a wrapper without it would
+    # keep the forms of earlier passes and read as a faster turan workload
+    assert callable(graphcore._canonical.cache_clear)
+    assert search._canonical is graphcore._canonical

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from rturan import constructions
 from rturan.cli import SUITES, _build_parser, main
 from rturan import Collection, certification_grid, codec_read, codec_write, meshulam_collection
 
@@ -230,6 +231,15 @@ def test_oversized_color_counts_are_usage_errors(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("cid, params", [("sum.cliques", "t=4,f=K3"), ("prod.clique-star", "t=4,s=2,f=P4")])
+@pytest.mark.parametrize("n", [0, -1])
+def test_nonpositive_vertex_counts_are_usage_errors(tmp_path, capsys, cid, params, n):
+    out_path = tmp_path / "x.rcol"
+    code, out, err = run(capsys, "construct", "--id", cid, "--params", f"n={n},{params}", "--out", str(out_path))
+    assert code == 2 and out == "" and err == f"usage error: vertex count {n} outside 1..30\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("cid, spec", [("prod.star2", "n=12,t=3,s=0"), ("prod.star.gt", "n=12,t=3,s=0,r=3")])
 def test_star_construction_without_matching_edges_is_a_usage_error(tmp_path, capsys, cid, spec):
     out_path = tmp_path / "x.rcol"
@@ -382,6 +392,13 @@ def test_verify_meshulam_records_boundary_rows(capsys):
     assert sum("boundary" in ln for ln in lines) == 2
     assert sum(ln.endswith("match") for ln in lines) == 3
     assert not any("MISMATCH" in ln for ln in lines)
+
+
+def test_verify_row_whose_claim_disagrees_is_a_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(constructions, "claimed_value", lambda fid, params: 10**6)
+    code, out, _ = run(capsys, "verify", "--suite", "prod-matching")
+    assert code == 1
+    assert [ln.split()[-1] for ln in out.strip().splitlines()] == ["MISMATCH", "MISMATCH"]
 
 
 def test_verify_small_suites(capsys):

@@ -133,6 +133,13 @@ def test_fields_take_exactly_one_space(tmp_path, capsys, body, line):
     assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
 
+def test_zero_colors_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "bad.rcol"
+    path.write_text("rcol 1\nn 3\nt 0\nend\n")
+    assert main(["detect", "--collection", str(path), "--pattern", "K2"]) == 4
+    assert capsys.readouterr().err == "error: line 3: need at least one color\n"
+
+
 @pytest.mark.parametrize("field", ["n", "t", "color", "vertex"])
 def test_numeral_beyond_int_digit_limit_is_rejected(tmp_path, field):
     # int() refuses numerals of more than 4,300 digits with a bare ValueError

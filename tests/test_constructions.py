@@ -223,6 +223,8 @@ def test_meshulam_collection_counts_and_freeness():
         fam = PatternFamily.from_graphs([Graph.matching(s + 1)])
         assert is_rainbow_free(col, fam)
         assert expected == claimed_value("meshulam", {"n": n, "s": s})
+    with pytest.raises(GuardViolated, match="need 0 <= s <= n"):
+        meshulam_collection(4, 5, 2)
 
 
 def test_claimed_value_examples():
@@ -378,6 +380,12 @@ def test_general_sum_upper_formula():
     )
     # inner two-color M2-free max sum is 6; ex(4, K3) = 4
     assert v == 6 + 1 * 4
+
+
+def test_general_sum_upper_formula_stops_on_its_inner_budget(monkeypatch):
+    monkeypatch.setenv("RTURAN_BUDGET", "3")
+    with pytest.raises(InnerInfeasible, match="inner sum search hit its node budget"):
+        claimed_value("sum.general-upper", {"n": 4, "t": 3, "f1": "K3", "rest": ["M2"]})
 
 
 def test_constructions_beat_nothing_silently():

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import pickle
 import random
 from itertools import combinations, permutations
@@ -195,6 +196,10 @@ def test_collection_color_table_keeps_equality_and_hash():
         (lambda: Graph.from_edges(3, [(0, 3)]), ValueError, r"edge \(0,3\) outside 0..2"),
         (lambda: Graph(0, []), SizeError, "vertex count 0 outside 1..30"),
         (lambda: Graph(31, [0] * 31), SizeError, "vertex count 31 outside 1..30"),
+        (lambda: Graph.complete(-1), SizeError, "vertex count -1 outside 1..30"),
+        (lambda: Graph.complete_bipartite(-1, 3), SizeError, "part sizes -1 and 3 must not be negative"),
+        (lambda: Graph.complete_bipartite(2, -1), SizeError, "part sizes 2 and -1 must not be negative"),
+        (lambda: parse_pattern("P3").induced([]), ValueError, "induced subgraph needs at least one vertex"),
     ],
 )
 def test_value_type_constructor_errors(build, error, message):
@@ -202,7 +207,52 @@ def test_value_type_constructor_errors(build, error, message):
         build()
 
 
+def test_relabel_and_induced_match_edge_sets():
+    # induced subsets are unsorted and rarely a prefix of 0..n-1
+    rng = random.Random(0x1D)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        g = random_graph_rows(rng, n, rng.choice([0.2, 0.5, 0.8]))
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n) if g.adj[u] >> v & 1}
+        perm = rng.sample(range(n), n)
+        h = g.relabel(perm)
+        assert h.n == n
+        assert {(u, v) for u in range(n) for v in range(u + 1, n) if h.adj[u] >> v & 1} == {
+            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges
+        }
+        vs = rng.sample(range(n), rng.randint(1, n))
+        pos = {v: i for i, v in enumerate(sorted(vs))}
+        h = g.induced(vs)
+        assert h.n == len(vs)
+        assert {(u, v) for u in range(h.n) for v in range(u + 1, h.n) if h.adj[u] >> v & 1} == {
+            (pos[u], pos[v]) for u, v in edges if u in pos and v in pos
+        }
+
+
 # -- canonical labeling ------------------------------------------------
+
+
+# sha256 over canonical_form of every labelled graph on 1..5 vertices (1,099
+# graphs), then, for 400 seeded random graphs on 6..15 vertices, the form and
+# the rows of one random relabel and one random induced subgraph
+PINNED_FORMS_SHA256 = "726b5fff44228a6a6e5fbb7b7234a4cb0a29b7f7d16fde29019bf5a45e6d1a20"
+
+
+def test_canonical_forms_relabel_and_induced_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            digest.update(canonical_form(Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])))
+    rng = random.Random(0xF0F0)
+    for _ in range(400):
+        n = rng.randint(6, 15)
+        g = random_graph_rows(rng, n, rng.choice([0.2, 0.5, 0.8]))
+        perm = rng.sample(range(n), n)
+        vs = rng.sample(range(n), rng.randint(1, n))
+        digest.update(canonical_form(g))
+        digest.update(repr((g.relabel(perm).adj, g.induced(vs).adj)).encode())
+    assert digest.hexdigest() == PINNED_FORMS_SHA256
 
 
 def test_canonical_respects_isomorphism_500_pairs():
@@ -405,6 +455,11 @@ def test_family_covering_examples():
 
     fam = family_covering(parse_pattern("S3"), 1)
     assert {(g.n, g.edge_count()) for g in fam} == {(1, 0)}
+
+    with pytest.raises(ValueError, match="p must be at least 1"):
+        family_covering(parse_pattern("P3"), 0)
+    with pytest.raises(ValueError, match="pattern must have at least one edge"):
+        family_covering(parse_pattern("E3"), 1)
 
 
 def test_family_covering_clique_exactly_when_no_small_cover():

@@ -118,6 +118,9 @@ def test_strong_color_exact_examples():
     assert strong_color_exact(col, 1, 1) is True
     col = Collection.from_edge_lists(4, [[(0, 1)], [(0, 2)]])
     assert strong_color_exact(col, 1, 1) is False
+    for bad in (0, 3):
+        with pytest.raises(ValueError, match=f"color {bad} outside 1..2"):
+            strong_color_exact(col, bad, 1)
 
 
 def test_strong_color_sufficient_examples():

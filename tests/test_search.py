@@ -1607,3 +1607,6 @@ def test_query_validation():
     for bad in ("K3", FAM("K3")):
         with pytest.raises(ValueError, match="pattern must be a Graph"):
             turan_exact(5, bad)
+    # each objective answers only its own mode
+    with pytest.raises(ValueError, match="query mode must be 'min'"):
+        extremal_min(Q("sum", 4, 2, FAM("M2")))
