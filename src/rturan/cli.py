@@ -82,45 +82,40 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
+    """Print the one-line verdict of the chosen check; every verdict exits 0.
+
+    The subparser requires one of the five checks, so ``greedy`` is the
+    final ``else``."""
     col = codec_read(args.collection)
-    if args.check == "strong":
-        if args.sufficient:
-            ev = lemmas.strong_color_sufficient(col, args.color, args.s)
-            print(ev.verdict.value)
-        else:
-            print("strong" if lemmas.strong_color_exact(col, args.color, args.s) else "not-strong")
-        return 0
-    if args.check == "verystrong":
-        ok = lemmas.very_strong_color(col, args.color, args.r, args.m)
-        print("very-strong" if ok else "not-very-strong")
-        return 0
-    if args.check == "m2":
+    if args.check == "strong" and args.sufficient:
+        line = lemmas.strong_color_sufficient(col, args.color, args.s).verdict.value
+    elif args.check == "strong":
+        line = "strong" if lemmas.strong_color_exact(col, args.color, args.s) else "not-strong"
+    elif args.check == "verystrong":
+        line = "very-strong" if lemmas.very_strong_color(col, args.color, args.r, args.m) else "not-very-strong"
+    elif args.check == "m2":
         st = lemmas.m2_structure(col)
         if st.kind == "has_rainbow_m2":
-            print(f"rainbow-m2 {_fmt_witness(st.witness)}")
+            line = f"rainbow-m2 {_fmt_witness(st.witness)}"
         elif st.kind == "common_vertex":
-            print(f"common-vertex {st.vertex}")
+            line = f"common-vertex {st.vertex}"
         else:
-            print(f"all-but-one-small exempt={st.exempt}")
-        return 0
-    if args.check == "starcover":
+            line = f"all-but-one-small exempt={st.exempt}"
+    elif args.check == "starcover":
         sc = lemmas.star_cover(col, args.vertex, args.p)
         if sc.witness is not None:
-            print(f"star {_fmt_witness(sc.witness)}")
+            line = f"star {_fmt_witness(sc.witness)}"
         else:
             edges = " ".join(f"({u},{v})" for u, v in sc.cover) or "-"
-            exempt = " ".join(str(c) for c in sc.exempt) or "-"
-            print(f"cover {edges}; exempt {exempt}")
-        return 0
-    if args.check == "greedy":
+            exempt = " ".join(map(str, sc.exempt)) or "-"
+            line = f"cover {edges}; exempt {exempt}"
+    else:
         try:
-            m = lemmas.greedy_from_degrees(col, args.q)
+            line = _fmt_matching(lemmas.greedy_from_degrees(col, args.q))
         except lemmas.PreconditionViolated as exc:
-            print(f"precondition-violated: {exc}")
-            return 0
-        print(_fmt_matching(m))
-        return 0
-    raise AssertionError(args.check)
+            line = f"precondition-violated: {exc}"
+    print(line)
+    return 0
 
 
 def _cmd_construct(args) -> int:
@@ -154,18 +149,6 @@ def _cmd_compute(args) -> int:
 # verify suites
 
 
-def _row(suite: str, params: str, claimed, computed, status: str, nodes: int, millis: int) -> dict:
-    return {
-        "suite": suite,
-        "params": params,
-        "claimed": str(claimed),
-        "computed": str(computed),
-        "match": status,
-        "nodes": str(nodes),
-        "millis": str(millis),
-    }
-
-
 # The search-backed suites: each row compares a claimed closed form with an
 # exact search.  Columns: suite, params label, formula id and its params,
 # search mode, n, t, forbidden family.
@@ -184,8 +167,27 @@ _SEARCH_SUITE_ROWS = (
 )
 
 
-def _suite_searched(suite: str, budget) -> list[dict]:
+def _suite(suite: str, budget) -> list[tuple]:
+    """The rows of one verify suite, as tuples in TSV column order: suite,
+    params, claimed, computed, match, nodes, millis.
+
+    A search-backed row compares a claimed closed form with an exact search;
+    a construction row compares the documented color counts with the built
+    collection and checks that it is rainbow free."""
     rows = []
+    if suite == "constructions":
+        for cid, params in cons.certification_grid():
+            t0 = time.monotonic()
+            info = cons.describe(cid, params, budget)
+            got = info.collection.edge_counts()
+            free = is_rainbow_free(info.collection, info.family)
+            ms = int((time.monotonic() - t0) * 1000)
+            label = f"{cid}[{','.join(f'{k}={v}' for k, v in params.items())}]"
+            claimed = ",".join(map(str, info.expected_counts))
+            computed = ",".join(map(str, got)) + ("/free" if free else "/NOT-FREE")
+            match = "match" if free and got == info.expected_counts else "MISMATCH"
+            rows.append((suite, label, claimed, computed, match, 0, ms))
+        return rows
     for row_suite, label, fid, params, mode, n, t, forbid in _SEARCH_SUITE_ROWS:
         if row_suite != suite:
             continue
@@ -205,61 +207,27 @@ def _suite_searched(suite: str, budget) -> list[dict]:
             status = "boundary"
         else:
             status = "MISMATCH"
-        rows.append(_row(suite, label, claimed, res.value, status, res.nodes, ms))
+        rows.append((suite, label, claimed, res.value, status, res.nodes, ms))
     return rows
-
-
-def _suite_constructions(budget) -> list[dict]:
-    rows = []
-    for cid, params in cons.certification_grid():
-        t0 = time.monotonic()
-        info = cons.describe(cid, params, budget)
-        got = info.collection.edge_counts()
-        free = is_rainbow_free(info.collection, info.family)
-        ms = int((time.monotonic() - t0) * 1000)
-        ok = free and got == info.expected_counts
-        pstr = ",".join(f"{k}={v}" for k, v in params.items())
-        rows.append(
-            _row(
-                "constructions",
-                f"{cid}[{pstr}]",
-                ",".join(map(str, info.expected_counts)),
-                ",".join(map(str, got)) + ("/free" if free else "/NOT-FREE"),
-                "match" if ok else "MISMATCH",
-                0,
-                ms,
-            )
-        )
-    return rows
-
-
-def _suite(suite: str, budget) -> list[dict]:
-    if suite == "constructions":
-        return _suite_constructions(budget)
-    return _suite_searched(suite, budget)
 
 
 def _exit_for(rows) -> int:
-    if any(r["match"] == "BUDGET" for r in rows):
-        return 3
-    return 1 if any(r["match"] == "MISMATCH" for r in rows) else 0
+    matches = {row[4] for row in rows}
+    return 3 if "BUDGET" in matches else 1 if "MISMATCH" in matches else 0
 
 
 def _cmd_verify(args) -> int:
     rows = _suite(args.suite, args.budget)
-    width = max(len(r["params"]) for r in rows)
-    for r in rows:
-        print(f"{r['params']:<{width}}  claimed={r['claimed']:<12} computed={r['computed']:<16} {r['match']}")
+    width = max(len(row[1]) for row in rows)
+    for _, params, claimed, computed, match, _, _ in rows:
+        print(f"{params:<{width}}  claimed={claimed!s:<12} computed={computed!s:<16} {match}")
     return _exit_for(rows)
 
 
 def _cmd_report(args) -> int:
-    rows = []
-    for suite in SUITES:
-        rows.extend(_suite(suite, args.budget))
-    cols = ("suite", "params", "claimed", "computed", "match", "nodes", "millis")
-    lines = ["\t".join(cols)]
-    lines.extend("\t".join(r[c] for c in cols) for r in rows)
+    rows = [row for suite in SUITES for row in _suite(suite, args.budget)]
+    lines = ["suite\tparams\tclaimed\tcomputed\tmatch\tnodes\tmillis"]
+    lines.extend("\t".join(map(str, row)) for row in rows)
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:

@@ -76,10 +76,11 @@ class Collection:
         graphs = tuple(self.graphs)
         if not graphs:
             raise ValueError("collection needs at least one color")
+        if not all(isinstance(g, Graph) for g in graphs):
+            raise ValueError(f"collection colors must be Graphs, got {graphs!r}")
         n = graphs[0].n
-        for g in graphs:
-            if g.n != n:
-                raise ValueError("all graphs must share the vertex count")
+        if any(g.n != n for g in graphs):
+            raise ValueError("all graphs must share the vertex count")
         object.__setattr__(self, "graphs", graphs)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", len(graphs))

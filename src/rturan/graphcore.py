@@ -68,9 +68,11 @@ class Graph:
 
     def __post_init__(self):
         n = self.n
+        adj = tuple(self.adj)
+        if type(n) is not int or any(type(row) is not int for row in adj):  # bools too
+            raise ValueError(f"vertex count and rows must be ints, got {n!r} and {adj!r}")
         if not 1 <= n <= MAX_VERTICES:
             raise SizeError(f"vertex count {n} outside 1..{MAX_VERTICES}")
-        adj = tuple(self.adj)
         if len(adj) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
         full = (1 << n) - 1
@@ -160,7 +162,7 @@ class Graph:
 
     def relabel(self, perm) -> "Graph":
         """Image under the permutation sending vertex v to perm[v]."""
-        if sorted(perm) != list(range(self.n)):
+        if any(type(v) is not int for v in perm) or sorted(perm) != list(range(self.n)):
             raise ValueError(f"relabel needs a permutation of 0..{self.n - 1}, got {list(perm)}")
         order = sorted(range(self.n), key=lambda v: perm[v])  # the inverse: order[perm[v]] = v
         return Graph(self.n, _leaf_rows(self.adj, order))
@@ -171,7 +173,7 @@ class Graph:
         vs = sorted(vertices)
         if not vs:
             raise ValueError("induced subgraph needs at least one vertex")
-        if len(set(vs)) != len(vs) or vs[0] < 0 or vs[-1] >= self.n:
+        if any(type(v) is not int for v in vs) or len(set(vs)) != len(vs) or vs[0] < 0 or vs[-1] >= self.n:
             raise ValueError(f"induced needs distinct vertices in 0..{self.n - 1}, got {vs}")
         return Graph(len(vs), _leaf_rows(self.adj, vs))
 
@@ -455,6 +457,8 @@ class PatternFamily:
         members = tuple(self.members)
         if not members:
             raise ValueError("family needs at least one member")
+        if not all(isinstance(g, Graph) for g in members):
+            raise ValueError(f"family members must be Graphs, got {members!r}")
         object.__setattr__(self, "members", members)
 
     @classmethod
@@ -520,50 +524,36 @@ def family_covering(f: Graph, p: int) -> PatternFamily:
 def bipartition_min_class(f: Graph) -> int:
     """Smallest color class size over all proper 2-colorings of f.
 
-    Disconnected inputs minimize over independent per-component swaps.
-    Raises NotBipartite (carrying an odd cycle) when no 2-coloring exists.
+    Each component is 2-colored by a depth-first search over the bit rows,
+    at most 30 deep, and its two class sizes go into a subset sum:
+    disconnected inputs minimize over independent per-component swaps.  In
+    an undirected DFS every non-tree edge joins a vertex to one of its
+    ancestors (Tarjan 1972), so an edge from v to a w of v's own color finds
+    w on the DFS path, and the path from w down to v closes an odd cycle.
+    NotBipartite carries that cycle.
     """
     color = [-1] * f.n
-    parent = [-1] * f.n
-    comps = []
-    for root in range(f.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        sizes = [1, 0]
-        while queue:
-            v = queue.pop(0)
-            row = f.adj[v]
-            while row:
-                low = row & -row
-                w = low.bit_length() - 1
-                row ^= low
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    parent[w] = v
-                    sizes[color[w]] += 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    raise NotBipartite(_odd_cycle(parent, v, w))
-        comps.append(tuple(sizes))
-    # subset-sum over per-component swaps; minimize the smaller class
+    path: list[int] = []
+
+    def visit(v: int, c: int) -> None:
+        color[v] = c
+        sizes[c] += 1
+        path.append(v)
+        row = f.adj[v]
+        while row:
+            low = row & -row
+            row ^= low
+            w = low.bit_length() - 1
+            if color[w] == -1:
+                visit(w, 1 - c)
+            elif color[w] == c:
+                raise NotBipartite(path[path.index(w) :])
+        path.pop()
+
     sums = {0}
-    for a, b in comps:
-        sums = {s + a for s in sums} | {s + b for s in sums}
+    for root in range(f.n):
+        if color[root] == -1:
+            sizes = [0, 0]
+            visit(root, 0)
+            sums = {s + size for s in sums for size in sizes}
     return min(min(s, f.n - s) for s in sums)
-
-
-def _odd_cycle(parent: list[int], v: int, w: int) -> list[int]:
-    pv, pw = [v], [w]
-    seen = {v: 0}
-    x = v
-    while parent[x] != -1:
-        x = parent[x]
-        seen[x] = len(pv)
-        pv.append(x)
-    x = w
-    while x not in seen:
-        x = parent[x]
-        pw.append(x)
-    return pv[: seen[x] + 1][::-1] + pw[:-1]

@@ -89,25 +89,16 @@ def greedy_extend(
                 f"center {v} has degree {col.graph(i).degree(v)} < {threshold} in color {i}"
             )
 
-    avoid = set(m0_vertices) | set(centers.values())
+    avoid = sum(1 << v for v in m0_vertices | set(centers.values()))  # a vertex mask
     edges = list(m0.edges)
-    colors = list(m0.colors)
     for i in range(p + 1, q + 1):
         v = centers[i]
-        row = col.graph(i).adj[v]
-        u = None
-        while row:
-            low = row & -row
-            w = low.bit_length() - 1
-            row ^= low
-            if w not in avoid:
-                u = w
-                break
-        assert u is not None, "counting guarantees a free neighbor"
-        avoid.add(u)
+        free = col.graph(i).adj[v] & ~avoid
+        assert free, "counting guarantees a free neighbor"
+        u = (free & -free).bit_length() - 1  # the smallest usable neighbor
+        avoid |= 1 << u
         edges.append((min(u, v), max(u, v)))
-        colors.append(i)
-    out = RainbowMatching(tuple(edges), tuple(colors))
+    out = RainbowMatching(tuple(edges), (*m0.colors, *range(p + 1, q + 1)))
     out.validate(col)
     return out
 
@@ -201,20 +192,11 @@ def strong_color_sufficient(col: Collection, i: int, s: int) -> StrongColorEvide
         return StrongColorEvidence(StrongVerdict.BY_EDGE_COUNT)
     if matching_number_at_least(g, 2 * s + 1):
         return StrongColorEvidence(StrongVerdict.BY_BIG_MATCHING)
-    hub_mask = 0
-    for v in range(n):
-        if 2 * s * g.degree(v) >= n:
-            hub_mask |= 1 << v
-    if e >= s * (n - s) and hub_mask.bit_count() < s:
-        inside = [
-            (u, v) for u, v in g.edges() if not ((hub_mask >> u | hub_mask >> v) & 1)
-        ]
-        deg_in = [0] * n
-        for u, v in inside:
-            deg_in[u] += 1
-            deg_in[v] += 1
-        worst_kill = sum(sorted(deg_in, reverse=True)[: 2 * s])
-        if len(inside) > worst_kill:
+    hubs = sum(1 << v for v in range(n) if 2 * s * g.degree(v) >= n)
+    if e >= s * (n - s) and hubs.bit_count() < s:
+        # degrees among the low-degree vertices, ascending; their edges number half the sum
+        deg_in = sorted((g.adj[v] & ~hubs).bit_count() for v in range(n) if not hubs >> v & 1)
+        if sum(deg_in) // 2 > sum(deg_in[-2 * s :]):  # more than the 2s largest can meet
             return StrongColorEvidence(StrongVerdict.BY_LOW_DEGREE)
     return StrongColorEvidence(StrongVerdict.UNKNOWN)
 
@@ -288,9 +270,8 @@ def m2_structure(col: Collection) -> M2Structure:
     if w is not None:
         return M2Structure(kind="has_rainbow_m2", witness=w)
     union = col.union_rows()
-    edges = [(u, v) for u in range(col.n) for v in range(u + 1, col.n) if union[u] >> v & 1]
-    for v in range(col.n):
-        if all(v in e for e in edges):
+    for v in range(col.n):  # v meets every edge: no other vertex has a union neighbor besides v
+        if not any(row & ~(1 << v) for u, row in enumerate(union) if u != v):
             return M2Structure(kind="common_vertex", vertex=v)
     counts = col.edge_counts()
     exempt = max(range(1, col.t + 1), key=lambda i: (counts[i - 1], -i))

@@ -931,14 +931,15 @@ def _edge_floor(n: int, members) -> int:
 
     The graph is the densest member-free balanced complete r-partite graph
     T(n, r), saturated by adding pairs in lexicographic order while it
-    stays member-free.
+    stays member-free.  When no T(n, r) is member-free, the loop ends on the
+    edgeless T(n, 1), which holds an edgeless member; that copy stays with
+    every added pair, so the saturation rejects each one and the count is 0.
+    ``_turan_family`` answers edgeless members before it asks for a floor.
     """
     for r in range(n, 0, -1):  # T(n, r) gains edges with r; vertex v in part v mod r
         rows = [sum(1 << w for w in range(n) if (w - v) % r) for v in range(n)]
         if not any(contains_subgraph(Graph(n, rows), f) for f in members):
             break
-    else:
-        return 0
     plans = [_plan(f) for f in members]
     for u, v in _pairs(n):
         if not rows[u] >> v & 1:

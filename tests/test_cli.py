@@ -1,9 +1,14 @@
 """End-to-end command-line behavior: exit codes, formats, determinism."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rturan
 from rturan import constructions
 from rturan.cli import SUITES, _build_parser, main
 from rturan import Collection, certification_grid, codec_read, codec_write, meshulam_collection
@@ -359,6 +364,40 @@ def test_lemma_subcommands(tmp_path, capsys):
     assert code == 0 and out.strip() in ("very-strong", "not-very-strong")
 
 
+K_ON = lambda k: [(u, v) for u in range(k) for v in range(u + 1, k)]  # K_k on vertices 0..k-1
+
+# (vertex count, color edge lists, lemma check and its options, exit code, stdout),
+# recorded when each check printed and returned on its own; together they reach
+# every branch of `lemma`
+LEMMA_RUNS = [
+    (5, [K_ON(5), [(0, 1)]], ("strong", "--color", "1", "--s", "1"), 0, "strong\n"),
+    (4, [[(0, 1), (0, 2)], [(0, 3)]], ("strong", "--color", "1", "--s", "1"), 0, "not-strong\n"),
+    (5, [K_ON(5), [(0, 1)]], ("strong", "--color", "1", "--s", "1", "--sufficient"), 0, "ByEdgeCount\n"),
+    (6, [[(0, 1), (2, 3), (4, 5)]], ("strong", "--color", "1", "--s", "1", "--sufficient"), 0, "ByBigMatching\n"),
+    (9, [K_ON(5)], ("strong", "--color", "1", "--s", "1", "--sufficient"), 0, "ByLowDegree\n"),
+    (4, [[(0, 1), (0, 2)], [(0, 3)]], ("strong", "--color", "1", "--s", "1", "--sufficient"), 0, "Unknown\n"),
+    (6, [K_ON(6), [(0, 1)], [(0, 2)]], ("verystrong", "--color", "1", "--r", "2", "--m", "1"), 0, "very-strong\n"),
+    (4, [[(2, 3)], [(0, 1)], [(0, 2)]], ("verystrong", "--color", "1", "--r", "2", "--m", "1"), 0, "not-very-strong\n"),
+    (4, [[(0, 1)], [(2, 3)]], ("m2",), 0, "rainbow-m2 vmap 0->0 1->1 2->2 3->3; cmap (0,1)->1 (2,3)->2\n"),
+    (4, [[(0, 1), (0, 2)], [(0, 3)]], ("m2",), 0, "common-vertex 0\n"),
+    (4, [[(0, 1), (0, 2), (1, 2)], []], ("m2",), 0, "all-but-one-small exempt=1\n"),
+    (3, [[(0, 1)]], ("m2",), 2, ""),
+    (4, [[(0, 1), (0, 2)], [(0, 3)]], ("starcover", "--vertex", "0", "--p", "2"), 0, "star vmap 0->0 1->1 2->3; cmap (0,1)->1 (0,2)->2\n"),
+    (4, [[(0, 1), (0, 2)], [(0, 3)]], ("starcover", "--vertex", "0", "--p", "3"), 0, "cover (0,3); exempt 1\n"),
+    (4, [[(0, 1), (0, 2)], [(0, 3)]], ("greedy", "--q", "1"), 0, "(0,1)#1\n"),
+    (6, [K_ON(6), K_ON(6), []], ("greedy", "--q", "2"), 0, "(0,2)#1 (1,3)#2\n"),
+    (4, [[(0, 1), (0, 2)], [(0, 3)]], ("greedy", "--q", "3"), 0, "precondition-violated: size 3 outside 0..t=2\n"),
+]
+
+
+@pytest.mark.parametrize("n, lists, check, code, out", LEMMA_RUNS)
+def test_lemma_output_is_pinned(tmp_path, capsys, n, lists, check, code, out):
+    path = str(tmp_path / "c.rcol")
+    codec_write(Collection.from_edge_lists(n, lists), path)
+    got_code, got_out, _ = run(capsys, "lemma", check[0], "--collection", path, *check[1:])
+    assert (got_code, got_out) == (code, out)
+
+
 def test_lemma_greedy_of_size_zero_prints_empty(tmp_path, capsys):
     path = str(tmp_path / "c.rcol")
     codec_write(Collection.from_edge_lists(4, [[(0, 1)], []]), path)
@@ -372,6 +411,21 @@ def test_construction_parameter_without_a_value_is_a_usage_error(tmp_path, capsy
     )
     assert (code, out, err) == (2, "", "usage error: malformed parameter 'n5' (expected k=v)\n")
     assert not out_path.exists()
+
+
+def test_construct_without_params_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "x.rcol"
+    code, out, err = run(capsys, "construct", "--id", "sum.cliques", "--out", str(out_path))
+    assert (code, out, err) == (2, "", "usage error: missing parameters: n, t, f\n")
+    assert not out_path.exists()
+
+
+def test_module_runs_as_a_program():
+    src = str(Path(rturan.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "rturan.cli", "compute", "--mode", "prod", "--n", "4", "--t", "2", "--forbid", "{M2}"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "9\n", "")
 
 
 def test_lemma_strong_sufficient_agrees_when_2s_exceeds_n(tmp_path, capsys):
@@ -406,6 +460,24 @@ def test_verify_small_suites(capsys):
         code, out, _ = run(capsys, "verify", "--suite", suite)
         assert code == 0, (suite, out)
         assert all(ln.endswith("match") for ln in out.strip().splitlines())
+
+
+# exit code and SHA-256 of `verify --suite X` stdout, which has no millis column
+PINNED_VERIFY = {
+    "meshulam": (0, "d1808333414db365b596ea97e6407afc11957e60bd778fd0ecc83607acf05f19"),
+    "min-theorem": (0, "9878dbd96f1ed1f8fd74c87189fabd873cdd27c16da66b8f1fa7c9c7e58574de"),
+    "sum-k3": (0, "d59bb19f17eb632b593c77bc820c8ed00978dae5f7d0a91b6bcb5dab6e89c4bb"),
+    "prod-matching": (0, "05c681b349f0ff71b3c00873f2dc8e69d86676dbc080d426ef611ae7cf84ace6"),
+    "sum-bipartite": (0, "6d3158b9299481a13cb2c8c7c5e88baecb40378e88adfdbe450a1c9a0365a2a8"),
+    "constructions": (0, "b3a4920bf1edc515b11348986e35bbfe82f6af65a5417cd61b107d8a2f9a8f5e"),
+}
+
+
+def test_verify_output_is_pinned(capsys):
+    assert set(PINNED_VERIFY) == set(SUITES)
+    for suite in SUITES:
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_VERIFY[suite], (suite, out)
 
 
 # `report` rows without the millis column

@@ -207,6 +207,44 @@ def test_value_type_constructor_errors(build, error, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Graph.path(3).induced([0.5]),
+        lambda: Graph.path(3).induced([1.0, 2]),
+        lambda: Graph.path(3).induced([True, 2]),
+        lambda: Graph.path(3).relabel([0.0, 2.0, 1.0]),
+        lambda: Graph.path(2).relabel([True, False]),
+    ],
+)
+def test_relabel_and_induced_take_int_vertices_only(call):
+    # floats equal to ints and bools pass range and permutation checks
+    with pytest.raises(ValueError, match="distinct vertices|permutation"):
+        call()
+
+
+def test_graph_checks_its_field_types():
+    for n, rows in ((2.0, [0, 0]), (2, [0.0, 0]), (2, [False, False])):
+        with pytest.raises(ValueError, match="vertex count and rows must be ints"):
+            Graph(n, rows)
+    with pytest.raises(ValueError, match="must be ints"):
+        Graph.edgeless(True)
+
+
+def test_collection_checks_its_field_types():
+    with pytest.raises(ValueError, match="collection colors must be Graphs"):
+        Collection([1, 2])
+    with pytest.raises(ValueError, match="collection colors must be Graphs"):
+        Collection([Graph.edgeless(2), "K2"])
+
+
+def test_pattern_family_checks_its_field_types():
+    with pytest.raises(ValueError, match="family members must be Graphs"):
+        PatternFamily(("K3",))
+    with pytest.raises(ValueError, match="family members must be Graphs"):
+        PatternFamily([Graph.complete(3), None])
+
+
 def test_relabel_and_induced_match_edge_sets():
     # induced subsets are unsorted and rarely a prefix of 0..n-1
     rng = random.Random(0x1D)
@@ -540,6 +578,31 @@ def test_odd_cycle_evidence_is_genuine():
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 assert f.has_edge(a, b)
             found += 1
+
+
+# sha256 over bipartition_min_class of every labelled graph on 1..6 vertices
+# (33,867 graphs, 28,263 of them not bipartite); the breadth-first
+# two-colouring gave the same digest, with another odd cycle in 10,509 graphs
+PINNED_BIPARTITION_SHA256 = "8a251defc4c4882e5fc7bfa6bb6cfda5b132c206d99bea3881ec5369e1cb073d"
+
+
+def test_bipartition_is_pinned_on_every_small_labelled_graph():
+    digest = hashlib.sha256()
+    odd = 0
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [pair for k, pair in enumerate(pairs) if bits >> k & 1])
+            try:
+                digest.update(b"%d," % bipartition_min_class(g))
+            except NotBipartite as err:
+                cyc = err.odd_cycle
+                assert len(cyc) % 2 == 1 and len(set(cyc)) == len(cyc) >= 3, (g, cyc)
+                assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])), (g, cyc)
+                digest.update(b"odd,")
+                odd += 1
+    assert odd == 28_263
+    assert digest.hexdigest() == PINNED_BIPARTITION_SHA256
 
 
 # -- plain subgraph utilities -----------------------------------------

@@ -5,6 +5,7 @@ a function body runs after module load, which is how a cycle hides, so
 none may name a package module."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import rturan
@@ -60,3 +61,19 @@ def test_no_class_writes_its_own_value_semantics():
         if isinstance(item, ast.FunctionDef) and item.name in ("__setattr__", "__eq__", "__hash__")
     ]
     assert written == []
+
+
+def test_public_name_lists_match_the_package_root():
+    """``collection.__all__`` and ``search.__all__`` name exactly what the
+    package root imports from those modules, and every name it imports
+    exists."""
+    init = Path(rturan.__file__)
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(init.read_text(), str(init))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+    for module, names in imported.items():
+        missing = [name for name in names if not hasattr(importlib.import_module(f"rturan.{module}"), name)]
+        assert missing == [], module
+    for module in ("collection", "search"):
+        assert set(importlib.import_module(f"rturan.{module}").__all__) == imported[module], module
