@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .graphcore import MAX_VERTICES, Graph, PatternFamily
+from .graphcore import MAX_VERTICES, Graph, PatternFamily, _vertices_in
 
 __all__ = [
     "Collection",
@@ -90,7 +90,10 @@ class Collection:
         return cls([Graph.from_edges(n, edges) for edges in edge_lists])
 
     def graph(self, color: int) -> Graph:
-        """Graph of a 1-based color."""
+        """Graph of a 1-based color.  The one check of a color argument:
+        anything but an int in 1..t (a bool too) raises ValueError."""
+        if type(color) is not int or not 1 <= color <= self.t:
+            raise ValueError(f"color {color} outside 1..{self.t}")
         return self.graphs[color - 1]
 
     def color_table(self) -> tuple[tuple[int, ...], ...]:
@@ -118,6 +121,8 @@ class Collection:
 
     def colors_of(self, u: int, v: int) -> list[int]:
         """1-based colors whose graph contains the edge uv."""
+        if not _vertices_in(self.n, (u, v)):
+            raise ValueError(f"pair ({u}, {v}) outside 0..{self.n - 1}")
         return [i + 1 for i, g in enumerate(self.graphs) if g.has_edge(u, v)]
 
     def edge_counts(self) -> tuple[int, ...]:
@@ -144,7 +149,7 @@ class RainbowWitness:
             raise ValueError("vmap does not cover the pattern vertices")
         if len(set(self.vmap)) != len(self.vmap):
             raise ValueError("vmap not injective")
-        if any(not 0 <= v < col.n for v in self.vmap):
+        if not _vertices_in(col.n, self.vmap):
             raise ValueError("vmap leaves the host vertex set")
         _check_colors(col, [(self.vmap[a], self.vmap[b]) for a, b in self.pattern.edges()], self.cmap)
 
@@ -167,21 +172,19 @@ class RainbowMatching:
         ends = self.vertex_set()
         if len(ends) != 2 * self.size:
             raise ValueError("edges not vertex-disjoint")
-        if any(not 0 <= v < col.n for v in ends):
+        if not _vertices_in(col.n, ends):
             raise ValueError("edges leave the host vertex set")
         _check_colors(col, self.edges, self.colors)
 
 
 def _check_colors(col: Collection, pairs, colors) -> None:
     """Each host pair lies in its own 1-based color: one color per pair,
-    no color twice."""
+    no color twice (``Collection.graph`` checks each color)."""
     if len(pairs) != len(colors):
         raise ValueError("edge/color length mismatch")
     if len(set(colors)) != len(colors):
         raise ValueError("colors not injective")
     for (u, v), c in zip(pairs, colors):
-        if not 1 <= c <= col.t:
-            raise ValueError(f"color {c} outside 1..{col.t}")
         if not col.graph(c).has_edge(u, v):
             raise ValueError(f"edge {(u, v)} missing from color {c}")
 

@@ -409,14 +409,25 @@ def _b_star_gt(n: int, t: int, s: int, r: int) -> ConstructionInfo:
     return _colored(fam, *((g, ell, r - 1) for g in stars), (last, ell, r - 2), leftover)
 
 
+def _star_runs(n: int, t: int, s: int, r: int, ell: int, start: int = 0) -> list[tuple[Graph, int, int]]:
+    """The color groups of prod.star.lt on blocks of ell + 1 vertices from
+    start: s - k cliques K_{ell+1}, one color each, then k stars with ell
+    leaves, r - 1 colors each but the last, which takes what is left of
+    t.  k is ceil((t - s)/(r - 2)), and s when t = s(r-1): then no clique
+    is left and every star takes r - 1 colors, prod.star.eq's layout."""
+    k = s if t == s * (r - 1) else ceil((t - s) / (r - 2))
+    last = t - (s - k) - (k - 1) * (r - 1)  # j + 1 for t - s = (k - 1)(r - 2) + j, 1 <= j <= r - 2
+    *stars, last_star = _star_blocks(n, k, ell, start + (s - k) * (ell + 1))
+    return _cliques(n, start, s - k, ell + 1) + [(g, ell, r - 1) for g in stars] + [(last_star, ell, last)]
+
+
 def _b_star_eq(n: int, t: int, s: int, r: int) -> ConstructionInfo:
     if r < 2:
         raise GuardViolated("need r >= 2")
     if t != s * (r - 1):
         raise GuardViolated("need t = s(r-1)")
     fam = _with_matching(t, s, Graph.star(r))
-    ell = n // (s * t)
-    return _colored(fam, *((g, ell, r - 1) for g in _star_blocks(n, s, ell)))
+    return _colored(fam, *_star_runs(n, t, s, r, n // (s * t)))
 
 
 def _b_star_lt(n: int, t: int, s: int, r: int) -> ConstructionInfo:
@@ -425,12 +436,7 @@ def _b_star_lt(n: int, t: int, s: int, r: int) -> ConstructionInfo:
     fam = _with_matching(t, s, Graph.star(r))
     if t >= s * (r - 1):
         raise GuardViolated("need t < s(r-1)")
-    k = ceil((t - s) / (r - 2))
-    ell = n // (s * t)
-    last = t - (s - k) - (k - 1) * (r - 1)  # j + 1 for t - s = (k - 1)(r - 2) + j, 1 <= j <= r - 2
-    *stars, last_star = _star_blocks(n, k, ell, (s - k) * (ell + 1))
-    runs = [(g, ell, r - 1) for g in stars] + [(last_star, ell, last)]
-    return _colored(fam, *_cliques(n, 0, s - k, ell + 1), *runs)
+    return _colored(fam, *_star_runs(n, t, s, r, n // (s * t)))
 
 
 def _b_star2(n: int, t: int, s: int) -> ConstructionInfo:
@@ -478,14 +484,10 @@ def _b_sm_mixed(n: int, t: int, s: int, r: int, m: int) -> ConstructionInfo:
     c = (s * (r - 1) - t) // (r - 2)
     ell = n // (s * t)
     offset = c * ell
-    t_inner, s_inner = t - c, s - c
-    star = _b_star_eq if t_inner == s_inner * (r - 1) else _b_star_lt
-    inner = star(n - offset, t_inner, s_inner, r)
-    shifted = (
-        (Graph(n, (0,) * offset + tuple(row << offset for row in g.adj)), count, 1)
-        for g, count in zip(inner.collection.graphs, inner.expected_counts)
-    )
-    return _colored(fam, *_cliques(n, 0, c, ell), *shifted)
+    # the star layout of s - c and t - c on the vertices after the cliques; the
+    # guards above imply its own: s - c >= 2, max(r, s - c + 1) <= t - c <= (s - c)(r - 1)
+    inner = _star_runs(n, t - c, s - c, r, (n - offset) // ((s - c) * (t - c)), offset)
+    return _colored(fam, *_cliques(n, 0, c, ell), *inner)
 
 
 # each builder takes its construction's parameters; the ones that search

@@ -55,6 +55,13 @@ class NotBipartite(Exception):
         self.odd_cycle = odd_cycle
 
 
+def _vertices_in(n: int, vertices) -> bool:
+    """Whether every vertex is an int in 0..n-1; a bool is not a vertex,
+    although ``0 <= True < n`` holds.  The one vertex-range test of
+    graphs, collections, witnesses, matchings and lemmas."""
+    return all(type(v) is int and 0 <= v < n for v in vertices)
+
+
 @dataclass(frozen=True, repr=False)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bit-mask rows.
@@ -162,7 +169,7 @@ class Graph:
 
     def relabel(self, perm) -> "Graph":
         """Image under the permutation sending vertex v to perm[v]."""
-        if any(type(v) is not int for v in perm) or sorted(perm) != list(range(self.n)):
+        if not _vertices_in(self.n, perm) or sorted(perm) != list(range(self.n)):
             raise ValueError(f"relabel needs a permutation of 0..{self.n - 1}, got {list(perm)}")
         order = sorted(range(self.n), key=lambda v: perm[v])  # the inverse: order[perm[v]] = v
         return Graph(self.n, _leaf_rows(self.adj, order))
@@ -173,7 +180,7 @@ class Graph:
         vs = sorted(vertices)
         if not vs:
             raise ValueError("induced subgraph needs at least one vertex")
-        if any(type(v) is not int for v in vs) or len(set(vs)) != len(vs) or vs[0] < 0 or vs[-1] >= self.n:
+        if not _vertices_in(self.n, vs) or len(set(vs)) != len(vs):
             raise ValueError(f"induced needs distinct vertices in 0..{self.n - 1}, got {vs}")
         return Graph(len(vs), _leaf_rows(self.adj, vs))
 

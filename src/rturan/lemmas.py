@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .graphcore import Graph
+from .graphcore import Graph, _vertices_in
 from .collection import (
     Collection,
     matching_number_at_least,
@@ -65,6 +65,8 @@ def greedy_extend(
     except ValueError as exc:
         raise PreconditionViolated(f"M0 invalid: {exc}") from exc
     p = m0.size
+    if type(q) is not int:  # bools too
+        raise PreconditionViolated(f"target size q={q!r} is not an int")
     if set(m0.colors) != set(range(1, p + 1)):
         raise PreconditionViolated(f"M0 must use colors 1..{p}, got {sorted(m0.colors)}")
     if q < p:
@@ -80,7 +82,7 @@ def greedy_extend(
     m0_vertices = m0.vertex_set()
     threshold = 2 * q - 1
     for i, v in centers.items():
-        if not 0 <= v < col.n:
+        if not _vertices_in(col.n, [v]):
             raise PreconditionViolated(f"center {v} outside the vertex set")
         if v in m0_vertices:
             raise PreconditionViolated(f"center {v} lies inside M0")
@@ -110,7 +112,7 @@ def greedy_from_degrees(col: Collection, q: int) -> RainbowMatching:
     degree at least 2q-1.  Distinct centers are picked in increasing
     color order and handed to greedy_extend.
     """
-    if q < 0 or q > col.t:
+    if type(q) is not int or not 0 <= q <= col.t:  # bools too
         raise PreconditionViolated(f"size {q} outside 0..t={col.t}")
     threshold = 2 * q - 1
     centers: dict[int, int] = {}
@@ -143,9 +145,19 @@ class StrongColorEvidence:
     verdict: StrongVerdict
 
 
-def _check_strong_args(col: Collection, i: int, s: int) -> None:
-    if not 1 <= i <= col.t:
-        raise ValueError(f"color {i} outside 1..{col.t}")
+def _outside(col: Collection, i: int) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Color i's edges as vertex masks, and the colored pairs of
+    ``_colored_pairs`` with color i taken out: what a strong-color test
+    scans.  ``col.graph(i)`` checks i."""
+    masks = [(1 << u) | (1 << v) for u, v in col.graph(i).edges()]
+    return masks, _colored_pairs(col.color_table(), keep=~(1 << (i - 1)))
+
+
+def _check_matching_size(s: int) -> None:
+    """The s of the strong-color predicates is an int (not a bool), at
+    least 0.  ``col.graph(i)`` checks their color first."""
+    if type(s) is not int:  # bools too
+        raise ValueError(f"matching size s={s!r} is not an int")
     if s < 0:
         raise ValueError(f"matching size s={s} is negative")
 
@@ -155,17 +167,12 @@ def strong_color_exact(col: Collection, i: int, s: int) -> bool:
 
     True iff every rainbow matching of size s' <= s avoiding color i
     (including the empty one, so an empty color is never strong) leaves
-    some edge of color i vertex-disjoint from it.
+    some edge of color i vertex-disjoint from it.  The empty matching
+    comes first and meets no edge, so it settles an empty color.
     """
-    _check_strong_args(col, i, s)
-    gi_masks = [(1 << u) | (1 << v) for u, v in col.graph(i).edges()]
-    if not gi_masks:
-        return False
-    pairs = _colored_pairs(col.color_table(), keep=~(1 << (i - 1)))
-    for _, used in _rainbow_matchings(col.n, pairs, [], 0, s, 0):
-        if not any(not m & used for m in gi_masks):
-            return False
-    return True
+    gi_masks, pairs = _outside(col, i)
+    _check_matching_size(s)
+    return not any(all(m & used for m in gi_masks) for _, used in _rainbow_matchings(col.n, pairs, [], 0, s, 0))
 
 
 def strong_color_sufficient(col: Collection, i: int, s: int) -> StrongColorEvidence:
@@ -183,8 +190,8 @@ def strong_color_sufficient(col: Collection, i: int, s: int) -> StrongColorEvide
     the verdict can contradict the exact predicate (a 5-vertex double
     broom whose middle pair carries another color already fails).
     """
-    _check_strong_args(col, i, s)
     g = col.graph(i)
+    _check_matching_size(s)
     n = col.n
     e = g.edge_count()
     k = min(2 * s, n)  # the edges meeting k vertices number at most k(n-k) + C(k,2)
@@ -215,16 +222,14 @@ def very_strong_color(col: Collection, i: int, r: int, m: int) -> bool:
     every r-subset of a center's edges is tried, exponential in r, because
     the definition quantifies over every rainbow star.
     """
+    if type(r) is not int or type(m) is not int:  # bools too
+        raise ValueError(f"r={r!r} and m={m!r} must be ints")
     if r < 2 or m < 1:
         raise ValueError("need r >= 2 and m >= 1")
-    if not 1 <= i <= col.t:
-        raise ValueError(f"color {i} outside 1..{col.t}")
-    gi_masks = [(1 << u) | (1 << v) for u, v in col.graph(i).edges()]
+    gi_masks, pairs = _outside(col, i)
     if not gi_masks:
         return False
-    n = col.n
-    pairs = _colored_pairs(col.color_table(), keep=~(1 << (i - 1)))
-    for center in range(n):
+    for center in range(col.n):
         # leaves ascending: pairs (leaf, center) come before pairs (center, leaf)
         nbrs = [(v if u == center else u, cm) for u, v, cm in pairs if center in (u, v)]
         sdr = _ColorMatching()
@@ -236,7 +241,7 @@ def very_strong_color(col: Collection, i: int, r: int, m: int) -> bool:
             for leaf, _ in combo:
                 used |= 1 << leaf
             # every padding by up to m-1 further edges must leave an i-edge free
-            for _, padded in _rainbow_matchings(n, pairs, star_masks, used, m - 1, 0):
+            for _, padded in _rainbow_matchings(col.n, pairs, star_masks, used, m - 1, 0):
                 if all(gm & padded for gm in gi_masks):
                     return False
     return True
@@ -310,9 +315,11 @@ def star_cover(col: Collection, v: int, p: int) -> StarCover:
     edges whose color is not reached form the cover (Kőnig 1931):
     |cover| + |exempt| = nu.
     """
+    if type(p) is not int:  # bools too
+        raise ValueError(f"p={p!r} is not an int")
     if p < 1:
         raise ValueError("p must be at least 1")
-    if not 0 <= v < col.n:
+    if not _vertices_in(col.n, [v]):
         raise ValueError(f"vertex {v} outside 0..{col.n - 1}")
     masks = col.color_table()[v]
     sdr = _ColorMatching()

@@ -852,7 +852,7 @@ def _packings(n: int, member: Graph):
     k = len(verts)
     if len(edges) < 2 or k > 6:
         return None
-    spots = list(combinations(range(k), 2))  # the pairs on k vertices, ordered as _pairs orders them
+    spots = _pairs(k)
     local = [(verts.index(a), verts.index(b)) for a, b in edges]
     shapes = {
         tuple(sorted(spots.index((min(p[a], p[b]), max(p[a], p[b]))) for a, b in local))
@@ -862,12 +862,10 @@ def _packings(n: int, member: Graph):
         return None
     picks = [itemgetter(*shape) for shape in sorted(shapes)]
     P = comb(n, 2)
-    index = [[0] * n for _ in range(n)]
-    for i, (u, v) in enumerate(_pairs(n)):
-        index[u][v] = i
+    index = {p: i for i, p in enumerate(_pairs(n))}
     starting = [[] for _ in range(P + 1)]  # the copies by their first pair
     for vs in combinations(range(n), k):
-        at = [index[vs[a]][vs[b]] for a, b in spots]  # ascending, so each copy is too
+        at = [index[vs[a], vs[b]] for a, b in spots]  # ascending, so each copy is too
         for pick in picks:
             c = pick(at)
             starting[c[0]].append(c)

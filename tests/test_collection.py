@@ -376,3 +376,51 @@ def test_rainbow_witness_validation_rejects_bad():
     ]:
         with pytest.raises(ValueError, match=message):
             RainbowWitness(p3, vmap, cmap).validate(col)
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 1.0, 3])
+def test_graph_takes_only_int_colors_in_range(bad):
+    # graph(0) and graph(-1) read color t through negative indexing, and
+    # graph(True) color 1, unless the color is checked
+    col = Collection.from_edge_lists(3, [[(0, 1)], [(1, 2)]])
+    with pytest.raises(ValueError, match=rf"color {bad} outside 1\.\.2"):
+        col.graph(bad)
+
+
+@pytest.mark.parametrize("u, v", [(0, 5), (-1, 0), (2, -3), (True, 2), (0, 1.0)])
+def test_colors_of_takes_only_host_vertices(u, v):
+    col = Collection.from_edge_lists(3, [[(0, 1)], [(1, 2)]])
+    with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+        col.colors_of(u, v)
+    assert col.colors_of(1, 2) == [2]
+
+
+@pytest.mark.parametrize(
+    "edges, colors, message",
+    [
+        (((True, 2),), (1,), "leave the host vertex set"),
+        (((1.0, 2),), (1,), "leave the host vertex set"),
+        (((1, 2),), (True,), r"color True outside 1\.\.2"),
+    ],
+)
+def test_rainbow_matching_takes_only_int_vertices_and_colors(edges, colors, message):
+    col = Collection.from_edge_lists(3, [[(1, 2)], [(0, 1)]])
+    RainbowMatching(((1, 2),), (1,)).validate(col)
+    with pytest.raises(ValueError, match=message):
+        RainbowMatching(edges, colors).validate(col)
+
+
+@pytest.mark.parametrize(
+    "vmap, cmap, message",
+    [
+        ((0, True, 2), (1, 2), "vmap leaves the host vertex set"),
+        ((0, 1.0, 2), (1, 2), "vmap leaves the host vertex set"),
+        ((0, 1, 2), (True, 2), r"color True outside 1\.\.2"),
+    ],
+)
+def test_rainbow_witness_takes_only_int_vertices_and_colors(vmap, cmap, message):
+    col = Collection.from_edge_lists(3, [[(0, 1)], [(1, 2)]])
+    p3 = parse_pattern("P3")
+    RainbowWitness(p3, (0, 1, 2), (1, 2)).validate(col)
+    with pytest.raises(ValueError, match=message):
+        RainbowWitness(p3, vmap, cmap).validate(col)

@@ -435,3 +435,31 @@ def test_parameter_grid_guards_and_outcomes_are_pinned():
             digest.update(f"{cid} {params} {outcome}\n".encode())
     assert cases == 18900
     assert digest.hexdigest() == PINNED_PARAMETER_GRID_SHA256
+
+
+# sha256 over the outcome of every prod.star.eq, prod.star.lt and
+# prod.sm.mixed case of this sweep: the guard message, or the rows and
+# documented counts.  Every guard message of the three builders occurs, and
+# 54, 497 and 540 cases build; 230 of the mixed ones take prod.star.eq's
+# layout after their cliques (t - c = (s - c)(r - 1)) and 310 prod.star.lt's.
+STAR_SWEEP = {"n": (1, 5, 12, 19, 24, 30), "t": range(1, 13), "s": range(0, 7), "r": range(1, 7), "m": range(1, 4)}
+PINNED_STAR_SWEEP_SHA256 = "627c3435f542294f808647027e57a80d5b31ca7130b5704f8b7a63d3ab449e7b"
+
+
+def test_star_layouts_are_pinned():
+    digest = hashlib.sha256()
+    cases = 0
+    for cid in ("prod.star.eq", "prod.star.lt", "prod.sm.mixed"):
+        names = ["n", "t", "s", "r"] + ["m"] * (cid == "prod.sm.mixed")
+        for values in itertools.product(*(STAR_SWEEP[k] for k in names)):
+            params = dict(zip(names, values))
+            cases += 1
+            try:
+                info = describe(cid, params)
+            except GuardViolated as exc:
+                outcome = f"guard {exc}"
+            else:
+                outcome = f"{[g.adj for g in info.collection.graphs]} {info.expected_counts}"
+            digest.update(f"{cid} {params} {outcome}\n".encode())
+    assert cases == 15120
+    assert digest.hexdigest() == PINNED_STAR_SWEEP_SHA256

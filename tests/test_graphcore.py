@@ -633,3 +633,9 @@ def test_matching_number():
     k7 = Graph.complete(7).edges()
     assert not matching_number_at_least(Graph.from_edges(14, k7 + [(u + 7, v + 7) for u, v in k7]), 7)
 
+
+
+def test_relabel_needs_each_vertex_once():
+    # as many distinct labels as vertices is not enough: the list has a fourth entry
+    with pytest.raises(ValueError, match="permutation"):
+        Graph.path(3).relabel([0, 1, 2, 0])

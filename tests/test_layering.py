@@ -77,3 +77,49 @@ def test_public_name_lists_match_the_package_root():
         assert missing == [], module
     for module in ("collection", "search"):
         assert set(importlib.import_module(f"rturan.{module}").__all__) == imported[module], module
+
+
+def _template(node: ast.JoinedStr) -> str:
+    """An f-string's text with each replacement field written as {}."""
+    return "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in node.values)
+
+
+def _raises(tree: ast.AST, prefix: str = ""):
+    """(qualified name of the enclosing function, raised f-string template)
+    for every ``raise E(f"...")`` under tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _raises(node, f"{prefix}{node.name}.")
+        else:
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                for arg in node.exc.args:
+                    if isinstance(arg, ast.JoinedStr):
+                        yield prefix.rstrip("."), _template(arg)
+            yield from _raises(node, prefix)
+
+
+def test_color_range_has_one_owner():
+    """``Collection.graph`` is the one check of a 1-based color argument:
+    no other function raises the color-range message, lemmas has no
+    argument checker of its own for colors, and no function in collection
+    or lemmas tests a vertex range by comparison (``_vertices_in`` does)."""
+    package = Path(rturan.__file__).parent
+    owners = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owners += [
+            f"{path.stem}.{where}" for where, text in _raises(tree) if text.startswith("color {} outside 1..")
+        ]
+        if path.stem in ("collection", "lemmas"):
+            ranges = [  # 0 <= v < col.n and the like
+                ast.unparse(node)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Compare)
+                and [type(op) for op in node.ops] == [ast.LtE, ast.Lt]
+                and isinstance(node.comparators[-1], ast.Attribute)
+                and node.comparators[-1].attr == "n"
+            ]
+            assert ranges == [], path.stem
+    assert owners == ["collection.Collection.graph"]
+    lemmas = ast.parse((package / "lemmas.py").read_text())
+    assert "_check_strong_args" not in {n.name for n in ast.walk(lemmas) if isinstance(n, ast.FunctionDef)}

@@ -499,3 +499,45 @@ def test_lemma_results_are_pinned_on_seeded_collections():
         col = Collection.from_edge_lists(n, [sorted(edges)])
         digest.update(repr([strong_color_sufficient(col, 1, s).verdict for s in (1, 2)]).encode())
     assert digest.hexdigest() == PINNED_LEMMA_RESULTS_SHA256
+
+
+# -- argument types ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda col: star_cover(col, True, 1), "vertex True outside 0..3"),
+        (lambda col: star_cover(col, 1.0, 1), r"vertex 1\.0 outside 0..3"),
+        (lambda col: strong_color_exact(col, True, 1), "color True outside 1..2"),
+        (lambda col: strong_color_sufficient(col, True, 1), "color True outside 1..2"),
+        (lambda col: very_strong_color(col, True, 2, 1), "color True outside 1..2"),
+        (lambda col: star_cover(col, 0, 1.5), "p=1.5 is not an int"),
+        (lambda col: star_cover(col, 0, True), "p=True is not an int"),
+        (lambda col: strong_color_exact(col, 1, 1.5), "s=1.5 is not an int"),
+        (lambda col: strong_color_exact(col, 1, True), "s=True is not an int"),
+        (lambda col: strong_color_sufficient(col, 1, 1.5), "s=1.5 is not an int"),
+        (lambda col: very_strong_color(col, 1, 2.0, 1), r"r=2\.0 and m=1 must be ints"),
+        (lambda col: very_strong_color(col, 1, 2, True), "r=2 and m=True must be ints"),
+    ],
+)
+def test_lemmas_take_only_int_vertices_colors_and_sizes(call, message):
+    # each of these was accepted, or failed inside the lemma, while bools
+    # and floats passed the range checks
+    col = Collection.from_edge_lists(4, [[(0, 1)], [(0, 2)]])
+    with pytest.raises(ValueError, match=message):
+        call(col)
+
+
+def test_greedy_procedures_take_only_int_centers_and_sizes():
+    col = Collection.from_edge_lists(4, [K_N(4), K_N(4)])
+    empty = RainbowMatching((), ())
+    assert greedy_extend(col, empty, {1: 1}, 1).size == 1
+    for center in (True, 1.0):
+        with pytest.raises(PreconditionViolated, match=f"center {center} outside the vertex set"):
+            greedy_extend(col, empty, {1: center}, 1)
+    for q in (True, 1.0):
+        with pytest.raises(PreconditionViolated, match=f"target size q={q} is not an int"):
+            greedy_extend(col, empty, {1: 1}, q)
+        with pytest.raises(PreconditionViolated, match=rf"size {q} outside 0\.\.t=2"):
+            greedy_from_degrees(col, q)
