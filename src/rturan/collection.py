@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .graphcore import MAX_VERTICES, Graph, PatternFamily, _vertices_in
+from .graphcore import MAX_VERTICES, Graph, PatternFamily, _is_int, _vertices_in
 
 __all__ = [
     "Collection",
@@ -92,7 +92,7 @@ class Collection:
     def graph(self, color: int) -> Graph:
         """Graph of a 1-based color.  The one check of a color argument:
         anything but an int in 1..t (a bool too) raises ValueError."""
-        if type(color) is not int or not 1 <= color <= self.t:
+        if not _is_int(color) or not 1 <= color <= self.t:
             raise ValueError(f"color {color} outside 1..{self.t}")
         return self.graphs[color - 1]
 
@@ -445,9 +445,11 @@ class _Plan:
 
     @cached_property
     def seeded(self) -> tuple:
-        """(v, order after seeding v) per vertex-orbit representative v."""
+        """(v, its degree, order after seeding v) per vertex-orbit
+        representative v: the vertex-seeded check runs once per extension
+        of orderly generation, so it reads no checked ``Graph.degree``."""
         vertices = [(v,) for v in range(self.pattern.n)]
-        return tuple((v, steps) for (v,), steps in _orbit_reps(self.pattern, vertices))
+        return tuple((v, self.pattern.degree(v), steps) for (v,), steps in _orbit_reps(self.pattern, vertices))
 
 
 def _orbit_reps(pattern: Graph, candidates) -> list[tuple[tuple[int, ...], tuple]]:
@@ -783,6 +785,8 @@ def contains_subgraph(host: Graph, pattern: Graph) -> bool:
 
 def matching_number_at_least(g: Graph, k: int) -> bool:
     """Whether g contains k pairwise disjoint edges."""
+    if not _is_int(k):
+        raise ValueError(f"k={k!r} is not an int")
     return _plain_matching(g.adj, k)
 
 
@@ -831,8 +835,8 @@ def _exists_through_vertex(rows, plan: _Plan, anchor: int) -> int | None:
         return rows[anchor] if rows[anchor] and _plain_matching(rows, len(plan.edges)) else None
     degree = rows[anchor].bit_count()
     sdr = _ColorMatching()
-    for seed, steps in plan.seeded:
-        if degree >= plan.pattern.degree(seed):
+    for seed, need, steps in plan.seeded:
+        if degree >= need:
             vmap = [-1] * plan.pattern.n
             vmap[seed] = anchor
             if _embed(steps, vmap, 1 << anchor, sdr, None, rows):

@@ -63,6 +63,7 @@ from .graphcore import (
     bipartition_min_class,
     family_deleted_independent,
     family_covering,
+    _is_int,
 )
 from .collection import Collection, is_rainbow_free
 from .search import (
@@ -124,7 +125,7 @@ def _checked(fn, params: dict) -> dict:
         raise GuardViolated(f"missing parameters: {', '.join(missing)}")
     for k in ("n", "t", "s", "p", "r", "m"):
         v = params.get(k, 0)
-        if isinstance(v, bool) or not isinstance(v, int):
+        if not _is_int(v):
             raise GuardViolated(f"parameter {k} must be an integer, got {v!r}")
     args = dict(params)
     for k in ("f", "f1"):

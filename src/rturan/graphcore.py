@@ -55,11 +55,28 @@ class NotBipartite(Exception):
         self.odd_cycle = odd_cycle
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int and not a bool: ``True == 1``, yet a bool is no
+    size, vertex or color.  The one test of that rule in the package."""
+    return type(x) is int
+
+
 def _vertices_in(n: int, vertices) -> bool:
-    """Whether every vertex is an int in 0..n-1; a bool is not a vertex,
-    although ``0 <= True < n`` holds.  The one vertex-range test of
-    graphs, collections, witnesses, matchings and lemmas."""
-    return all(type(v) is int and 0 <= v < n for v in vertices)
+    """Whether every vertex is an int in 0..n-1 (``_is_int``, so not a
+    bool, although ``0 <= True < n`` holds).  The one vertex-range test of
+    graphs, collections, witnesses, matchings and lemmas.  A loop, not
+    ``all`` over a generator: ``Graph.has_edge`` runs it on every call."""
+    for v in vertices:
+        if not (_is_int(v) and 0 <= v < n):
+            return False
+    return True
+
+
+def _check_sizes(*sizes) -> None:
+    """ValueError unless every size argument of a graph constructor is an
+    int (``_is_int``): a bool or a float would pass its arithmetic."""
+    if not all(map(_is_int, sizes)):
+        raise ValueError(f"graph sizes must be ints, got {', '.join(map(repr, sizes))}")
 
 
 @dataclass(frozen=True, repr=False)
@@ -76,7 +93,7 @@ class Graph:
     def __post_init__(self):
         n = self.n
         adj = tuple(self.adj)
-        if type(n) is not int or any(type(row) is not int for row in adj):  # bools too
+        if not _is_int(n) or not all(map(_is_int, adj)):
             raise ValueError(f"vertex count and rows must be ints, got {n!r} and {adj!r}")
         if not 1 <= n <= MAX_VERTICES:
             raise SizeError(f"vertex count {n} outside 1..{MAX_VERTICES}")
@@ -98,11 +115,12 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        _check_sizes(n)
         rows = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop ({u},{v})")
-            if not (0 <= u < n and 0 <= v < n):
+            if not _vertices_in(n, (u, v)):
                 raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
@@ -110,14 +128,17 @@ class Graph:
 
     @classmethod
     def edgeless(cls, n: int) -> "Graph":
+        _check_sizes(n)
         return cls(n, [0] * n)
 
     @classmethod
     def complete(cls, k: int) -> "Graph":
+        _check_sizes(k)
         return cls(k, [((1 << k) - 1) ^ (1 << v) for v in range(k)])  # k < 0: no row, SizeError
 
     @classmethod
     def complete_bipartite(cls, a: int, b: int) -> "Graph":
+        _check_sizes(a, b)
         if min(a, b) < 0:
             raise SizeError(f"part sizes {a} and {b} must not be negative")
         left = (1 << a) - 1
@@ -127,18 +148,22 @@ class Graph:
     @classmethod
     def star(cls, r: int) -> "Graph":
         # center is vertex 0
+        _check_sizes(r)
         return cls.from_edges(r + 1, [(0, v) for v in range(1, r + 1)])
 
     @classmethod
     def matching(cls, k: int) -> "Graph":
+        _check_sizes(k)
         return cls.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
 
     @classmethod
     def path(cls, k: int) -> "Graph":
+        _check_sizes(k)
         return cls.from_edges(k, [(i, i + 1) for i in range(k - 1)])
 
     @classmethod
     def star_plus_matching(cls, r: int, m: int) -> "Graph":
+        _check_sizes(r, m)
         edges = [(0, v) for v in range(1, r + 1)]
         base = r + 1
         edges += [(base + 2 * i, base + 2 * i + 1) for i in range(m)]
@@ -162,9 +187,13 @@ class Graph:
         return sum(r.bit_count() for r in self.adj) // 2
 
     def degree(self, v: int) -> int:
+        if not _vertices_in(self.n, (v,)):
+            raise ValueError(f"vertex {v!r} outside 0..{self.n - 1}")
         return self.adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not _vertices_in(self.n, (u, v)):
+            raise ValueError(f"pair ({u!r},{v!r}) outside 0..{self.n - 1}")
         return bool(self.adj[u] >> v & 1)
 
     def relabel(self, perm) -> "Graph":
@@ -518,6 +547,8 @@ def family_covering(f: Graph, p: int) -> PatternFamily:
     If f admits no cover that small, the family is {K_{p+1}} instead.
     Edgeless induced subgraphs are retained with their vertex count.
     """
+    if not _is_int(p):
+        raise ValueError(f"p={p!r} is not an int")
     if p < 1:
         raise ValueError("p must be at least 1")
     if f.edge_count() == 0:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .graphcore import Graph, _vertices_in
+from .graphcore import Graph, _is_int, _vertices_in
 from .collection import (
     Collection,
     matching_number_at_least,
@@ -65,7 +65,7 @@ def greedy_extend(
     except ValueError as exc:
         raise PreconditionViolated(f"M0 invalid: {exc}") from exc
     p = m0.size
-    if type(q) is not int:  # bools too
+    if not _is_int(q):
         raise PreconditionViolated(f"target size q={q!r} is not an int")
     if set(m0.colors) != set(range(1, p + 1)):
         raise PreconditionViolated(f"M0 must use colors 1..{p}, got {sorted(m0.colors)}")
@@ -112,7 +112,7 @@ def greedy_from_degrees(col: Collection, q: int) -> RainbowMatching:
     degree at least 2q-1.  Distinct centers are picked in increasing
     color order and handed to greedy_extend.
     """
-    if type(q) is not int or not 0 <= q <= col.t:  # bools too
+    if not _is_int(q) or not 0 <= q <= col.t:
         raise PreconditionViolated(f"size {q} outside 0..t={col.t}")
     threshold = 2 * q - 1
     centers: dict[int, int] = {}
@@ -156,7 +156,7 @@ def _outside(col: Collection, i: int) -> tuple[list[int], list[tuple[int, int, i
 def _check_matching_size(s: int) -> None:
     """The s of the strong-color predicates is an int (not a bool), at
     least 0.  ``col.graph(i)`` checks their color first."""
-    if type(s) is not int:  # bools too
+    if not _is_int(s):
         raise ValueError(f"matching size s={s!r} is not an int")
     if s < 0:
         raise ValueError(f"matching size s={s} is negative")
@@ -222,7 +222,7 @@ def very_strong_color(col: Collection, i: int, r: int, m: int) -> bool:
     every r-subset of a center's edges is tried, exponential in r, because
     the definition quantifies over every rainbow star.
     """
-    if type(r) is not int or type(m) is not int:  # bools too
+    if not (_is_int(r) and _is_int(m)):
         raise ValueError(f"r={r!r} and m={m!r} must be ints")
     if r < 2 or m < 1:
         raise ValueError("need r >= 2 and m >= 1")
@@ -315,7 +315,7 @@ def star_cover(col: Collection, v: int, p: int) -> StarCover:
     edges whose color is not reached form the cover (Kőnig 1931):
     |cover| + |exempt| = nu.
     """
-    if type(p) is not int:  # bools too
+    if not _is_int(p):
         raise ValueError(f"p={p!r} is not an int")
     if p < 1:
         raise ValueError("p must be at least 1")

@@ -144,6 +144,7 @@ from .graphcore import (
     PatternFamily,
     _canonical,
     _from_canonical,
+    _is_int,
     _twin_classes,
 )
 from .collection import Collection, contains_subgraph, is_rainbow_free
@@ -210,7 +211,7 @@ def _check_args(n, budget, **more):
     ValueError unless n, budget and the other values are ints, not bools,
     with 1 <= n <= 12 and budget None or at least 1."""
     for name, v in {"n": n, **more, "budget": budget}.items():
-        if (isinstance(v, bool) or not isinstance(v, int)) and not (name == "budget" and v is None):
+        if not _is_int(v) and not (name == "budget" and v is None):
             raise ValueError(f"{name} must be an integer, got {v!r}")
     if not 1 <= n <= 12:
         raise ValueError(f"n must be in 1..12, got {n}")

@@ -19,19 +19,23 @@ def explicit_rainbow_oracle(col: Collection, pattern: Graph) -> bool:
     if pattern.n > col.n:
         return False
     pedges = pattern.edges()
+    held = colors_by_pair(col)
     for vmap in permutations(range(col.n), pattern.n):
         if not pedges:
             return True
-        ok_pairs = all(
-            any(col.graph(c).has_edge(vmap[a], vmap[b]) for c in range(1, col.t + 1))
-            for a, b in pedges
-        )
-        if not ok_pairs:
+        if not all(held[vmap[a]][vmap[b]] for a, b in pedges):
             continue
         for cmap in permutations(range(1, col.t + 1), len(pedges)):
-            if all(col.graph(c).has_edge(vmap[a], vmap[b]) for (a, b), c in zip(pedges, cmap)):
+            if all(c in held[vmap[a]][vmap[b]] for (a, b), c in zip(pedges, cmap)):
                 return True
     return False
+
+
+def colors_by_pair(col) -> list[list[set[int]]]:
+    """held[a][b]: the colors c with ``col.graph(c).has_edge(a, b)`` (none
+    for a = b), asked once per pair and color rather than per embedding."""
+    graphs = [(c, col.graph(c)) for c in range(1, col.t + 1)]
+    return [[{c for c, g in graphs if a != b and g.has_edge(a, b)} for b in range(col.n)] for a in range(col.n)]
 
 
 def lex_greatest_sum_optimum(n: int, t: int, patterns) -> tuple[int, list[int]]:

@@ -10,7 +10,7 @@ import pytest
 
 import rturan
 from rturan import constructions
-from rturan.cli import SUITES, _build_parser, main
+from rturan.cli import SUITES, _SEARCH_SUITE_ROWS, _build_parser, main
 from rturan import Collection, certification_grid, codec_read, codec_write, meshulam_collection
 
 
@@ -480,76 +480,93 @@ def test_verify_output_is_pinned(capsys):
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_VERIFY[suite], (suite, out)
 
 
-# `report` rows without the millis column
+# `report` rows without the nodes and millis columns.  A search row's nodes
+# are the count of its own search, which tests/work_ledger.json pins; a
+# construction row runs no search and reads 0.
 PINNED_REPORT_ROWS = [
-    ("suite", "params", "claimed", "computed", "match", "nodes"),
-    ("meshulam", "n=3,s=1,t=2", "2", "3", "boundary", "0"),
-    ("meshulam", "n=4,s=1,t=2", "3", "3", "match", "130"),
-    ("meshulam", "n=4,s=1,t=3", "3", "3", "match", "130"),
-    ("meshulam", "n=5,s=1,t=2", "4", "4", "match", "1923"),
-    ("meshulam", "n=5,s=2,t=3", "7", "10", "boundary", "0"),
-    ("min-theorem", "n=4,t=3,s=1,f=K3", "3", "3", "match", "126"),
-    ("sum-k3", "n=4,t=3", "12", "12", "match", "35"),
-    ("sum-k3", "n=5,t=3", "20", "20", "match", "61"),
-    ("prod-matching", "n=4,t=2,s=1", "9", "9", "match", "141"),
-    ("prod-matching", "n=4,t=3,s=1", "27", "27", "match", "168"),
-    ("sum-bipartite", "n=5,t=2,f=P3", "10", "10", "match", "22"),
-    ("constructions", "min.i[n=6,t=3,s=1,f=K3]", "5,5,5", "5,5,5/free", "match", "0"),
-    ("constructions", "min.i[n=9,t=4,s=2,f=K3]", "14,14,14,14", "14,14,14,14/free", "match", "0"),
-    ("constructions", "min.i[n=12,t=5,s=3,f=K3]", "27,27,27,27,27", "27,27,27,27,27/free", "match", "0"),
-    ("constructions", "min.ii[n=6,t=4,s=1,f=K2,2]", "5,5,5,5", "5,5,5,5/free", "match", "0"),
-    ("constructions", "min.ii[n=10,t=5,s=1,f=K2,2]", "9,9,9,9,9", "9,9,9,9,9/free", "match", "0"),
-    ("constructions", "min.ii[n=10,t=3,s=1,f=P4]", "9,9,9", "9,9,9/free", "match", "0"),
-    ("constructions", "min.iii[n=8,t=4,p=2,f=K2,2,s=2]", "7,7,7,7", "7,7,7,7/free", "match", "0"),
-    ("constructions", "min.iii[n=12,t=5,p=2,f=P4,s=3]", "11,11,11,11,11", "11,11,11,11,11/free", "match", "0"),
-    ("constructions", "min.iii[n=10,t=3,p=2,f=P4,s=2]", "9,9,9", "9,9,9/free", "match", "0"),
-    ("constructions", "min.iv[n=8,t=3,f=P4,s=2]", "7,7,7", "7,7,7/free", "match", "0"),
-    ("constructions", "min.iv[n=12,t=5,f=P6,s=3]", "21,21,21,21,21", "21,21,21,21,21/free", "match", "0"),
-    ("constructions", "min.kpp-remark[n=10,t=4,s=2,p=2]", "16,8,8,8", "16,8,8,8/free", "match", "0"),
-    ("constructions", "min.kpp-remark[n=10,t=4,s=3,p=2]", "14,14,7,7", "14,14,7,7/free", "match", "0"),
-    ("constructions", "min.kpp-remark[n=12,t=5,s=3,p=2]", "18,18,9,9,9", "18,18,9,9,9/free", "match", "0"),
-    ("constructions", "sum.cliques[n=8,t=3,f=K3]", "28,28,0", "28,28,0/free", "match", "0"),
-    ("constructions", "sum.cliques[n=7,t=4,f=K2,2]", "21,21,21,0", "21,21,21,0/free", "match", "0"),
-    ("constructions", "sum.cliques[n=6,t=3,f=M2]", "15,0,0", "15,0,0/free", "match", "0"),
-    ("constructions", "sum.monochrome-extremal[n=7,t=3,f=K3]", "12,12,12", "12,12,12/free", "match", "0"),
-    ("constructions", "sum.monochrome-extremal[n=6,t=2,f=M2]", "5,5", "5,5/free", "match", "0"),
-    ("constructions", "sum.monochrome-extremal[n=6,t=3,f=S2]", "3,3,3", "3,3,3/free", "match", "0"),
-    ("constructions", "prod.matching[n=5,t=3,s=2]", "10,4,4", "10,4,4/free", "match", "0"),
-    ("constructions", "prod.matching[n=9,t=4,s=2]", "36,8,8,8", "36,8,8,8/free", "match", "0"),
-    ("constructions", "prod.matching[n=12,t=5,s=3]", "66,66,11,11,11", "66,66,11,11,11/free", "match", "0"),
-    ("constructions", "prod.clique-star[n=8,t=3,s=2,f=P4]", "6,5,5", "6,5,5/free", "match", "0"),
-    ("constructions", "prod.clique-star[n=12,t=5,s=3,f=K3]", "8,8,7,7,7", "8,8,7,7,7/free", "match", "0"),
-    ("constructions", "prod.star.gt[n=12,t=3,s=1,r=3]", "4,1,1", "4,1,1/free", "match", "0"),
-    ("constructions", "prod.star.gt[n=12,t=5,s=2,r=3]", "1,1,1,1,1", "1,1,1,1,1/free", "match", "0"),
-    ("constructions", "prod.star.gt[n=12,t=4,s=1,r=4]", "3,3,1,1", "3,3,1,1/free", "match", "0"),
-    ("constructions", "prod.star.eq[n=12,t=4,s=2,r=3]", "1,1,1,1", "1,1,1,1/free", "match", "0"),
-    ("constructions", "prod.star.eq[n=8,t=4,s=2,r=3]", "1,1,1,1", "1,1,1,1/free", "match", "0"),
-    ("constructions", "prod.star.lt[n=12,t=5,s=2,r=4]", "1,1,1,1,1", "1,1,1,1,1/free", "match", "0"),
-    ("constructions", "prod.star.lt[n=12,t=4,s=3,r=3]", "1,1,1,1", "1,1,1,1/free", "match", "0"),
-    ("constructions", "prod.star.lt[n=12,t=5,s=3,r=4]", "0,0,0,0,0", "0,0,0,0,0/free", "match", "0"),
-    ("constructions", "prod.star2[n=12,t=3,s=2]", "1,1,1", "1,1,1/free", "match", "0"),
-    ("constructions", "prod.star2[n=12,t=4,s=3]", "0,0,1,1", "0,0,1,1/free", "match", "0"),
-    ("constructions", "prod.sm.bigstar[n=12,t=5,s=3,r=4,m=1]", "11,11,11,10,10", "11,11,11,10,10/free", "match", "0"),
-    ("constructions", "prod.sm.bigstar[n=9,t=5,s=3,r=4,m=1]", "8,8,8,6,6", "8,8,8,6,6/free", "match", "0"),
-    ("constructions", "prod.sm.star-clique[n=12,t=4,s=2,r=3,m=1]", "1,1,1,1", "1,1,1,1/free", "match", "0"),
-    ("constructions", "prod.sm.star-clique[n=12,t=5,s=2,r=4,m=1]", "1,1,1,1,1", "1,1,1,1,1/free", "match", "0"),
-    ("constructions", "prod.sm.star-clique[n=12,t=5,s=3,r=3,m=2]", "0,0,0,0,0", "0,0,0,0,0/free", "match", "0"),
-    ("constructions", "prod.sm.mixed[n=12,t=5,s=3,r=3,m=1]", "0,1,1,1,1", "0,1,1,1,1/free", "match", "0"),
-    ("constructions", "prod.sm.mixed[n=9,t=5,s=3,r=3,m=1]", "0,1,1,1,1", "0,1,1,1,1/free", "match", "0"),
+    ("suite", "params", "claimed", "computed", "match"),
+    ("meshulam", "n=3,s=1,t=2", "2", "3", "boundary"),
+    ("meshulam", "n=4,s=1,t=2", "3", "3", "match"),
+    ("meshulam", "n=4,s=1,t=3", "3", "3", "match"),
+    ("meshulam", "n=5,s=1,t=2", "4", "4", "match"),
+    ("meshulam", "n=5,s=2,t=3", "7", "10", "boundary"),
+    ("min-theorem", "n=4,t=3,s=1,f=K3", "3", "3", "match"),
+    ("sum-k3", "n=4,t=3", "12", "12", "match"),
+    ("sum-k3", "n=5,t=3", "20", "20", "match"),
+    ("prod-matching", "n=4,t=2,s=1", "9", "9", "match"),
+    ("prod-matching", "n=4,t=3,s=1", "27", "27", "match"),
+    ("sum-bipartite", "n=5,t=2,f=P3", "10", "10", "match"),
+    ("constructions", "min.i[n=6,t=3,s=1,f=K3]", "5,5,5", "5,5,5/free", "match"),
+    ("constructions", "min.i[n=9,t=4,s=2,f=K3]", "14,14,14,14", "14,14,14,14/free", "match"),
+    ("constructions", "min.i[n=12,t=5,s=3,f=K3]", "27,27,27,27,27", "27,27,27,27,27/free", "match"),
+    ("constructions", "min.ii[n=6,t=4,s=1,f=K2,2]", "5,5,5,5", "5,5,5,5/free", "match"),
+    ("constructions", "min.ii[n=10,t=5,s=1,f=K2,2]", "9,9,9,9,9", "9,9,9,9,9/free", "match"),
+    ("constructions", "min.ii[n=10,t=3,s=1,f=P4]", "9,9,9", "9,9,9/free", "match"),
+    ("constructions", "min.iii[n=8,t=4,p=2,f=K2,2,s=2]", "7,7,7,7", "7,7,7,7/free", "match"),
+    ("constructions", "min.iii[n=12,t=5,p=2,f=P4,s=3]", "11,11,11,11,11", "11,11,11,11,11/free", "match"),
+    ("constructions", "min.iii[n=10,t=3,p=2,f=P4,s=2]", "9,9,9", "9,9,9/free", "match"),
+    ("constructions", "min.iv[n=8,t=3,f=P4,s=2]", "7,7,7", "7,7,7/free", "match"),
+    ("constructions", "min.iv[n=12,t=5,f=P6,s=3]", "21,21,21,21,21", "21,21,21,21,21/free", "match"),
+    ("constructions", "min.kpp-remark[n=10,t=4,s=2,p=2]", "16,8,8,8", "16,8,8,8/free", "match"),
+    ("constructions", "min.kpp-remark[n=10,t=4,s=3,p=2]", "14,14,7,7", "14,14,7,7/free", "match"),
+    ("constructions", "min.kpp-remark[n=12,t=5,s=3,p=2]", "18,18,9,9,9", "18,18,9,9,9/free", "match"),
+    ("constructions", "sum.cliques[n=8,t=3,f=K3]", "28,28,0", "28,28,0/free", "match"),
+    ("constructions", "sum.cliques[n=7,t=4,f=K2,2]", "21,21,21,0", "21,21,21,0/free", "match"),
+    ("constructions", "sum.cliques[n=6,t=3,f=M2]", "15,0,0", "15,0,0/free", "match"),
+    ("constructions", "sum.monochrome-extremal[n=7,t=3,f=K3]", "12,12,12", "12,12,12/free", "match"),
+    ("constructions", "sum.monochrome-extremal[n=6,t=2,f=M2]", "5,5", "5,5/free", "match"),
+    ("constructions", "sum.monochrome-extremal[n=6,t=3,f=S2]", "3,3,3", "3,3,3/free", "match"),
+    ("constructions", "prod.matching[n=5,t=3,s=2]", "10,4,4", "10,4,4/free", "match"),
+    ("constructions", "prod.matching[n=9,t=4,s=2]", "36,8,8,8", "36,8,8,8/free", "match"),
+    ("constructions", "prod.matching[n=12,t=5,s=3]", "66,66,11,11,11", "66,66,11,11,11/free", "match"),
+    ("constructions", "prod.clique-star[n=8,t=3,s=2,f=P4]", "6,5,5", "6,5,5/free", "match"),
+    ("constructions", "prod.clique-star[n=12,t=5,s=3,f=K3]", "8,8,7,7,7", "8,8,7,7,7/free", "match"),
+    ("constructions", "prod.star.gt[n=12,t=3,s=1,r=3]", "4,1,1", "4,1,1/free", "match"),
+    ("constructions", "prod.star.gt[n=12,t=5,s=2,r=3]", "1,1,1,1,1", "1,1,1,1,1/free", "match"),
+    ("constructions", "prod.star.gt[n=12,t=4,s=1,r=4]", "3,3,1,1", "3,3,1,1/free", "match"),
+    ("constructions", "prod.star.eq[n=12,t=4,s=2,r=3]", "1,1,1,1", "1,1,1,1/free", "match"),
+    ("constructions", "prod.star.eq[n=8,t=4,s=2,r=3]", "1,1,1,1", "1,1,1,1/free", "match"),
+    ("constructions", "prod.star.lt[n=12,t=5,s=2,r=4]", "1,1,1,1,1", "1,1,1,1,1/free", "match"),
+    ("constructions", "prod.star.lt[n=12,t=4,s=3,r=3]", "1,1,1,1", "1,1,1,1/free", "match"),
+    ("constructions", "prod.star.lt[n=12,t=5,s=3,r=4]", "0,0,0,0,0", "0,0,0,0,0/free", "match"),
+    ("constructions", "prod.star2[n=12,t=3,s=2]", "1,1,1", "1,1,1/free", "match"),
+    ("constructions", "prod.star2[n=12,t=4,s=3]", "0,0,1,1", "0,0,1,1/free", "match"),
+    ("constructions", "prod.sm.bigstar[n=12,t=5,s=3,r=4,m=1]", "11,11,11,10,10", "11,11,11,10,10/free", "match"),
+    ("constructions", "prod.sm.bigstar[n=9,t=5,s=3,r=4,m=1]", "8,8,8,6,6", "8,8,8,6,6/free", "match"),
+    ("constructions", "prod.sm.star-clique[n=12,t=4,s=2,r=3,m=1]", "1,1,1,1", "1,1,1,1/free", "match"),
+    ("constructions", "prod.sm.star-clique[n=12,t=5,s=2,r=4,m=1]", "1,1,1,1,1", "1,1,1,1,1/free", "match"),
+    ("constructions", "prod.sm.star-clique[n=12,t=5,s=3,r=3,m=2]", "0,0,0,0,0", "0,0,0,0,0/free", "match"),
+    ("constructions", "prod.sm.mixed[n=12,t=5,s=3,r=3,m=1]", "0,1,1,1,1", "0,1,1,1,1/free", "match"),
+    ("constructions", "prod.sm.mixed[n=9,t=5,s=3,r=3,m=1]", "0,1,1,1,1", "0,1,1,1,1/free", "match"),
 ]
+
+
+def _with_nodes(rows) -> list[tuple]:
+    """The rows with the nodes column the report must print: each search
+    row's search count, run here through the library, and 0 elsewhere."""
+    searches = {(suite, label): query for suite, label, _, _, *query in _SEARCH_SUITE_ROWS}
+    out = [(*rows[0], "nodes")]
+    for row in rows[1:]:
+        nodes = 0
+        if row[0] != "constructions":
+            mode, n, t, forbid = searches[row[:2]]
+            nodes = getattr(rturan, f"extremal_{mode}")(rturan.ExtremalQuery(mode, n, t, rturan.parse_family(forbid))).nodes
+        out.append((*row, str(nodes)))
+    return out
 
 
 def test_report_tsv_is_deterministic(tmp_path, capsys):
     # the default budget and a larger one give the same table, in a file or on stdout
+    pinned = _with_nodes(PINNED_REPORT_ROWS)
     for extra in ([], ["--budget", "1000000"]):
         path = tmp_path / "report.tsv"
         code, _, _ = run(capsys, "report", "--out", str(path), *extra)
         assert code == 0
         rows = [tuple(ln.split("\t")[:-1]) for ln in path.read_text().splitlines()]
-        assert rows == PINNED_REPORT_ROWS, extra
+        assert rows == pinned, extra
     code, out, _ = run(capsys, "report")
     assert code == 0
-    assert [tuple(ln.split("\t")[:-1]) for ln in out.splitlines()] == PINNED_REPORT_ROWS
+    assert [tuple(ln.split("\t")[:-1]) for ln in out.splitlines()] == pinned
 
 
 def test_io_and_usage_errors(tmp_path, capsys):

@@ -24,7 +24,7 @@ from rturan import (
     parse_pattern,
 )
 
-from rturan.collection import _plan
+from rturan.collection import _plan, lexmin_distinct_colors
 
 from helpers import explicit_rainbow_oracle, pattern_pool, random_collection
 
@@ -222,7 +222,8 @@ def test_plan_keeps_one_seed_per_automorphism_orbit(pattern):
 
     plan = _plan(pattern)
     kept_arcs = [(a, b) for a, b, _ in plan.anchored]
-    kept_vertices = [v for v, _ in plan.seeded]
+    kept_vertices = [v for v, _, _ in plan.seeded]
+    assert [need for _, need, _ in plan.seeded] == [pattern.degree(v) for v in kept_vertices]
     assert len(kept_arcs) == len(arc_orbits)
     assert len(kept_vertices) == len(vertex_orbits)
     assert {(p[a], p[b]) for p in group for a, b in kept_arcs} == set(arcs)
@@ -424,3 +425,11 @@ def test_rainbow_witness_takes_only_int_vertices_and_colors(vmap, cmap, message)
     RainbowWitness(p3, (0, 1, 2), (1, 2)).validate(col)
     with pytest.raises(ValueError, match=message):
         RainbowWitness(p3, vmap, cmap).validate(col)
+
+
+def test_lexmin_distinct_colors_is_least_item_by_item_or_none():
+    # item 0 cannot keep color 1, which item 1 needs; masks [1, 1] share
+    # their one color, so no assignment exists
+    assert lexmin_distinct_colors([0b11, 0b01]) == (2, 1)
+    assert lexmin_distinct_colors([0b11, 0b110]) == (1, 2)
+    assert lexmin_distinct_colors([1, 1]) is None

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from rturan import Collection, Graph, contains_subgraph, matching_number_at_least, parse_pattern
 from rturan.collection import _ColorMatching, _exists_through_vertex, _exists_using_pair, _plan
 
-from helpers import explicit_rainbow_oracle
+from helpers import colors_by_pair, explicit_rainbow_oracle
 
 PATTERNS = [parse_pattern(s) for s in ("K2", "P3", "P4", "P5", "S3", "M2", "K3", "K2,2")] + [
     Graph.from_edges(4, [(0, 3), (1, 2)]),  # a perfect matching not labelled as M2
@@ -39,16 +39,17 @@ def _with_edge(col: Collection, u: int, v: int, color: int, present: bool) -> Co
     return Collection.from_edge_lists(col.n, [sorted(e) for e in lists])
 
 
-def _copy_through(col: Collection, pattern: Graph, u: int, v: int, color) -> bool:
+def _copy_through(held, t: int, pattern: Graph, u: int, v: int, color) -> bool:
     """Brute force: a rainbow copy with some pattern edge on uv, in ``color``
-    unless that is None."""
+    unless that is None, in the t colors whose pairs are ``held``
+    (``helpers.colors_by_pair``)."""
     pedges = pattern.edges()
-    for vmap in permutations(range(col.n), pattern.n):
+    for vmap in permutations(range(len(held)), pattern.n):
         on_uv = [{vmap[a], vmap[b]} == {u, v} for a, b in pedges]
         if not any(on_uv):
             continue
-        for cmap in permutations(range(1, col.t + 1), len(pedges)):
-            if all(col.graph(c).has_edge(vmap[a], vmap[b]) for (a, b), c in zip(pedges, cmap)) and any(
+        for cmap in permutations(range(1, t + 1), len(pedges)):
+            if all(c in held[vmap[a]][vmap[b]] for (a, b), c in zip(pedges, cmap)) and any(
                 hit and color in (None, c) for hit, c in zip(on_uv, cmap)
             ):
                 return True
@@ -72,9 +73,10 @@ def test_anchored_detector_matches_oracle(seed):
 
     # against the definition: copies using uv in color c, or in any color;
     # pairs in several colors first, where the forced color matters
+    held = colors_by_pair(col)
     for u, v, c in sorted(edges, key=lambda e: -len(col.colors_of(e[0], e[1])))[:3]:
-        assert anchored(col, u, v, c) == _copy_through(col, pattern, u, v, c)
-        assert anchored(col, u, v, None) == _copy_through(col, pattern, u, v, None)
+        assert anchored(col, u, v, c) == _copy_through(held, t, pattern, u, v, c)
+        assert anchored(col, u, v, None) == _copy_through(held, t, pattern, u, v, None)
 
     # the incremental rule of the searches: strip colored edges until no copy
     # is left, then put one (uv, c) back; the result minus (uv, c), and minus
@@ -227,11 +229,11 @@ def test_residual_copies_match_oracle(seed):
     for _ in range(20):
         u, v = rng.choice(pairs)
         _set_cell(table, union, u, v, table[u][v] ^ 1 << rng.randrange(t))  # add or remove one color
-        col = _table_collection(n, t, table)
+        held = colors_by_pair(_table_collection(n, t, table))
         for a, b in ((u, v), rng.choice(pairs)):  # the pair just edited, and one more
             for f in patterns:
                 for color in (rng.randint(1, t), None):
-                    expected = _copy_through(col, f, a, b, color)
+                    expected = _copy_through(held, t, f, a, b, color)
                     assert _exists_using_pair(table, union, _plan(f), (a, b), color, copies) == expected
                     assert _exists_using_pair(table, union, _plan(f), (a, b), color, {}) == expected
     # K2 through any colored pair: the copy less its anchor is the empty tuple

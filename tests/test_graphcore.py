@@ -200,11 +200,41 @@ def test_collection_color_table_keeps_equality_and_hash():
         (lambda: Graph.complete_bipartite(-1, 3), SizeError, "part sizes -1 and 3 must not be negative"),
         (lambda: Graph.complete_bipartite(2, -1), SizeError, "part sizes 2 and -1 must not be negative"),
         (lambda: parse_pattern("P3").induced([]), ValueError, "induced subgraph needs at least one vertex"),
+        # a bool end is no vertex although 0 <= True < n; a float one is no index
+        (lambda: Graph.from_edges(3, [(True, 2)]), ValueError, r"edge \(True,2\) outside 0..2"),
+        (lambda: Graph.from_edges(3, [(1.0, 2)]), ValueError, r"edge \(1.0,2\) outside 0..2"),
+        # sizes: True would count as 1, a float would reach range() or a list repeat
+        (lambda: Graph.star(True), ValueError, "graph sizes must be ints, got True"),
+        (lambda: Graph.complete_bipartite(True, 1), ValueError, "graph sizes must be ints, got True, 1"),
+        (lambda: Graph.matching(1.0), ValueError, "graph sizes must be ints, got 1.0"),
+        (lambda: Graph.path(2.0), ValueError, "graph sizes must be ints, got 2.0"),
+        (lambda: Graph.star_plus_matching(2, True), ValueError, "graph sizes must be ints, got 2, True"),
+        (lambda: Graph.from_edges(2.0, []), ValueError, "graph sizes must be ints, got 2.0"),
     ],
 )
 def test_value_type_constructor_errors(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: g.has_edge(-1, 1), r"pair \(-1,1\) outside 0..2"),  # read vertex 2's row
+        (lambda g: g.has_edge(2, -3), r"pair \(2,-3\) outside 0..2"),  # negative shift count
+        (lambda g: g.has_edge(0, 5), r"pair \(0,5\) outside 0..2"),  # answered False
+        (lambda g: g.has_edge(True, 2), r"pair \(True,2\) outside 0..2"),
+        (lambda g: g.degree(-1), "vertex -1 outside 0..2"),  # read vertex 2's row
+        (lambda g: g.degree(5), "vertex 5 outside 0..2"),  # IndexError
+        (lambda g: g.degree(1.0), "vertex 1.0 outside 0..2"),
+        (lambda g: family_covering(g, True), "p=True is not an int"),  # taken as 1
+        (lambda g: family_covering(g, 1.5), "p=1.5 is not an int"),
+        (lambda g: matching_number_at_least(g, True), "k=True is not an int"),  # taken as 1
+    ],
+)
+def test_graph_queries_take_int_vertices_and_sizes_only(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(Graph.path(3))
 
 
 @pytest.mark.parametrize(

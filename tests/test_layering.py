@@ -123,3 +123,30 @@ def test_color_range_has_one_owner():
     assert owners == ["collection.Collection.graph"]
     lemmas = ast.parse((package / "lemmas.py").read_text())
     assert "_check_strong_args" not in {n.name for n in ast.walk(lemmas) if isinstance(n, ast.FunctionDef)}
+
+
+def _nodes(tree: ast.AST, prefix: str = ""):
+    """(qualified name of the enclosing function, node) for every node under tree."""
+    for node in ast.iter_child_nodes(tree):
+        yield prefix.rstrip("."), node
+        named = isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _nodes(node, f"{prefix}{node.name}." if named else prefix)
+
+
+def test_int_and_vertex_rules_have_one_owner():
+    """``graphcore._is_int`` is the one test of "an int, not a bool" (no
+    other ``type(x)`` or ``isinstance(x, int)`` or ``bool``), and
+    ``graphcore._vertices_in`` the one ``0 <= v < n`` comparison."""
+    found = []
+    for path in sorted(Path(rturan.__file__).parent.glob("*.py")):
+        for where, node in _nodes(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                hit = node.func.id == "type" or node.func.id == "isinstance" and {"int", "bool"} & {
+                    n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)
+                }
+            else:
+                hit = isinstance(node, ast.Compare) and [type(op) for op in node.ops] == [ast.LtE, ast.Lt]
+                hit = hit and isinstance(node.left, ast.Constant) and node.left.value == 0
+            if hit:
+                found.append(f"{path.stem}.{where}: {ast.unparse(node)}")
+    assert found == ["graphcore._is_int: type(x)", "graphcore._vertices_in: 0 <= v < n"]

@@ -7,6 +7,7 @@ from math import comb, factorial
 
 import pytest
 from helpers import ORACLE_PATTERNS, explicit_rainbow_oracle, lex_greatest_sum_optimum
+from test_work_ledger import pinned, query_key
 
 from rturan import (
     Collection,
@@ -160,35 +161,22 @@ def test_edge_floor_never_changes_a_value():
     assert _edge_floor(5, [parse_pattern("K6")]) == 10
 
 
-# Orderly generation's work: (value, extension attempts, ceiling on the
-# _hits_pattern searches).  A mask holding the residual neighbourhood of an
-# earlier hit of the same parent is a hit without a search, at the same one
-# budget step.  (6, {M3}) is the seed of min(6, t, {M3}).
-TURAN_WORK = {
-    (7, ("K3",)): (12, 28, 13),
-    (7, ("K2,2",)): (9, 307, 109),
-    (7, ("K4",)): (16, 21, 12),
-    (8, ("P4",)): (7, 331, 74),
-    (6, ("M3",)): (10, 209, 104),
-    (7, ("K3", "M3")): (10, 656, 177),
-    (9, ("P5",)): (12, 4_508, 587),
+# ex(n, members) of the orderly generations whose work the ledger pins
+# (tests/work_ledger.json).  (6, {M3}) is the seed of min(6, t, {M3}).
+TURAN_VALUES = {
+    (7, "{K3}"): 12,
+    (7, "{K2,2}"): 9,
+    (7, "{K4}"): 16,
+    (8, "{P4}"): 7,
+    (6, "{M3}"): 10,
+    (7, "{K3,M3}"): 10,
+    (9, "{P5}"): 12,
 }
 
 
-def test_orderly_generation_work_is_pinned(monkeypatch):
-    real, searched = search._hits_pattern, []
-
-    def counting(rows, k, plans):
-        searched.append(k)
-        return real(rows, k, plans)
-
-    monkeypatch.setattr(search, "_hits_pattern", counting)
-    for (n, names), (value, attempts, ceiling) in TURAN_WORK.items():
-        searched.clear()
-        budget = _Budget(10**7)
-        assert _turan_family(n, [parse_pattern(s) for s in names], budget)[0] == value, (n, names)
-        assert budget.used == attempts, (n, names)
-        assert len(searched) <= ceiling, (n, names, len(searched))
+def test_orderly_generation_values_are_pinned():
+    for (n, family), value in TURAN_VALUES.items():
+        assert _turan_family(n, parse_family(family), _Budget(10**7))[0] == value, (n, family)
 
 
 def test_turan_closed_forms_at_nine_to_twelve():
@@ -438,105 +426,37 @@ def test_results_are_deterministic_across_runs():
         assert a.witness == b.witness
 
 
-# Value, node count and witness edge lists of fast searches.  A change that
-# only speeds a search up keeps all three; a change to pruning may only lower
-# the node count.  Sum witnesses are those of the exhaustive search without
-# the multiplicity caps: the lexicographically greatest optimal multiplicity
-# vector, which is never below its image under a swap of two adjacent
-# vertices, so the lex-leader rules of the sum search cut only other
-# branches, as the packing bound and the sum.cliques seed do.  Without the
-# packing bound and the seed the sum rows take 265, 88, 53, 622 and 4,702
-# nodes, and without the lex-leader rules as well 2,732, 283, 179, 7,889
-# and 236,700.  Min witnesses are the Turan seed's graph whenever the seed
-# is optimal.
+# Value and witness edge lists of fast searches; their node counts are in
+# the work ledger (tests/work_ledger.json).  A change that only speeds a
+# search up keeps both; a change to pruning may only lower the node count.
+# Sum witnesses are those of the exhaustive search without the multiplicity
+# caps: the lexicographically greatest optimal multiplicity vector, which is
+# never below its image under a swap of two adjacent vertices, so the
+# lex-leader rules of the sum search cut only other branches, as the
+# packing bound and the sum.cliques seed do.  Min witnesses are the Turan
+# seed's graph whenever the seed is optimal.
 PINNED_SEARCHES = {
-    ("prod", 5, 3, "P3"): (8, 2418, [[(0, 3), (1, 2)]] * 3),
-    ("sum", 5, 4, "K3"): (24, 109, [[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]] * 4),
-    ("min", 5, 3, "P3"): (2, 2324, [[(1, 4), (2, 3)]] * 3),
-    ("min", 5, 3, "M2"): (4, 1923, [[(0, 4), (1, 4), (2, 4), (3, 4)]] * 3),
-    ("prod", 4, 3, "K3"): (64, 853, [[(0, 2), (0, 3), (1, 2), (1, 3)]] * 3),
-    ("prod", 6, 2, "M2"): (25, 63560, [[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]] * 2),
-    ("sum", 5, 3, "P4"): (20, 36, [[(u, v) for u in range(5) for v in range(u + 1, 5)]] * 2 + [[]]),
-    ("sum", 5, 3, "M2"): (12, 34, [[(0, 1), (0, 2), (0, 3), (0, 4)]] * 3),
-    ("sum", 6, 3, "K3"): (30, 87, [[(u, v) for u in range(6) for v in range(u + 1, 6)]] * 2 + [[]]),
-    ("prod", 5, 3, "K3"): (216, 45238, [[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]] * 3),
-    ("min", 5, 3, "K3"): (6, 8047, [[(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]] * 3),
-    ("sum", 7, 3, "K3"): (42, 118, [[(u, v) for u in range(7) for v in range(u + 1, 7)]] * 2 + [[]]),
+    ("prod", 5, 3, "P3"): (8, [[(0, 3), (1, 2)]] * 3),
+    ("sum", 5, 4, "K3"): (24, [[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]] * 4),
+    ("min", 5, 3, "P3"): (2, [[(1, 4), (2, 3)]] * 3),
+    ("min", 5, 3, "M2"): (4, [[(0, 4), (1, 4), (2, 4), (3, 4)]] * 3),
+    ("prod", 4, 3, "K3"): (64, [[(0, 2), (0, 3), (1, 2), (1, 3)]] * 3),
+    ("prod", 6, 2, "M2"): (25, [[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]] * 2),
+    ("sum", 5, 3, "P4"): (20, [[(u, v) for u in range(5) for v in range(u + 1, 5)]] * 2 + [[]]),
+    ("sum", 5, 3, "M2"): (12, [[(0, 1), (0, 2), (0, 3), (0, 4)]] * 3),
+    ("sum", 6, 3, "K3"): (30, [[(u, v) for u in range(6) for v in range(u + 1, 6)]] * 2 + [[]]),
+    ("prod", 5, 3, "K3"): (216, [[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]] * 3),
+    ("min", 5, 3, "K3"): (6, [[(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]] * 3),
+    ("sum", 7, 3, "K3"): (42, [[(u, v) for u in range(7) for v in range(u + 1, 7)]] * 2 + [[]]),
 }
 
 
-def test_search_node_counts_are_pinned():
+def test_search_answers_are_pinned():
     fns = {"min": extremal_min, "sum": extremal_sum, "prod": extremal_prod}
-    for (mode, n, t, name), (value, nodes, edges) in PINNED_SEARCHES.items():
+    for (mode, n, t, name), (value, edges) in PINNED_SEARCHES.items():
         res = fns[mode](Q(mode, n, t, FAM(name)))
-        got = (res.value, res.nodes, [g.edges() for g in res.witness.graphs])
-        assert res.exact and got == (value, nodes, edges), (mode, n, t, name)
-
-
-# Anchored detector calls and node counts of searches at the detector's
-# guards: min and prod check only members with at most k edges while color
-# k fills; sum checks only members that fit the table's nonempty colors and
-# refreshes only caps near the newest pair, and below a pair's first
-# multiplicity only the caps that fell.  Without the guards the first four
-# searches make 4,328, 29,559, 10,126 and 2,687 calls.  Without the packing
-# bound and the sum.cliques seed the sum searches make 1,176 calls in 622
-# nodes and 759 in 265; refreshing every ball cap at every multiplicity as
-# well, 1,578 and 933; without the lex-leader rules as well, 21,396 calls in
-# 7,889 nodes and 9,842 in 2,732.
-DETECTOR_CALLS = {
-    ("min", 5, 3, "K3", None): (1_110, 8_047),
-    ("prod", 5, 3, "K3", None): (17_791, 45_238),
-    ("min", 6, 3, "M3", 20_000): (555, 20_001),
-    ("sum", 6, 3, "K3", None): (173, 87),
-    ("sum", 5, 4, "K3", None): (328, 109),
-}
-
-
-def test_detector_runs_only_where_a_rainbow_copy_fits(monkeypatch):
-    import rturan.search as search
-
-    real = search._exists_using_pair
-    calls = []
-
-    def counting(table, union, plan, pair, color, copies):
-        f = plan.pattern
-        # the guards the detector leaves to its callers: 1 <= e(F) <= t, v(F) <= n
-        assert 1 <= f.edge_count() <= t and f.n <= len(table) == n, (f.edges(), n, t)
-        colors = 0
-        for row in table:
-            for cell in row:
-                colors |= cell
-        assert colors.bit_count() >= f.edge_count(), (f.edges(), table)
-        calls.append(f)
-        return real(table, union, plan, pair, color, copies)
-
-    monkeypatch.setattr(search, "_exists_using_pair", counting)
-    fns = {"min": extremal_min, "sum": extremal_sum, "prod": extremal_prod}
-    for (mode, n, t, name, budget), pinned in DETECTOR_CALLS.items():
-        calls.clear()
-        res = fns[mode](Q(mode, n, t, FAM(name), budget=budget))
-        assert (len(calls), res.nodes) == pinned, (mode, n, t, name)
-
-
-def test_search_compiles_each_member_once(monkeypatch):
-    # the detector gets the plans the search compiled: the lookups left are
-    # one per member per search and per plain containment test of the seed,
-    # not one per detector call (1,131 when every call looked its plan up)
-    import rturan.collection as collection
-    import rturan.search as search
-
-    real = collection._plan
-    lookups = []
-
-    def counting(pattern):
-        lookups.append(pattern)
-        return real(pattern)
-
-    monkeypatch.setattr(collection, "_plan", counting)
-    monkeypatch.setattr(search, "_plan", counting)
-    res = extremal_min(Q("min", 5, 3, FAM("K3")))
-    assert (res.value, res.nodes, res.exact) == (6, 8_047, True)
-    assert len(lookups) <= 20, len(lookups)
+        got = (res.value, [g.edges() for g in res.witness.graphs])
+        assert res.exact and got == (value, edges), (mode, n, t, name)
 
 
 @pytest.mark.parametrize("famtext", FAMILIES + ("{P4}", "{M3}"))
@@ -1238,15 +1158,17 @@ def test_least_room_is_both_prune_tests():
             assert s.least_room(cap, prefix, power) == floor, (cap, power, prefix, floor)
 
 
-# Searches in which blind colors are checked against the whole group: their
-# exact node counts, and budgets besides 1, 2, N - 1, N and N + 1, the first
-# two (at least) stopping inside a subtree the search counts without walking
+# Searches in which blind colors are checked against the whole group, each
+# with one more budget to try.  Their node counts N and their two
+# ``subtree_stops``, budgets that stop inside a subtree the search counts
+# without walking, are in the work ledger (tests/work_ledger.json); each
+# search is also stopped at 1, 2, N - 1, N and N + 1.
 SKIPPED_SUBTREE_SEARCHES = {
-    ("min", 5, 3, "{K3}"): (8_047, (327, 2_800, 4_010)),
-    ("prod", 5, 3, "{P3}"): (2_418, (991, 1_792, 1_200)),
-    ("prod", 5, 3, "{K3}"): (45_238, (1_791, 2_052, 21_113)),
-    ("min", 6, 3, "{M3}"): (212_459, (5_945, 32_065, 97_531)),
-    ("prod", 6, 2, "{M2}"): (63_560, (22_218, 47_380, 6_000)),
+    ("min", 5, 3, "{K3}"): 4_010,
+    ("prod", 5, 3, "{P3}"): 1_200,
+    ("prod", 5, 3, "{K3}"): 21_113,
+    ("min", 6, 3, "{M3}"): 97_531,
+    ("prod", 6, 2, "{M2}"): 6_000,
 }
 
 
@@ -1274,7 +1196,9 @@ def test_skipping_blind_subtrees_changes_nothing(query, monkeypatch):
     import rturan.search as search
 
     mode, n, t, famtext = query
-    full, stops = SKIPPED_SUBTREE_SEARCHES[query]
+    work = pinned()[query_key(mode, n, t, famtext)]
+    full, stops = work["nodes"], work["subtree_stops"]
+    assert len(stops) == 2, query
     fn = {"min": extremal_min, "prod": extremal_prod}[mode]
     real, calls = search._exists_using_pair, []
 
@@ -1301,11 +1225,11 @@ def test_skipping_blind_subtrees_changes_nothing(query, monkeypatch):
         res = fn(Q(mode, n, t, parse_family(famtext), budget=budget))
         return res.value, res.nodes, res.exact, [g.edges() for g in res.witness.graphs], len(calls)
 
-    for budget in (1, 2, full - 1, full, full + 1) + stops:
+    for budget in (1, 2, full - 1, full, full + 1, *stops, SKIPPED_SUBTREE_SEARCHES[query]):
         skipped = outcome(budget, True)
         assert skipped == outcome(budget, False), (query, budget)
         assert skipped[1:3] == ((full, True) if budget >= full else (budget + 1, False)), (query, budget)
-    assert set(stops[:2]) <= set(stopped_in_skip), query
+    assert set(stops) <= set(stopped_in_skip), query
 
 
 class _ColorsSoFar:
@@ -1314,12 +1238,12 @@ class _ColorsSoFar:
     colors 1..k-1 are those ``canonical_prefix`` last accepted at each
     level, and the color being filled holds the pairs ``try_add`` admitted
     and ``remove`` did not take back.  Cleared when a DFS starts (``run``).
-    ``on_prefix(k, masks, verdict)``, which may be set after construction,
-    sees each canonicity check with the masks of colors 1..k."""
+    ``on_prefix(k, masks, verdict)``, once set, sees each canonicity check
+    with the masks of colors 1..k."""
 
-    def __init__(self, monkeypatch, on_prefix=None):
+    def __init__(self, monkeypatch):
         self.search = None
-        self.on_prefix = on_prefix
+        self.on_prefix = None
         self.accepted: list[int] = []
         self.filling: dict[int, int] = {}
         run, prefix = _CollectionSearch.run, _CollectionSearch.canonical_prefix
@@ -1384,37 +1308,6 @@ def test_canonical_prefix_on_the_search_path(monkeypatch):
             assert verdict == _prefix_is_canonical(cmasks, k, perms), (mode, n, cmasks, k)
             outcomes.add((k, verdict, blind_full))
     assert {(1, True, True), (2, True, True), (2, True, False), (2, False, False), (3, True, False)} <= outcomes
-
-
-# sha256 over the (k, colors 1..k, verdict) of every canonical_prefix call,
-# in order, of min(5,3,{K3}), prod(5,3,{P3}) and min(6,3,{K3}) at budget
-# 20,000: the DFS proves the same tree, not just one of the same size.  The
-# second digest is over the accepted calls alone: the DFS that walked every
-# blind color under the whole group, rejecting what is not an orbit
-# representative, gave the same one
-PINNED_PREFIX_SEQUENCE_SHA256 = "e0c4d15d799a395c5819a506a2481facd0f488f26c4b164f049d2884738cb68a"
-PINNED_ACCEPTED_PREFIX_SHA256 = "ff650b8098a8cef8f879ebdc60c86f74c2aa2d39adfa5570ada7c71e3bb24700"
-
-
-def test_canonical_prefix_sequence_is_pinned(monkeypatch):
-    import hashlib
-
-    every, accepted = hashlib.sha256(), hashlib.sha256()
-
-    def on_prefix(k, masks, verdict):
-        line = f"{k} {masks} {verdict}\n".encode()
-        every.update(line)
-        if verdict:
-            accepted.update(line)
-
-    _ColorsSoFar(monkeypatch, on_prefix)
-    for search, mode, n, name, budget in (
-        (extremal_min, "min", 5, "K3", 200_000),
-        (extremal_prod, "prod", 5, "P3", 200_000),
-        (extremal_min, "min", 6, "K3", 20_000),
-    ):
-        search(Q(mode, n, 3, FAM(name), budget=budget))
-    assert (every.hexdigest(), accepted.hexdigest()) == (PINNED_PREFIX_SEQUENCE_SHA256, PINNED_ACCEPTED_PREFIX_SHA256)
 
 
 def test_detector_sees_exactly_the_colors_filled_so_far(monkeypatch):
