@@ -7,7 +7,7 @@ from math import comb, factorial
 
 import pytest
 from helpers import ORACLE_PATTERNS, explicit_rainbow_oracle, lex_greatest_sum_optimum
-from test_work_ledger import pinned, query_key
+from test_work_ledger import measure, pinned, query_key
 
 from rturan import (
     Collection,
@@ -457,6 +457,35 @@ def test_search_answers_are_pinned():
         res = fns[mode](Q(mode, n, t, FAM(name)))
         got = (res.value, [g.edges() for g in res.witness.graphs])
         assert res.exact and got == (value, edges), (mode, n, t, name)
+
+
+def test_detector_runs_only_where_a_rainbow_copy_fits():
+    # min and prod check only members with at most k edges while color k
+    # fills; sum checks only members that fit the table's nonempty colors.
+    # Every detector call of every ledger query keeps the guards the
+    # detector leaves to its callers: 1 <= e(F) <= t, v(F) <= n and at
+    # least e(F) colors in the table.  How many calls each query makes is
+    # in the work ledger (tests/work_ledger.json).
+    ledger, _, unguarded = measure()
+    assert not unguarded, unguarded[:5]
+    for mode, n, t, name, budget in (
+        ("min", 5, 3, "{K3}", None),
+        ("prod", 5, 3, "{K3}", None),
+        ("min", 6, 3, "{M3}", 20_000),
+        ("sum", 6, 3, "{K3}", None),
+        ("sum", 5, 4, "{K3}", None),
+    ):
+        assert ledger[query_key(mode, n, t, name, budget)]["detector_calls"], (mode, n, t, name)
+
+
+def test_search_compiles_each_member_once():
+    # the detector gets the plans the search compiled: the lookups left are
+    # one per member per search and per plain containment test of the seed,
+    # not one per detector call; their exact count is in the work ledger
+    ledger, results, _ = measure()
+    key = query_key("min", 5, 3, "{K3}")
+    assert (results[key].value, results[key].exact) == (6, True)
+    assert ledger[key]["plan_lookups"] < ledger[key]["detector_calls"], ledger[key]
 
 
 @pytest.mark.parametrize("famtext", FAMILIES + ("{P4}", "{M3}"))
@@ -1230,6 +1259,21 @@ def test_skipping_blind_subtrees_changes_nothing(query, monkeypatch):
         assert skipped == outcome(budget, False), (query, budget)
         assert skipped[1:3] == ((full, True) if budget >= full else (budget + 1, False)), (query, budget)
     assert set(stops) <= set(stopped_in_skip), query
+
+
+def test_canonical_prefix_sequence_is_pinned():
+    # every canonical_prefix call of min(5,3,{K3}), prod(5,3,{P3}) and
+    # min(6,3,{K3}) at budget 20,000, (color, mask, verdict) in order: the
+    # DFS proves the same tree, not just one of the same size.  The work
+    # ledger holds the SHA-256 of each query's calls and of its accepted
+    # ones alone; the DFS that walked every blind color under the whole
+    # group, rejecting what is not an orbit representative, gave the same
+    # accepted ones
+    ledger, book = measure()[0], pinned()
+    for query in (("min", 5, 3, "{K3}"), ("prod", 5, 3, "{P3}"), ("min", 6, 3, "{K3}", 20_000)):
+        key = query_key(*query)
+        got = {name: ledger[key][name] for name in ("prefix_sha256", "prefix_accepted_sha256")}
+        assert None not in got.values() and got == {name: book[key][name] for name in got}, key
 
 
 class _ColorsSoFar:

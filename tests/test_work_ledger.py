@@ -8,8 +8,10 @@ of each query below is pinned once, in ``work_ledger.json`` next to this
 file, keyed by query:
 
 * ``nodes``: the result's node count (searches only);
-* ``detector_calls``: anchored detector calls (``_exists_using_pair``),
-  each checked against the guards the detector leaves to its callers;
+* ``detector_calls``: anchored detector calls (``_exists_using_pair``);
+  each call is also checked against the guards the detector leaves to its
+  callers, and ``test_detector_runs_only_where_a_rainbow_copy_fits``
+  (test_search.py) reads what fell outside them;
 * ``plan_lookups``: ``_plan`` calls, in ``collection`` and ``search``;
 * ``extension_attempts``: orderly-generation masks tried (the budget
   steps ``_turan_family`` takes, for min also in its seed);
@@ -30,8 +32,10 @@ file, keyed by query:
 
 The test runs each query once with every counter installed and compares
 the whole ledger for equality, printing each counter that moved, old ->
-new.  A change that moves work on purpose rewrites the ledger by running
-this file as a script and quotes that diff in CHANGES.md:
+new.  That run is cached, so the tests in test_search.py that read the
+detector guards, a search's result or its prefix digests share it.  A
+change that moves work on purpose rewrites the ledger by running this file
+as a script and quotes that diff in CHANGES.md:
 
     PYTHONPATH=src python tests/test_work_ledger.py
 
@@ -44,7 +48,7 @@ import hashlib
 import json
 import os
 import sys
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain
 from operator import or_
 from pathlib import Path
@@ -118,8 +122,11 @@ class _Work:
     """The counters of the query being run, written by the wrappers that
     ``_install`` puts on the library."""
 
-    def start(self, n: int, t: int):
-        self.n, self.t = n, t  # the detector guards read them
+    def __init__(self):
+        self.unguarded: list[tuple[str, list]] = []  # (query key, member edges) of calls outside the guards
+
+    def start(self, key: str, n: int, t: int):
+        self.key, self.n, self.t = key, n, t  # the detector guards read them
         self.detector = self.plans = self.attempts = self.searches = 0
         self.prefix: list[str] = []  # "color mask verdict" per canonical_prefix call
         self.takes: list[tuple[int, int]] = []  # (steps used before, steps taken) per _Budget.take
@@ -159,9 +166,10 @@ def _install(mp: pytest.MonkeyPatch, work: _Work):
         # the guards the detector leaves to its callers: 1 <= e(F) <= t,
         # v(F) <= n, and at least e(F) colors in the table
         f = plan.pattern
-        assert 1 <= f.edge_count() <= work.t and f.n <= len(table) == work.n, (f.edges(), work.n, work.t)
-        colors = reduce(or_, chain.from_iterable(table))
-        assert colors.bit_count() >= f.edge_count(), (f.edges(), table)
+        colors = reduce(or_, chain.from_iterable(table), 0)
+        fits = 1 <= f.edge_count() <= work.t and f.n <= len(table) == work.n
+        if not (fits and colors.bit_count() >= f.edge_count()):
+            work.unguarded.append((work.key, f.edges()))
         work.detector += 1
         return detector(table, union, plan, pair, color, copies)
 
@@ -198,20 +206,27 @@ def _install(mp: pytest.MonkeyPatch, work: _Work):
     mp.setattr(_Budget, "take", taking)
 
 
-def measure() -> dict:
-    """Run every query once with every counter installed: the ledger."""
-    ledger, work = {}, _Work()
+@cache
+def measure() -> tuple[dict, dict, list]:
+    """Run every query once with every counter installed, at the default
+    budget whatever RTURAN_BUDGET says: the ledger, each search's result by
+    query key, and the (query key, member edges) of every detector call
+    outside its guards.  Cached: the callers only read it."""
+    ledger, results, work = {}, {}, _Work()
     with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("RTURAN_BUDGET", raising=False)
         _install(mp, work)
         for mode, n, t, family, budget in dict.fromkeys(SEARCHES):  # a report row may repeat a search
-            work.start(n, t)
+            key = query_key(mode, n, t, family, budget)
+            work.start(key, n, t)
             res = getattr(search, f"extremal_{mode}")(ExtremalQuery(mode, n, t, parse_family(family), budget))
-            ledger[query_key(mode, n, t, family, budget)] = {"nodes": res.nodes, **work.counters()}
+            ledger[key], results[key] = {"nodes": res.nodes, **work.counters()}, res
         for n, family in TURAN:
-            work.start(n, 0)
+            key = f"turan n={n} {family}"
+            work.start(key, n, 0)
             search._turan_family(n, parse_family(family), _Budget(search.default_budget()))
-            ledger[f"turan n={n} {family}"] = work.counters()
-    return ledger
+            ledger[key] = work.counters()
+    return ledger, results, work.unguarded
 
 
 def moved(old: dict, new: dict) -> list[str]:
@@ -226,9 +241,8 @@ def moved(old: dict, new: dict) -> list[str]:
     return lines
 
 
-def test_work_matches_the_ledger(monkeypatch):
-    monkeypatch.delenv("RTURAN_BUDGET", raising=False)  # several queries run at the default budget
-    diff = moved(pinned(), measure())
+def test_work_matches_the_ledger():
+    diff = moved(pinned(), measure()[0])
     print("\n".join(diff))
     assert not diff, f"{len(diff)} counters moved: rewrite the ledger (run this file) and quote the diff in CHANGES.md"
 
@@ -237,6 +251,6 @@ if __name__ == "__main__":
     if os.environ.get("RTURAN_BUDGET"):
         sys.exit("unset RTURAN_BUDGET first: several ledger queries run at the default budget")
     old = pinned() if LEDGER.exists() else {}
-    new = measure()
+    new = measure()[0]
     LEDGER.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print("\n".join(moved(old, new)) or "no counter moved")
