@@ -122,9 +122,12 @@ dense enough to lie under an extremal graph are grown: with L the edge
 count of an explicit F-free graph (a Turan graph saturated greedily),
 level k keeps graphs with at least L C(k,2)/C(n,2) edges, since deleting
 a minimum-degree vertex never lowers the edge density (Katona, Nemetz &
-Simonovits, 1964).  The graph returned is the extremal class with the
-least canonical form, relabelled to that form, so it does not depend on
-the order in which the classes were met.
+Simonovits, 1964).  The generation follows that deletion chain itself: a
+child is grown only when its new vertex has least degree in it, so each
+graph of a level is a graph of the level below plus a least-degree vertex,
+and every extremal graph still lies over such a chain.  The graph returned
+is the extremal class with the least canonical form, relabelled to that
+form, so it does not depend on the order in which the classes were met.
 """
 
 from __future__ import annotations
@@ -930,12 +933,15 @@ def _edge_floor(n: int, members) -> int:
 
     The graph is the densest member-free balanced complete r-partite graph
     T(n, r), saturated by adding pairs in lexicographic order while it
-    stays member-free.  When no T(n, r) is member-free, the loop ends on the
-    edgeless T(n, 1), which holds an edgeless member; that copy stays with
-    every added pair, so the saturation rejects each one and the count is 0.
+    stays member-free.  The scan starts at r = min(n, v(F) - 1) over the
+    members F: T(n, r) with r <= n holds K_r, so for r >= v(F) it holds F.
+    When no T(n, r) is member-free, the loop ends on the edgeless T(n, 1),
+    which holds an edgeless member; that copy stays with every added pair,
+    so the saturation rejects each one and the count is 0.
     ``_turan_family`` answers edgeless members before it asks for a floor.
     """
-    for r in range(n, 0, -1):  # T(n, r) gains edges with r; vertex v in part v mod r
+    top = min([n] + [f.n - 1 for f in members])
+    for r in range(max(top, 1), 0, -1):  # T(n, r) gains edges with r; vertex v in part v mod r
         rows = [sum(1 << w for w in range(n) if (w - v) % r) for v in range(n)]
         if not any(contains_subgraph(Graph(n, rows), f) for f in members):
             break
@@ -975,9 +981,18 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
     keeps at least e(k-2)/k = e C(k-1,2)/C(k,2) of them, so every extremal
     graph lies over a chain of induced subgraphs, one per level, whose
     k-vertex member has at least floor C(k,2)/C(n,2) edges; sparser children
-    are skipped before they cost a step.  Isomorphic children have equal
-    edge counts, so the skip never hides a class the twin rule relies on,
-    and the last level holds every extremal class.
+    are skipped before they cost a step.
+
+    That chain deletes a least-degree vertex at each step, so only children
+    whose new vertex has least degree are grown.  With lo the parent's
+    least degree and ``least`` the mask of its vertices of that degree, the
+    new vertex has least degree exactly when the mask has at most lo
+    vertices, or lo + 1 that include all of ``least``; other masks are
+    skipped before they cost a step.  Both skips depend only on the child's
+    isomorphism class (twins have equal degrees, and isomorphic children
+    have equal edge counts), so they never hide a class the twin rule or
+    the residual skip relies on, and the last level still holds every
+    extremal class.
 
     Members pass through ``_split_family`` with t = C(n,2), which drops only
     members above n vertices; (-1, edgeless) when an edgeless one fits.
@@ -995,13 +1010,18 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
         need = -(-floor * comb(k, 2) // comb(n, 2))  # ceiling
         nxt: dict[bytes, tuple[int, ...]] = {}
         for rows in level.values():
-            short = need - sum(r.bit_count() for r in rows) // 2
+            degrees = [r.bit_count() for r in rows]
+            short = need - sum(degrees) // 2
+            lo = min(degrees)
+            least = sum(1 << v for v, d in enumerate(degrees) if d == lo)
             masks = [0]  # the unions of one prefix of each twin class
             for cls in _twin_classes(k - 1, rows):
                 prefixes = list(accumulate((1 << v for v in cls), or_, initial=0))
                 masks = [m | p for m in masks for p in prefixes]
             residual: list[int] = []  # residual neighbourhoods of this parent's hits
-            for mask in sorted(m for m in masks if m.bit_count() >= short):
+            # the new vertex has least degree in the child: at most lo
+            # neighbours, or lo + 1 that take in every parent vertex of degree lo
+            for mask in sorted(m for m in masks if short <= m.bit_count() <= lo + (m & least == least)):
                 budget.step()
                 if any(mask & r == r for r in residual):
                     continue

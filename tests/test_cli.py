@@ -97,7 +97,7 @@ def test_budget_exhausted_exit_code(tmp_path, capsys, monkeypatch):
     )
     assert code == 3 and "budget" in err
     assert not out_path.exists()
-    monkeypatch.setenv("RTURAN_BUDGET", "30")
+    monkeypatch.setenv("RTURAN_BUDGET", "10")
     code, _, err = run(capsys, "verify", "--suite", "constructions")
     assert code == 3 and "budget" in err
 

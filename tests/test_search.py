@@ -2,7 +2,7 @@
 
 import random
 import sys
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 import pytest
@@ -76,27 +76,28 @@ def test_turan_witness_is_extremal_and_free():
         assert not contains_subgraph(g, f)
 
 
+def _direct_extremal(n, f):
+    """ex(n, f) and the least canonical form of its extremal graphs, by
+    trying every edge set from the largest size down: the first size that
+    holds an f-free graph is ex(n, f)."""
+    pairs = list(combinations(range(n), 2))
+    for e in range(len(pairs), -1, -1):
+        graphs = (Graph.from_edges(n, edges) for edges in combinations(pairs, e))
+        forms = {canonical_form(g) for g in graphs if not contains_subgraph(g, f)}
+        if forms:
+            return e, min(forms)
+
+
 def test_turan_matches_direct_enumeration():
     rng = random.Random(17)
     pats = [parse_pattern(s) for s in ("K3", "M2", "P3", "P4", "S2", "S3", "K2,2")]
-    pairs_cache = {}
-    for _ in range(25):
-        n = rng.randint(1, 5)
-        f = rng.choice(pats)
-        pairs = pairs_cache.setdefault(
-            n, [(u, v) for u in range(n) for v in range(u + 1, n)]
-        )
-        best, forms = 0, set()
-        for mask in range(1 << len(pairs)):
-            g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
-            if not contains_subgraph(g, f):
-                if g.edge_count() > best:
-                    best, forms = g.edge_count(), set()
-                if g.edge_count() == best:
-                    forms.add(canonical_form(g))
-        assert turan_exact(n, f) == best
+    cases = [(rng.randint(1, 5), rng.choice(pats)) for _ in range(25)]
+    cases += [(6, parse_pattern(s)) for s in ("K3", "K2,2", "M3", "S4", "P5")]
+    for n, f in cases:
+        best, form = _direct_extremal(n, f)
+        assert turan_exact(n, f) == best, (n, f)
         # the extremal class of least canonical form, relabelled to it
-        assert turan_extremal(n, f)[1] == _from_canonical(min(forms)), (n, f)
+        assert turan_extremal(n, f)[1] == _from_canonical(form), (n, f)
 
 
 # turan_extremal returns the extremal class of least canonical form,
@@ -171,6 +172,7 @@ TURAN_VALUES = {
     (6, "{M3}"): 10,
     (7, "{K3,M3}"): 10,
     (9, "{P5}"): 12,
+    (10, "{K2,2}"): 16,
 }
 
 
@@ -179,14 +181,32 @@ def test_orderly_generation_values_are_pinned():
         assert _turan_family(n, parse_family(family), _Budget(10**7))[0] == value, (n, family)
 
 
+def _turan_graph_edges(m, r):
+    """e(T(m, r)): m vertices in r parts as equal as possible, all pairs
+    across parts."""
+    parts = [m // r + (i < m % r) for i in range(r)]
+    return (m * m - sum(p * p for p in parts)) // 2
+
+
 def test_turan_closed_forms_at_nine_to_twelve():
     for n in (9, 10, 11, 12):
         assert turan_exact(n, parse_pattern("K3")) == n * n // 4  # Mantel
-        thirds = [n // 3 + (i < n % 3) for i in range(3)]
-        assert turan_exact(n, parse_pattern("K4")) == (n * n - sum(p * p for p in thirds)) // 2
+        assert turan_exact(n, parse_pattern("K4")) == _turan_graph_edges(n, 3)
         assert turan_exact(n, parse_pattern("M3")) == max(comb(5, 2), comb(2, 2) + 2 * (n - 2))
         q, r = divmod(n, 3)  # Faudree-Schelp: disjoint triangles plus a K_r
         assert turan_exact(n, parse_pattern("P4")) == 3 * q + comb(r, 2)
+
+
+def test_turan_with_bounded_matching_number():
+    # Alon & Frankl (J. Combin. Theory Ser. B, 2024): for n >= 2s + 1,
+    # ex(n, {K_{k+1}, M_{s+1}}) = max{e(T(2s+1, k)), e(T(s, k-1)) + s(n-s)},
+    # the t = 1 case of the paper's objectives, with the formula written
+    # here and not in the library
+    for k, s, top in ((2, 2, 12), (3, 2, 12), (2, 3, 10)):
+        family = parse_family(f"{{K{k + 1},M{s + 1}}}")
+        for n in range(2 * s + 1, top + 1):
+            value = max(_turan_graph_edges(2 * s + 1, k), _turan_graph_edges(s, k - 1) + s * (n - s))
+            assert _turan_family(n, family, _Budget(10**7))[0] == value, (k, s, n)
 
 
 def test_turan_edge_cases():

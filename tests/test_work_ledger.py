@@ -104,7 +104,7 @@ SEARCHES = (
 ) + tuple((mode, n, t, forbid, None) for _, _, _, _, mode, n, t, forbid in _SEARCH_SUITE_ROWS)
 
 # (n, family): orderly generation alone, as min's seed runs it
-TURAN = ((7, "{K3}"), (7, "{K2,2}"), (7, "{K4}"), (8, "{P4}"), (6, "{M3}"), (7, "{K3,M3}"), (9, "{P5}"))
+TURAN = ((7, "{K3}"), (7, "{K2,2}"), (7, "{K4}"), (8, "{P4}"), (6, "{M3}"), (7, "{K3,M3}"), (9, "{P5}"), (10, "{K2,2}"))
 
 
 def query_key(mode: str, n: int, t: int, family: str, budget: int | None = None) -> str:
