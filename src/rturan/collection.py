@@ -810,29 +810,22 @@ def _plain_matching(rows, k: int) -> bool:
     return next(_rainbow_matchings(len(rows), pairs, [], 0, k, k), None) is not None
 
 
-def _exists_through_vertex(rows, plan: _Plan, anchor: int) -> int | None:
-    """A plain copy of the plan's pattern in the graph ``rows`` that uses
-    the host vertex anchor: the anchor's residual neighbourhood N, or None
-    when there is no such copy.
-
-    N is a subset of ``rows[anchor]``, and the graph with the anchor's
-    edges cut down to N still holds the copy, so every graph that differs
-    only in the anchor's row and keeps N in it holds one too.
+def _exists_through_vertex(rows, plan: _Plan, anchor: int) -> bool:
+    """Whether the graph ``rows`` holds a plain copy of the plan's pattern
+    that uses the host vertex anchor.
 
     A pattern with an isolated vertex puts it on the anchor, so any copy
     does.  A matching needs an edge at the anchor and as many disjoint
-    edges (a maximum matching can swap that edge in).  On these two paths
-    N is the anchor's whole row.  Other patterns seed one vertex per
-    automorphism orbit on the anchor (see ``_Plan``), and N is the host
-    vertices the seed's pattern neighbours landed on.
+    edges (a maximum matching can swap that edge in).  Other patterns seed
+    one vertex per automorphism orbit on the anchor (see ``_Plan``).
 
     The caller compiles ``plan`` (``_plan``) once for all its checks; each
     path is exact for every pattern and host, so nothing is guarded.
     """
     if plan.isolated:
-        return rows[anchor] if _exists(0, None, rows, plan) else None
+        return _exists(0, None, rows, plan)
     if plan.matching:
-        return rows[anchor] if rows[anchor] and _plain_matching(rows, len(plan.edges)) else None
+        return bool(rows[anchor]) and _plain_matching(rows, len(plan.edges))
     degree = rows[anchor].bit_count()
     sdr = _ColorMatching()
     for seed, need, steps in plan.seeded:
@@ -840,8 +833,8 @@ def _exists_through_vertex(rows, plan: _Plan, anchor: int) -> int | None:
             vmap = [-1] * plan.pattern.n
             vmap[seed] = anchor
             if _embed(steps, vmap, 1 << anchor, sdr, None, rows):
-                return sum(1 << vmap[w] for w in range(plan.pattern.n) if plan.pattern.adj[seed] >> w & 1)
-    return None
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------

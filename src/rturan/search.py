@@ -113,13 +113,9 @@ canonical form, so each isomorphism class is extended exactly once.
 Twin vertices of a parent are interchangeable, so only new-vertex
 neighbourhoods packed toward the lowest twins are tried, built directly
 as unions of one prefix per twin class.  A child holds a member only
-through its new vertex, and a copy found there leaves the new vertex's
-residual neighbourhood N: the parent vertices its pattern neighbours
-landed on.  A later neighbourhood of the same parent that contains N
-holds the same copy, so it is rejected without a search, much as the
-anchored detector re-checks its residual copies.  Only graphs
-dense enough to lie under an extremal graph are grown: with L the edge
-count of an explicit F-free graph (a Turan graph saturated greedily),
+through its new vertex, so only copies through it are searched.  Only
+graphs dense enough to lie under an extremal graph are grown: with L the
+edge count of an explicit F-free graph (a Turan graph saturated greedily),
 level k keeps graphs with at least L C(k,2)/C(n,2) edges, since deleting
 a minimum-degree vertex never lowers the edge density (Katona, Nemetz &
 Simonovits, 1964).  The generation follows that deletion chain itself: a
@@ -951,7 +947,7 @@ def _edge_floor(n: int, members) -> int:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
             # the graph without uv was member-free, so any copy uses u
-            if any(_exists_through_vertex(rows, plan, u) is not None for plan in plans):
+            if _hits_pattern(rows, u, plans):
                 rows[u] &= ~(1 << v)
                 rows[v] &= ~(1 << u)
     return sum(row.bit_count() for row in rows) // 2
@@ -970,11 +966,7 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
     ``BudgetExceeded`` reaches the caller.
 
     The parent is member-free, so a child holds a member only through the
-    new vertex, and ``_hits_pattern`` returns the new vertex's residual
-    neighbourhood N of a copy it finds.  The child of any later mask that
-    contains N differs only in the new vertex's row and keeps N in it, so
-    it holds the same copy: such a mask takes its step and is rejected
-    without a search.  Each parent keeps the N of its own hits only.
+    new vertex, which ``_hits_pattern`` checks.
 
     ``_edge_floor`` gives a certified lower bound on ex(n, members).
     Deleting a minimum-degree vertex from a k-vertex graph with e edges
@@ -990,9 +982,8 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
     vertices, or lo + 1 that include all of ``least``; other masks are
     skipped before they cost a step.  Both skips depend only on the child's
     isomorphism class (twins have equal degrees, and isomorphic children
-    have equal edge counts), so they never hide a class the twin rule or
-    the residual skip relies on, and the last level still holds every
-    extremal class.
+    have equal edge counts), so they never hide a class the twin rule
+    relies on, and the last level still holds every extremal class.
 
     Members pass through ``_split_family`` with t = C(n,2), which drops only
     members above n vertices; (-1, edgeless) when an edgeless one fits.
@@ -1018,19 +1009,13 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
             for cls in _twin_classes(k - 1, rows):
                 prefixes = list(accumulate((1 << v for v in cls), or_, initial=0))
                 masks = [m | p for m in masks for p in prefixes]
-            residual: list[int] = []  # residual neighbourhoods of this parent's hits
             # the new vertex has least degree in the child: at most lo
             # neighbours, or lo + 1 that take in every parent vertex of degree lo
             for mask in sorted(m for m in masks if short <= m.bit_count() <= lo + (m & least == least)):
                 budget.step()
-                if any(mask & r == r for r in residual):
-                    continue
                 new_rows = _extend_rows(rows, mask, k)
-                hit = _hits_pattern(new_rows, k, plans)
-                if hit is not None:
-                    residual.append(hit)
-                    continue
-                nxt.setdefault(_canonical(k, new_rows), new_rows)
+                if not _hits_pattern(new_rows, k - 1, plans):
+                    nxt.setdefault(_canonical(k, new_rows), new_rows)
         level = nxt
     edges = {form: sum(r.bit_count() for r in rows) // 2 for form, rows in level.items()}
     g = _from_canonical(min(level, key=lambda form: (-edges[form], form)))
@@ -1046,13 +1031,11 @@ def _extend_rows(rows: tuple[int, ...], mask: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _hits_pattern(rows: tuple[int, ...], k: int, plans) -> int | None:
-    """Does the k-vertex graph contain a member (a plan) through the new
-    vertex k-1?  The parent graph was member-free, so no other copy can.
-    The new vertex's residual neighbourhood of the first member found
-    (see ``_exists_through_vertex``), or None when none is there."""
+def _hits_pattern(rows, anchor: int, plans) -> bool:
+    """Does the graph contain a member (a plan) through the vertex anchor?
+    The callers add the anchor's edges to a member-free graph, so no other
+    copy can be there."""
     for plan in plans:  # a loop, not any() over a generator: this runs once per extension
-        hit = _exists_through_vertex(rows, plan, k - 1)
-        if hit is not None:
-            return hit
-    return None
+        if _exists_through_vertex(rows, plan, anchor):
+            return True
+    return False

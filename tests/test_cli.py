@@ -420,12 +420,28 @@ def test_construct_without_params_is_a_usage_error(tmp_path, capsys):
     assert not out_path.exists()
 
 
-def test_module_runs_as_a_program():
+def _run_program(*argv, **env):
+    """``python -m rturan.cli argv`` in a fresh interpreter, with env added."""
     src = str(Path(rturan.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [sys.executable, "-m", "rturan.cli", "compute", "--mode", "prod", "--n", "4", "--t", "2", "--forbid", "{M2}"]
-    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **env}
+    argv = [sys.executable, "-m", "rturan.cli", *argv]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_runs_as_a_program():
+    done = _run_program("compute", "--mode", "prod", "--n", "4", "--t", "2", "--forbid", "{M2}")
     assert (done.returncode, done.stdout, done.stderr) == (0, "9\n", "")
+
+
+def test_compute_does_not_depend_on_the_hash_seed(tmp_path):
+    runs = []
+    for seed in ("0", "12345"):
+        out_path = tmp_path / f"w{seed}.rcol"
+        argv = ("compute", "--mode", "min", "--n", "5", "--t", "3", "--forbid", "{K3}", "--out", str(out_path))
+        done = _run_program(*argv, PYTHONHASHSEED=seed)
+        assert done.returncode == 0, done.stderr
+        runs.append((done.stdout, out_path.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_lemma_strong_sufficient_agrees_when_2s_exceeds_n(tmp_path, capsys):

@@ -1,0 +1,82 @@
+"""Plain containment and plain Turan numbers against networkx.
+
+networkx shares no code with the library: its graph atlas lists every
+graph on at most 7 vertices up to isomorphism, and VF2 subgraph
+monomorphism (``GraphMatcher.subgraph_is_monomorphic``) decides whether a
+host holds a pattern, edges not necessarily induced.  This file is kept
+apart from helpers.py, which the benchmark loads, so that the benchmark
+never imports networkx.
+"""
+
+import random
+from functools import cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rturan import Graph, contains_subgraph, parse_pattern, turan_extremal
+from rturan.collection import _exists_through_vertex, _plan
+
+nx = pytest.importorskip("networkx")
+from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match  # noqa: E402
+
+ISOLATED = Graph.from_edges(4, [(0, 1), (1, 2)])  # P3 plus an isolated vertex
+
+
+def _nx(g: Graph, anchor: int | None = None):
+    """g as a networkx graph; with an anchor, node attribute ``a`` marks it."""
+    h = nx.Graph()
+    h.add_nodes_from((v, {"a": v == anchor}) for v in range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _holds(host, pattern) -> bool:
+    return GraphMatcher(host, pattern).subgraph_is_monomorphic()
+
+
+@cache
+def _atlas(n: int) -> list:
+    """The atlas graphs on n vertices, most edges first."""
+    return sorted((g for g in nx.graph_atlas_g() if len(g) == n), key=lambda g: -g.number_of_edges())
+
+
+def _atlas_ex(n: int, pattern) -> int:
+    """ex(n, pattern) from the atlas: the most edges of an n-vertex graph
+    with no copy, C(n, 2) when the pattern has more than n vertices."""
+    return next(g.number_of_edges() for g in _atlas(n) if not _holds(g, pattern))
+
+
+@pytest.mark.parametrize("name", ["K3", "K4", "P4", "P5", "K2,2", "S3", "M2", "M3", "P3+K1"])
+def test_turan_numbers_match_the_graph_atlas(name):
+    pattern = ISOLATED if name == "P3+K1" else parse_pattern(name)
+    f = _nx(pattern)
+    for n in range(1, 8):
+        value, g = turan_extremal(n, pattern)
+        assert value == _atlas_ex(n, f), n
+        assert (g.n, g.edge_count()) == (n, value) and not _holds(_nx(g), f), n
+
+
+PATTERNS = [parse_pattern(s) for s in ("K2", "P3", "P4", "P5", "S3", "M2", "M3", "K3", "K2,2", "E3")] + [
+    ISOLATED,
+    Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),  # the paw
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_plain_containment_matches_networkx(seed):
+    # G(n, p) hosts up to n = 30, past the brute-force oracle's n = 6
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    p = rng.random() * min(1.0, 6 / n)  # mean degree up to 6: hosts both with and without copies
+    host = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    pattern = rng.choice(PATTERNS)
+    assert contains_subgraph(host, pattern) == _holds(_nx(host), _nx(pattern))
+    anchor = rng.randrange(n)
+    anchored = _nx(host, anchor)
+    match = categorical_node_match("a", False)
+    through = any(
+        GraphMatcher(anchored, _nx(pattern, w), node_match=match).subgraph_is_monomorphic() for w in range(pattern.n)
+    )
+    assert _exists_through_vertex(host.adj, _plan(pattern), anchor) is through

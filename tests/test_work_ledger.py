@@ -15,9 +15,6 @@ file, keyed by query:
 * ``plan_lookups``: ``_plan`` calls, in ``collection`` and ``search``;
 * ``extension_attempts``: orderly-generation masks tried (the budget
   steps ``_turan_family`` takes, for min also in its seed);
-* ``hits_pattern_searches``: vertex-seeded searches of orderly generation
-  (``_hits_pattern``; a mask holding an earlier hit's residual
-  neighbourhood needs none);
 * ``counted_nodes``: nodes counted in one ``_Budget.take`` without a walk
   (min and prod: blind subtrees; sum: children the bound cuts at once);
 * ``subtree_stops``: two budgets that stop inside such a counted subtree,
@@ -127,7 +124,7 @@ class _Work:
 
     def start(self, key: str, n: int, t: int):
         self.key, self.n, self.t = key, n, t  # the detector guards read them
-        self.detector = self.plans = self.attempts = self.searches = 0
+        self.detector = self.plans = self.attempts = 0
         self.prefix: list[str] = []  # "color mask verdict" per canonical_prefix call
         self.takes: list[tuple[int, int]] = []  # (steps used before, steps taken) per _Budget.take
 
@@ -142,7 +139,6 @@ class _Work:
             "detector_calls": self.detector,
             "plan_lookups": self.plans,
             "extension_attempts": self.attempts,
-            "hits_pattern_searches": self.searches,
             "counted_nodes": sum(steps for _, steps in skips),
             "subtree_stops": stops,
             "prefix_accepted": len(accepted),
@@ -159,7 +155,7 @@ def _digest(lines: list[str]) -> str | None:
 def _install(mp: pytest.MonkeyPatch, work: _Work):
     """Wrap every counted library function, counting into work."""
     detector, compile_plan = search._exists_using_pair, collection._plan
-    turan_family, hits_pattern = search._turan_family, search._hits_pattern
+    turan_family = search._turan_family
     canonical_prefix, take = _CollectionSearch.canonical_prefix, _Budget.take
 
     def detecting(table, union, plan, pair, color, copies):
@@ -184,10 +180,6 @@ def _install(mp: pytest.MonkeyPatch, work: _Work):
         finally:
             work.attempts += budget.used - before
 
-    def hitting(rows, k, plans):
-        work.searches += 1
-        return hits_pattern(rows, k, plans)
-
     def checking(searcher, k, mask):
         verdict = canonical_prefix(searcher, k, mask)
         work.prefix.append(f"{k} {mask} {verdict}")
@@ -201,7 +193,6 @@ def _install(mp: pytest.MonkeyPatch, work: _Work):
     mp.setattr(collection, "_plan", planning)
     mp.setattr(search, "_plan", planning)
     mp.setattr(search, "_turan_family", generating)
-    mp.setattr(search, "_hits_pattern", hitting)
     mp.setattr(_CollectionSearch, "canonical_prefix", checking)
     mp.setattr(_Budget, "take", taking)
 
