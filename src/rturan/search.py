@@ -121,9 +121,14 @@ a minimum-degree vertex never lowers the edge density (Katona, Nemetz &
 Simonovits, 1964).  The generation follows that deletion chain itself: a
 child is grown only when its new vertex has least degree in it, so each
 graph of a level is a graph of the level below plus a least-degree vertex,
-and every extremal graph still lies over such a chain.  The graph returned
-is the extremal class with the least canonical form, relabelled to that
-form, so it does not depend on the order in which the classes were met.
+and every extremal graph still lies over such a chain.  Nothing extends
+the last level, so its classes are never deduplicated: its children are
+collected, one budget step each, and tested densest first.  The first
+member-free one fixes ex(n, F), where ``turan_exact`` stops; the extremal
+graph takes the rest of that edge count, canonicalising only the
+member-free children.  The graph returned is the extremal class with the
+least canonical form, relabelled to that form, so it does not depend on
+the order in which the classes were met.
 """
 
 from __future__ import annotations
@@ -910,17 +915,22 @@ def _ball(rows, seeds: int, radius: int) -> int:
 
 
 def turan_exact(n: int, f: Graph, budget: int | None = None) -> int:
-    """Largest edge count of an n-vertex graph with no copy of f."""
-    return turan_extremal(n, f, budget)[0]
+    """Largest edge count of an n-vertex graph with no copy of f.  It takes
+    the budget steps ``turan_extremal`` takes, but builds no graph."""
+    return _turan(n, f, budget, graph=False)[0]
 
 
 def turan_extremal(n: int, f: Graph, budget: int | None = None) -> tuple[int, Graph]:
     """ex(n, f) together with the extremal graph of least canonical form,
     relabelled to that form.  The budget counts extension attempts."""
+    return _turan(n, f, budget, graph=True)
+
+
+def _turan(n: int, f: Graph, budget: int | None, graph: bool):
     _check_args(n, budget)
     if not isinstance(f, Graph):
         raise ValueError(f"pattern must be a Graph, got {f!r}")
-    return _turan_family(n, [f], _Budget(budget if budget is not None else default_budget()))
+    return _turan_family(n, [f], _Budget(budget if budget is not None else default_budget()), graph=graph)
 
 
 def _edge_floor(n: int, members) -> int:
@@ -953,14 +963,14 @@ def _edge_floor(n: int, members) -> int:
     return sum(row.bit_count() for row in rows) // 2
 
 
-def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
+def _turan_family(n: int, members, budget: _Budget, *, graph: bool = True) -> tuple[int, Graph | None]:
     """Shared orderly-generation core; members is a list or family of patterns.
 
-    Each level maps canonical forms to the first graph found in the class.
-    A child is the parent plus a new vertex adjacent to the parent vertices
-    in ``mask``, tried in ascending order.  A mask holding a twin but missing
-    a lower twin of the same class (``_twin_classes`` of the parent) is never
-    built: swapping the two gives a smaller mask and an isomorphic child,
+    Each level below n maps canonical forms to the first graph found in the
+    class.  A child is the parent plus a new vertex adjacent to the parent
+    vertices in ``mask``, tried in ascending order.  A mask holding a twin
+    but missing a lower twin of the same class (``_twin_classes`` of the
+    parent) is never built: swapping the two gives a smaller mask and an isomorphic child,
     which was tried first.  So the masks are the unions of one prefix of
     each class, sorted.  The budget takes one step per mask tried, and its
     ``BudgetExceeded`` reaches the caller.
@@ -985,6 +995,19 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
     have equal edge counts), so they never hide a class the twin rule
     relies on, and the last level still holds every extremal class.
 
+    Nothing extends the last level, so its classes need no deduplication.
+    Its candidates (parent, mask) are first collected, one step each, as
+    ints (parent index << (n - 1) | mask), then tested densest first, in
+    generation order within an edge count.  The first member-free child
+    fixes the value e*, and no sparser candidate is tested.  With ``graph``
+    false the value is returned at once, with None for the graph, and no
+    canonical form is computed at this level; otherwise the rest of the
+    e*-edge candidates are tested and the least form of the member-free
+    ones is the graph.  Either way the steps taken are those of the whole
+    level, so the budget stops where it would if every candidate were
+    decided.  Every candidate has at least ``floor`` edges, so a level
+    with no member-free child contradicts the floor and raises.
+
     Members pass through ``_split_family`` with t = C(n,2), which drops only
     members above n vertices; (-1, edgeless) when an edgeless one fits.
     """
@@ -997,31 +1020,56 @@ def _turan_family(n: int, members, budget: _Budget) -> tuple[int, Graph]:
     plans = [_plan(f) for f in active]
 
     level: dict[bytes, tuple[int, ...]] = {_canonical(1, (0,)): (0,)}
-    for k in range(2, n + 1):
+    for k in range(2, n):
         need = -(-floor * comb(k, 2) // comb(n, 2))  # ceiling
         nxt: dict[bytes, tuple[int, ...]] = {}
         for rows in level.values():
-            degrees = [r.bit_count() for r in rows]
-            short = need - sum(degrees) // 2
-            lo = min(degrees)
-            least = sum(1 << v for v, d in enumerate(degrees) if d == lo)
-            masks = [0]  # the unions of one prefix of each twin class
-            for cls in _twin_classes(k - 1, rows):
-                prefixes = list(accumulate((1 << v for v in cls), or_, initial=0))
-                masks = [m | p for m in masks for p in prefixes]
-            # the new vertex has least degree in the child: at most lo
-            # neighbours, or lo + 1 that take in every parent vertex of degree lo
-            for mask in sorted(m for m in masks if short <= m.bit_count() <= lo + (m & least == least)):
+            for mask in _child_masks(rows, need):
                 budget.step()
                 new_rows = _extend_rows(rows, mask, k)
                 if not _hits_pattern(new_rows, k - 1, plans):
                     nxt.setdefault(_canonical(k, new_rows), new_rows)
         level = nxt
-    edges = {form: sum(r.bit_count() for r in rows) // 2 for form, rows in level.items()}
-    g = _from_canonical(min(level, key=lambda form: (-edges[form], form)))
-    if g.edge_count() < floor:
-        raise AssertionError(f"ex(n, members) = {g.edge_count()} below its certified floor {floor}")
-    return g.edge_count(), g
+    # the last level: every candidate costs its step, then the densest are decided first
+    parents = list(level.values())
+    low = (1 << n - 1) - 1
+    by_edges: dict[int, list[int]] = {}  # child edge count -> parent index << (n - 1) | mask
+    for i, rows in enumerate(parents):
+        edges = sum(r.bit_count() for r in rows) // 2
+        for mask in _child_masks(rows, floor):
+            budget.step()
+            by_edges.setdefault(edges + mask.bit_count(), []).append(i << n - 1 | mask)
+    for edges in sorted(by_edges, reverse=True):
+        forms = []
+        for code in by_edges[edges]:
+            new_rows = _extend_rows(parents[code >> n - 1], code & low, n)
+            if not _hits_pattern(new_rows, n - 1, plans):
+                if not graph:
+                    return edges, None
+                forms.append(_canonical(n, new_rows))
+        if forms:
+            g = _from_canonical(min(forms))
+            if g.edge_count() < floor:
+                raise AssertionError(f"ex(n, members) = {g.edge_count()} below its certified floor {floor}")
+            return g.edge_count(), g
+    raise AssertionError(f"ex(n, members) below its certified floor {floor}: no member-free child reaches it")
+
+
+def _child_masks(rows: tuple[int, ...], need: int) -> list[int]:
+    """The masks of the children of rows that are grown, ascending: the
+    unions of one prefix of each twin class whose child keeps at least need
+    edges and gives its new vertex least degree."""
+    degrees = [r.bit_count() for r in rows]
+    short = need - sum(degrees) // 2
+    lo = min(degrees)
+    least = sum(1 << v for v, d in enumerate(degrees) if d == lo)
+    masks = [0]
+    for cls in _twin_classes(len(rows), rows):
+        prefixes = list(accumulate((1 << v for v in cls), or_, initial=0))
+        masks = [m | p for m in masks for p in prefixes]
+    # the new vertex has least degree in the child: at most lo
+    # neighbours, or lo + 1 that take in every parent vertex of degree lo
+    return sorted(m for m in masks if short <= m.bit_count() <= lo + (m & least == least))
 
 
 def _extend_rows(rows: tuple[int, ...], mask: int, k: int) -> tuple[int, ...]:

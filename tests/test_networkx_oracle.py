@@ -1,9 +1,10 @@
 """Plain containment and plain Turan numbers against networkx.
 
 networkx shares no code with the library: its graph atlas lists every
-graph on at most 7 vertices up to isomorphism, and VF2 subgraph
+graph on at most 7 vertices up to isomorphism, VF2 subgraph
 monomorphism (``GraphMatcher.subgraph_is_monomorphic``) decides whether a
-host holds a pattern, edges not necessarily induced.  This file is kept
+host holds a pattern, edges not necessarily induced, and VF2
+(``is_isomorphic``) whether two graphs are isomorphic.  This file is kept
 apart from helpers.py, which the benchmark loads, so that the benchmark
 never imports networkx.
 """
@@ -14,7 +15,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rturan import Graph, contains_subgraph, parse_pattern, turan_extremal
+from rturan import Graph, canonical_form, contains_subgraph, parse_pattern, turan_exact, turan_extremal
 from rturan.collection import _exists_through_vertex, _plan
 
 nx = pytest.importorskip("networkx")
@@ -53,7 +54,7 @@ def test_turan_numbers_match_the_graph_atlas(name):
     f = _nx(pattern)
     for n in range(1, 8):
         value, g = turan_extremal(n, pattern)
-        assert value == _atlas_ex(n, f), n
+        assert value == turan_exact(n, pattern) == _atlas_ex(n, f), n
         assert (g.n, g.edge_count()) == (n, value) and not _holds(_nx(g), f), n
 
 
@@ -80,3 +81,29 @@ def test_plain_containment_matches_networkx(seed):
         GraphMatcher(anchored, _nx(pattern, w), node_match=match).subgraph_is_monomorphic() for w in range(pattern.n)
     )
     assert _exists_through_vertex(host.adj, _plan(pattern), anchor) is through
+
+
+def _from_nx(h) -> Graph:
+    return Graph.from_edges(len(h), list(h.edges()))
+
+
+def test_canonical_forms_match_networkx_isomorphism():
+    # Regular graphs give degree refinement nothing to split, so their forms
+    # rest on individualization.  Each is paired with a random relabelling
+    # and with a copy under a few degree-preserving edge swaps: same degree
+    # sequence, isomorphic or not.
+    rng = random.Random(17)
+    kinds = {True: 0, False: 0}
+    for _ in range(40):
+        d = rng.choice((3, 4, 5))
+        n = rng.randrange(8, 31, 2) if d % 2 else rng.randrange(8, 31)
+        g = nx.random_regular_graph(d, n, seed=rng.randrange(2**32))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        swapped = nx.double_edge_swap(g.copy(), nswap=rng.randint(1, 3), max_tries=1000, seed=rng.randrange(2**32))
+        for h in (nx.relabel_nodes(g, dict(enumerate(perm))), swapped):
+            assert sorted(deg for _, deg in h.degree()) == sorted(deg for _, deg in g.degree())
+            same = nx.is_isomorphic(g, h)
+            assert (canonical_form(_from_nx(g)) == canonical_form(_from_nx(h))) is same, (d, n)
+            kinds[same] += 1
+    assert min(kinds.values()) >= 30, kinds

@@ -909,6 +909,8 @@ search._search_sum = overstated
 fam = PatternFamily.from_graphs([parse_pattern("K3")])
 caught(lambda: search.extremal_sum(search.ExtremalQuery("sum", 4, 3, fam)))
 search._from_canonical = lambda form: Graph.edgeless(5)
+caught(lambda: search.turan_extremal(5, parse_pattern("K3")))
+search._hits_pattern = lambda rows, anchor, plans: True
 caught(lambda: search.turan_exact(5, parse_pattern("K3")))
 class NoMatching(lemmas._ColorMatching):
     def push(self, mask):
@@ -933,10 +935,11 @@ def test_answer_checks_survive_python_O():
         [sys.executable, "-O", "-c", _WRONG_ANSWERS], env=env, capture_output=True, text=True, check=True
     )
     caught = [line for line in out.stdout.splitlines() if line.startswith("caught:")]
-    assert len(caught) == 3, out.stdout + out.stderr
+    assert len(caught) == 4, out.stdout + out.stderr
     assert "does not attain sum" in caught[0]
-    assert "below its certified floor" in caught[1]
-    assert "star cover" in caught[2]
+    assert "ex(n, members) = 0 below its certified floor" in caught[1]
+    assert "no member-free child" in caught[2]
+    assert "star cover" in caught[3]
 
 
 def test_min_erdos_gallai_value_at_n6():
@@ -1506,6 +1509,29 @@ def test_turan_budget_error():
         turan_exact(8, parse_pattern("K3"), budget=10)
     with pytest.raises(BudgetExceeded):
         turan_extremal(8, parse_pattern("K3"), budget=10)
+
+
+def test_turan_value_path_is_a_pure_speed_up():
+    # turan_exact stops at the last level's first member-free child, the
+    # densest; turan_extremal decides that edge count whole.  Same value,
+    # same steps, so the same budget stops both.
+    for family in ("{K3}", "{K4}", "{P4}", "{P5}", "{K2,2}", "{S3}", "{M3}", "{K3,M3}"):
+        members = parse_family(family)
+        for n in range(1, 10):
+            runs = []
+            for graph in (False, True):
+                budget = _Budget(10**7)
+                runs.append((_turan_family(n, members, budget, graph=graph)[0], budget.used))
+            assert runs[0] == runs[1], (family, n)
+            value, attempts = runs[1]
+            if len(members) == 1:
+                (f,) = members
+                assert turan_exact(n, f, attempts or 1) == value == turan_extremal(n, f, attempts or 1)[0]
+            for graph in (False, True):
+                if attempts:
+                    with pytest.raises(BudgetExceeded):
+                        _turan_family(n, members, _Budget(attempts - 1), graph=graph)
+                assert _turan_family(n, members, _Budget(attempts), graph=graph)[0] == value
 
 
 def test_edge_floor_fits_a_small_budget():
