@@ -16,6 +16,12 @@ Colors are 1-based everywhere in the public interface, matching the
 Plain containment in one graph (``contains_subgraph``,
 ``matching_number_at_least``) is answered here too, by the same kernels
 without the color layer.
+
+Every check here is exact for any pattern, isolated vertices included.
+The searches of ``search`` reach the anchored and vertex-seeded checks only
+with members that passed ``search._split_family``, so without isolated
+vertices, and under the node budget that ``search._Budget`` owns; no check
+here takes a budget.
 """
 
 from __future__ import annotations
@@ -428,7 +434,6 @@ class _Plan:
         self.edges = edges
         self.core = _greedy_order(pattern, ())  # all edge-touching vertices, nothing seeded
         self.index = _steps(pattern, list(range(pattern.n)), 0)  # for lexicographically smallest witnesses
-        self.isolated = not all(degrees)
         # no vertex of degree above 1: searched as sets of disjoint pairs
         self.matching = max(degrees) <= 1
         # Graph.matching(k) itself, edge i = (2i, 2i+1)
@@ -814,17 +819,17 @@ def _exists_through_vertex(rows, plan: _Plan, anchor: int) -> bool:
     """Whether the graph ``rows`` holds a plain copy of the plan's pattern
     that uses the host vertex anchor.
 
-    A pattern with an isolated vertex puts it on the anchor, so any copy
-    does.  A matching needs an edge at the anchor and as many disjoint
+    A copy places every pattern vertex, so none fits a smaller host.  A
+    perfect matching needs an edge at the anchor and as many disjoint
     edges (a maximum matching can swap that edge in).  Other patterns seed
     one vertex per automorphism orbit on the anchor (see ``_Plan``).
 
     The caller compiles ``plan`` (``_plan``) once for all its checks; each
     path is exact for every pattern and host, so nothing is guarded.
     """
-    if plan.isolated:
-        return _exists(0, None, rows, plan)
-    if plan.matching:
+    if plan.pattern.n > len(rows):
+        return False
+    if plan.matching and plan.pattern.n == 2 * len(plan.edges):
         return bool(rows[anchor]) and _plain_matching(rows, len(plan.edges))
     degree = rows[anchor].bit_count()
     sdr = _ColorMatching()

@@ -22,6 +22,13 @@ three objectives share one entry: it answers trivial families without a
 node, keeps the best collection found when the budget runs out (flagged
 inexact) and checks that witness.
 
+The boundary rule: members reach every search and every ex(n, F)
+computation through ``_split_family``, which drops those that cannot fit,
+answers an edgeless one that fits, and strips the isolated vertices of the
+rest, so below it v(F) is the vertex count of F and every vertex lies on
+an edge.  ``_Budget`` owns the node budget, ``default_budget()`` when the
+caller gives none.
+
 Shared machinery of min and prod: color-permutation symmetry is broken by
 nonincreasing edge counts, vertex symmetry by keeping only prefixes that
 are minimal under simultaneous vertex relabeling.  In all three searches
@@ -149,6 +156,7 @@ from .graphcore import (
     _canonical,
     _from_canonical,
     _is_int,
+    _normalize_member,
     _twin_classes,
 )
 from .collection import Collection, contains_subgraph, is_rainbow_free
@@ -176,12 +184,13 @@ class BudgetExceeded(RuntimeError):
 
 class _Budget:
     """Step counter: the step past ``limit`` raises BudgetExceeded, which
-    the collection searches catch to keep their incumbent."""
+    the collection searches catch to keep their incumbent.  A limit of
+    None is ``default_budget()``, read when the budget is made."""
 
     __slots__ = ("limit", "used")
 
-    def __init__(self, limit: int):
-        self.limit = limit
+    def __init__(self, limit: int | None = None):
+        self.limit = default_budget() if limit is None else limit
         self.used = 0
 
     def step(self):
@@ -258,10 +267,12 @@ class ExtremalResult:
 def _split_family(family: PatternFamily, n: int, t: int):
     """(infeasible, enforceable members): edgeless members fitting the host
     make every collection non-free; members too big or needing more colors
-    than exist can never have a copy and are dropped."""
+    than exist can never have a copy and are dropped.  The members kept
+    lose their isolated vertices, which a host of n vertices always has
+    room for."""
     infeasible = any(f.edge_count() == 0 and f.n <= n for f in family)
     members = [
-        f
+        _normalize_member(f)
         for f in family
         if f.edge_count() >= 1 and f.n <= n and f.edge_count() <= t
     ]
@@ -627,7 +638,7 @@ def _extremal(q: ExtremalQuery, mode: str) -> ExtremalResult:
     and the witness is checked against the objective and the family."""
     if q.mode != mode:
         raise ValueError(f"query mode must be {mode!r}")
-    budget = _Budget(q.budget if q.budget is not None else default_budget())
+    budget = _Budget(q.budget)
     infeasible, members = _split_family(q.family, q.n, q.t)
     if infeasible:
         return ExtremalResult(-1 if mode == "min" else 0, None, 0, True)
@@ -676,12 +687,12 @@ def _search_sum(s: _CollectionSearch):
     After pair p = uv takes a multiplicity, the cap of a later pair j can
     fall only through a copy of a member holding both j and p; every other
     copy through j was there before.  In a connected member the nearest
-    endpoints of j and p are at most v(F) - 3 apart (v(F) the vertices on
-    its edges): a shortest path between them avoids j and p, and its
-    vertices and the two far endpoints are distinct.  So only pairs with an
-    endpoint in that ball around {u, v} of ``union`` are refreshed, every
-    pair when a member is disconnected.  A check skips the members with
-    more edges than the largest multiplicity, ``top`` or j's own.
+    endpoints of j and p are at most v(F) - 3 apart: a shortest path
+    between them avoids j and p, and its vertices and the two far
+    endpoints are distinct.  So only pairs with an endpoint in that ball
+    around {u, v} of ``union`` are refreshed, every pair when a member is
+    disconnected.  A check skips the members with more edges than the
+    largest multiplicity, ``top`` or j's own.
 
     p's multiplicities run downward, and the table at mu - 1 is the table
     at mu less color mu on p.  Freeness survives deleting edges, so j's cap
@@ -838,9 +849,10 @@ def _packings(n: int, member: Graph):
     """The copies of member in K_n and, for every idx, an edge-disjoint and
     a fractional packing of the copies among pairs idx..P-1 (the copies at
     idx): ``(getters, levels)``, or None for a member with one edge (its
-    caps are 0 already), over six vertices on its edges or over
+    caps are 0 already), over six vertices or over
     ``_PACKING_MAX_COPIES`` copies.  Each copy is one distinct shape of the
-    member on one set of k vertices, so each appears once.
+    member on one set of k = v(F) vertices, so each appears once.  The
+    member has no isolated vertex (``_split_family``).
 
     ``getters`` holds an ``itemgetter`` of each copy's pair indices, latest
     first pair first.  ``levels[idx]`` is ``(count, pack, nums, den)``: the
@@ -851,16 +863,12 @@ def _packings(n: int, member: Graph):
     d(p) the copies at idx through p, so the weights through a pair sum to
     at most 1; over the common denominator ``den`` the weight is the least
     ``nums[p]`` over the copy's pairs."""
-    edges = member.edges()
-    touched = reduce(or_, member.adj)
-    verts = [w for w in range(member.n) if touched >> w & 1]
-    k = len(verts)
+    edges, k = member.edges(), member.n
     if len(edges) < 2 or k > 6:
         return None
     spots = _pairs(k)
-    local = [(verts.index(a), verts.index(b)) for a, b in edges]
     shapes = {
-        tuple(sorted(spots.index((min(p[a], p[b]), max(p[a], p[b]))) for a, b in local))
+        tuple(sorted(spots.index((min(p[a], p[b]), max(p[a], p[b]))) for a, b in edges))
         for p in permutations(range(k))
     }
     if comb(n, k) * len(shapes) > _PACKING_MAX_COPIES:
@@ -891,14 +899,13 @@ def _packings(n: int, member: Graph):
 
 
 def _refresh_radius(members) -> int | None:
-    """max(v(F) - 3, 0) over the members, None when a member's edges are
-    not one connected graph."""
+    """max(v(F) - 3, 0) over the members, None when a member is not
+    connected."""
     radius = 0
     for f in members:
-        touched = reduce(or_, f.adj)
-        if _ball(f.adj, touched & -touched, f.n) != touched:
+        if _ball(f.adj, 1, f.n) != (1 << f.n) - 1:
             return None
-        radius = max(radius, touched.bit_count() - 3)
+        radius = max(radius, f.n - 3)
     return radius
 
 
@@ -930,7 +937,7 @@ def _turan(n: int, f: Graph, budget: int | None, graph: bool):
     _check_args(n, budget)
     if not isinstance(f, Graph):
         raise ValueError(f"pattern must be a Graph, got {f!r}")
-    return _turan_family(n, [f], _Budget(budget if budget is not None else default_budget()), graph=graph)
+    return _turan_family(n, [f], _Budget(budget), graph=graph)
 
 
 def _edge_floor(n: int, members) -> int:
@@ -1009,7 +1016,8 @@ def _turan_family(n: int, members, budget: _Budget, *, graph: bool = True) -> tu
     with no member-free child contradicts the floor and raises.
 
     Members pass through ``_split_family`` with t = C(n,2), which drops only
-    members above n vertices; (-1, edgeless) when an edgeless one fits.
+    members above n vertices and strips the isolated vertices of the rest;
+    (-1, edgeless) when an edgeless one fits.
     """
     infeasible, active = _split_family(members, n, comb(n, 2))
     if infeasible:

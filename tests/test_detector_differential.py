@@ -21,6 +21,7 @@ from helpers import colors_by_pair, explicit_rainbow_oracle
 PATTERNS = [parse_pattern(s) for s in ("K2", "P3", "P4", "P5", "S3", "M2", "K3", "K2,2")] + [
     Graph.from_edges(4, [(0, 3), (1, 2)]),  # a perfect matching not labelled as M2
     Graph.from_edges(4, [(0, 1), (1, 2)]),  # P3 plus an isolated vertex
+    Graph.from_edges(5, [(0, 1), (2, 3)]),  # M2 plus an isolated vertex: a matching, not a perfect one
     # arcs in several orbits under a nontrivial automorphism group
     Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),  # the paw
     Graph.from_edges(4, [(0, 2), (2, 3), (3, 1)]),  # P4 relabelled

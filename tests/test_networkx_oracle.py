@@ -1,12 +1,13 @@
-"""Plain containment and plain Turan numbers against networkx.
+"""Plain containment, rainbow detection and plain Turan numbers against networkx.
 
 networkx shares no code with the library: its graph atlas lists every
 graph on at most 7 vertices up to isomorphism, VF2 subgraph
 monomorphism (``GraphMatcher.subgraph_is_monomorphic``) decides whether a
-host holds a pattern, edges not necessarily induced, and VF2
-(``is_isomorphic``) whether two graphs are isomorphic.  This file is kept
-apart from helpers.py, which the benchmark loads, so that the benchmark
-never imports networkx.
+host holds a pattern, edges not necessarily induced, VF2
+(``is_isomorphic``) whether two graphs are isomorphic, and Hopcroft-Karp
+(``bipartite.maximum_matching``) whether the edges of a copy take
+distinct colors.  This file is kept apart from helpers.py, which the
+benchmark loads, so that the benchmark never imports networkx.
 """
 
 import random
@@ -15,10 +16,21 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rturan import Graph, canonical_form, contains_subgraph, parse_pattern, turan_exact, turan_extremal
+from rturan import (
+    Collection,
+    Graph,
+    canonical_form,
+    contains_subgraph,
+    find_rainbow_copy,
+    parse_pattern,
+    rainbow_copy_exists,
+    turan_exact,
+    turan_extremal,
+)
 from rturan.collection import _exists_through_vertex, _plan
 
 nx = pytest.importorskip("networkx")
+from networkx.algorithms import bipartite  # noqa: E402
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match  # noqa: E402
 
 ISOLATED = Graph.from_edges(4, [(0, 1), (1, 2)])  # P3 plus an isolated vertex
@@ -81,6 +93,55 @@ def test_plain_containment_matches_networkx(seed):
         GraphMatcher(anchored, _nx(pattern, w), node_match=match).subgraph_is_monomorphic() for w in range(pattern.n)
     )
     assert _exists_through_vertex(host.adj, _plan(pattern), anchor) is through
+
+
+def _nx_rainbow(col: Collection, pattern: Graph) -> bool:
+    """Some VF2 monomorphism of the pattern into the union of the colors
+    whose image edges take distinct colors, decided by a maximum matching
+    between those edges and the colors."""
+    colors = {}  # host edge -> the colors holding it
+    for c in range(1, col.t + 1):
+        for e in col.graph(c).edges():
+            colors.setdefault(e, []).append(c)
+    union = nx.Graph()
+    union.add_nodes_from(range(col.n))
+    union.add_edges_from(colors)
+    pedges = pattern.edges()
+    seen = set()
+    for mono in GraphMatcher(union, _nx(pattern)).subgraph_monomorphisms_iter():
+        at = {w: v for v, w in mono.items()}  # pattern vertex -> host vertex
+        image = tuple(sorted(tuple(sorted((at[a], at[b]))) for a, b in pedges))
+        if image in seen:
+            continue
+        seen.add(image)
+        sides = nx.Graph()
+        sides.add_nodes_from(("edge", i) for i in range(len(image)))
+        sides.add_edges_from((("edge", i), ("color", c)) for i, e in enumerate(image) for c in colors[e])
+        matched = bipartite.maximum_matching(sides, top_nodes=[("edge", i) for i in range(len(image))])
+        if len(matched) == 2 * len(image):
+            return True
+    return False
+
+
+def test_rainbow_detection_matches_networkx():
+    # seeded collections up to n = 12, past the brute-force oracle's n = 6,
+    # sparse enough per color that copies are found and missed alike
+    rng = random.Random(29)
+    found = {True: 0, False: 0}
+    for _ in range(200):
+        n, t = rng.randint(1, 12), rng.randint(1, 5)
+        p = rng.random() * min(1.0, 4 / n)
+        col = Collection.from_edge_lists(
+            n, [[(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p] for _ in range(t)]
+        )
+        pattern = rng.choice(PATTERNS)
+        expected = _nx_rainbow(col, pattern)
+        got = find_rainbow_copy(col, pattern)
+        assert (got is not None) == expected == rainbow_copy_exists(col, pattern), (n, t, pattern)
+        if got is not None:
+            got.validate(col)
+        found[expected] += 1
+    assert min(found.values()) >= 50, found
 
 
 def _from_nx(h) -> Graph:

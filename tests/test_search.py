@@ -268,6 +268,24 @@ def test_unconstrained_family_shortcut():
         assert (r.value, r.witness.edge_counts(), r.nodes, r.exact) == (value, (6, 6), 0, True), mode
 
 
+def test_split_family_strips_isolated_vertices_after_the_size_test():
+    # P3 plus an isolated vertex does not fit three vertices, so it is
+    # dropped there; on four it is kept, as P3
+    p3_k1 = Graph.from_edges(4, [(0, 1), (1, 2)])
+    assert _split_family([p3_k1], 3, 3) == (False, [])
+    assert _split_family([p3_k1], 4, 3) == (False, [Graph.path(3)])
+    assert _split_family([p3_k1], 4, 1) == (False, [])  # two edges need two colors
+    # edgeless members keep their vertex count: infeasible exactly when they fit
+    assert _split_family([Graph.edgeless(4), p3_k1], 4, 3) == (True, [Graph.path(3)])
+    assert _split_family([Graph.edgeless(5), p3_k1], 4, 3) == (False, [Graph.path(3)])
+    # so the searches answer the unstripped member as they answer P3
+    for mode, fn in (("min", extremal_min), ("sum", extremal_sum), ("prod", extremal_prod)):
+        r = fn(Q(mode, 3, 2, PatternFamily((p3_k1,))))
+        assert (r.value, r.nodes) == ({"min": 3, "sum": 6, "prod": 9}[mode], 0), mode
+        r, p3 = fn(Q(mode, 4, 2, PatternFamily((p3_k1,)))), fn(Q(mode, 4, 2, FAM("P3")))
+        assert (r.value, r.nodes, r.witness) == (p3.value, p3.nodes, p3.witness), mode
+
+
 # -- reference enumeration agreement ------------------------------------
 
 
@@ -1552,14 +1570,18 @@ def test_min_seed_at_n10_uses_the_edge_floor():
 
 
 def test_env_budget_override(monkeypatch):
+    # _Budget() is the one reader of the default, and reads it as default_budget() does
     monkeypatch.setenv("RTURAN_BUDGET", "12345")
-    assert default_budget() == 12345
+    assert default_budget() == _Budget().limit == 12345
+    assert _Budget(7).limit == 7
     for raw in ("junk", "0", "-3", "\u0668", "1e5"):  # only ASCII integers >= 1
         monkeypatch.setenv("RTURAN_BUDGET", raw)
         with pytest.raises(ValueError):
             default_budget()
+        with pytest.raises(ValueError):
+            _Budget()
     monkeypatch.delenv("RTURAN_BUDGET", raising=False)
-    assert default_budget() > 12345
+    assert default_budget() == _Budget().limit > 12345
 
 
 def test_query_validation():

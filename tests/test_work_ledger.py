@@ -215,7 +215,7 @@ def measure() -> tuple[dict, dict, list]:
         for n, family in TURAN:
             key = f"turan n={n} {family}"
             work.start(key, n, 0)
-            search._turan_family(n, parse_family(family), _Budget(search.default_budget()))
+            search._turan_family(n, parse_family(family), _Budget())
             ledger[key] = work.counters()
     return ledger, results, work.unguarded
 
