@@ -13,9 +13,10 @@ edges and colors), so the color choice never costs a factorial factor.
 Colors are 1-based everywhere in the public interface, matching the
 .rcol file format.
 
-Plain containment in one graph (``contains_subgraph``,
-``matching_number_at_least``) is answered here too, by the same kernels
-without the color layer.
+Plain containment in one graph (``contains_subgraph``) is answered here
+too, by the same kernels without the color layer, and the matching number
+(``matching_number_at_least``) by Edmonds' blossom algorithm, which also
+bounds rainbow matchings from above (``_no_rainbow_matching``).
 
 Every check here is exact for any pattern, isolated vertices included.
 The searches of ``search`` reach the anchored and vertex-seeded checks only
@@ -654,31 +655,202 @@ def _matching_exists_with(
 
 
 # ---------------------------------------------------------------------
+# the matching number, by Edmonds' blossom algorithm
+
+
+def _plain_matching(rows, k: int) -> bool:
+    """Whether the graph with adjacency ``rows`` has k disjoint edges."""
+    return k <= 0 or 2 * k <= len(rows) and _matching(rows, k).count(-1) <= len(rows) - 2 * k
+
+
+def _matching_number(rows) -> int:
+    """ν of the graph with adjacency ``rows``."""
+    return (len(rows) - _matching(rows, len(rows)).count(-1)) // 2
+
+
+def _matching(rows, k: int) -> list[int]:
+    """A matching of the graph with adjacency ``rows``, as each vertex's
+    mate (-1 when unmatched): one of k edges, or a maximum one when the
+    graph has fewer.
+
+    A greedy pass in lexicographic pair order comes first.  Then Edmonds'
+    blossom algorithm (Canad. J. Math. 1965) searches one augmenting path
+    from each unmatched vertex in turn, O(n^3) in all: a vertex with no
+    augmenting path keeps none after later augmentations, so one pass over
+    the vertices ends at a maximum matching.
+    """
+    mate = [-1] * len(rows)
+    size = 0
+    used = 0
+    for u, row in enumerate(rows):
+        free = 0 if used >> u & 1 else row >> u << u & ~used  # unmatched neighbors above u
+        if free:
+            w = (free & -free).bit_length() - 1
+            mate[u], mate[w] = w, u
+            used |= 1 << u | 1 << w
+            size += 1
+    for root in range(len(rows)):
+        if size >= k:
+            break
+        if mate[root] < 0 and rows[root] and _augment(rows, mate, root):
+            size += 1
+    return mate
+
+
+def _augment(rows, mate: list[int], root: int) -> bool:
+    """Grow an alternating tree from the unmatched vertex root and flip the
+    first augmenting path it finds; False when there is none.
+
+    Outer vertices (the root, and the mates of inner ones) are searched in
+    breadth-first order.  An edge between two outer vertices of one tree
+    closes an odd cycle, a blossom, which is contracted by pointing every
+    vertex in it at one ``base`` vertex; ``parent`` stores the even paths
+    through it, so a path leaving the blossom can be expanded when flipped.
+    """
+    n = len(rows)
+    base = list(range(n))
+    parent = [-1] * n  # the outer vertex an inner vertex was reached from
+    outer = 1 << root
+    queue = [root]
+
+    def common_base(a: int, b: int) -> int:
+        seen = 0
+        while True:  # from a up to the root
+            a = base[a]
+            seen |= 1 << a
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while not seen >> base[b] & 1:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def walk(v: int, top: int, child: int) -> int:
+        """Bases on the tree path from v up to the blossom base top, with
+        ``parent`` pointed across the new blossom's edge."""
+        bases = 0
+        while base[v] != top:
+            bases |= 1 << base[v] | 1 << base[mate[v]]
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+        return bases
+
+    for v in queue:  # the queue grows while it is read
+        row = rows[v]
+        while row:
+            low = row & -row
+            row ^= low
+            w = low.bit_length() - 1
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or mate[w] >= 0 and parent[mate[w]] >= 0:  # w is outer: a blossom
+                top = common_base(v, w)
+                bases = walk(v, top, w) | walk(w, top, v)
+                for x in range(n):
+                    if bases >> base[x] & 1:
+                        base[x] = top
+                        if not outer >> x & 1:
+                            outer |= 1 << x
+                            queue.append(x)
+            elif parent[w] < 0:
+                parent[w] = v
+                if mate[w] < 0:  # augmenting path root .. v w: flip it
+                    while w >= 0:
+                        v = parent[w]
+                        nxt = mate[v]
+                        mate[v], mate[w] = w, v
+                        w = nxt
+                    return True
+                outer |= 1 << mate[w]
+                queue.append(mate[w])
+    return False
+
+
+# ---------------------------------------------------------------------
 # rainbow-copy detection, and plain containment in one graph
 
 
 def rainbow_copy_exists(col: Collection, pattern: Graph) -> bool:
     """Fast existence test; equivalent to find_rainbow_copy(...) is not None."""
-    return _exists(col.t, col.color_table(), col.union_rows(), _plan(pattern))
+    return _exists(col, col.union_rows(), _plan(pattern))
 
 
-def _exists(t: int, table, union_rows, plan: _Plan) -> bool:
-    """Rainbow copy of the plan's pattern in the t-color table with union
-    ``union_rows``, or with ``table`` None a plain copy in the graph
-    ``union_rows`` (t unread)."""
+def _exists(col: Collection | None, union_rows, plan: _Plan) -> bool:
+    """Rainbow copy of the plan's pattern in the collection whose union has
+    rows ``union_rows``, or with ``col`` None a plain copy in the graph
+    ``union_rows``.  A rainbow matching is first bounded by color sets
+    (``_no_rainbow_matching``), and searched only when no bound refutes it."""
     if plan.pattern.n > len(union_rows):
         return False
     m = len(plan.edges)
     if m == 0:
         return True
-    if table is None:
+    table = None
+    if col is None:
         if plan.matching:
             return _plain_matching(union_rows, m)
-    elif m > t:
+    elif m > col.t:
         return False
-    elif plan.matching:
-        return _matching_exists_with(table, m, [], 0) is not None
+    else:
+        table = col.color_table()
+        if plan.matching:
+            if _no_rainbow_matching(col, union_rows, m):
+                return False
+            return _matching_exists_with(table, m, [], 0) is not None
     return _embed(plan.core, [-1] * plan.pattern.n, 0, _ColorMatching(), table, union_rows)
+
+
+# up to this many colors the matching bound tries every color set
+_ALL_COLOR_SETS = 10
+
+
+def _no_rainbow_matching(col: Collection, union_rows, k: int) -> bool:
+    """Whether a color-set bound shows that the collection, whose union has
+    rows ``union_rows``, has no rainbow matching of k edges.  False proves
+    nothing.
+
+    A rainbow matching takes at most one edge from each color of a set
+    ``paid``, and its other edges form a matching of the union of the
+    colors outside ``paid``, so it has at most |paid| + ν(that union)
+    edges: with S the colors outside ``paid``, (t − |S|) + ν(∪S).  Paying
+    for an empty color never helps, and paying for k or more colors
+    refutes nothing, so the sets tried are the sets of fewer than k
+    nonempty colors.  With at most ``_ALL_COLOR_SETS`` colors that is all
+    of them.  With more, it is one chain: all nonempty colors paid (the
+    pigeonhole case), then they are unpaid one by one in increasing order
+    of their own ν.
+
+    Paying nothing asks whether ν of the whole union is below k.  If not,
+    a matching of at least k edges of that union keeps its edges that have
+    a color outside ``paid``, and they bound ν from below; only a set they
+    leave able to refute gets the exact ν, by the blossom
+    (``_plain_matching``).
+    """
+    table = col.color_table()
+    masks = [table[u][w] for u, w in enumerate(_matching(union_rows, k)) if u < w]
+    if len(masks) < k:  # nothing paid: ν of the whole union
+        return True
+    adj = [g.adj for g in col.graphs]
+    nonempty = sum(1 << i for i, rows in enumerate(adj) if any(rows))
+    sets = [nonempty]
+    if col.t <= _ALL_COLOR_SETS:
+        while sets[-1]:
+            sets.append(sets[-1] - 1 & nonempty)  # the subsets of nonempty, descending
+    else:
+        for i in sorted((i for i in range(col.t) if nonempty >> i & 1), key=lambda i: _matching_number(adj[i])):
+            sets.append(sets[-1] & ~(1 << i))
+    for paid in sets:
+        need = k - paid.bit_count()  # edges the colors outside paid must supply
+        if need <= 0 or sum(1 for mask in masks if mask & ~paid) >= need:
+            continue
+        rows = [0] * col.n
+        for i, color_rows in enumerate(adj):
+            if not paid >> i & 1:
+                rows = [r | a for r, a in zip(rows, color_rows)]
+        if not _plain_matching(rows, need):
+            return True
+    return False
 
 
 def _exists_using_pair(
@@ -778,41 +950,20 @@ def find_rainbow_copy(col: Collection, pattern: Graph) -> RainbowWitness | None:
 
 def is_rainbow_free(col: Collection, family: PatternFamily) -> bool:
     """No member of the family has a rainbow copy in the collection."""
-    table = col.color_table()
     union_rows = col.union_rows()
-    return not any(_exists(col.t, table, union_rows, _plan(f)) for f in family)
+    return not any(_exists(col, union_rows, _plan(f)) for f in family)
 
 
 def contains_subgraph(host: Graph, pattern: Graph) -> bool:
     """Whether host contains pattern as a (not necessarily induced) subgraph."""
-    return _exists(0, None, host.adj, _plan(pattern))
+    return _exists(None, host.adj, _plan(pattern))
 
 
 def matching_number_at_least(g: Graph, k: int) -> bool:
-    """Whether g contains k pairwise disjoint edges."""
+    """Whether g contains k pairwise disjoint edges (always for k <= 0)."""
     if not _is_int(k):
         raise ValueError(f"k={k!r} is not an int")
     return _plain_matching(g.adj, k)
-
-
-def _plain_matching(rows, k: int) -> bool:
-    """Whether the graph with adjacency ``rows`` has k disjoint edges: a
-    greedy pass in lexicographic pair order, then the pair-subset search
-    with every color (mask -1) on every pair, so no color matching fails."""
-    pairs = []
-    used = 0
-    for u, row in enumerate(rows):
-        row = row >> u << u  # the neighbors above u
-        free = 0 if used >> u & 1 else row & ~used
-        if free:
-            used |= 1 << u | free & -free
-            if used.bit_count() == 2 * k:
-                return True
-        while row:
-            low = row & -row
-            row ^= low
-            pairs.append((u, low.bit_length() - 1, -1))
-    return next(_rainbow_matchings(len(rows), pairs, [], 0, k, k), None) is not None
 
 
 def _exists_through_vertex(rows, plan: _Plan, anchor: int) -> bool:

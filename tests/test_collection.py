@@ -24,7 +24,7 @@ from rturan import (
     parse_pattern,
 )
 
-from rturan.collection import _plan, lexmin_distinct_colors
+from rturan.collection import _no_rainbow_matching, _plan, lexmin_distinct_colors
 
 from helpers import explicit_rainbow_oracle, pattern_pool, random_collection
 
@@ -309,6 +309,58 @@ def test_max_matching_witness_is_the_documented_one():
         edges = min(m for m in matchings if len(m) == top)
         size, witness = max_rainbow_matching(col)
         assert (size, witness.edges, witness.colors) == (top, edges, least_colors(edges)), col
+
+
+def _small_nu_color(rng, n: int) -> list:
+    """Nothing, a triangle, or most of the star at a random center: ν <= 1."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return []
+    if kind == 1:
+        a, b, c = sorted(rng.sample(range(n), 3))
+        return [(a, b), (a, c), (b, c)]
+    c = rng.randrange(n)
+    return [(min(c, v), max(c, v)) for v in range(n) if v != c and rng.random() < 0.8]
+
+
+def test_matching_bound_never_refutes_a_rainbow_matching():
+    # colors with ν <= 1 (empty ones among them) make small-ν unions, where
+    # the bound refutes; random colors beside them make rainbow matchings
+    rng = random.Random(43)
+    seen = {"refuted": 0, "found": 0}
+    for _ in range(300):
+        n, t = rng.randint(4, 8), rng.randint(2, 5)
+        lists = [
+            _small_nu_color(rng, n)
+            if rng.random() < 0.4
+            else [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6 * rng.random()]
+            for _ in range(t)
+        ]
+        col = Collection.from_edge_lists(n, lists)
+        k = rng.randint(2, min(t, 3))
+        found = explicit_rainbow_oracle(col, Graph.matching(k))
+        refuted = _no_rainbow_matching(col, col.union_rows(), k)
+        assert not (found and refuted), (lists, k)
+        assert rainbow_copy_exists(col, Graph.matching(k)) is found
+        seen["found"] += found
+        seen["refuted"] += refuted
+    assert min(seen.values()) >= 80, seen
+
+
+def test_matching_bound_above_ten_colors():
+    # K8 in colors 1 and 2 and the star at vertex 0 in colors 3..11: a
+    # rainbow matching has at most one edge of each clique color and one
+    # star edge, so 3 edges; the chain of color sets finds this
+    k8, star = Graph.complete(8).edges(), Graph.star(7).edges()
+    col = Collection.from_edge_lists(8, [k8, k8] + [star] * 9)
+    assert _no_rainbow_matching(col, col.union_rows(), 4)
+    assert is_rainbow_free(col, FAM("M4"))
+    find_rainbow_copy(col, parse_pattern("M3")).validate(col)
+    # color 11 as the edge (1, 2) instead: (1, 2), (0, 3), (4, 5), (6, 7) take
+    # colors 11, 3, 1, 2, and the bound must not refute that
+    col = Collection.from_edge_lists(8, [k8, k8] + [star] * 8 + [[(1, 2)]])
+    assert not _no_rainbow_matching(col, col.union_rows(), 4)
+    find_rainbow_copy(col, parse_pattern("M4")).validate(col)
 
 
 # -- nesting ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import itertools
 import re
+import time
 
 import pytest
 
@@ -29,6 +30,7 @@ from rturan import (
     is_rainbow_free,
     meshulam_collection,
     parse_pattern,
+    rainbow_copy_exists,
 )
 
 
@@ -410,6 +412,29 @@ PARAMETER_GRID = {
 # sha256 over the outcome of every PARAMETER_GRID case: the exception
 # class, or the rows, documented counts and family canonical forms
 PINNED_PARAMETER_GRID_SHA256 = "0515672b0012bf2eb65d8d8f878b40ae62aadfbcb80851aad5e64d3a52a855af"
+
+
+def test_matching_members_are_certified_free_at_n_30():
+    # the color-set matching bound certifies them; the pair-subset search
+    # alone ran past 30 s on prod.matching (n=30, t=5, s=3)
+    refused = set()
+    checked = 0
+    for cid, params in certification_grid():
+        members = [f for f in describe(cid, params).family if max(f.degree(v) for v in range(f.n)) == 1]
+        if not members:
+            continue
+        try:
+            col = describe(cid, {**params, "n": 30}).collection
+        except GuardViolated:
+            refused.add(cid)
+            continue
+        for f in members:
+            start = time.perf_counter()
+            assert not rainbow_copy_exists(col, f), (cid, params, f)
+            assert time.perf_counter() - start < 1.0, (cid, params, f)
+            checked += 1
+    assert refused == {"sum.monochrome-extremal"}  # its extremal graphs are searched up to n = 10
+    assert checked == 37
 
 
 def test_parameter_grid_guards_and_outcomes_are_pinned():

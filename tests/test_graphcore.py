@@ -662,6 +662,11 @@ def test_matching_number():
     assert not matching_number_at_least(Graph.star(29), 2)
     k7 = Graph.complete(7).edges()
     assert not matching_number_at_least(Graph.from_edges(14, k7 + [(u + 7, v + 7) for u, v in k7]), 7)
+    # no edges at all is a matching of every size k <= 0, in any graph
+    for g in (Graph.from_edges(1, []), Graph.from_edges(4, []), Graph.star(7), Graph.complete(30)):
+        assert matching_number_at_least(g, 0)
+        assert matching_number_at_least(g, -1)
+        assert matching_number_at_least(g, -(10**9))
 
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -18,6 +19,7 @@ from rturan import (
     greedy_extend,
     greedy_from_degrees,
     m2_structure,
+    matching_number_at_least,
     max_rainbow_matching,
     parse_pattern,
     star_cover,
@@ -148,6 +150,47 @@ def test_strong_color_sufficient_examples():
     k3 = Collection.from_edge_lists(3, [[(0, 1), (0, 2), (1, 2)], [(0, 1)]])
     assert not strong_color_exact(k3, 1, 2)
     assert strong_color_sufficient(k3, 1, 2).verdict == StrongVerdict.UNKNOWN
+
+
+# Hosts on which a matching test that searches pair subsets after a greedy
+# pass blows up on a "no": two disjoint K9 asked for k = 9 took 7 to 8.5 s
+# that way, and this G(28, 0.2) asked for k = 14 took 30.6 s.  Its maximum
+# matching misses two vertices: vertices 17, 24 and 27 have all their
+# neighbors in {14, 18}, so one of them stays unmatched, and then an odd
+# number of vertices is left for the other matched pairs.
+TWO_K9 = [(u + off, v + off) for off in (0, 9) for u, v in combinations(range(9), 2)]
+G28_NU13 = [
+    (0, 3), (0, 5), (0, 7), (0, 10), (0, 11), (0, 19), (0, 21), (0, 25), (1, 12), (1, 25), (2, 3),
+    (2, 9), (2, 16), (2, 20), (2, 21), (2, 25), (3, 6), (3, 10), (3, 13), (3, 15), (3, 16), (3, 22),
+    (3, 25), (4, 16), (5, 23), (6, 15), (6, 16), (6, 26), (7, 8), (7, 9), (7, 11), (7, 13), (7, 15),
+    (8, 10), (8, 21), (8, 22), (9, 10), (9, 14), (9, 18), (9, 21), (10, 13), (10, 14), (10, 16),
+    (10, 20), (11, 14), (11, 20), (11, 22), (12, 18), (12, 19), (12, 25), (12, 26), (13, 20),
+    (14, 21), (14, 24), (14, 27), (16, 20), (16, 26), (17, 18), (18, 25), (18, 27), (19, 25),
+    (19, 26), (20, 23), (23, 26),
+]
+
+
+@pytest.mark.parametrize(
+    "n, edges, nu, s, verdict",
+    [
+        # 2s + 1 = 9 = ν + 1: the big-matching check answers no, and all 18 vertices are hubs
+        (18, TWO_K9, 8, 4, StrongVerdict.UNKNOWN),
+        # 2s + 1 = 13 = ν: the big-matching check answers yes
+        (28, G28_NU13, 13, 6, StrongVerdict.BY_BIG_MATCHING),
+    ],
+)
+def test_matching_regression_hosts(n, edges, nu, s, verdict):
+    g = Graph.from_edges(n, edges)
+    start = time.perf_counter()
+    assert matching_number_at_least(g, nu)
+    assert not matching_number_at_least(g, nu + 1)
+    assert strong_color_sufficient(Collection([g]), 1, s).verdict == verdict
+    assert time.perf_counter() - start < 1.0
+
+
+def test_g28_host_has_the_deficiency_its_comment_derives():
+    g = Graph.from_edges(28, G28_NU13)
+    assert all(g.adj[v] and not g.adj[v] & ~(1 << 14 | 1 << 18) for v in (17, 24, 27))
 
 
 def test_strong_sufficient_implies_exact_300():

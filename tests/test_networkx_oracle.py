@@ -4,9 +4,11 @@ networkx shares no code with the library: its graph atlas lists every
 graph on at most 7 vertices up to isomorphism, VF2 subgraph
 monomorphism (``GraphMatcher.subgraph_is_monomorphic``) decides whether a
 host holds a pattern, edges not necessarily induced, VF2
-(``is_isomorphic``) whether two graphs are isomorphic, and Hopcroft-Karp
+(``is_isomorphic``) whether two graphs are isomorphic, Hopcroft-Karp
 (``bipartite.maximum_matching``) whether the edges of a copy take
-distinct colors.  This file is kept apart from helpers.py, which the
+distinct colors, and Edmonds' blossom algorithm as networkx implements it
+(``max_weight_matching`` with ``maxcardinality=True``) the matching
+number.  This file is kept apart from helpers.py, which the
 benchmark loads, so that the benchmark never imports networkx.
 """
 
@@ -22,6 +24,7 @@ from rturan import (
     canonical_form,
     contains_subgraph,
     find_rainbow_copy,
+    matching_number_at_least,
     parse_pattern,
     rainbow_copy_exists,
     turan_exact,
@@ -168,3 +171,26 @@ def test_canonical_forms_match_networkx_isomorphism():
             assert (canonical_form(_from_nx(g)) == canonical_form(_from_nx(h))) is same, (d, n)
             kinds[same] += 1
     assert min(kinds.values()) >= 30, kinds
+
+
+def test_matching_number_matches_networkx():
+    # seeded G(n, p) up to n = 30, sparse enough that many leave vertices
+    # unmatched; disjoint odd cliques, which each leave one vertex unmatched
+    # and make the blossoms; and stars, whose matching number is 1
+    rng = random.Random(31)
+    hosts = []
+    for _ in range(150):
+        n = rng.randint(1, 30)
+        p = rng.random() * min(1.0, 4 / n)
+        hosts.append(Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    for sizes in ((3, 3), (5, 7), (9, 9), (1, 3, 5, 7, 9), (11, 13), (15, 15), (3,) * 10):
+        starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        edges = [(a + u, a + v) for a, k in zip(starts, sizes) for u in range(k) for v in range(u + 1, k)]
+        hosts.append(Graph.from_edges(sum(sizes), edges))
+    hosts += [Graph.star(r) for r in (1, 2, 10, 29)]
+    short = 0
+    for g in hosts:
+        nu = len(nx.max_weight_matching(_nx(g), maxcardinality=True))
+        assert matching_number_at_least(g, nu) and not matching_number_at_least(g, nu + 1), g
+        short += 2 * nu + 1 < g.n  # two or more vertices unmatched
+    assert short >= 50, short
