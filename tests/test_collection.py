@@ -347,10 +347,11 @@ def test_matching_bound_never_refutes_a_rainbow_matching():
     assert min(seen.values()) >= 80, seen
 
 
-def test_matching_bound_above_ten_colors():
+def test_matching_bound_chain_of_color_sets():
     # K8 in colors 1 and 2 and the star at vertex 0 in colors 3..11: a
     # rainbow matching has at most one edge of each clique color and one
-    # star edge, so 3 edges; the chain of color sets finds this
+    # star edge, so 3 edges; the chain finds this once the stars (ν = 1)
+    # are unpaid before the cliques (ν = 4)
     k8, star = Graph.complete(8).edges(), Graph.star(7).edges()
     col = Collection.from_edge_lists(8, [k8, k8] + [star] * 9)
     assert _no_rainbow_matching(col, col.union_rows(), 4)

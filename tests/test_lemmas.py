@@ -2,11 +2,11 @@
 
 import hashlib
 import random
-import time
 from itertools import combinations, permutations
 
 import pytest
 
+from rturan import collection
 from rturan import (
     Collection,
     Graph,
@@ -179,13 +179,16 @@ G28_NU13 = [
         (28, G28_NU13, 13, 6, StrongVerdict.BY_BIG_MATCHING),
     ],
 )
-def test_matching_regression_hosts(n, edges, nu, s, verdict):
+def test_matching_regression_hosts(n, edges, nu, s, verdict, monkeypatch):
+    # the blossom answers without the pair-subset search that blew up
+    def no_pair_subset_search(*args):
+        raise AssertionError("plain matching fell back to the pair-subset search")
+
+    monkeypatch.setattr(collection, "_rainbow_matchings", no_pair_subset_search)
     g = Graph.from_edges(n, edges)
-    start = time.perf_counter()
     assert matching_number_at_least(g, nu)
     assert not matching_number_at_least(g, nu + 1)
     assert strong_color_sufficient(Collection([g]), 1, s).verdict == verdict
-    assert time.perf_counter() - start < 1.0
 
 
 def test_g28_host_has_the_deficiency_its_comment_derives():
