@@ -7,7 +7,7 @@ from math import comb, factorial
 
 import pytest
 from helpers import ORACLE_PATTERNS, explicit_rainbow_oracle, lex_greatest_sum_optimum
-from test_work_ledger import measure, pinned, query_key
+from test_work_ledger import SEARCHES as LEDGER_SEARCHES, measure, pinned, query_key
 
 from rturan import (
     Collection,
@@ -1300,6 +1300,34 @@ def test_skipping_blind_subtrees_changes_nothing(query, monkeypatch):
         assert skipped == outcome(budget, False), (query, budget)
         assert skipped[1:3] == ((full, True) if budget >= full else (budget + 1, False)), (query, budget)
     assert set(stops) <= set(stopped_in_skip), query
+
+
+@pytest.mark.parametrize(
+    "query", sorted({q for q in LEDGER_SEARCHES if q[0] != "sum"}, key=lambda q: query_key(*q)), ids=lambda q: query_key(*q)
+)
+def test_failed_colors_leave_no_trace_in_the_table(query, monkeypatch):
+    # when color k's _dfs returns False, the table holds colors 1..k-1 alone
+    # and the union rows are the pairs those colors hold: whatever color k
+    # and the colors above it put into the table, by try_add or by paint,
+    # is gone again
+    mode, n, t, famtext, budget = query
+    dfs, returns = _CollectionSearch._dfs, []
+
+    def checking(s, k, cap, prefix):
+        found = dfs(s, k, cap, prefix)
+        if not found:
+            returns.append(k)
+            above = [(u, v) for u in range(n) for v in range(n) if s.table[u][v] >> (k - 1)]
+            assert not above, (k, above)
+            rows = [sum(1 << v for v in range(n) if s.table[u][v]) for u in range(n)]
+            assert s.union == rows, (k, s.union, rows)
+        return found
+
+    monkeypatch.setattr(_CollectionSearch, "_dfs", checking)
+    monkeypatch.delenv("RTURAN_BUDGET", raising=False)
+    fn = {"min": extremal_min, "prod": extremal_prod}[mode]
+    res = fn(Q(mode, n, t, parse_family(famtext), budget=budget))
+    assert returns or res.nodes == 0, query
 
 
 def test_canonical_prefix_sequence_is_pinned():
