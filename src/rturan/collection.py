@@ -860,15 +860,19 @@ def _exists_using_pair(
     edgeless F would report its empty copy; a larger F wastes a search.
 
     ``copies``, a dict the caller owns, holds residual copies: for each
-    (pattern, pair, forced color) asked about, the other host pairs of the
-    last copy found through the pair.  A search asks about the same pair
-    again and again while the table around it barely changes, so that copy
-    is re-checked first: if the anchor and its pairs' current color masks
-    take distinct colors, it is still a rainbow copy.  Otherwise the full
-    search runs and stores the copy it finds.  The answer does not depend
-    on what the dict holds (a fresh ``{}`` gives the same answer), and it
-    keeps at most one entry per pattern, pair and forced color: members x
-    pairs x (t + 1) for a search.
+    (pattern, pair, forced color) asked about, the last copy found through
+    the pair, as (x, y, bit) for each of its host pairs, the anchor first,
+    bit the color that pair took.  A search asks about the same pair again
+    and again while the table around it barely changes, so that copy is
+    re-checked first, with one AND per pair: if every pair still holds its
+    bit, the bits are distinct colors and it is still a rainbow copy, and no
+    color matching is built.  If a bit is gone, a color matching over the
+    anchor and the same pairs may still give them distinct colors, and its
+    bits are stored in their place.  Otherwise the full search runs and
+    stores the copy it finds, with the bits its color matching gave.  The
+    answer does not depend on what the dict holds (a fresh ``{}`` gives the
+    same answer), and it keeps at most one entry per pattern, pair and
+    forced color: members x pairs x (t + 1) for a search.
     """
     m = len(plan.edges)
     pu, pv = pair
@@ -877,29 +881,47 @@ def _exists_using_pair(
         anchor &= 1 << (forced_color - 1)
     if anchor == 0:
         return False
-    sdr = _ColorMatching()
-    sdr.push(anchor)
     key = (plan, pair, forced_color)
     last = copies.get(key)
     if last is not None:
-        if all(sdr.push(table[x][y]) for x, y in last):
+        for x, y, bit in last:
+            if not table[x][y] & bit:
+                break
+        else:
+            return True
+    sdr = _ColorMatching()
+    sdr.push(anchor)
+    if last is not None:
+        found = tuple((x, y) for x, y, _ in last[1:])
+        if all(sdr.push(table[x][y]) for x, y in found):
+            copies[key] = _colored_copy(pair, found, sdr.bits)
             return True
         sdr.truncate(1)  # back to the anchor alone
     seeds = (1 << pu) | (1 << pv)
     if plan.matching:
         found = _matching_exists_with(table, m - 1, [anchor], seeds)
+        if found is None:
+            return False
+        for x, y in found:
+            sdr.push(table[x][y])  # a rainbow matching with the anchor: each push holds
     else:
-        found = None
         for a, b, steps in plan.anchored:
             vmap = [-1] * plan.pattern.n
             vmap[a], vmap[b] = pu, pv
             if _embed(steps, vmap, seeds, sdr, table, union_rows):
-                found = tuple((vmap[x], vmap[y]) for x, y in plan.edges if {x, y} != {a, b})
                 break
-    if found is None:
-        return False
-    copies[key] = found
+        else:
+            return False
+        # the pairs in the order _embed pushed them, as sdr holds their bits
+        found = tuple((vmap[y], vmap[x]) for x, _, back in steps for y in back)
+    copies[key] = _colored_copy(pair, found, sdr.bits)
     return True
+
+
+def _colored_copy(pair: tuple[int, int], pairs, bits: list[int]) -> tuple:
+    """A residual copy as ``_exists_using_pair`` stores it: (x, y, bit) for
+    the anchor pair and then each of ``pairs``, bits[i] the bit of item i."""
+    return tuple((x, y, bit) for (x, y), bit in zip((pair, *pairs), bits))
 
 
 def find_rainbow_copy(col: Collection, pattern: Graph) -> RainbowWitness | None:

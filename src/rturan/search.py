@@ -41,8 +41,9 @@ of the pattern's automorphism group only: an automorphism turns a copy
 seeded by one arc of an orbit into a copy with the same edges and colors
 seeded by any other, so K3 needs one search instead of six.  Each search
 keeps its residual copies: the last rainbow copy found through each
-(member, pair, forced color), re-checked by one color matching before
-that search runs again (``_CollectionSearch``).  Budgets
+(member, pair, forced color), with the color each of its pairs took,
+re-checked by one AND per pair before that search runs again
+(``_CollectionSearch``).  Budgets
 count search nodes, never wall-clock time, so results are
 bit-reproducible.
 
@@ -399,8 +400,9 @@ class _CollectionSearch:
     boundary.  ``_dfs`` fills one color in one loop, a node per pass, and
     recurses only at a color boundary; a blind color, too small for any
     member, is held as a pair mask and reaches the table only at its
-    boundary.  A node is pruned when its room, the pairs in its color plus
-    the pairs undecided, is below the color's ``least_room``: a floor e > 0
+    accepted leaves, as the difference from the leaf before.  A node is
+    pruned when its room, the pairs in its color plus the pairs undecided,
+    is below the color's ``least_room``: a floor e > 0
     (min) prunes a color that cannot reach e edges and stops at the first
     full collection; floor 0 (prod) prunes by prefix * maxc^(t-k+1) against
     the best product and searches on.  A full collection becomes the
@@ -415,14 +417,15 @@ class _CollectionSearch:
 
     ``copies`` holds the search's residual copies: the anchored checks of
     ``try_add`` (min, prod) and of ``pair_cap`` (sum) first re-check the
-    last rainbow copy found through the same (member, pair, forced color),
-    and run the full detector only when that copy no longer takes distinct
-    colors (``_exists_using_pair``).  The answers do not change, so neither
-    do node counts.  It holds at most members x pairs x (t + 1) entries and
-    lives as long as the search.  ``stabs`` is the stabilizer chain of
-    ``canonical_prefix``.  It starts at ``orbits`` (``_orbit_table``), the
-    whole group, which also lets ``_dfs`` count, not walk, the subtrees of
-    a blind color under the whole group that hold no orbit representative."""
+    last rainbow copy found through the same (member, pair, forced color)
+    by the colors its pairs took, and run the full detector only when that
+    copy no longer takes distinct colors (``_exists_using_pair``).  The
+    answers do not change, so neither do node counts.  It holds at most
+    members x pairs x (t + 1) entries and lives as long as the search.
+    ``stabs`` is the stabilizer chain of ``canonical_prefix``.  It starts at
+    ``orbits`` (``_orbit_table``), the whole group, which also lets ``_dfs``
+    count, not walk, the subtrees of a blind color under the whole group
+    that hold no orbit representative."""
 
     def __init__(self, n: int, t: int, members, budget: _Budget):
         self.n = n
@@ -470,10 +473,13 @@ class _CollectionSearch:
 
         A blind color (``live[k]`` empty: no member fits k colors) cannot
         complete a rainbow copy, so its pairs stay in ``mask`` alone, with no
-        detector, table or union write.  ``paint`` puts the color into the
-        table once its prefix is canonical and takes it out again when the
-        subtree finds nothing.  Blind colors come first, since ``live`` only
-        grows with k, so a live color's detector always sees them.
+        detector, table or union write.  Its frame keeps ``painted``, the
+        mask the table holds for it: at a leaf whose prefix is canonical,
+        ``paint`` moves the color from ``painted`` to ``mask``, writing only
+        the pairs in one and not the other, and the color is taken out of
+        the table only when ``_dfs`` returns False.  Blind colors come
+        first, since ``live`` only grows with k, so a live color's detector
+        always sees them, and nothing reads the table between two leaves.
 
         The one prune test: a node whose room, count + P - idx, is below
         ``least`` (``least_room``) is pruned.  ``least`` depends on ``best``
@@ -493,7 +499,7 @@ class _CollectionSearch:
         blind = not self.live[k]
         orbits = self.orbits if blind and self.stabs[k - 1] is self.orbits else None
         least = self.least_room(cap, prefix, power)
-        idx = count = mask = 0
+        idx = count = mask = painted = 0
         while True:
             step()
             if count + P - idx < least:
@@ -504,7 +510,8 @@ class _CollectionSearch:
             elif idx == P:
                 if self.canonical_prefix(k, mask):
                     if blind:
-                        self.paint(k, mask, True)
+                        self.paint(k, painted, mask)
+                        painted = mask
                     if k < self.t:
                         found = self._dfs(k + 1, count, prefix * count)
                     else:
@@ -512,8 +519,6 @@ class _CollectionSearch:
                         found = floor > 0
                     if found:
                         return True
-                    if blind:
-                        self.paint(k, mask, False)
                     least = self.least_room(cap, prefix, power)  # best may have risen
             elif count < cap and (blind or self.try_add(k, idx)):
                 mask |= 1 << idx
@@ -525,6 +530,8 @@ class _CollectionSearch:
                 continue
             # the subtree at (idx, count) failed: back up to the last pair added
             if not mask:
+                if painted:
+                    self.paint(k, painted, 0)
                 return False
             idx = mask.bit_length() - 1
             mask ^= 1 << idx
@@ -544,14 +551,25 @@ class _CollectionSearch:
             return self.floor
         return next((r for r in range(cap + 1) if prefix * r**power > self.best), self.P + 1)
 
-    def paint(self, color: int, mask: int, on: bool):
-        """Put the pairs of mask into the color (on) or take them out."""
-        bit, pairs, table = 1 << (color - 1), self.pairs, self.table
-        while mask:
-            low = mask & -mask
+    def paint(self, color: int, old: int, new: int):
+        """Move the color from the pairs of mask old to those of mask new:
+        only the pairs in one and not the other change their cell, and a
+        cell that empties or gains its first color leaves or joins the
+        union."""
+        bit, pairs, table, union = 1 << (color - 1), self.pairs, self.table, self.union
+        diff = old ^ new
+        while diff:
+            low = diff & -diff
+            diff ^= low
             u, v = pairs[low.bit_length() - 1]
-            self.set_pair(u, v, table[u][v] | bit if on else table[u][v] & ~bit)
-            mask ^= low
+            cell = table[u][v] ^ bit
+            table[u][v] = table[v][u] = cell
+            if cell == bit:
+                union[u] |= 1 << v
+                union[v] |= 1 << u
+            elif not cell:
+                union[u] &= ~(1 << v)
+                union[v] &= ~(1 << u)
 
     def try_add(self, color: int, idx: int) -> bool:
         """Add pair idx to the color unless it completes a rainbow copy.

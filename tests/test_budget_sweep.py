@@ -1,13 +1,14 @@
 """Budget sweeps: what a min or prod search returns when its budget stops it.
 
 A budget stop keeps the incumbent standing at the node where the budget ran
-out.  The DFS charges some stretches of nodes in one ``_Budget.take`` (blind
-subtrees it counts without walking, and the nodes between two leaves of a
-blind color), so a stop inside such a stretch must return exactly what the
-node-by-node walk returned there.  Each stop of the queries below is pinned
-in ``budget_sweep.json``, next to this file, as the value, the exact flag,
-the node count, the anchored detector calls and the SHA-256 of the witness
-edge lists (one list of pairs per color, as JSON):
+out.  The DFS charges some stretches of nodes in one ``_Budget.take`` (the
+blind subtrees it counts without walking), so a stop inside such a stretch
+must return exactly what the node-by-node walk returned there, and a change
+to how nodes are walked or charged must leave every stop where it was.
+Each stop of the queries below is pinned in ``budget_sweep.json``, next to
+this file, as the value, the exact flag, the node count, the anchored
+detector calls and the SHA-256 of the witness edge lists (one list of pairs
+per color, as JSON):
 
 * every budget from 1 to N + 1 of min(5,3,{P3}) and prod(5,3,{P3}), N the
   query's node count;
@@ -16,19 +17,19 @@ edge lists (one list of pairs per color, as JSON):
 
 Each query's stops are kept as ``[budget, value, exact, nodes, detector
 calls, witness]`` rows, where witness indexes the query's list of distinct
-witness digests.  The pins were recorded by real budget stops of the
-node-by-node walk, before any stretch between two leaves was charged at
-once.  To re-pin after a change that moves node counts or incumbents on
-purpose, run this file as a script (one real stop per budget, about 15 s)
-and quote what moved in CHANGES.md:
+witness digests.  The pins were recorded by real budget stops, before blind
+colors were painted into the table as diffs and before residual copies kept
+their colors.  To re-pin after a change that moves node counts or
+incumbents on purpose, run this file as a script (one real stop per
+budget, about 12 s) and quote what moved in CHANGES.md:
 
     PYTHONPATH=src python tests/test_budget_sweep.py
 
-A real stop per budget costs the walk up to it, about 12 s for all of them,
-so the test reads every pinned stop off one unbudgeted run per query: a
-budget that never stops notes, whenever its count first passes a pinned
-budget inside ``step`` or ``take``, the incumbent and the detector calls at
-that moment, which is what a stop there raises with.  A second test runs
+A real stop per budget costs the walk up to it, so the test reads every
+pinned stop off one unbudgeted run per query: a budget that never stops
+notes, whenever its count first passes a pinned budget inside ``step`` or
+``take``, the incumbent and the detector calls at that moment, which is
+what a stop there raises with.  A second test runs
 real stops at a sample of the pinned budgets, so the two readings are
 checked against each other.
 """

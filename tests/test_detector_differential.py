@@ -11,6 +11,7 @@ shares code with the engine.
 import random
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rturan import Collection, Graph, contains_subgraph, matching_number_at_least, parse_pattern
@@ -215,8 +216,12 @@ def test_residual_copies_match_oracle(seed):
                     expected = _copy_through(held, t, f, a, b, color)
                     assert _exists_using_pair(table, union, _plan(f), (a, b), color, copies) == expected
                     assert _exists_using_pair(table, union, _plan(f), (a, b), color, {}) == expected
-    # K2 through any colored pair: the copy less its anchor is the empty tuple
-    assert () in copies.values()
+    # K2 through any colored pair: the copy is its anchor alone
+    assert any(len(copy) == 1 for copy in copies.values())
+    # each pair of a stored copy took one color, and no two took the same
+    for copy in copies.values():
+        bits = [bit for _, _, bit in copy]
+        assert all(bit.bit_count() == 1 for bit in bits) and len(set(bits)) == len(bits), copy
 
 
 def test_stale_residual_copies_are_rechecked():
@@ -230,11 +235,46 @@ def test_stale_residual_copies_are_rechecked():
     _set_cell(table, union, 0, 1, 0b01)
     _set_cell(table, union, 1, 2, 0b10)
     assert _exists_using_pair(table, union, p3, (0, 1), 1, copies)
-    assert list(copies.values()) == [((1, 2),)]
+    assert list(copies.values()) == [((0, 1, 0b01), (1, 2, 0b10))]  # (x, y, the color it took), anchor first
     _set_cell(table, union, 1, 2, 0)
     assert not _exists_using_pair(table, union, p3, (0, 1), 1, copies)
     _set_cell(table, union, 1, 2, 0b01)
     assert not _exists_using_pair(table, union, p3, (0, 1), 1, copies)
     _set_cell(table, union, 0, 2, 0b10)  # a new copy, through (0, 2), replaces the stale one
     assert _exists_using_pair(table, union, p3, (0, 1), 1, copies)
-    assert list(copies.values()) == [((0, 2),)]
+    assert list(copies.values()) == [((0, 1, 0b01), (0, 2, 0b10))]
+
+
+def test_residual_copy_whose_colors_moved_is_kept_without_a_search(monkeypatch):
+    # K3 through (0, 1) in any color is stored with the colors its pairs
+    # took; then the anchor loses its color and another pair gains one, so
+    # a stored bit is gone but the same three pairs still take distinct
+    # colors another way: the detector answers from the copy, with no
+    # search, and stores the colors the pairs take now
+    import rturan.collection as collection
+
+    k3 = _plan(parse_pattern("K3"))
+    table = [[0] * 3 for _ in range(3)]
+    union = [0] * 3
+    copies: dict = {}
+    _set_cell(table, union, 0, 1, 0b011)
+    _set_cell(table, union, 0, 2, 0b110)
+    _set_cell(table, union, 1, 2, 0b100)
+    assert _exists_using_pair(table, union, k3, (0, 1), None, copies)
+    assert list(copies.values()) == [((0, 1, 0b001), (0, 2, 0b010), (1, 2, 0b100))]
+
+    def no_search(*args):
+        raise AssertionError("the full search ran")
+
+    monkeypatch.setattr(collection, "_embed", no_search)
+    _set_cell(table, union, 0, 1, 0b010)
+    _set_cell(table, union, 0, 2, 0b101)
+    assert _exists_using_pair(table, union, k3, (0, 1), None, copies)
+    assert list(copies.values()) == [((0, 1, 0b010), (0, 2, 0b001), (1, 2, 0b100))]
+    # unchanged bits answer with one AND per pair, and leave the copy as it is
+    assert _exists_using_pair(table, union, k3, (0, 1), None, copies)
+    assert list(copies.values()) == [((0, 1, 0b010), (0, 2, 0b001), (1, 2, 0b100))]
+    # the same pairs can no longer take distinct colors: the full search runs
+    _set_cell(table, union, 0, 2, 0b100)
+    with pytest.raises(AssertionError, match="the full search ran"):
+        _exists_using_pair(table, union, k3, (0, 1), None, copies)
