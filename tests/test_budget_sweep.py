@@ -112,7 +112,7 @@ def recorded(mode: str, n: int, t: int, family: str, stops: list[int]) -> list[l
 
     class Recording(_Budget):
         def __init__(self, limit):
-            super().__init__(max(stops))
+            super().__init__(max(stops))  # N + 1: the search finishes
 
         def note(self):
             while ahead and self.used > ahead[-1]:
@@ -163,8 +163,9 @@ def render(sweeps: dict) -> str:
 
 
 def _check(query, rows: list[list], pins: list[list]):
+    by_budget = {row[0]: row for row in pins}
     for new in rows:
-        old = next(row for row in pins if row[0] == new[0])
+        old = by_budget[new[0]]
         assert new == old, f"{key(*query[:4])} budget {old[0]}: [value, exact, nodes, calls, witness] {old[1:]} -> {new[1:]}"
 
 
